@@ -18,7 +18,8 @@ The horizontal space at p is described twice:
 
 Both residuals have identically vanishing real part, which is asserted as a
 free sanity check.  Variant B for u is equivalent to variant A for
-Ad_{p^-1}(u), including the vanishing of its (1,1) entry.
+Ad_{p^-1}(u): the variant-B residual is, as a polynomial, the (1,1) entry
+of Ad_{p^-1}(u), so a member of Ad_p(h_p) has that corner vanishing.
 """
 
 from __future__ import annotations
@@ -173,22 +174,17 @@ def ell_direct(p: Sp2Point, rho: Quaternion) -> QMat2:
 
 
 def ell_from_projector(p: Sp2Point, rho: Quaternion) -> QMat2:
-    """Independent construction rho Id - p @ diag(rho, 0) @ p*."""
+    """Independent construction rho Id - p @ diag(rho, 0) @ p*; the reference
+    that identity_ell_dual and the tests compare ell_direct against."""
     rho_plus = diag(rho, zero(rho.backend))
     return scalar_mat(rho) - p.m @ rho_plus @ p.m.adjoint()
 
-def ell(p: Sp2Point, rho: Quaternion, tol: float = 1e-9, check: bool = True) -> Sp2Alg:
+
+def ell(p: Sp2Point, rho: Quaternion, tol: float = 1e-9) -> Sp2Alg:
     """The vertical fundamental-field matrix ell_rho at p, via the entrywise
-    formula, cross-checked against the projector construction."""
+    formula."""
     _require_imaginary(rho, tol)
-    m = ell_direct(p, rho)
-    if check:
-        m2 = ell_from_projector(p, rho)
-        err = m.max_component_diff(m2)
-        ok = err == 0 if p.backend == EXACT else err <= 1e-12 * max(1.0, float(m.max_abs()))
-        if not ok:
-            raise InvariantViolation(f"ell construction paths disagree by {float(err):.3e}")
-    return Sp2Alg(m, validate=False)
+    return Sp2Alg(ell_direct(p, rho), validate=False)
 
 
 def vertical_delta_basis(p: Sp2Point):
@@ -262,23 +258,6 @@ def in_h_p(p: Sp2Point, u: Sp2Alg, tol: float = 1e-9) -> bool:
 def in_ad_h_p(p: Sp2Point, u: Sp2Alg, tol: float = 1e-9) -> bool:
     res = ad_h_p_residual(p, u, tol)
     return res.is_zero() if p.backend == EXACT else res.max_abs() <= tol
-
-
-@dataclass(frozen=True)
-class HorizontalElement:
-    """An sp(2) element certified to lie in Ad_p(h_p) for the stated p,
-    with its (a, b) block cached."""
-
-    p: Sp2Point
-    u: Sp2Alg
-    a: Quaternion
-    b: Quaternion
-
-    @staticmethod
-    def check(p: Sp2Point, u: Sp2Alg, tol: float = 1e-9) -> "HorizontalElement":
-        if not in_ad_h_p(p, u, tol):
-            raise InvariantViolation("element is not horizontal at p")
-        return HorizontalElement(p=p, u=u, a=u.m.a, b=u.m.b)
 
 
 def horizontal_space_rank(p: Sp2Point, tol: float = 1e-9):

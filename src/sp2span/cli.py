@@ -10,8 +10,9 @@ Subcommands:
 
 Exit codes: 0 all checks passed, 1 a mathematical check failed, 2 bad usage
 or malformed input.  Reports are deterministic for a fixed (seed, samples,
-backend, tol): sample index n draws from an independent substream keyed by
-seed XOR n, so --jobs never changes the result, only the wall time.
+backend, tol): sample index n draws from its own Philox stream, keyed by the
+pair (seed, n) as (seed mod 2^64) * 2^64 + n, so different seeds draw
+different points and --jobs never changes the result, only the wall time.
 """
 
 from __future__ import annotations
@@ -73,7 +74,7 @@ def _verify_one(args):
     """One sample of the randomized sweep; top-level so worker processes can
     import it."""
     index, seed, backend, tol, drop = args
-    key = seed ^ index
+    key = ((seed % (1 << 64)) << 64) + index
     point_json = None
     try:
         if backend == FLOAT:
@@ -81,8 +82,7 @@ def _verify_one(args):
         else:
             p = bundle.exact_random_point(key, case=_EXACT_CYCLE[index % len(_EXACT_CYCLE)])
         point_json = p.to_json()
-        norm = bundle.normalize_fiber(p, tol)
-        pc = frames.check_point(norm.point, tol, drop_label=drop)
+        pc = frames.check_point(p, tol, drop_label=drop)
         rec = {
             "index": index,
             "case": pc.case,
@@ -158,7 +158,7 @@ def cmd_verify(cfg: RunConfig) -> int:
         lines.append(f"min relative pivot: {report['min_rel_pivot']:.3e}")
     if cfg.backend == EXACT:
         lines.append(f"exact rank certificates: {certified}/{cfg.samples}")
-    lines.append(f"negative-control max rank: {neg_max} (must stay <= 7)")
+    lines.append(f"negative-control max rank: {neg_max} (must be 7)")
     for rec in failures[:20]:
         lines.append(f"FAIL sample {rec['index']} [{rec['case']}]: " + "; ".join(rec["problems"]))
     if len(failures) > 20:
@@ -176,8 +176,7 @@ def _sweep_family(name, points, expected_cases, tol):
     tally: dict = {}
     for idx, p in enumerate(points):
         try:
-            norm = bundle.normalize_fiber(p, tol)
-            pc = frames.check_point(norm.point, tol)
+            pc = frames.check_point(p, tol)
             tally[pc.case] = tally.get(pc.case, 0) + 1
             problems = list(pc.check.failures())
             if pc.case not in expected_cases:
@@ -333,28 +332,25 @@ def _load_point(path: str, tol: float) -> Sp2Point:
 def cmd_frame(cfg: RunConfig, path: str) -> int:
     start = time.monotonic()
     p = _load_point(path, cfg.tol)
-    norm = bundle.normalize_fiber(p, cfg.tol)
-    tag = frames.classify(norm.point, cfg.tol)
-    frame = frames.build_frame(norm.point, tag=tag, tol=cfg.tol)
-    check = frames.verify_frame(norm.point, frame, cfg.tol)
-    report = frames.frame_to_json(norm.point, frame, check)
+    pc = frames.check_point(p, cfg.tol)
+    report = frames.frame_to_json(pc.point, pc.frame, pc.check)
     report["schema"] = SCHEMA
     report["command"] = "frame"
     report["backend"] = p.backend
-    report["normalized_point"] = norm.point.to_json()
-    report["pass"] = check.ok
+    report["normalized_point"] = pc.point.to_json()
+    report["pass"] = pc.ok
     report["elapsed_s"] = round(time.monotonic() - start, 3)
     lines = [
         f"case: {report['case']}",
-        f"normalized point: {json.dumps(norm.point.to_json())}",
+        f"normalized point: {json.dumps(report['normalized_point'])}",
     ]
     for m in report["matrices"]:
         lines.append(f"  {m['label']:10s} {m['paper_eq']}")
     lines.append(f"rank: {report['rank']}")
     lines.append(f"pivots: {report['pivots']}")
-    lines.append("PASS" if check.ok else "FAIL: " + "; ".join(check.failures()))
+    lines.append("PASS" if pc.ok else "FAIL: " + "; ".join(pc.check.failures()))
     _emit(report, lines, cfg.emit, cfg.out)
-    return 0 if check.ok else 1
+    return 0 if pc.ok else 1
 
 
 # -- argument parsing ----------------------------------------------------------------

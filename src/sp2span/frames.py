@@ -77,14 +77,12 @@ class CaseTag:
     """Classification of a fiber-normalized point.
 
     v is None for case II (where x w^-1 is undefined or irrelevant); split is
-    |a|^2 - |b|^2 for w = a + b j, present only for I-b; detail records which
-    case-II branch fired.
+    |a|^2 - |b|^2 for w = a + b j, present only for I-b.
     """
 
     kind: str
     v: Quaternion | None = None
     split: Scalar | None = None
-    detail: str | None = None
 
 
 def ib_split(w: Quaternion) -> Scalar:
@@ -102,10 +100,8 @@ def classify(p: Sp2Point, tol: float = 1e-9) -> CaseTag:
     backend = p.backend
     exact = backend == EXACT
     ii_threshold = 0.0 if exact else 1e-8
-    if p.x.max_abs() <= ii_threshold:
-        return CaseTag(kind=CASE_II, detail="x0")
-    if p.w.max_abs() <= ii_threshold:
-        return CaseTag(kind=CASE_II, detail="w0")
+    if p.x.max_abs() <= ii_threshold or p.w.max_abs() <= ii_threshold:
+        return CaseTag(kind=CASE_II)
     v = p.x * p.w.inverse()
     if exact:
         if v.h2 != 0 or v.h3 != 0 or v.h1 < 0:
@@ -129,17 +125,6 @@ def classify(p: Sp2Point, tol: float = 1e-9) -> CaseTag:
         kind = CASE_IB_QUARTER if abs(s - 0.25) <= tol else CASE_IB_NONQUARTER
         return CaseTag(kind=kind, v=qi(FLOAT), split=s)
     return CaseTag(kind=CASE_IA, v=quat(v.h0, v.h1, backend=FLOAT))
-
-
-def flip_ib_subcase(tag: CaseTag) -> CaseTag:
-    """The same I-b point under the other sub-case frame; used for float
-    points sitting on the |a|^2 - |b|^2 = 1/4 threshold, where rank being an
-    open condition lets either frame certify."""
-    if tag.kind == CASE_IB_QUARTER:
-        return CaseTag(kind=CASE_IB_NONQUARTER, v=tag.v, split=tag.split)
-    if tag.kind == CASE_IB_NONQUARTER:
-        return CaseTag(kind=CASE_IB_QUARTER, v=tag.v, split=tag.split)
-    raise ValueError("only I-b tags have a sub-case to flip")
 
 
 # -- the u-basis ---------------------------------------------------------------------
@@ -257,14 +242,13 @@ def _cdiv(a: Quaternion, b: Quaternion) -> Quaternion:
 
 
 def alpha(v: Quaternion) -> Quaternion:
-    """The complex constant making Tr(U_j) = Tr(U_k) = 0.
+    """The complex constant making Tr(U_j) = Tr(U_k) = 0, in its first
+    printed form
 
-    Both printed forms are evaluated:
-      form 1: (8|v|^4 + (1-conj(v)^2)(1-|v|^2)(v^2+|v|^2))
-              / (2|v|^2 (1-conj(v)^2)(|v|^2 - v^2))
-      form 2: 4 conj(v)/((1-conj(v)^2)(conj(v)-v))
-              + (1-|v|^2)(v+conj(v))/(2|v|^2 (conj(v)-v))
-    and must agree; the shared value is returned.
+      (8|v|^4 + (1-conj(v)^2)(1-|v|^2)(v^2+|v|^2))
+      / (2|v|^2 (1-conj(v)^2)(|v|^2 - v^2)).
+
+    identity_alpha_forms compares it with the second printed form.
     """
     _require_complex_nonzero(v)
     backend = v.backend
@@ -275,20 +259,22 @@ def alpha(v: Quaternion) -> Quaternion:
     vb = v.conj()
     v2, vb2 = v * v, vb * vb
     nq = _sc(n, backend)
-    den1 = (o - vb2) * (nq - v2)
-    if den1.is_zero():
+    den = (o - vb2) * (nq - v2)
+    if den.is_zero():
         raise DegenerateV("alpha(v) denominator vanishes (v^2 = -1 or v real)")
-    num1 = _sc(8 * n * n, backend) + (o - vb2) * (o - nq) * (v2 + nq)
-    form1 = _cdiv(num1, den1.scale(2 * n))
+    num = _sc(8 * n * n, backend) + (o - vb2) * (o - nq) * (v2 + nq)
+    return _cdiv(num, den.scale(2 * n))
+
+
+def _alpha_form2(v: Quaternion) -> Quaternion:
+    """The second printed form of alpha(v):
+    4 conj(v)/((1-conj(v)^2)(conj(v)-v)) + (1-|v|^2)(v+conj(v))/(2|v|^2 (conj(v)-v))."""
+    n = v.norm_sq()
+    vb = v.conj()
     dvv = vb - v
-    form2 = _cdiv(vb.scale(4), (o - vb2) * dvv) + _cdiv(
+    return _cdiv(vb.scale(4), (_sc(1, v.backend) - vb * vb) * dvv) + _cdiv(
         (v + vb).scale(1 - n), dvv.scale(2 * n)
     )
-    dev = (form1 - form2).max_abs()
-    agree = dev == 0 if backend == EXACT else dev <= 1e-9 * max(1.0, float(form1.max_abs()))
-    if not agree:
-        raise DegenerateV(f"the two alpha(v) forms disagree by {float(dev):.3e} (bug)")
-    return form1
 
 
 def u_jk(v: Quaternion):
@@ -567,103 +553,78 @@ class FrameCheck:
     negative_rank: RankResult
     trace_violations: list
     membership_violations: list
-    corner_violations: list
     ok: bool
 
     def failures(self):
         out = []
         if self.rank.rank != 10:
             out.append(f"rank {self.rank.rank} != 10")
-        if self.negative_rank.rank > 7:
-            out.append(f"bracket-free rank {self.negative_rank.rank} > 7")
+        if self.negative_rank.rank != 7:
+            out.append(f"bracket-free rank {self.negative_rank.rank} != 7")
         out += [f"trace({lbl}) != 0" for lbl in self.trace_violations]
         out += [f"{lbl} fails membership" for lbl in self.membership_violations]
-        out += [f"(1,1) of Ad_p^-1({lbl}) != 0" for lbl in self.corner_violations]
         return out
 
 
 def verify_frame(p: Sp2Point, frame: Frame10, tol: float = 1e-9) -> FrameCheck:
     """Rank plus the per-entry invariants: asserted traces vanish, horizontal
-    entries satisfy the membership condition and have vanishing (1,1) entry
-    after Ad_{p^-1}, and the non-bracket entries alone stay at rank <= 7
-    (brackets are genuinely needed for the span)."""
+    entries lie in Ad_p(h_p) (whose residual is the (1,1) entry of
+    Ad_{p^-1}(u), so that corner needs no separate check), and the
+    non-bracket entries alone have rank exactly 7, the dimension of D (so
+    the brackets are genuinely needed for the span)."""
     exact = p.backend == EXACT
     vecs = [to_vec10(e.m) for e in frame.entries]
     rank = real_rank(vecs, tol)
     neg_vecs = [to_vec10(e.m) for e in frame.entries if not e.bracket_derived]
     negative_rank = real_rank(neg_vecs, tol)
-    trace_bad, member_bad, corner_bad = [], [], []
-    pinv = p.inverse()
+    trace_bad, member_bad = [], []
     for e in frame.entries:
         if e.trace_free:
             tr = e.m.m.trace()
             tr_ok = tr.is_zero() if exact else tr.max_abs() <= tol
             if not tr_ok:
                 trace_bad.append(e.label)
-        if e.horizontal:
-            if not in_ad_h_p(p, e.m, tol):
-                member_bad.append(e.label)
-            corner = ad(pinv, e.m).m.a
-            corner_ok = corner.is_zero() if exact else corner.max_abs() <= tol
-            if not corner_ok:
-                corner_bad.append(e.label)
-    ok = (
-        rank.rank == 10
-        and negative_rank.rank <= 7
-        and not trace_bad
-        and not member_bad
-        and not corner_bad
-    )
+        if e.horizontal and not in_ad_h_p(p, e.m, tol):
+            member_bad.append(e.label)
+    ok = rank.rank == 10 and negative_rank.rank == 7 and not trace_bad and not member_bad
     return FrameCheck(
         case=frame.tag.kind,
         rank=rank,
         negative_rank=negative_rank,
         trace_violations=trace_bad,
         membership_violations=member_bad,
-        corner_violations=corner_bad,
         ok=ok,
     )
 
 
-NEAR_QUARTER_BAND = 1e-6
-
-
 @dataclass
 class PointCheck:
-    case: str
+    """The verdict at one point: the fiber-normalized point, the case frame
+    built there, and its check."""
+
+    point: Sp2Point
+    frame: Frame10
     check: FrameCheck
-    tried_both_subcases: bool
-    ok: bool
+
+    @property
+    def case(self) -> str:
+        return self.frame.tag.kind
+
+    @property
+    def ok(self) -> bool:
+        return self.check.ok
 
 
 def check_point(p: Sp2Point, tol: float = 1e-9, drop_label: str | None = None) -> PointCheck:
-    """Classify, build, verify.  Float I-b points within NEAR_QUARTER_BAND of
-    the quarter threshold are tried under both sub-case frames and pass if
-    either spans (rank is an open condition; the dichotomy is exact-only).
+    """Normalize the fiber, classify, build the case frame, verify it.
     drop_label removes one entry first; it is the corruption hook used to
     prove the failure path fires."""
-    tag = classify(p, tol)
-    tags = [tag]
-    tried_both = False
-    if (
-        p.backend == FLOAT
-        and tag.kind in (CASE_IB_NONQUARTER, CASE_IB_QUARTER)
-        and abs(float(tag.split) - 0.25) <= NEAR_QUARTER_BAND
-    ):
-        tags.append(flip_ib_subcase(tag))
-        tried_both = True
-    best = None
-    for t in tags:
-        frame = build_frame(p, t, tol)
-        if drop_label is not None:
-            kept = tuple(e for e in frame.entries if e.label != drop_label)
-            frame = Frame10(tag=frame.tag, entries=kept)
-        fc = verify_frame(p, frame, tol)
-        if best is None or (fc.ok and not best.ok):
-            best = fc
-        if fc.ok:
-            break
-    return PointCheck(case=tag.kind, check=best, tried_both_subcases=tried_both, ok=best.ok)
+    point = bundle.normalize_fiber(p, tol).point
+    frame = build_frame(point, classify(point, tol), tol)
+    if drop_label is not None:
+        kept = tuple(e for e in frame.entries if e.label != drop_label)
+        frame = Frame10(tag=frame.tag, entries=kept)
+    return PointCheck(point=point, frame=frame, check=verify_frame(point, frame, tol))
 
 
 def frame_to_json(p: Sp2Point, frame: Frame10, check: FrameCheck) -> dict:
@@ -788,12 +749,8 @@ def identity_u_displays(count: int = 60) -> IdentityResult:
 
 
 def identity_alpha_forms(count: int = 100) -> IdentityResult:
-    """alpha() raises if its two printed forms disagree; exercising it on the
-    admissible grid is the check."""
-    devs = []
-    for v in rational_v_grid(count):
-        alpha(v)
-        devs.append(0.0)
+    """The two printed forms of alpha(v) on the admissible grid."""
+    devs = [_dev(alpha(v), _alpha_form2(v)) for v in rational_v_grid(count)]
     return _result("alpha(v) two printed forms agree", devs, exact=True, warn_only=False)
 
 
@@ -866,7 +823,7 @@ def _random_alg(g) -> Sp2Alg:
 
 def identity_ell_dual(count: int = 1000) -> IdentityResult:
     """ell via the entrywise formula vs rho Id - p diag(rho,0) p* at exact
-    points; ell() itself raises on mismatch, so a clean pass is the check."""
+    points."""
     devs = []
     for idx in range(count):
         p = bundle.exact_random_point(2000 + idx, case=bundle.EXACT_CASE_KINDS[idx % 5])

@@ -36,10 +36,6 @@ class ZeroDivisor(Sp2Error):
     """Inversion of zero was requested."""
 
 
-class ZeroInput(Sp2Error):
-    """An operation that needs a nonzero input received zero."""
-
-
 class NotRepresentable(Sp2Error):
     """The result exists but cannot be written exactly on this backend."""
 

@@ -19,7 +19,7 @@ from sympy.polys.matrices import DomainMatrix
 
 from sp2span import bundle, frames
 from sp2span.cli import canonical_json, main
-from sp2span.qmat import real_rank, to_vec10
+from sp2span.qmat import ad, real_rank, to_vec10
 from sp2span.quat import EXACT, FLOAT, qi, qj, qk, quat
 
 
@@ -300,15 +300,17 @@ def test_criterion_4_identity_suite():
 
 def test_criterion_5_structural_invariants():
     """dim Ad_p(h_p) = 4 at 100 exact points; membership and (1,1)-vanishing
-    at every built frame; the two ell constructions agree exactly at 1000
-    points."""
+    of Ad_p^-1 at every horizontal entry of every built frame; the two ell
+    constructions agree exactly at 1000 points."""
     h_dim = frames.identity_h_dim(100)
     ell_dual = frames.identity_ell_dual(1000)
     corner = frames.identity_corner_vanishing(100)
     ok = h_dim.status == frames.OK and ell_dual.status == frames.OK and corner.status == frames.OK
     ok = ok and ell_dual.n >= 3000  # three imaginary directions per point
 
-    # Membership at every built frame, across all five exact families.
+    # Membership at every built frame, across all five exact families; the
+    # (1,1) corner of each horizontal entry is computed here, outside the
+    # frame check.
     cycle = (None, "I-b", None, "I-r", "II-x0", None, "II-w0", None)
     checked = 0
     for idx in range(60):
@@ -317,7 +319,10 @@ def test_criterion_5_structural_invariants():
         ).point
         frame = frames.build_frame(p)
         chk = frames.verify_frame(p, frame)
-        ok = ok and chk.ok and chk.membership_violations == [] and chk.corner_violations == []
+        pinv = p.inverse()
+        corners = [ad(pinv, e.m).m.a for e in frame.entries if e.horizontal]
+        ok = ok and chk.ok and chk.membership_violations == []
+        ok = ok and len(corners) == 4 and all(c.is_zero() for c in corners)
         checked += 1
     _announce(5, ok, f"h-dim 4 at {h_dim.n} points, ell dual at {ell_dual.n} checks, membership at {checked} frames")
 
@@ -326,9 +331,10 @@ def test_criterion_5_structural_invariants():
 
 
 def test_criterion_6_negative_control(tmp_path):
-    """Without bracket-derived entries the rank stays at 7 everywhere
-    sampled, and an injected frame corruption drives exit code 1."""
-    max_rank = 0
+    """Without bracket-derived entries the rank is exactly 7, the dimension
+    of D, everywhere sampled, and an injected frame corruption drives exit
+    code 1."""
+    ranks = []
     cycle = (None, "I-b", None, "I-r", "II-x0", None, "II-w0", None)
     for idx in range(40):
         p = bundle.normalize_fiber(
@@ -336,7 +342,7 @@ def test_criterion_6_negative_control(tmp_path):
         ).point
         frame = frames.build_frame(p)
         rows = [to_vec10(e.m) for e in frame.entries if not e.bracket_derived]
-        max_rank = max(max_rank, real_rank(rows).rank)
+        ranks.append(real_rank(rows).rank)
     out = tmp_path / "c.json"
     code = main(
         ["verify", "--samples", "3", "--seed", "3", "--corrupt-frame", "U_j", "--emit", "json", "--out", str(out)]
@@ -344,8 +350,8 @@ def test_criterion_6_negative_control(tmp_path):
     corrupted = json.loads(out.read_text())
     _announce(
         6,
-        max_rank <= 7 and code == 1 and corrupted["pass"] is False,
-        f"bracket-free rank max {max_rank} (<= 7), corruption hook exit {code}",
+        min(ranks) == max(ranks) == 7 and code == 1 and corrupted["pass"] is False,
+        f"bracket-free rank min {min(ranks)}, max {max(ranks)} (must be 7), corruption hook exit {code}",
     )
 
 

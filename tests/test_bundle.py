@@ -107,8 +107,15 @@ def test_ell_dual_paths_agree_exactly():
             direct = ell_direct(p, rho)
             proj = ell_from_projector(p, rho)
             assert direct.approx_eq(proj, 0)
-            # The checked front door returns a valid algebra element.
-            Sp2Alg(ell(p, rho).m)
+            # The front door returns the entrywise matrix as a valid algebra element.
+            assert Sp2Alg(ell(p, rho).m).m.approx_eq(direct, 0)
+    # Float points agree to a relative 1e-12.
+    for s in range(40):
+        p = random_sp2(500 + s)
+        for rho in (qi(FLOAT), qj(FLOAT), qk(FLOAT)):
+            direct = ell_direct(p, rho)
+            err = direct.max_component_diff(ell_from_projector(p, rho))
+            assert err <= 1e-12 * max(1.0, direct.max_abs())
 
 
 def test_ell_rejects_non_imaginary_rho():
@@ -154,6 +161,23 @@ def test_membership_variants_bridge():
             back = ad(p.inverse(), u)
             assert back.m.a.is_zero()
             assert in_h_p(p, Sp2Alg(back.m, validate=False))
+
+
+def test_corner_of_pullback_is_the_membership_residual():
+    # The (1,1) entry of Ad_{p^-1}(u) and the variant-B residual are the same
+    # polynomial in (p, u) for any trace-free u, members or not; this is why
+    # the frame check tests membership and not the corner as well.
+    g = random.Random(16)
+    nonzero = 0
+    for idx in range(200):
+        p = exact_random_point(6000 + idx, case=bundle.EXACT_CASE_KINDS[idx % 5])
+        a = quat(Fraction(0), rng_frac(g), rng_frac(g), rng_frac(g), backend=EXACT)
+        b = quat(rng_frac(g), rng_frac(g), rng_frac(g), rng_frac(g), backend=EXACT)
+        u = Sp2Alg(QMat2(a, b, -b.conj(), -a))
+        residual = bundle.ad_h_p_residual(p, u)
+        assert ad(p.inverse(), u).m.a == residual
+        nonzero += not residual.is_zero()
+    assert nonzero >= 150
 
 
 def test_h_p_basis_spans_members():

@@ -23,7 +23,7 @@ def test_verify_float_small(tmp_path):
     assert sum(rep["case_tally"].values()) == 40
     assert rep["failures"] == []
     assert rep["min_rel_pivot"] > 0
-    assert rep["negative_control_max_rank"] <= 7
+    assert rep["negative_control_max_rank"] == 7
 
 
 def test_verify_exact_small(tmp_path):
@@ -56,6 +56,26 @@ def test_verify_deterministic_across_jobs(tmp_path):
     assert main(["verify", "--samples", "120", "--seed", "7", "--jobs", "2", "--emit", "json", "--out", str(b)]) == 0
     ra, rb = json.loads(a.read_text()), json.loads(b.read_text())
     assert canonical_json(ra) == canonical_json(rb)
+
+
+def test_seeds_draw_disjoint_points(tmp_path, monkeypatch):
+    # Each sample is keyed by the pair (seed, index), so two seeds share no
+    # point.  Seeds 3 and 7 because a key such as seed XOR index would give
+    # them the same 1000 points.
+    draw = bundle.random_sp2
+    drawn = {3: set(), 7: set()}
+    for seed, seen in drawn.items():
+
+        def keep(key, *args, seen=seen):
+            p = draw(key, *args)
+            seen.add(json.dumps(p.to_json(), sort_keys=True))
+            return p
+
+        monkeypatch.setattr(bundle, "random_sp2", keep)
+        out = tmp_path / f"s{seed}.json"
+        assert main(["verify", "--samples", "1000", "--seed", str(seed), "--emit", "json", "--out", str(out)]) == 0
+    assert len(drawn[3]) == len(drawn[7]) == 1000
+    assert not drawn[3] & drawn[7]
 
 
 def test_corrupt_frame_hook_exits_1(tmp_path):

@@ -2,6 +2,8 @@
 values, per-case rank certificates, negative controls, and the identity
 suite's plumbing."""
 
+import dataclasses
+import math
 import random
 from fractions import Fraction
 
@@ -24,7 +26,6 @@ from sp2span.frames import (
     c0i_matrix,
     check_point,
     classify,
-    flip_ib_subcase,
     frame_to_json,
     ib_split,
     nondegeneracy_factor,
@@ -39,7 +40,7 @@ from sp2span.frames import (
     u_jk,
     verify_frame,
 )
-from sp2span.qmat import Sp2Alg, bracket, diag, real_rank, to_vec10
+from sp2span.qmat import Sp2Alg, ad, bracket, diag, real_rank, to_vec10
 from sp2span.quat import EXACT, FLOAT, qi, qj, qk, quat
 
 from conftest import nonzero_exact_quats
@@ -81,12 +82,22 @@ def test_classify_float_quarter_band():
     assert classify(near).kind == CASE_IB_NONQUARTER
 
 
+def _other_ib_subcase(tag):
+    other = CASE_IB_NONQUARTER if tag.kind == CASE_IB_QUARTER else CASE_IB_QUARTER
+    return dataclasses.replace(tag, kind=other)
+
+
 def test_flip_ib_subcase():
-    tag = classify(ib_float_point(0.25))
-    other = flip_ib_subcase(tag)
-    assert other.kind == CASE_IB_NONQUARTER and other.split == tag.split
-    with pytest.raises(ValueError):
-        flip_ib_subcase(frames.CaseTag(kind=CASE_IA))
+    # At split = 1/4 only the quarter recipe spans: flipping the I-b subcase
+    # keeps the point and the split but loses a rank, so the classification
+    # has to pick the quarter frame there.
+    pc = check_point(ib_float_point(0.25))
+    assert pc.ok and pc.case == CASE_IB_QUARTER
+    other = _other_ib_subcase(pc.frame.tag)
+    assert other.kind == CASE_IB_NONQUARTER and other.split == pc.frame.tag.split
+    flipped = verify_frame(pc.point, build_frame(pc.point, other))
+    assert not flipped.ok
+    assert flipped.failures() == ["rank 9 != 10"]
 
 
 # -- u-basis and closed forms ----------------------------------------------------------
@@ -192,7 +203,7 @@ def test_frame_rank_10_per_case(name, maker):
     assert pc.ok, pc.check.failures()
     assert pc.check.rank.rank == 10
     assert pc.check.rank.method == "bareiss"
-    assert pc.check.negative_rank.rank <= 7
+    assert pc.check.negative_rank.rank == 7
 
 
 @pytest.mark.parametrize("name,maker", CASE_POINT_BUILDERS)
@@ -203,6 +214,18 @@ def test_negative_control_is_exactly_7(name, maker):
     frame = build_frame(p)
     rows = [to_vec10(e.m) for e in frame.entries if not e.bracket_derived]
     assert real_rank(rows).rank == 7
+
+
+def test_negative_control_fails_on_its_own():
+    # Counting ell_i as bracket-derived leaves six bracket-free rows: the
+    # frame still spans, and only the negative control reports it.
+    p = exact_random_point(110, case="I-r")
+    frame = build_frame(p)
+    assert frame.entries[0].label == "ell_i"
+    moved = dataclasses.replace(frame.entries[0], bracket_derived=True)
+    check = verify_frame(p, frames.Frame10(tag=frame.tag, entries=(moved,) + frame.entries[1:]))
+    assert check.rank.rank == 10 and not check.ok
+    assert check.failures() == ["bracket-free rank 6 != 7"]
 
 
 def test_frame_has_ten_labeled_entries():
@@ -220,15 +243,40 @@ def test_float_quarter_point_verifies():
 
 
 def test_near_quarter_tries_both_subcase_frames():
-    p = ib_float_point(0.25 + 2e-7)  # inside the ambiguity band
-    pc = check_point(p)
-    assert pc.ok
-    assert pc.tried_both_subcases
+    # Inside the band where float rounding could blur the two subcases, the
+    # one frame check_point builds passes, and so does the other subcase's
+    # frame: a second try would have nothing to rescue.
+    pc = check_point(ib_float_point(0.25 + 2e-7))
+    assert pc.ok and pc.case == CASE_IB_NONQUARTER
+    other = verify_frame(pc.point, build_frame(pc.point, _other_ib_subcase(pc.frame.tag)))
+    assert other.ok and other.rank.rank == 10
 
 
 def test_far_from_quarter_uses_single_frame():
     pc = check_point(ib_float_point(0.1))
-    assert pc.ok and not pc.tried_both_subcases
+    assert pc.ok and pc.case == CASE_IB_NONQUARTER
+    assert pc.frame == build_frame(pc.point, classify(pc.point))
+    assert len(pc.frame.entries) == 10
+
+
+NEAR_QUARTER_PHASES = ((0.3, 1.1), (0.1, 0.7), (1.3, 2.9), (math.pi / 4, math.pi / 4), (2.2, 0.4), (-1.0, 3.0))
+
+
+def test_near_quarter_continuation():
+    # Float I-b points approach split = 1/4 from both sides.  The one frame
+    # the classification picks must span all the way in, at either tolerance;
+    # far from the threshold (relative to tol) both recipes get exercised.
+    for tol in (1e-9, 1e-6):
+        for k in range(1, 16):
+            eps = 10.0**-k
+            for sign in (1, -1):
+                for phase1, phase2 in NEAR_QUARTER_PHASES:
+                    pc = check_point(ib_float_point(0.25 + sign * eps, phase1, phase2), tol)
+                    assert pc.ok, (tol, k, sign, phase1, phase2, pc.check.failures())
+                    if eps < tol / 10:
+                        assert pc.case == CASE_IB_QUARTER
+                    elif eps > tol * 10:
+                        assert pc.case == CASE_IB_NONQUARTER
 
 
 def test_corrupted_frame_detected():
@@ -245,8 +293,12 @@ def test_verify_frame_membership_flags():
     check = verify_frame(p, frame)
     assert check.ok
     assert check.membership_violations == []
-    assert check.corner_violations == []
     assert check.trace_violations == []
+    pinv = p.inverse()
+    horizontal = [e for e in frame.entries if e.horizontal]
+    assert len(horizontal) == 4
+    for e in horizontal:
+        assert ad(pinv, e.m).m.a.is_zero()
 
 
 # -- standard sphere -------------------------------------------------------------------
@@ -305,8 +357,7 @@ def test_ib_split_reads_w():
 @given(st.integers(min_value=0, max_value=10**6))
 @settings(max_examples=25, deadline=None)
 def test_exact_point_sweep_property(seed):
-    p = normalize_fiber(exact_random_point(seed)).point
-    pc = check_point(p)
+    pc = check_point(exact_random_point(seed))
     assert pc.ok, pc.check.failures()
     assert pc.check.rank.rank == 10
 
