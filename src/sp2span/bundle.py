@@ -67,79 +67,25 @@ class DegenerateDraw(Sp2Error):
     """Random draws kept producing (numerically) dependent columns."""
 
 
-class NotNormalized(Sp2Error):
-    """The point is not fiber-normalized (v = x w^-1 not in span{1, i})."""
+# -- sphere projections -----------------------------------------------------------
 
 
-# -- sphere points ----------------------------------------------------------------
+def project_s7(p: Sp2Point):
+    """Second column (y, z) of p; a point of the unit 7-sphere."""
+    return p.y, p.z
 
 
-class S7Point:
-    """A pair (y, z) of quaternions with |y|^2 + |z|^2 = 1."""
-
-    __slots__ = ("y", "z")
-
-    def __init__(self, y: Quaternion, z: Quaternion, tol: float = 1e-9, validate: bool = True):
-        if validate:
-            err = y.norm_sq() + z.norm_sq() - 1
-            ok = err == 0 if y.backend == EXACT else abs(err) <= tol
-            if not ok:
-                raise InvariantViolation(f"|y|^2 + |z|^2 deviates from 1 by {float(err):.3e}")
-        self.y = y
-        self.z = z
-
-    def __eq__(self, other):
-        if not isinstance(other, S7Point):
-            return NotImplemented
-        return self.y == other.y and self.z == other.z
-
-    def __repr__(self):
-        return f"S7Point({self.y!r}, {self.z!r})"
-
-
-class S4Point:
-    """A pair (q, t), q a quaternion and t a scalar, with |q|^2 + t^2 = 1."""
-
-    __slots__ = ("q", "t")
-
-    def __init__(self, q: Quaternion, t: Scalar, tol: float = 1e-9, validate: bool = True):
-        if validate:
-            err = q.norm_sq() + t * t - 1
-            ok = err == 0 if q.backend == EXACT else abs(err) <= tol
-            if not ok:
-                raise InvariantViolation(f"|q|^2 + t^2 deviates from 1 by {float(err):.3e}")
-        self.q = q
-        self.t = t
-
-    def __eq__(self, other):
-        if not isinstance(other, S4Point):
-            return NotImplemented
-        return self.q == other.q and self.t == other.t
-
-    def __repr__(self):
-        return f"S4Point({self.q!r}, {self.t!r})"
-
-
-def project_s7(p: Sp2Point) -> S7Point:
-    """Second column of p; a point of the unit 7-sphere."""
-    return S7Point(p.y, p.z, validate=False)
-
-
-def project_s4_std(p: Sp2Point) -> S4Point:
+def project_s4_std(p: Sp2Point):
     """(2 y conj(z), |y|^2 - |z|^2): the Hopf-type projection used for the
     round 4-sphere; invariant under the right action."""
-    return S4Point(
-        (p.y * p.z.conj()).scale(2), p.y.norm_sq() - p.z.norm_sq(), validate=False
-    )
+    return (p.y * p.z.conj()).scale(2), p.y.norm_sq() - p.z.norm_sq()
 
 
-def project_s4_gm(p: Sp2Point) -> S4Point:
+def project_s4_gm(p: Sp2Point):
     """(2 conj(y) z, |y|^2 - |z|^2): the companion projection whose total
     space realizes the exotic sphere quotient; invariant under the
     diag(lam, lam) ... diag(conj(mu), 1) action."""
-    return S4Point(
-        (p.y.conj() * p.z).scale(2), p.y.norm_sq() - p.z.norm_sq(), validate=False
-    )
+    return (p.y.conj() * p.z).scale(2), p.y.norm_sq() - p.z.norm_sq()
 
 
 def e_action(p: Sp2Point, lam: Quaternion, mu: Quaternion) -> Sp2Point:
@@ -284,21 +230,31 @@ def horizontal_space_rank(p: Sp2Point, tol: float = 1e-9):
     return result.rank, 7 - result.rank
 
 
-def h_p_basis(p: Sp2Point, tol: float = 1e-9):
-    """Four independent elements of Ad_p(h_p), from the case machinery.
+def case_ii_corner(p: Sp2Point, tol: float = 1e-9) -> str | None:
+    """"x" or "w" when that entry of p vanishes, else None: its norm is at
+    most the case-II cut, 0 on the exact backend and tol/4 on floats.  Below
+    the cut the constant antidiagonal basis is horizontal within tol, since
+    its membership residual is at most 2|x||w|."""
+    cut_sq = 0 if p.backend == EXACT else (tol / 4) ** 2
+    if p.x.norm_sq() <= cut_sq:
+        return "x"
+    if p.w.norm_sq() <= cut_sq:
+        return "w"
+    return None
 
-    Case II points (x = 0 or w = 0) get the constant antidiagonal basis;
-    otherwise the solutions are built from v = x w^-1 (any nonzero
-    quaternion v, no fiber normalization required).
+
+def h_p_basis(p: Sp2Point, tol: float = 1e-9):
+    """Four independent elements of Ad_p(h_p).
+
+    Case II points (x = 0 or w = 0, see case_ii_corner) get the constant
+    antidiagonal basis; otherwise the solutions are built from v = x w^-1
+    (any nonzero quaternion v, no fiber normalization required).
     """
     from . import frames  # deferred: frames builds on this module
 
-    backend = p.backend
-    threshold = 0.0 if backend == EXACT else 1e-8
-    if p.x.max_abs() <= threshold or p.w.max_abs() <= threshold:
-        return frames.case_ii_basis(backend)
-    v = p.x * p.w.inverse()
-    return frames.u_basis(v)
+    if case_ii_corner(p, tol):
+        return frames.case_ii_basis(p.backend)
+    return frames.u_basis(p.x * p.w.inverse())
 
 
 # -- random and constructed points --------------------------------------------------
@@ -365,16 +321,15 @@ def normalize_fiber(p: Sp2Point, tol: float = 1e-9) -> FiberNormalization:
     span{1, i} with nonnegative i-part.
 
     Uses p -> diag(lam, lam) p diag(conj(lam), 1), which maps v to
-    lam v conj(lam).  Points with x = 0 or w = 0 (within 1e-8 on floats) are
-    case II and are returned unchanged.  On the exact backend a v outside
+    lam v conj(lam).  Points with x = 0 or w = 0 (case_ii_corner) are case
+    II and are returned unchanged.  On the exact backend a v outside
     span{1, i} raises NotRepresentable (the rotation needs square roots).
+    No verdict depends on it: the span check works on the point as given.
     """
     backend = p.backend
-    threshold = 0.0 if backend == EXACT else 1e-8
-    if p.x.max_abs() <= threshold:
-        return FiberNormalization(point=p, lam=None, v=None, case_hint="II-x0")
-    if p.w.max_abs() <= threshold:
-        return FiberNormalization(point=p, lam=None, v=None, case_hint="II-w0")
+    corner = case_ii_corner(p, tol)
+    if corner:
+        return FiberNormalization(point=p, lam=None, v=None, case_hint=f"II-{corner}0")
     v_raw = p.x * p.w.inverse()
     lam, v_norm = rotate_to_complex(v_raw, tol)
     if lam == one(backend):
@@ -388,9 +343,9 @@ def normalize_fiber(p: Sp2Point, tol: float = 1e-9) -> FiberNormalization:
 # -- exact point factories -----------------------------------------------------------
 
 # Generic rational Cayley points almost surely have v = x w^-1 outside
-# span{1, i}, where exact fiber normalization is impossible (square roots).
-# The factories below therefore build points that are already normalized:
-# for a rational complex v with 1 + |v|^2 = (A^2 + B^2)/n^2 a sum of two
+# span{1, i} and land in case I-a.  The factories below build points on a
+# chosen stratum, already fiber-normalized, as the paper's case frames
+# expect (the span check needs neither): for a rational complex v with 1 + |v|^2 = (A^2 + B^2)/n^2 a sum of two
 # rational squares, w0 = n (A + B i)/(A^2 + B^2) has |w0|^2 = 1/(1 + |v|^2)
 # and
 #

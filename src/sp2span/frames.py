@@ -1,19 +1,24 @@
-"""Case classification, horizontal bases, and the 10-element spanning frames.
+"""The span check, case labels, horizontal bases, and the paper's case frames.
 
-Every fiber-normalized point p (v = x w^-1 in span{1, i}, v1 >= 0) falls into
-exactly one case:
+The check at every point is case-free: the seven rows of the distribution D
+(three vertical generators ell_rho and the four-element u-basis of
+Ad_p(h_p)) plus the six brackets [u_a, u_b] must span sp(2) (real rank 10),
+and D alone must have rank exactly 7.  That is the machine-checkable content
+of the step-2 bracket-generating claim, and it needs no fiber normalization.
 
-* I-a: v1 != 0 and v^2 != -1 (the generic stratum),
-* I-b: v = i, subdivided by whether |a|^2 - |b|^2 equals 1/4 for w = a + b j,
+Every point also carries a case label, for reports only:
+
+* I-a: the generic stratum,
+* I-b: v = x w^-1 a unit imaginary quaternion (v = i once normalized),
+  subdivided by whether |a|^2 - |b|^2 equals 1/4 for the normalized
+  w = a + b j,
 * I-r: v real and nonzero,
 * II:  x = 0 or w = 0.
 
-Each case gets a 10-element frame drawn from the horizontal u-basis, selected
-commutators, and the three vertical generators ell_rho; the frame spanning
-sp(2) (real rank 10) is the machine-checkable content of the step-2
-bracket-generating claim.  Alongside the direct computations this module
-carries the closed-form displays (M, B, S, T, alpha, t11, t12, the
-non-degeneracy factor) and an identity suite comparing the two.
+The paper gives each case its own 10-element frame (build_frame); those stay
+here as the reference the acceptance tests certify, alongside the
+closed-form displays (M, B, S, T, alpha, t11, t12, the non-degeneracy
+factor) and an identity suite comparing them with direct computation.
 
 Conventions: complex scalars such as alpha(v) act on matrices by LEFT
 multiplication, alpha * m meaning (alpha Id) @ m; this matters because
@@ -24,7 +29,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from itertools import combinations
+from math import gcd, hypot
 
 from . import bundle
 from .qmat import (
@@ -45,6 +51,7 @@ from .quat import (
     Quaternion,
     Scalar,
     Sp2Error,
+    dot,
     one,
     qi,
     qj,
@@ -52,7 +59,7 @@ from .quat import (
     quat,
     zero,
 )
-from .bundle import NotNormalized, ell, in_ad_h_p
+from .bundle import ell, in_ad_h_p
 
 CASE_IA = "I-a"
 CASE_IB_NONQUARTER = "I-b-nonquarter"
@@ -69,15 +76,15 @@ class DegenerateV(Sp2Error):
     """alpha(v) (or a dependent closed form) is undefined at this v."""
 
 
-# -- classification -----------------------------------------------------------------
+# -- case labels ----------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
 class CaseTag:
-    """Classification of a fiber-normalized point.
+    """The case label of a point.  No verdict depends on it.
 
-    v is None for case II (where x w^-1 is undefined or irrelevant); split is
-    |a|^2 - |b|^2 for w = a + b j, present only for I-b.
+    v = x w^-1 is None for case II; split is the I-b quantity |a|^2 - |b|^2,
+    present only for I-b.
     """
 
     kind: str
@@ -91,40 +98,37 @@ def ib_split(w: Quaternion) -> Scalar:
 
 
 def classify(p: Sp2Point, tol: float = 1e-9) -> CaseTag:
-    """Assign the unique case tag; requires a fiber-normalized point.
+    """The case label of p as given, on either backend.
 
-    Float thresholds: |x| or |w| below 1e-8 routes to case II (the frame is
-    continuous there, so boundary misclassification cannot hide a rank
-    failure); v is compared against the real axis and against i at tol.
+    * II when x or w vanishes (bundle.case_ii_corner);
+    * otherwise I-r when Im v = 0;
+    * otherwise I-b when Re v = 0 and |Im v| = 1.  Its split is the
+      v-component of conj(w) v w, which the fiber action
+      p -> diag(lam, lam) p diag(conj(lam), 1) leaves unchanged and which
+      equals |a|^2 - |b|^2 once v = i; it is rational on exact points and is
+      compared with 1/4;
+    * otherwise I-a.
+
+    Exact points compare literally, floats at tol.
     """
-    backend = p.backend
-    exact = backend == EXACT
-    ii_threshold = 0.0 if exact else 1e-8
-    if p.x.max_abs() <= ii_threshold or p.w.max_abs() <= ii_threshold:
+    if bundle.case_ii_corner(p, tol):
         return CaseTag(kind=CASE_II)
+    exact = p.backend == EXACT
     v = p.x * p.w.inverse()
-    if exact:
-        if v.h2 != 0 or v.h3 != 0 or v.h1 < 0:
-            raise NotNormalized(f"v = {v!r} is not normalized into span{{1,i}}")
-        if v.h1 == 0:
-            return CaseTag(kind=CASE_IR, v=v)
-        if v.h0 == 0 and v.h1 == 1:
-            s = ib_split(p.w)
-            kind = CASE_IB_QUARTER if s == Fraction(1, 4) else CASE_IB_NONQUARTER
-            return CaseTag(kind=kind, v=v, split=s)
-        return CaseTag(kind=CASE_IA, v=v)
-    if max(abs(v.h2), abs(v.h3)) > tol or v.h1 < -tol:
-        raise NotNormalized(f"v = {v!r} is not normalized into span{{1,i}}")
-    # Project away the O(eps) residue the float rotation leaves in the j, k
-    # slots; the frames built from the projected v solve the membership
-    # conditions of the actual point to within that same residue.
-    if abs(v.h1) <= tol:
-        return CaseTag(kind=CASE_IR, v=quat(v.h0, backend=FLOAT))
-    if abs(v.h0) <= tol and abs(v.h1 - 1.0) <= tol:
-        s = ib_split(p.w)
-        kind = CASE_IB_QUARTER if abs(s - 0.25) <= tol else CASE_IB_NONQUARTER
-        return CaseTag(kind=kind, v=qi(FLOAT), split=s)
-    return CaseTag(kind=CASE_IA, v=quat(v.h0, v.h1, backend=FLOAT))
+    # |Im v|, squared on the exact backend; only its comparisons with 0 and
+    # 1 are read, which the square does not change
+    im = v.h1 * v.h1 + v.h2 * v.h2 + v.h3 * v.h3 if exact else hypot(v.h1, v.h2, v.h3)
+
+    def at(value, target) -> bool:
+        return value == target if exact else abs(value - target) <= tol
+
+    if at(im, 0):
+        return CaseTag(kind=CASE_IR, v=v)
+    if at(v.h0, 0) and at(im, 1):
+        s = dot(p.w.conj() * v * p.w, v)
+        kind = CASE_IB_QUARTER if at(s, Fraction(1, 4)) else CASE_IB_NONQUARTER
+        return CaseTag(kind=kind, v=v, split=s)
+    return CaseTag(kind=CASE_IA, v=v)
 
 
 # -- the u-basis ---------------------------------------------------------------------
@@ -280,8 +284,11 @@ def _alpha_form2(v: Quaternion) -> Quaternion:
 def u_jk(v: Quaternion):
     """(U_j, U_k) = (alpha [u0,u_j] - [u_i,u_k], alpha [u0,u_k] + [u_i,u_j]);
     both trace-free by the choice of alpha, both of the form T(v) diag(rho, rho)."""
-    a = alpha(v)
-    u0, ui_, uj_, uk_ = u_basis(v)
+    return _u_jk_from(alpha(v), u_basis(v))
+
+
+def _u_jk_from(a: Quaternion, us):
+    u0, ui_, uj_, uk_ = us
     uj_m = bracket(u0, uj_).m.left_mul(a) - bracket(ui_, uk_).m
     uk_m = bracket(u0, uk_).m.left_mul(a) + bracket(ui_, uj_).m
     return Sp2Alg(uj_m), Sp2Alg(uk_m)
@@ -336,62 +343,75 @@ def nondegeneracy_factor(v: Quaternion) -> Quaternion:
 @dataclass(frozen=True)
 class FrameEntry:
     """One frame matrix with its defining formula (emitted as paper_eq in
-    JSON), plus flags driving the per-entry checks."""
+    JSON).  Horizontal entries must lie in Ad_p(h_p); bracket-derived
+    entries are left out of the negative control."""
 
     label: str
     formula: str
     m: Sp2Alg
-    trace_free: bool
     horizontal: bool
     bracket_derived: bool
 
 
 @dataclass(frozen=True)
-class Frame10:
+class Frame:
     tag: CaseTag
     entries: tuple
 
-    def matrices(self):
-        return [e.m for e in self.entries]
+
+U_LABELS = ("u0", "u_i", "u_j", "u_k")
+SPAN_LABELS = ("ell_i", "ell_j", "ell_k") + U_LABELS + tuple(
+    f"[{a},{b}]" for a, b in combinations(U_LABELS, 2)
+)
+_B_RHO = "b_rho = (v rho - |v|^2 rho v)/(2|v|^2), v = x w^-1"
 
 
-def _ell_entries(p: Sp2Point, tol: float):
+def _bracket_entry(label: str, formula: str, m: Sp2Alg) -> FrameEntry:
+    return FrameEntry(label=label, formula=formula, m=m, horizontal=False, bracket_derived=True)
+
+
+def d_entries(p: Sp2Point, tol: float = 1e-9):
+    """The seven rows of D at p: ell_i, ell_j, ell_k and the u-basis of
+    Ad_p(h_p) from bundle.h_p_basis (built from any nonzero v = x w^-1, or
+    the constant antidiagonal basis where x or w vanishes)."""
     backend = p.backend
-    out = []
-    for name, rho in (("ell_i", qi(backend)), ("ell_j", qj(backend)), ("ell_k", qk(backend))):
-        out.append(
-            FrameEntry(
-                label=name,
-                formula=f"{name[-1]}*Id - p diag({name[-1]}, 0) p*",
-                m=ell(p, rho, tol),
-                trace_free=False,
-                horizontal=False,
-                bracket_derived=False,
-            )
+    out = [
+        FrameEntry(
+            label=f"ell_{r}",
+            formula=f"{r}*Id - p diag({r}, 0) p*",
+            m=ell(p, rho, tol),
+            horizontal=False,
+            bracket_derived=False,
         )
+        for r, rho in zip("ijk", (qi(backend), qj(backend), qk(backend)))
+    ]
+    if bundle.case_ii_corner(p, tol):
+        formulas = [f"[[0, {b}], [-conj({b}), 0]]" for b in "1ijk"]
+    else:
+        formulas = ["[[0, v], [-conj(v), 0]], v = x w^-1"]
+        formulas += [f"[[{r}, b_{r}], [-conj(b_{r}), -{r}]], {_B_RHO}" for r in "ijk"]
+    out += [
+        FrameEntry(label=n, formula=f, m=u, horizontal=True, bracket_derived=False)
+        for n, f, u in zip(U_LABELS, formulas, bundle.h_p_basis(p, tol))
+    ]
     return out
 
 
-def _u_entries(us, formula_v: str):
-    names = ("u0", "u_i", "u_j", "u_k")
-    formulas = (
-        f"[[0, v], [-conj(v), 0]] at v = {formula_v}",
-        f"[[i, b_i], [-conj(b_i), -i]], b_rho = (v rho - |v|^2 rho v)/(2|v|^2), v = {formula_v}",
-        f"[[j, b_j], [-conj(b_j), -j]], b_rho = (v rho - |v|^2 rho v)/(2|v|^2), v = {formula_v}",
-        f"[[k, b_k], [-conj(b_k), -k]], b_rho = (v rho - |v|^2 rho v)/(2|v|^2), v = {formula_v}",
-    )
-    return [
-        FrameEntry(label=n, formula=f, m=u, trace_free=True, horizontal=True, bracket_derived=False)
-        for n, f, u in zip(names, formulas, us)
+def span_frame(p: Sp2Point, tol: float = 1e-9) -> Frame:
+    """The case-free frame checked at every point: the seven D rows and the
+    six brackets [u_a, u_b], in SPAN_LABELS order."""
+    d = d_entries(p, tol)
+    brackets = [
+        _bracket_entry(f"[{a.label},{b.label}]", f"bracket {a.label} {b.label}", bracket(a.m, b.m))
+        for a, b in combinations(d[3:], 2)
     ]
+    return Frame(tag=classify(p, tol), entries=tuple(d + brackets))
 
 
-def _fmt_v(v: Quaternion) -> str:
-    return f"{v.h0} + {v.h1} i"
-
-
-def build_frame(p: Sp2Point, tag: CaseTag | None = None, tol: float = 1e-9) -> Frame10:
-    """The 10-element frame for p's case.
+def build_frame(p: Sp2Point, tag: CaseTag | None = None, tol: float = 1e-9) -> Frame:
+    """The paper's 10-element frame for p's case; the reference the
+    acceptance tests certify.  The ell and u entries are those of the span
+    frame (d_entries).
 
     I-a:  u0, u_i, u_j, u_k, [u0, u_i], U_j, U_k, ell_i, ell_j, ell_k.
     I-b:  ell_i, ell_j, ell_k, u0, u_i, u_j, u_k, F_i, F_j, F_k, with
@@ -399,108 +419,62 @@ def build_frame(p: Sp2Point, tag: CaseTag | None = None, tol: float = 1e-9) -> F
           quarter stratum.
     I-r / II: ell_i, ell_j, ell_k, u0, u_i, u_j, u_k, [u0, u_i], [u0, u_j],
           [u0, u_k] (with the constant u-basis for case II).
+
+    The recipes are stated at fiber-normalized points: I-a's alpha(v) needs
+    v in span{1, i}, and on floats the rounding residue of v outside that
+    line is dropped.
     """
     if tag is None:
         tag = classify(p, tol)
-    ells = _ell_entries(p, tol)
-    if tag.kind == CASE_II:
-        us = case_ii_basis(p.backend)
-        u_entries = [
-            FrameEntry(
-                label=n,
-                formula=f"[[0, {b}], [-conj({b}), 0]]",
-                m=u,
-                trace_free=True,
-                horizontal=True,
-                bracket_derived=False,
-            )
-            for n, b, u in zip(("u0", "u_i", "u_j", "u_k"), ("1", "i", "j", "k"), us)
-        ]
-    else:
-        us = u_basis(tag.v)
-        u_entries = _u_entries(us, _fmt_v(tag.v))
+    d = d_entries(p, tol)
+    ells, u_entries = d[:3], d[3:]
+    us = [e.m for e in u_entries]
     u0, ui_, uj_, uk_ = us
 
     if tag.kind == CASE_IA:
-        uj_big, uk_big = u_jk(tag.v)
+        v = tag.v if p.backend == EXACT else quat(tag.v.h0, tag.v.h1, backend=FLOAT)
+        uj_big, uk_big = _u_jk_from(alpha(v), us)
         rest = [
-            FrameEntry(
-                label="[u0,u_i]",
-                formula="bracket u0 u_i = [[1-|v|^2, -2v], [-2 conj(v), |v|^2-1]] diag(i,i)",
-                m=bracket(u0, ui_),
-                trace_free=True,
-                horizontal=False,
-                bracket_derived=True,
+            _bracket_entry(
+                "[u0,u_i]",
+                "bracket u0 u_i = [[1-|v|^2, -2v], [-2 conj(v), |v|^2-1]] diag(i,i)",
+                bracket(u0, ui_),
             ),
-            FrameEntry(
-                label="U_j",
-                formula="alpha(v) [u0,u_j] - [u_i,u_k]",
-                m=uj_big,
-                trace_free=True,
-                horizontal=False,
-                bracket_derived=True,
-            ),
-            FrameEntry(
-                label="U_k",
-                formula="alpha(v) [u0,u_k] + [u_i,u_j]",
-                m=uk_big,
-                trace_free=True,
-                horizontal=False,
-                bracket_derived=True,
-            ),
+            _bracket_entry("U_j", "alpha(v) [u0,u_j] - [u_i,u_k]", uj_big),
+            _bracket_entry("U_k", "alpha(v) [u0,u_k] + [u_i,u_j]", uk_big),
         ]
-        return Frame10(tag=tag, entries=tuple(u_entries + rest + ells))
+        return Frame(tag=tag, entries=tuple(u_entries + rest + ells))
 
     if tag.kind in (CASE_IB_NONQUARTER, CASE_IB_QUARTER):
-        f_j = FrameEntry(
-            label="F_j",
-            formula="-1/2 [u0,u_j] = diag(j, j)",
-            m=Sp2Alg(bracket(u0, uj_).m.scale(_half(p.backend, -1))),
-            trace_free=False,
-            horizontal=False,
-            bracket_derived=True,
-        )
-        f_k = FrameEntry(
-            label="F_k",
-            formula="-1/2 [u0,u_k] = diag(k, k)",
-            m=Sp2Alg(bracket(u0, uk_).m.scale(_half(p.backend, -1))),
-            trace_free=False,
-            horizontal=False,
-            bracket_derived=True,
-        )
+        minus_half = _half(p.backend, -1)
         if tag.kind == CASE_IB_NONQUARTER:
-            f_first = FrameEntry(
-                label="F_i",
-                formula="1/2 [u0,u_i] = [[0, 1], [-1, 0]]",
-                m=Sp2Alg(bracket(u0, ui_).m.scale(_half(p.backend, 1))),
-                trace_free=True,
-                horizontal=False,
-                bracket_derived=True,
+            f_first = _bracket_entry(
+                "F_i",
+                "1/2 [u0,u_i] = [[0, 1], [-1, 0]]",
+                Sp2Alg(bracket(u0, ui_).m.scale(_half(p.backend, 1))),
             )
         else:
-            f_first = FrameEntry(
-                label="F'_i",
-                formula="1/4 [u_j,u_k] = [[i, 1], [-1, i]]",
-                m=Sp2Alg(bracket(uj_, uk_).m.scale(_quarter(p.backend))),
-                trace_free=False,
-                horizontal=False,
-                bracket_derived=True,
+            f_first = _bracket_entry(
+                "F'_i",
+                "1/4 [u_j,u_k] = [[i, 1], [-1, i]]",
+                Sp2Alg(bracket(uj_, uk_).m.scale(_quarter(p.backend))),
             )
-        return Frame10(tag=tag, entries=tuple(ells + u_entries + [f_first, f_j, f_k]))
+        rest = [
+            f_first,
+            _bracket_entry(
+                "F_j", "-1/2 [u0,u_j] = diag(j, j)", Sp2Alg(bracket(u0, uj_).m.scale(minus_half))
+            ),
+            _bracket_entry(
+                "F_k", "-1/2 [u0,u_k] = diag(k, k)", Sp2Alg(bracket(u0, uk_).m.scale(minus_half))
+            ),
+        ]
+        return Frame(tag=tag, entries=tuple(ells + u_entries + rest))
 
-    rest = []
-    for name, other in (("[u0,u_i]", ui_), ("[u0,u_j]", uj_), ("[u0,u_k]", uk_)):
-        rest.append(
-            FrameEntry(
-                label=name,
-                formula=f"bracket u0 {name[4:-1]}",
-                m=bracket(u0, other),
-                trace_free=True,
-                horizontal=False,
-                bracket_derived=True,
-            )
-        )
-    return Frame10(tag=tag, entries=tuple(ells + u_entries + rest))
+    rest = [
+        _bracket_entry(name, f"bracket u0 {name[4:-1]}", bracket(u0, other))
+        for name, other in (("[u0,u_i]", ui_), ("[u0,u_j]", uj_), ("[u0,u_k]", uk_))
+    ]
+    return Frame(tag=tag, entries=tuple(ells + u_entries + rest))
 
 
 def _half(backend: str, sign: int) -> Scalar:
@@ -511,7 +485,7 @@ def _quarter(backend: str) -> Scalar:
     return Fraction(1, 4) if backend == EXACT else 0.25
 
 
-def standard_sphere_frame(backend: str = EXACT) -> Frame10:
+def standard_sphere_frame(backend: str = EXACT) -> Frame:
     """The constant frame on the round 7-sphere: the antidiagonal u-basis at
     the identity plus all six pairwise brackets; spans sp(2) with rank 10."""
     us = case_ii_basis(backend)
@@ -521,26 +495,16 @@ def standard_sphere_frame(backend: str = EXACT) -> Frame10:
             label=n,
             formula=f"[[0, {b}], [-conj({b}), 0]]",
             m=u,
-            trace_free=True,
             horizontal=True,
             bracket_derived=False,
         )
-        for n, b, u in zip(names, ("1", "i", "j", "k"), us)
+        for n, b, u in zip(names, "1ijk", us)
     ]
-    for a in range(4):
-        for b in range(a + 1, 4):
-            entries.append(
-                FrameEntry(
-                    label=f"[u{a},u{b}]",
-                    formula=f"bracket u{a} u{b}",
-                    m=bracket(us[a], us[b]),
-                    trace_free=True,
-                    horizontal=False,
-                    bracket_derived=True,
-                )
-            )
-    tag = CaseTag(kind="standard")
-    return Frame10(tag=tag, entries=tuple(entries))
+    entries += [
+        _bracket_entry(f"[u{a},u{b}]", f"bracket u{a} u{b}", bracket(us[a], us[b]))
+        for a, b in combinations(range(4), 2)
+    ]
+    return Frame(tag=CaseTag(kind="standard"), entries=tuple(entries))
 
 
 # -- frame verification ----------------------------------------------------------------
@@ -551,7 +515,6 @@ class FrameCheck:
     case: str
     rank: RankResult
     negative_rank: RankResult
-    trace_violations: list
     membership_violations: list
     ok: bool
 
@@ -561,49 +524,37 @@ class FrameCheck:
             out.append(f"rank {self.rank.rank} != 10")
         if self.negative_rank.rank != 7:
             out.append(f"bracket-free rank {self.negative_rank.rank} != 7")
-        out += [f"trace({lbl}) != 0" for lbl in self.trace_violations]
         out += [f"{lbl} fails membership" for lbl in self.membership_violations]
         return out
 
 
-def verify_frame(p: Sp2Point, frame: Frame10, tol: float = 1e-9) -> FrameCheck:
-    """Rank plus the per-entry invariants: asserted traces vanish, horizontal
-    entries lie in Ad_p(h_p) (whose residual is the (1,1) entry of
-    Ad_{p^-1}(u), so that corner needs no separate check), and the
-    non-bracket entries alone have rank exactly 7, the dimension of D (so
-    the brackets are genuinely needed for the span)."""
-    exact = p.backend == EXACT
+def verify_frame(p: Sp2Point, frame: Frame, tol: float = 1e-9) -> FrameCheck:
+    """The frame has rank 10, its bracket-free entries (the rows of D) have
+    rank exactly 7, the dimension of D, so the brackets are genuinely
+    needed, and its horizontal entries lie in Ad_p(h_p).  Membership needs a
+    trace-free u (ad_h_p_residual raises ShapeMismatch otherwise), and its
+    residual is the (1,1) entry of Ad_{p^-1}(u), so that corner needs no
+    separate check."""
     vecs = [to_vec10(e.m) for e in frame.entries]
     rank = real_rank(vecs, tol)
-    neg_vecs = [to_vec10(e.m) for e in frame.entries if not e.bracket_derived]
-    negative_rank = real_rank(neg_vecs, tol)
-    trace_bad, member_bad = [], []
-    for e in frame.entries:
-        if e.trace_free:
-            tr = e.m.m.trace()
-            tr_ok = tr.is_zero() if exact else tr.max_abs() <= tol
-            if not tr_ok:
-                trace_bad.append(e.label)
-        if e.horizontal and not in_ad_h_p(p, e.m, tol):
-            member_bad.append(e.label)
-    ok = rank.rank == 10 and negative_rank.rank == 7 and not trace_bad and not member_bad
+    negative_rank = real_rank(
+        [vec for vec, e in zip(vecs, frame.entries) if not e.bracket_derived], tol
+    )
+    member_bad = [e.label for e in frame.entries if e.horizontal and not in_ad_h_p(p, e.m, tol)]
     return FrameCheck(
         case=frame.tag.kind,
         rank=rank,
         negative_rank=negative_rank,
-        trace_violations=trace_bad,
         membership_violations=member_bad,
-        ok=ok,
+        ok=rank.rank == 10 and negative_rank.rank == 7 and not member_bad,
     )
 
 
 @dataclass
 class PointCheck:
-    """The verdict at one point: the fiber-normalized point, the case frame
-    built there, and its check."""
+    """The verdict at one point: the span frame built there and its check."""
 
-    point: Sp2Point
-    frame: Frame10
+    frame: Frame
     check: FrameCheck
 
     @property
@@ -616,18 +567,21 @@ class PointCheck:
 
 
 def check_point(p: Sp2Point, tol: float = 1e-9, drop_label: str | None = None) -> PointCheck:
-    """Normalize the fiber, classify, build the case frame, verify it.
-    drop_label removes one entry first; it is the corruption hook used to
-    prove the failure path fires."""
-    point = bundle.normalize_fiber(p, tol).point
-    frame = build_frame(point, classify(point, tol), tol)
+    """The span check at p as given, with no fiber normalization: the 13
+    rows of span_frame have rank 10, the seven D rows rank exactly 7, and
+    each u lies in Ad_p(h_p).  drop_label removes that row first; it is the
+    corruption hook that proves the failure path fires, and must name a row
+    of SPAN_LABELS."""
+    frame = span_frame(p, tol)
     if drop_label is not None:
+        if drop_label not in SPAN_LABELS:
+            raise ValueError(f"no frame row is labeled {drop_label!r}")
         kept = tuple(e for e in frame.entries if e.label != drop_label)
-        frame = Frame10(tag=frame.tag, entries=kept)
-    return PointCheck(point=point, frame=frame, check=verify_frame(point, frame, tol))
+        frame = Frame(tag=frame.tag, entries=kept)
+    return PointCheck(frame=frame, check=verify_frame(p, frame, tol))
 
 
-def frame_to_json(p: Sp2Point, frame: Frame10, check: FrameCheck) -> dict:
+def frame_to_json(p: Sp2Point, frame: Frame, check: FrameCheck) -> dict:
     case = frame.tag.kind
     return {
         "case": case,

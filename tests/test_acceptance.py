@@ -345,7 +345,7 @@ def test_criterion_6_negative_control(tmp_path):
         ranks.append(real_rank(rows).rank)
     out = tmp_path / "c.json"
     code = main(
-        ["verify", "--samples", "3", "--seed", "3", "--corrupt-frame", "U_j", "--emit", "json", "--out", str(out)]
+        ["verify", "--samples", "3", "--seed", "3", "--corrupt-frame", "ell_i", "--emit", "json", "--out", str(out)]
     )
     corrupted = json.loads(out.read_text())
     _announce(

@@ -1,0 +1,58 @@
+"""The names perfbench/run.py looks up in the package must keep resolving.
+
+The benchmark wraps package attributes by name from outside src/ (tracing
+probes, segment cuts, identity entries, the worker pool).  A missing name
+fails its traced run at patch time, so a refactor that renames one would
+break `perfbench/run.py --trace 1` without any other test noticing.  The
+benchmark module is loaded as it is, without running its entry point.
+"""
+
+import importlib.util
+import sys
+from pathlib import Path
+
+import pytest
+
+from sp2span import bundle, cli, frames, qmat, quat
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+MODULES = {"bundle": bundle, "cli": cli, "frames": frames, "qmat": qmat, "quat": quat}
+
+
+@pytest.fixture(scope="module")
+def run_module():
+    # run.py imports its sibling modules by plain name, and its dataclasses
+    # look their module up in sys.modules while it loads.
+    spec = importlib.util.spec_from_file_location("perfbench_run", PERFBENCH / "run.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.path.insert(0, str(PERFBENCH))
+    sys.modules[spec.name] = module
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        sys.path.remove(str(PERFBENCH))
+        del sys.modules[spec.name]
+    return module
+
+
+def test_probe_targets_resolve(run_module):
+    assert run_module.PROBES
+    for layer, mod, attr in run_module.PROBES:
+        assert callable(getattr(MODULES[mod], attr, None)), f"{layer}: {mod}.{attr} is gone"
+
+
+def test_segment_hooks_resolve(run_module):
+    assert run_module.SEGMENT_HOOKS
+    for mod, attr in run_module.SEGMENT_HOOKS:
+        assert callable(getattr(MODULES[mod], attr, None)), f"{mod}.{attr} is gone"
+
+
+def test_identity_entries_resolve(run_module):
+    assert run_module.IDENTITY_ENTRIES
+    for name in run_module.IDENTITY_ENTRIES:
+        assert callable(getattr(frames, f"identity_{name}", None)), f"frames.identity_{name} is gone"
+
+
+def test_worker_and_pool_resolve():
+    assert callable(cli._verify_one)
+    assert callable(cli.ProcessPoolExecutor)

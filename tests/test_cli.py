@@ -5,9 +5,12 @@ import json
 
 import pytest
 
+from fractions import Fraction
+
 from sp2span import bundle
 from sp2span.cli import RunConfig, build_parser, canonical_json, main
-from sp2span.quat import EXACT
+from sp2span.qmat import QMat2, Sp2Alg
+from sp2span.quat import EXACT, quat
 
 
 def test_verify_float_small(tmp_path):
@@ -88,7 +91,7 @@ def test_corrupt_frame_hook_exits_1(tmp_path):
             "--seed",
             "3",
             "--corrupt-frame",
-            "U_j",
+            "ell_i",
             "--emit",
             "json",
             "--out",
@@ -100,6 +103,14 @@ def test_corrupt_frame_hook_exits_1(tmp_path):
     assert rep["pass"] is False
     assert rep["failures"]
     assert all("point" in f for f in rep["failures"])
+
+
+def test_corrupt_frame_unknown_label_exits_2():
+    # A label that names no frame row would corrupt nothing and pass.
+    for label in ("no_such_row", "U_j"):
+        with pytest.raises(SystemExit) as err:
+            main(["verify", "--samples", "3", "--corrupt-frame", label])
+        assert err.value.code == 2
 
 
 def test_special_sweep(tmp_path):
@@ -132,8 +143,26 @@ def test_frame_subcommand(tmp_path):
     rep = json.loads(out.read_text())
     assert rep["case"] == "I-b-nonquarter"
     assert rep["rank"] == 10
-    assert len(rep["matrices"]) == 10
+    assert len(rep["matrices"]) == 13
     assert all(set(m) == {"label", "paper_eq", "m"} for m in rep["matrices"])
+
+
+def test_frame_accepts_raw_exact_point(tmp_path):
+    # A rational Cayley point whose v = x w^-1 leaves span{1, i}: no
+    # rational fiber rotation normalizes it, and none is needed.
+    third = Fraction(1, 3)
+    b = quat(1, third, 2, -1, backend=EXACT)
+    s = Sp2Alg(QMat2(quat(0, third, 0, 1, backend=EXACT), b, -b.conj(), quat(0, 0, third, -1, backend=EXACT)))
+    p = bundle.cayley_sp2(s)
+    v = p.x * p.w.inverse()
+    assert v.h2 != 0 or v.h3 != 0
+    pt = tmp_path / "pt.json"
+    pt.write_text(json.dumps({"backend": "exact", "p": p.m.to_json()}))
+    out = tmp_path / "f.json"
+    code = main(["frame", str(pt), "--emit", "json", "--out", str(out)])
+    assert code == 0
+    rep = json.loads(out.read_text())
+    assert rep["pass"] is True and rep["rank"] == 10 and rep["case"] == "I-a"
 
 
 def test_frame_rejects_malformed_json(tmp_path):

@@ -1,6 +1,7 @@
-"""Case machinery and frames: classification, closed-form displays, frozen
-values, per-case rank certificates, negative controls, and the identity
-suite's plumbing."""
+"""The span check and the case machinery: labels on raw points, closed-form
+displays, frozen values, the span check near every stratum and at raw exact
+points, the paper's per-case frames and their rank certificates, negative
+controls, and the identity suite's plumbing."""
 
 import dataclasses
 import math
@@ -19,6 +20,7 @@ from sp2span.frames import (
     CASE_IB_QUARTER,
     CASE_II,
     CASE_IR,
+    SPAN_LABELS,
     DegenerateV,
     ZeroV,
     alpha,
@@ -40,8 +42,8 @@ from sp2span.frames import (
     u_jk,
     verify_frame,
 )
-from sp2span.qmat import Sp2Alg, ad, bracket, diag, real_rank, to_vec10
-from sp2span.quat import EXACT, FLOAT, qi, qj, qk, quat
+from sp2span.qmat import QMat2, Sp2Alg, ad, bracket, diag, real_rank, to_vec10
+from sp2span.quat import EXACT, FLOAT, Quaternion, qi, qj, qk, quat
 
 from conftest import nonzero_exact_quats
 
@@ -62,22 +64,24 @@ def test_classify_all_exact_kinds():
     assert classify(p).kind in (CASE_IA, CASE_IR)
 
 
-def test_classify_rejects_unnormalized_exact():
-    # Rotate v out of span{1, i} with a fiber action by a generic unit.
+def test_classify_labels_unnormalized_exact():
+    # Rotate v out of span{1, i} with a fiber action by a generic unit: the
+    # label is read off the raw point, and the span check passes there.
     base = exact_random_point(31)
     lam = bundle.sp1_cayley(quat(Fraction(0), Fraction(1, 2), Fraction(1, 3), Fraction(0), backend=EXACT))
     p = bundle.e_action(base, lam, lam)
     v = p.x * p.w.inverse()
     assert v.h2 != 0 or v.h3 != 0
-    with pytest.raises(frames.NotNormalized):
-        classify(p)
+    assert classify(p) == dataclasses.replace(classify(base), v=v)
+    pc = check_point(p)
+    assert pc.ok and pc.case == classify(base).kind
 
 
 def test_classify_float_quarter_band():
     p = ib_float_point(0.25)
     tag = classify(p)
     assert tag.kind == CASE_IB_QUARTER
-    assert tag.v == qi(FLOAT)
+    assert (tag.v - qi(FLOAT)).max_abs() <= 1e-15
     near = ib_float_point(0.25 + 5e-8)
     assert classify(near).kind == CASE_IB_NONQUARTER
 
@@ -88,14 +92,17 @@ def _other_ib_subcase(tag):
 
 
 def test_flip_ib_subcase():
-    # At split = 1/4 only the quarter recipe spans: flipping the I-b subcase
-    # keeps the point and the split but loses a rank, so the classification
-    # has to pick the quarter frame there.
-    pc = check_point(ib_float_point(0.25))
+    # At split = 1/4 only the paper's quarter recipe spans: flipping the I-b
+    # subcase keeps the point and the split but loses a rank.  The span
+    # check needs no recipe and passes.
+    p = ib_float_point(0.25)
+    pc = check_point(p)
     assert pc.ok and pc.case == CASE_IB_QUARTER
-    other = _other_ib_subcase(pc.frame.tag)
-    assert other.kind == CASE_IB_NONQUARTER and other.split == pc.frame.tag.split
-    flipped = verify_frame(pc.point, build_frame(pc.point, other))
+    tag = classify(p)
+    assert verify_frame(p, build_frame(p, tag)).ok
+    other = _other_ib_subcase(tag)
+    assert other.kind == CASE_IB_NONQUARTER and other.split == tag.split
+    flipped = verify_frame(p, build_frame(p, other))
     assert not flipped.ok
     assert flipped.failures() == ["rank 9 != 10"]
 
@@ -198,12 +205,20 @@ CASE_POINT_BUILDERS = [
 
 @pytest.mark.parametrize("name,maker", CASE_POINT_BUILDERS)
 def test_frame_rank_10_per_case(name, maker):
+    # The span check, and the paper's frame for the case, each certified
+    # exactly: rank 10, and rank exactly 7 without the brackets.
     p = maker()
     pc = check_point(p)
     assert pc.ok, pc.check.failures()
+    assert [e.label for e in pc.frame.entries] == list(SPAN_LABELS)
     assert pc.check.rank.rank == 10
     assert pc.check.rank.method == "bareiss"
     assert pc.check.negative_rank.rank == 7
+    paper = verify_frame(p, build_frame(p))
+    assert paper.ok, paper.failures()
+    assert paper.case == pc.case
+    assert paper.rank.rank == 10 and paper.rank.method == "bareiss"
+    assert paper.negative_rank.rank == 7
 
 
 @pytest.mark.parametrize("name,maker", CASE_POINT_BUILDERS)
@@ -223,7 +238,7 @@ def test_negative_control_fails_on_its_own():
     frame = build_frame(p)
     assert frame.entries[0].label == "ell_i"
     moved = dataclasses.replace(frame.entries[0], bracket_derived=True)
-    check = verify_frame(p, frames.Frame10(tag=frame.tag, entries=(moved,) + frame.entries[1:]))
+    check = verify_frame(p, frames.Frame(tag=frame.tag, entries=(moved,) + frame.entries[1:]))
     assert check.rank.rank == 10 and not check.ok
     assert check.failures() == ["bracket-free rank 6 != 7"]
 
@@ -244,19 +259,25 @@ def test_float_quarter_point_verifies():
 
 def test_near_quarter_tries_both_subcase_frames():
     # Inside the band where float rounding could blur the two subcases, the
-    # one frame check_point builds passes, and so does the other subcase's
-    # frame: a second try would have nothing to rescue.
-    pc = check_point(ib_float_point(0.25 + 2e-7))
+    # span check passes, and so do both of the paper's I-b recipes: the
+    # label's choice between them decides nothing.
+    p = ib_float_point(0.25 + 2e-7)
+    pc = check_point(p)
     assert pc.ok and pc.case == CASE_IB_NONQUARTER
-    other = verify_frame(pc.point, build_frame(pc.point, _other_ib_subcase(pc.frame.tag)))
-    assert other.ok and other.rank.rank == 10
+    tag = classify(p)
+    for t in (tag, _other_ib_subcase(tag)):
+        check = verify_frame(p, build_frame(p, t))
+        assert check.ok and check.rank.rank == 10
 
 
 def test_far_from_quarter_uses_single_frame():
-    pc = check_point(ib_float_point(0.1))
+    # One frame, the same 13 rows whatever the case label says.
+    p = ib_float_point(0.1)
+    pc = check_point(p)
     assert pc.ok and pc.case == CASE_IB_NONQUARTER
-    assert pc.frame == build_frame(pc.point, classify(pc.point))
-    assert len(pc.frame.entries) == 10
+    assert pc.frame == frames.span_frame(p)
+    assert [e.label for e in pc.frame.entries] == list(SPAN_LABELS)
+    assert verify_frame(p, build_frame(p)).ok
 
 
 NEAR_QUARTER_PHASES = ((0.3, 1.1), (0.1, 0.7), (1.3, 2.9), (math.pi / 4, math.pi / 4), (2.2, 0.4), (-1.0, 3.0))
@@ -279,12 +300,139 @@ def test_near_quarter_continuation():
                         assert pc.case == CASE_IB_NONQUARTER
 
 
+def _float_unit(a: float, b: float, c: float) -> Quaternion:
+    return quat(
+        math.cos(a),
+        math.sin(a) * math.cos(b),
+        math.sin(a) * math.sin(b) * math.cos(c),
+        math.sin(a) * math.sin(b) * math.sin(c),
+        backend=FLOAT,
+    )
+
+
+# Five (u1, u2, lam) dressings: u1, u2 move the point along its fiber over v,
+# lam rotates v = x w^-1 out of span{1, i}, so no swept point is normalized.
+BOUNDARY_DRESSINGS = [
+    (
+        _float_unit(0.3 + k, 1.1 * k, 0.7 + k),
+        _float_unit(1.2 - k, 0.4 + k, 2.0 * k),
+        _float_unit(0.9 + 0.6 * k, 2.1 - k, 0.5 * k),
+    )
+    for k in range(5)
+]
+_C = quat(0.6, 0.8, backend=FLOAT)
+# v as a function of (side, eps, dressing index), approaching each stratum.
+BOUNDARY_V = {
+    "v->i": lambda s, e, k: quat(0.0, 1.0 + s * e, backend=FLOAT) if k % 2 else quat(s * e, 1.0, backend=FLOAT),
+    "v->real": lambda s, e, k: quat(0.7, s * e, backend=FLOAT),
+    "v->-1": lambda s, e, k: quat(-1.0 + 0.6 * s * e, 0.8 * s * e, backend=FLOAT),
+    "x->0": lambda s, e, k: _C.scale(s * e),
+    "w->0": lambda s, e, k: _C.scale(s / e),
+}
+
+
+def _boundary_point(stratum: str, side: int, eps: float, k: int):
+    u1, u2, lam = BOUNDARY_DRESSINGS[k]
+    if stratum == "split->1/4":
+        p = ib_float_point(0.25 + side * eps, 0.3 + k, 1.1 + 0.5 * k)
+    else:
+        v = BOUNDARY_V[stratum](side, eps, k)
+        p = fiber_point(v, quat(1.0 / math.sqrt(1.0 + v.norm_sq()), backend=FLOAT), u1, u2)
+    return bundle.e_action(p, lam, lam)
+
+
+@pytest.mark.parametrize("stratum", list(BOUNDARY_V) + ["split->1/4"])
+def test_boundary_continuation(stratum):
+    # Raw float points approach each stratum from both sides at 10^-k,
+    # k = 1..15, in five dressings (150 points per stratum, 900 in all).
+    # The one span check passes at every one of them, whatever the label.
+    pivots = []
+    for k in range(len(BOUNDARY_DRESSINGS)):
+        for e in range(1, 16):
+            for side in (1, -1):
+                p = _boundary_point(stratum, side, 10.0**-e, k)
+                v = p.x * p.w.inverse()
+                assert max(abs(v.h2), abs(v.h3)) > 0  # not fiber-normalized
+                pc = check_point(p)
+                assert pc.ok, (stratum, side, e, k, pc.case, pc.check.failures())
+                pivots.append(pc.check.rank.min_rel_pivot)
+    assert len(pivots) == 150 and min(pivots) > 0.1
+
+
+def test_raw_cayley_points_certified():
+    # Rational Cayley points of random sp(2) elements: v = x w^-1 is a
+    # general quaternion, which no rational fiber rotation can normalize,
+    # and the span check certifies them as given.
+    g = random.Random(17)
+
+    def fr():
+        return Fraction(g.randint(-6, 6), g.randint(1, 8))
+
+    raw = 0
+    for _ in range(50):
+        a = quat(0, fr(), fr(), fr(), backend=EXACT)
+        d = quat(0, fr(), fr(), fr(), backend=EXACT)
+        b = quat(fr(), fr(), fr(), fr(), backend=EXACT)
+        p = bundle.cayley_sp2(Sp2Alg(QMat2(a, b, -b.conj(), d)))
+        v = p.x * p.w.inverse()
+        raw += v.h2 != 0 or v.h3 != 0
+        pc = check_point(p)
+        assert pc.ok, pc.check.failures()
+        assert pc.check.rank.method == "bareiss" and pc.check.rank.rank == 10
+    assert raw >= 45
+
+
+def _fiber_lams(backend: str):
+    if backend == EXACT:
+        half, third = Fraction(1, 2), Fraction(1, 3)
+        seeds = ((1, 0, 0), (half, third, 0), (0, 2 * third, -3 * half), (-third, 2, half))
+        return [bundle.sp1_cayley(quat(0, a, b, c, backend=EXACT)) for a, b, c in seeds]
+    angles = ((0.4, 1.0, 2.0), (2.5, 0.3, 0.9), (1.3, 2.2, -0.6), (3.0, 0.1, 1.4))
+    return [_float_unit(a, b, c) for a, b, c in angles]
+
+
+def _label_points():
+    exact = [exact_random_point(700 + i, case=bundle.EXACT_CASE_KINDS[i % 5]) for i in range(40)]
+    exact += bundle.grid_ia(5) + bundle.grid_ib(5) + bundle.grid_ir(5) + bundle.grid_ii(4)
+    floats = [bundle.random_sp2(800 + i) for i in range(20)]
+    floats += [ib_float_point(split, 0.2 + split, 1.3) for split in (0.25, -0.3, 0.1, 0.45)]
+    return exact + floats
+
+
+def test_classify_invariant_under_fiber_action():
+    # The label reads off the raw point: moving p along the fiber action
+    # p -> diag(lam, lam) p diag(conj(lam), 1) keeps it, and at a normalized
+    # point it is the label of the normalized point.
+    for p in _label_points():
+        kind = classify(p).kind
+        assert classify(normalize_fiber(p).point).kind == kind
+        for lam in _fiber_lams(p.backend):
+            assert classify(bundle.e_action(p, lam, lam)).kind == kind, (kind, lam)
+
+
+def test_classify_raw_edge_points():
+    # v = -i is I-b (the normalized v = i), and |x| = 1e-150 is case II,
+    # where the constant basis passes the span check.
+    unit = quat(1, backend=EXACT)
+    minus_i = fiber_point(-qi(EXACT), bundle.IB_W0, unit, unit)
+    assert classify(minus_i).kind == CASE_IB_NONQUARTER
+    assert check_point(minus_i).ok
+    tiny = fiber_point(_C.scale(1e-150), quat(1.0, backend=FLOAT), *BOUNDARY_DRESSINGS[0][:2])
+    assert classify(tiny).kind == CASE_II and check_point(tiny).ok
+
+
 def test_corrupted_frame_detected():
     p = normalize_fiber(exact_random_point(107)).point
     assert classify(p).kind == CASE_IA
-    pc = check_point(p, drop_label="U_j")
+    pc = check_point(p, drop_label="ell_i")
     assert not pc.ok
     assert any("rank" in f for f in pc.check.failures())
+
+
+def test_unknown_drop_label_raises():
+    p = exact_random_point(107)
+    with pytest.raises(ValueError):
+        check_point(p, drop_label="U_j")
 
 
 def test_verify_frame_membership_flags():
@@ -293,7 +441,6 @@ def test_verify_frame_membership_flags():
     check = verify_frame(p, frame)
     assert check.ok
     assert check.membership_violations == []
-    assert check.trace_violations == []
     pinv = p.inverse()
     horizontal = [e for e in frame.entries if e.horizontal]
     assert len(horizontal) == 4
