@@ -313,10 +313,18 @@ def ad(p: Sp2Point, u) -> Sp2Alg:
     return Sp2Alg(pm @ _mat_of(u) @ pm.adjoint(), validate=False)
 
 
-def bracket(u, v) -> Sp2Alg:
-    """Lie bracket [u, v] = u v - v u on sp(2)."""
-    um, vm = _mat_of(u), _mat_of(v)
-    return Sp2Alg(um @ vm - vm @ um, validate=False)
+def bracket(u: Sp2Alg, v: Sp2Alg) -> Sp2Alg:
+    """Lie bracket [u, v] = u v - v u on sp(2).
+
+    Both arguments must be `Sp2Alg`: for skew-Hermitian u and v,
+    (u v)* = v* u* = v u, so the bracket is u v - (u v)*, one matrix product
+    instead of two.  For matrices that are not skew-Hermitian that is not the
+    commutator, so a plain `QMat2` raises ShapeMismatch.
+    """
+    if not (isinstance(u, Sp2Alg) and isinstance(v, Sp2Alg)):
+        raise ShapeMismatch("bracket takes two sp(2) elements (Sp2Alg)")
+    uv = u.m @ v.m
+    return Sp2Alg(uv - uv.adjoint(), validate=False)
 
 
 def inner(u, v) -> Scalar:
@@ -495,5 +503,5 @@ def real_rank(vectors: Iterable[Vec10], tol: float = 1e-9) -> RankResult:
     for row in rows:
         fracs = [x if type(x) is Fraction else Fraction(x) for x in row]
         denom = lcm(*(f.denominator for f in fracs)) if fracs else 1
-        int_rows.append([int(f * denom) for f in fracs])
+        int_rows.append([f.numerator * (denom // f.denominator) for f in fracs])
     return _bareiss_rank(int_rows)

@@ -119,14 +119,36 @@ class Quaternion:
         return Quaternion(-self.h0, -self.h1, -self.h2, -self.h3)
 
     def __mul__(self, other: "Quaternion") -> "Quaternion":
-        self._check_backend(other)
         a0, a1, a2, a3 = self.h0, self.h1, self.h2, self.h3
         b0, b1, b2, b3 = other.h0, other.h1, other.h2, other.h3
+        if type(a0) is float and type(b0) is float:
+            return Quaternion(
+                a0 * b0 - a1 * b1 - a2 * b2 - a3 * b3,
+                a0 * b1 + a1 * b0 + a2 * b3 - a3 * b2,
+                a0 * b2 - a1 * b3 + a2 * b0 + a3 * b1,
+                a0 * b3 + a1 * b2 - a2 * b1 + a3 * b0,
+            )
+        self._check_backend(other)
+        # Exact: scale each operand to the lcm of its four denominators and
+        # run the Hamilton product on the integer numerators, so only the
+        # four results pay a gcd (in the Fraction constructor), not every
+        # one of the 28 intermediate operations.
+        da = math.lcm(a0.denominator, a1.denominator, a2.denominator, a3.denominator)
+        db = math.lcm(b0.denominator, b1.denominator, b2.denominator, b3.denominator)
+        a0 = a0.numerator * (da // a0.denominator)
+        a1 = a1.numerator * (da // a1.denominator)
+        a2 = a2.numerator * (da // a2.denominator)
+        a3 = a3.numerator * (da // a3.denominator)
+        b0 = b0.numerator * (db // b0.denominator)
+        b1 = b1.numerator * (db // b1.denominator)
+        b2 = b2.numerator * (db // b2.denominator)
+        b3 = b3.numerator * (db // b3.denominator)
+        den = da * db
         return Quaternion(
-            a0 * b0 - a1 * b1 - a2 * b2 - a3 * b3,
-            a0 * b1 + a1 * b0 + a2 * b3 - a3 * b2,
-            a0 * b2 - a1 * b3 + a2 * b0 + a3 * b1,
-            a0 * b3 + a1 * b2 - a2 * b1 + a3 * b0,
+            Fraction(a0 * b0 - a1 * b1 - a2 * b2 - a3 * b3, den),
+            Fraction(a0 * b1 + a1 * b0 + a2 * b3 - a3 * b2, den),
+            Fraction(a0 * b2 - a1 * b3 + a2 * b0 + a3 * b1, den),
+            Fraction(a0 * b3 + a1 * b2 - a2 * b1 + a3 * b0, den),
         )
 
     def scale(self, s: Scalar) -> "Quaternion":

@@ -2,8 +2,10 @@
 
 from fractions import Fraction
 
+import pytest
 from hypothesis import strategies as st
 
+from sp2span import frames
 from sp2span.quat import EXACT, Quaternion, quat
 
 # Small rationals keep Fraction blowup in long products under control while
@@ -20,6 +22,33 @@ def exact_quat(a, b, c, d) -> Quaternion:
 
 
 exact_quats = st.builds(exact_quat, fracs, fracs, fracs, fracs)
+
+# Pairwise coprime denominators (Mersenne primes) for the large strategy.
+MERSENNE_PRIMES = (2**61 - 1, 2**89 - 1, 2**107 - 1, 2**127 - 1)
+big_ints = st.integers(min_value=-(10**40), max_value=10**40)
+big_dens = st.integers(min_value=1, max_value=10**40)
+
+
+@st.composite
+def big_exact_quats(draw) -> Quaternion:
+    """Exact quaternions with denominators up to 10^40.  Each component is
+    zero, over a denominator shared by the quaternion, over its own Mersenne
+    prime (coprime to every other component's), or over a free denominator."""
+    shared = draw(big_dens)
+    parts = []
+    for prime in MERSENNE_PRIMES:
+        kind = draw(st.sampled_from(("zero", "shared", "coprime", "free")))
+        if kind == "zero":
+            parts.append(Fraction(0))
+        elif kind == "shared":
+            parts.append(Fraction(draw(big_ints), shared))
+        elif kind == "coprime":
+            parts.append(Fraction(draw(big_ints), prime))
+        else:
+            parts.append(Fraction(draw(big_ints), draw(big_dens)))
+    return exact_quat(*parts)
+
+
 nonzero_exact_quats = exact_quats.filter(lambda q: not q.is_zero())
 float_quats = st.builds(lambda a, b, c, d: quat(a, b, c, d), floats, floats, floats, floats)
 
@@ -42,3 +71,9 @@ def mat_vec(m, v):
 
 def quat_close(q: Quaternion, r: Quaternion, tol: float = 1e-12) -> bool:
     return max(abs(x - y) for x, y in zip(q.components(), r.components())) <= tol
+
+
+@pytest.fixture(scope="session")
+def identity_results():
+    """One run of the full identity suite, shared by every test that reads it."""
+    return frames.run_identity_suite()

@@ -265,12 +265,13 @@ def test_criterion_3_quarter_stratum_obstruction():
 # -- 4: identity suite -----------------------------------------------------------------
 
 
-def test_criterion_4_identity_suite():
+def test_criterion_4_identity_suite(identity_results):
     """(a) Ad-invariance on 200 exact triples, (b) Tr(U_j) = Tr(U_k) = 0 on
     100 rational v, (c) the non-degeneracy factorization as printed and
     nonzero on 100 v, (d) alpha's two forms agree, (e) printed commutator
-    forms vs direct brackets with WARN allowed for print typos."""
-    results = frames.run_identity_suite()
+    forms vs direct brackets with WARN allowed for print typos.  The suite
+    runs once per session (conftest's identity_results)."""
+    results = identity_results
     for r in results:
         print(r.line())
     by_name = {r.name: r for r in results}

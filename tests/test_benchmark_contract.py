@@ -56,3 +56,10 @@ def test_identity_entries_resolve(run_module):
 def test_worker_and_pool_resolve():
     assert callable(cli._verify_one)
     assert callable(cli.ProcessPoolExecutor)
+
+
+def test_counted_quaternion_methods_are_own():
+    # run.py wraps Quaternion.__mul__ and __init__ to count quat.mul.per_point
+    # and quat.new.per_point; both must stay defined on the class itself.
+    assert "__mul__" in quat.Quaternion.__dict__
+    assert "__init__" in quat.Quaternion.__dict__

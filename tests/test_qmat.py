@@ -10,7 +10,7 @@ import pytest
 import sympy
 from hypothesis import given, settings
 
-from conftest import exact_quats
+from conftest import MERSENNE_PRIMES, exact_quats
 from sp2span.qmat import (
     InvariantViolation,
     QMat2,
@@ -51,6 +51,12 @@ def rng_alg(g: random.Random) -> Sp2Alg:
     zc = quat(Fraction(0), rng_frac(g), rng_frac(g), rng_frac(g), backend=EXACT)
     b = rng_quat(g)
     return Sp2Alg(QMat2(za, b, -b.conj(), zc))
+
+
+def rng_float_alg(g: random.Random) -> Sp2Alg:
+    """Random float skew-Hermitian matrix with entries over several scales."""
+    s = 10.0 ** g.randint(-3, 3)
+    return from_vec10([g.uniform(-s, s) for _ in range(10)])
 
 
 # -- product and adjoint ---------------------------------------------------------
@@ -154,6 +160,29 @@ def test_bracket_antisymmetric_and_jacobi():
         assert jac.max_abs() == 0
 
 
+def test_bracket_is_the_commutator():
+    # bracket computes u v - (u v)*, which equals u v - v u on sp(2).
+    g = random.Random(23)
+    for _ in range(30):
+        u, v = rng_alg(g), rng_alg(g)
+        assert bracket(u, v).m == u.m @ v.m - v.m @ u.m
+    for _ in range(200):
+        u, v = rng_float_alg(g), rng_float_alg(g)
+        m = bracket(u, v).m
+        scale = u.m.max_abs() * v.m.max_abs()
+        assert m.max_component_diff(u.m @ v.m - v.m @ u.m) <= 1e-14 * scale
+        # Exactly skew on floats: m* + m is 0 in every component.
+        assert (m + m.adjoint()).max_abs() == 0.0
+
+
+def test_bracket_rejects_plain_matrices():
+    u = rng_alg(random.Random(3))
+    not_skew = QMat2(one(EXACT), zero(EXACT), zero(EXACT), zero(EXACT))
+    for args in ((u.m, u), (u, u.m), (not_skew, u)):
+        with pytest.raises(ShapeMismatch):
+            bracket(*args)
+
+
 def test_ad_is_lie_algebra_automorphism():
     g = random.Random(13)
     from sp2span.bundle import cayley_sp2
@@ -200,16 +229,26 @@ def test_from_vec10_rejects_wrong_length():
 # -- rank engines -----------------------------------------------------------------
 
 
-def _planted_vectors(g: random.Random, k: int, extra: int, backend: str):
+def big_frac(g: random.Random) -> Fraction:
+    """Zero, or a numerator up to 10^40 over a free denominator up to 10^40
+    or over one of the pairwise coprime Mersenne primes."""
+    kind = g.randrange(3)
+    if kind == 0:
+        return Fraction(0)
+    den = g.randint(1, 10**40) if kind == 1 else g.choice(MERSENNE_PRIMES)
+    return Fraction(g.randint(-(10**40), 10**40), den)
+
+
+def _planted_vectors(g: random.Random, k: int, extra: int, backend: str, frac=rng_frac):
     """k independent exact Vec10 rows plus `extra` random rational
     combinations of them; sympy certifies independence of the seed rows."""
     while True:
-        base = [[rng_frac(g) for _ in range(10)] for _ in range(k)]
+        base = [[frac(g) for _ in range(10)] for _ in range(k)]
         if sympy.Matrix(base).rank() == k:
             break
     rows = [list(r) for r in base]
     for _ in range(extra):
-        coeffs = [rng_frac(g) for _ in range(k)]
+        coeffs = [frac(g) for _ in range(k)]
         rows.append([sum(c * base[j][t] for j, c in enumerate(coeffs)) for t in range(10)])
     g.shuffle(rows)
     if backend == FLOAT:
@@ -226,6 +265,15 @@ def test_exact_rank_matches_sympy(k):
     assert res.method == "bareiss"
     # Bareiss pivots on cleared-denominator rows are integers.
     assert all(p == int(p) for p in res.pivots)
+
+
+@pytest.mark.parametrize("k", [1, 4, 9, 10])
+def test_exact_rank_large_mixed_denominators(k):
+    # Row clearing scales each numerator by lcm / denominator; with 10^40-size
+    # free and coprime denominators the cleared rows are far past 64 bits.
+    g = random.Random(300 + k)
+    rows = _planted_vectors(g, k, extra=3, backend=EXACT, frac=big_frac)
+    assert real_rank(rows).rank == sympy.Matrix(rows).rank() == k
 
 
 @pytest.mark.parametrize("k", [1, 2, 4, 6, 8, 10])

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 
 from conftest import (
+    big_exact_quats,
     exact_quats,
     float_quats,
     left_mult_matrix,
@@ -53,6 +54,17 @@ def test_product_matches_matrix_model(q, r):
     got = (q * r).components()
     want = mat_vec(left_mult_matrix(q), list(r.components()))
     assert list(got) == want
+
+
+@given(big_exact_quats(), big_exact_quats())
+@settings(max_examples=300)
+def test_product_matches_matrix_model_large_denominators(q, r):
+    # The exact product runs on integer numerators over each operand's lcm
+    # denominator; the oracle multiplies the Fractions one by one.
+    got = (q * r).components()
+    want = mat_vec(left_mult_matrix(q), list(r.components()))
+    assert list(got) == want
+    assert all(type(x) is Fraction for x in got)
 
 
 @given(exact_quats, exact_quats, exact_quats)
@@ -105,6 +117,8 @@ def test_backend_mixing_raises():
     qf = quat(1.0)
     with pytest.raises(BackendMismatch):
         qe * qf
+    with pytest.raises(BackendMismatch):
+        qf * qe
     with pytest.raises(BackendMismatch):
         qe + qf
     with pytest.raises(BackendMismatch):
