@@ -183,13 +183,17 @@ def h_p_residual(p: Sp2Point, u: Sp2Alg, tol: float = 1e-9) -> Quaternion:
     return res
 
 
+def _require_trace_free(trace: Quaternion, tol: float):
+    shape_ok = trace.is_zero() if trace.backend == EXACT else trace.max_abs() <= tol
+    if not shape_ok:
+        raise ShapeMismatch("variant B needs a trace-free element")
+
+
 def ad_h_p_residual(p: Sp2Point, u: Sp2Alg, tol: float = 1e-9) -> Quaternion:
     """Variant B residual for trace-free u = [[a, b], [-conj(b), -a]]:
     conj(x) a x - conj(w) conj(b) x + conj(x) b w - conj(w) a w."""
     a, b, d = u.m.a, u.m.b, u.m.d
-    shape_ok = (a + d).is_zero() if u.backend == EXACT else (a + d).max_abs() <= tol
-    if not shape_ok:
-        raise ShapeMismatch("variant B needs a trace-free element")
+    _require_trace_free(a + d, tol)
     x, w = p.x, p.w
     res = x.conj() * a * x - w.conj() * b.conj() * x + x.conj() * b * w - w.conj() * a * w
     _sanity_zero_real(res, u.m.max_abs())
@@ -204,6 +208,17 @@ def in_h_p(p: Sp2Point, u: Sp2Alg, tol: float = 1e-9) -> bool:
 def in_ad_h_p(p: Sp2Point, u: Sp2Alg, tol: float = 1e-9) -> bool:
     res = ad_h_p_residual(p, u, tol)
     return res.is_zero() if p.backend == EXACT else res.max_abs() <= tol
+
+
+def membership_verdict(
+    res: Quaternion, trace: Quaternion, scale: Scalar, tol: float = 1e-9
+) -> bool:
+    """in_ad_h_p from parts computed elsewhere (the float span kernel): the
+    variant-B residual res of u, its trace a + d, and its largest entry
+    component scale.  Raises as ad_h_p_residual does."""
+    _require_trace_free(trace, tol)
+    _sanity_zero_real(res, scale)
+    return res.is_zero() if res.backend == EXACT else res.max_abs() <= tol
 
 
 def horizontal_space_rank(p: Sp2Point, tol: float = 1e-9):

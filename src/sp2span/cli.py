@@ -75,13 +75,12 @@ def _verify_one(args):
     import it."""
     index, seed, backend, tol, drop = args
     key = ((seed % (1 << 64)) << 64) + index
-    point_json = None
+    p = None
     try:
         if backend == FLOAT:
             p = bundle.random_sp2(key)
         else:
             p = bundle.exact_random_point(key, case=_EXACT_CYCLE[index % len(_EXACT_CYCLE)])
-        point_json = p.to_json()
         pc = frames.check_point(p, tol, drop_label=drop)
         rec = {
             "index": index,
@@ -103,7 +102,8 @@ def _verify_one(args):
             "problems": [f"{type(exc).__name__}: {exc}"],
         }
     if not rec["ok"]:
-        rec["point"] = point_json
+        # the failure replay: `sp2span frame` reads this point back
+        rec["point"] = p.to_json() if p is not None else None
     return rec
 
 

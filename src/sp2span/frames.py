@@ -27,12 +27,12 @@ quaternions do not commute.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
 from math import gcd, hypot
 
-from . import bundle
+from . import bundle, kernel
 from .qmat import (
     QMat2,
     RankResult,
@@ -516,7 +516,14 @@ class FrameCheck:
     rank: RankResult
     negative_rank: RankResult
     membership_violations: list
-    ok: bool
+
+    @property
+    def ok(self) -> bool:
+        return (
+            self.rank.rank == 10
+            and self.negative_rank.rank == 7
+            and not self.membership_violations
+        )
 
     def failures(self):
         out = []
@@ -546,24 +553,42 @@ def verify_frame(p: Sp2Point, frame: Frame, tol: float = 1e-9) -> FrameCheck:
         rank=rank,
         negative_rank=negative_rank,
         membership_violations=member_bad,
-        ok=rank.rank == 10 and negative_rank.rank == 7 and not member_bad,
     )
 
 
 @dataclass
 class PointCheck:
-    """The verdict at one point: the span frame built there and its check."""
+    """The verdict at one point, and the span frame it checked.
 
-    frame: Frame
+    A float check runs on the kernel's rows, not on frame objects, so its
+    frame (span_frame, the object path) is built only when read."""
+
     check: FrameCheck
+    p: Sp2Point
+    tol: float = 1e-9
+    drop_label: str | None = None
+    _frame: Frame | None = field(default=None, repr=False)
+
+    @property
+    def frame(self) -> Frame:
+        if self._frame is None:
+            self._frame = _span_frame_without(self.p, self.tol, self.drop_label)
+        return self._frame
 
     @property
     def case(self) -> str:
-        return self.frame.tag.kind
+        return self.check.case
 
     @property
     def ok(self) -> bool:
         return self.check.ok
+
+
+def _span_frame_without(p: Sp2Point, tol: float, drop_label: str | None) -> Frame:
+    frame = span_frame(p, tol)
+    if drop_label is None:
+        return frame
+    return Frame(tag=frame.tag, entries=tuple(e for e in frame.entries if e.label != drop_label))
 
 
 def check_point(p: Sp2Point, tol: float = 1e-9, drop_label: str | None = None) -> PointCheck:
@@ -571,14 +596,34 @@ def check_point(p: Sp2Point, tol: float = 1e-9, drop_label: str | None = None) -
     rows of span_frame have rank 10, the seven D rows rank exactly 7, and
     each u lies in Ad_p(h_p).  drop_label removes that row first; it is the
     corruption hook that proves the failure path fires, and must name a row
-    of SPAN_LABELS."""
-    frame = span_frame(p, tol)
-    if drop_label is not None:
-        if drop_label not in SPAN_LABELS:
-            raise ValueError(f"no frame row is labeled {drop_label!r}")
-        kept = tuple(e for e in frame.entries if e.label != drop_label)
-        frame = Frame(tag=frame.tag, entries=kept)
-    return PointCheck(frame=frame, check=verify_frame(p, frame, tol))
+    of SPAN_LABELS.
+
+    Exact points are checked on span_frame's objects (verify_frame), float
+    points on the rows and residuals of kernel.span_rows."""
+    if drop_label is not None and drop_label not in SPAN_LABELS:
+        raise ValueError(f"no frame row is labeled {drop_label!r}")
+    if p.backend == EXACT:
+        frame = _span_frame_without(p, tol, drop_label)
+        return PointCheck(verify_frame(p, frame, tol), p, tol, drop_label, frame)
+    tag = classify(p, tol)
+    rows, residuals, traces, scales = kernel.span_rows(p.x, p.w, tag.v)
+    kept = [row for label, row in zip(SPAN_LABELS, rows) if label != drop_label]
+    rank = real_rank(kept, tol)
+    # the D rows come first: ell_i, ell_j, ell_k, u0, u_i, u_j, u_k
+    negative_rank = real_rank(kept[: 7 - (drop_label in SPAN_LABELS[:7])], tol)
+    member_bad = [
+        label
+        for label, res, trace, scale in zip(U_LABELS, residuals, traces, scales)
+        if label != drop_label
+        and not bundle.membership_verdict(Quaternion(*res), Quaternion(*trace), scale, tol)
+    ]
+    check = FrameCheck(
+        case=tag.kind,
+        rank=rank,
+        negative_rank=negative_rank,
+        membership_violations=member_bad,
+    )
+    return PointCheck(check, p, tol, drop_label)
 
 
 def frame_to_json(p: Sp2Point, frame: Frame, check: FrameCheck) -> dict:

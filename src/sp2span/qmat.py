@@ -434,38 +434,44 @@ def _bareiss_rank(rows: list[list[int]]) -> RankResult:
 
 
 def _pivoted_rank(rows: list[Sequence[float]], rel_tol: float) -> RankResult:
-    a = np.array(rows, dtype=np.float64)
-    n_rows, n_cols = a.shape
+    """Complete-pivot Gaussian elimination on rows of Python floats."""
     # Row equilibration: rank is invariant under scaling rows by nonzero
     # constants, and it keeps the pivot ratios meaningful when one frame
     # entry dwarfs the others.
-    scale = np.max(np.abs(a), axis=1)
-    nonzero = scale > 0.0
-    a[nonzero] /= scale[nonzero, None]
-    max_initial = float(np.max(np.abs(a))) if a.size else 0.0
+    a = []
+    for row in rows:
+        scale = max(map(abs, row))
+        a.append([x / scale for x in row] if scale > 0.0 else list(row))
+    max_initial = max((max(map(abs, row)) for row in a), default=0.0)
     if max_initial == 0.0:
         return RankResult(rank=0, method="pivoted-ge", min_rel_pivot=None)
     threshold = rel_tol * max_initial
-    row_free = list(range(n_rows))
-    col_free = list(range(n_cols))
+    # `a` holds the free block: the rows not yet pivoted on (`row_of` gives
+    # their indices in the input), restricted to the free columns (`col_of`).
+    row_of = list(range(len(a)))
+    col_of = list(range(len(a[0])))
     pivots = []
     positions = []
-    while row_free and col_free:
-        sub = np.abs(a[np.ix_(row_free, col_free)])
-        flat = int(np.argmax(sub))
-        ri, ci = divmod(flat, sub.shape[1])
-        val = float(sub[ri, ci])
+    while a and col_of:
+        # complete pivoting: the largest free entry, the first in row-major
+        # order among equals
+        val = -1.0
+        for i, row in enumerate(a):
+            top = max(map(abs, row))
+            if top > val:
+                val, best = top, i
         if val <= threshold:
             break
-        r, c = row_free[ri], col_free[ci]
+        prow = a.pop(best)
+        ci = list(map(abs, prow)).index(val)
         pivots.append(val)
-        positions.append((r, c))
-        piv = a[r, c]
-        for r2 in row_free:
-            if r2 != r and a[r2, c] != 0.0:
-                a[r2, :] -= (a[r2, c] / piv) * a[r, :]
-        row_free.remove(r)
-        col_free.remove(c)
+        positions.append((row_of.pop(best), col_of.pop(ci)))
+        piv = prow.pop(ci)
+        for row in a:
+            f = row.pop(ci)
+            if f != 0.0:
+                f = f / piv
+                row[:] = [x - f * y for x, y in zip(row, prow)]
     min_rel = min(pivots) / max_initial if pivots else None
     return RankResult(
         rank=len(pivots),
@@ -476,13 +482,19 @@ def _pivoted_rank(rows: list[Sequence[float]], rel_tol: float) -> RankResult:
     )
 
 
+# Float scalars: Python floats and numpy's (np.float64 is both).
+_FLOAT_TYPES = (float, np.floating)
+
+
 def real_rank(vectors: Iterable[Vec10], tol: float = 1e-9) -> RankResult:
     """Rank of the real span of the given coordinate vectors.
 
     Exact backend: fraction-free Bareiss elimination after clearing row
     denominators; the result is a certificate, not an estimate.  Float
-    backend: complete-pivot Gaussian elimination on equilibrated rows with
-    relative pivot threshold `tol`.
+    backend (Python or numpy floats, which are ranked as Python floats):
+    complete-pivot Gaussian elimination on equilibrated rows with relative
+    pivot threshold `tol`.  Rows mixing the two backends raise
+    BackendMismatch.
     """
     rows = [tuple(v) for v in vectors]
     if not rows:
@@ -491,13 +503,13 @@ def real_rank(vectors: Iterable[Vec10], tol: float = 1e-9) -> RankResult:
     for row in rows:
         if len(row) != width:
             raise ShapeMismatch("rank input rows have inconsistent lengths")
-    first = rows[0][0]
-    is_float = type(first) is float
-    for row in rows:
-        for x in row:
-            if (type(x) is float) != is_float:
-                raise BackendMismatch("rank input mixes exact and float rows")
-    if is_float:
+    types = {type(x) for row in rows for x in row}
+    kinds = {issubclass(t, _FLOAT_TYPES) for t in types}
+    if len(kinds) > 1:
+        raise BackendMismatch("rank input mixes exact and float rows")
+    if kinds.pop():
+        if types != {float}:
+            rows = [[float(x) for x in row] for row in rows]
         return _pivoted_rank(rows, tol)
     int_rows = []
     for row in rows:

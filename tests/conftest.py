@@ -2,10 +2,12 @@
 
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import strategies as st
 
 from sp2span import frames
+from sp2span.qmat import RankResult
 from sp2span.quat import EXACT, Quaternion, quat
 
 # Small rationals keep Fraction blowup in long products under control while
@@ -77,3 +79,48 @@ def quat_close(q: Quaternion, r: Quaternion, tol: float = 1e-12) -> bool:
 def identity_results():
     """One run of the full identity suite, shared by every test that reads it."""
     return frames.run_identity_suite()
+
+
+def numpy_pivoted_rank(rows, rel_tol: float) -> RankResult:
+    """The float rank as numpy elimination: the reference for
+    qmat._pivoted_rank, which runs the same algorithm on Python lists.
+    Same row equilibration, complete-pivot search (np.argmax: the first
+    largest entry in row-major order), relative threshold, and update
+    row -= (row[c] / piv) * prow on every free row."""
+    a = np.array(rows, dtype=np.float64)
+    n_rows, n_cols = a.shape
+    scale = np.max(np.abs(a), axis=1)
+    nonzero = scale > 0.0
+    a[nonzero] /= scale[nonzero, None]
+    max_initial = float(np.max(np.abs(a))) if a.size else 0.0
+    if max_initial == 0.0:
+        return RankResult(rank=0, method="pivoted-ge", min_rel_pivot=None)
+    threshold = rel_tol * max_initial
+    row_free = list(range(n_rows))
+    col_free = list(range(n_cols))
+    pivots = []
+    positions = []
+    while row_free and col_free:
+        sub = np.abs(a[np.ix_(row_free, col_free)])
+        flat = int(np.argmax(sub))
+        ri, ci = divmod(flat, sub.shape[1])
+        val = float(sub[ri, ci])
+        if val <= threshold:
+            break
+        r, c = row_free[ri], col_free[ci]
+        pivots.append(val)
+        positions.append((r, c))
+        piv = a[r, c]
+        for r2 in row_free:
+            if r2 != r and a[r2, c] != 0.0:
+                a[r2, :] -= (a[r2, c] / piv) * a[r, :]
+        row_free.remove(r)
+        col_free.remove(c)
+    min_rel = min(pivots) / max_initial if pivots else None
+    return RankResult(
+        rank=len(pivots),
+        method="pivoted-ge",
+        pivots=pivots,
+        positions=positions,
+        min_rel_pivot=min_rel,
+    )

@@ -5,10 +5,13 @@ probes, segment cuts, identity entries, the worker pool).  A missing name
 fails its traced run at patch time, so a refactor that renames one would
 break `perfbench/run.py --trace 1` without any other test noticing.  The
 benchmark module is loaded as it is, without running its entry point.
+The names its correctness gate observes must also still be called, once
+per sample or per rank, as the gate expects.
 """
 
 import importlib.util
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -63,3 +66,39 @@ def test_counted_quaternion_methods_are_own():
     # and quat.new.per_point; both must stay defined on the class itself.
     assert "__mul__" in quat.Quaternion.__dict__
     assert "__init__" in quat.Quaternion.__dict__
+
+
+@pytest.mark.parametrize("backend,samples", [("float", 4), ("exact", 8)])
+def test_gate_observes_every_point(monkeypatch, backend, samples):
+    # The gate wraps these names to count a case per sample (cli._verify_one),
+    # to collect the seed self-test's points (bundle.random_sp2) and to take
+    # the oracle's rank inputs (frames.real_rank).  A refactor that stopped
+    # calling them would leave the oracle nothing to check.
+    indices, draws, ranks = [], [], []
+    verify_one, random_sp2, real_rank = cli._verify_one, bundle.random_sp2, frames.real_rank
+
+    def seen_verify_one(args):
+        indices.append(args[0])
+        return verify_one(args)
+
+    def seen_random_sp2(*args, **kwargs):
+        p = random_sp2(*args, **kwargs)
+        draws.append(p)
+        return p
+
+    def seen_real_rank(vectors, *args, **kwargs):
+        rows = [list(v) for v in vectors]
+        ranks.append(rows)
+        return real_rank(rows, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "_verify_one", seen_verify_one)
+    monkeypatch.setattr(bundle, "random_sp2", seen_random_sp2)
+    monkeypatch.setattr(frames, "real_rank", seen_real_rank)
+    argv = ["verify", "--backend", backend, "--samples", str(samples), "--seed", "5"]
+    assert cli.main(argv + ["--emit", "json"]) == 0
+    assert indices == list(range(samples))
+    assert len(draws) == (samples if backend == "float" else 0)
+    assert all(isinstance(p, qmat.Sp2Point) for p in draws)
+    assert [len(rows) for rows in ranks] == [13, 7] * samples
+    scalar = float if backend == "float" else Fraction
+    assert all(type(x) is scalar for rows in ranks for row in rows for x in row)

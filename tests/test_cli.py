@@ -9,7 +9,7 @@ from fractions import Fraction
 
 from sp2span import bundle, frames
 from sp2span.cli import RunConfig, build_parser, canonical_json, main
-from sp2span.qmat import QMat2, Sp2Alg
+from sp2span.qmat import QMat2, Sp2Alg, Sp2Point
 from sp2span.quat import EXACT, quat
 
 
@@ -103,6 +103,34 @@ def test_corrupt_frame_hook_exits_1(tmp_path):
     assert rep["pass"] is False
     assert rep["failures"]
     assert all("point" in f for f in rep["failures"])
+
+
+@pytest.mark.parametrize("backend", ["float", "exact"])
+def test_verify_serializes_only_failing_points(tmp_path, monkeypatch, backend):
+    # A passing record keeps no point, so verify serializes none; each failure
+    # record carries its point, which replays through `frame` (the full,
+    # uncorrupted frame) to the case the record names.
+    calls = []
+    to_json = Sp2Point.to_json
+
+    def counted(self):
+        calls.append(self)
+        return to_json(self)
+
+    monkeypatch.setattr(Sp2Point, "to_json", counted)
+    common = ["verify", "--backend", backend, "--seed", "4", "--emit", "json", "--out"]
+    assert main(common + [str(tmp_path / "ok.json"), "--samples", "8"]) == 0
+    assert calls == []
+    bad = tmp_path / "bad.json"
+    assert main(common + [str(bad), "--samples", "3", "--corrupt-frame", "ell_i"]) == 1
+    assert len(calls) == 3
+    for rec in json.loads(bad.read_text())["failures"]:
+        point_file = tmp_path / f"p{rec['index']}.json"
+        point_file.write_text(json.dumps({"backend": backend, "p": rec["point"]}))
+        frame_out = tmp_path / f"f{rec['index']}.json"
+        assert main(["frame", str(point_file), "--emit", "json", "--out", str(frame_out)]) == 0
+        replay = json.loads(frame_out.read_text())
+        assert replay["case"] == rec["case"] and replay["rank"] == 10 and replay["pass"] is True
 
 
 def test_corrupt_frame_unknown_label_exits_2():

@@ -1,0 +1,167 @@
+"""The float span kernel against the object path.
+
+`frames.span_frame` (Quaternion/QMat2 objects) and `frames.verify_frame`
+stay the float reference: the kernel must give the same rows, residuals,
+ranks, pivots and membership verdicts at Haar points, at the 900 points of
+test_boundary_continuation, and at float points on the quarter stratum.
+The kernel's complex matrix products round differently from the quaternion
+products, so rows and pivots are compared at tolerances fixed from float64
+(about 1e-15 was measured on both), not bitwise, and pivot positions may
+differ where the reference's own choice between equal entries is a tie.
+"""
+
+import numpy as np
+import pytest
+
+from sp2span import bundle, frames, kernel
+from sp2span.bundle import ad_h_p_residual, ib_float_point
+from sp2span.frames import SPAN_LABELS, check_point, classify, verify_frame
+from sp2span.qmat import to_vec10
+from sp2span.quat import FLOAT, quat
+
+from test_frames import BOUNDARY_DRESSINGS, BOUNDARY_V, NEAR_QUARTER_PHASES, _boundary_point
+
+TOL = 1e-9
+ROW_TOL = 1e-13  # times the row's largest entry
+# Pivots are compared, and ties told apart, relative to the largest entry of
+# the equilibrated rows, which is 1: a small pivot left by cancellation
+# carries an absolute error of about 1e-16, not a relative one.
+PIVOT_TOL = 1e-12
+
+
+def _haar(count=500):
+    return [bundle.random_sp2(9000 + n) for n in range(count)]
+
+
+def _boundary():
+    return [
+        _boundary_point(stratum, side, 10.0**-e, k)
+        for stratum in list(BOUNDARY_V) + ["split->1/4"]
+        for k in range(len(BOUNDARY_DRESSINGS))
+        for e in range(1, 16)
+        for side in (1, -1)
+    ]
+
+
+def _quarter():
+    points = [ib_float_point(0.25, 0.1 + 0.2 * k, 0.7 + 0.3 * k) for k in range(25)]
+    return points + [ib_float_point(0.25, a, b) for a, b in NEAR_QUARTER_PHASES]
+
+
+FAMILIES = {"haar": _haar, "boundary": _boundary, "quarter": _quarter}
+
+
+def _forced_path(rows, positions):
+    """Run the float elimination on rows with its pivots forced to the given
+    positions.  Per step: (the forced pivot's magnitude, the largest free
+    magnitude, the second largest)."""
+    a = np.array(rows, dtype=np.float64)
+    scale = np.max(np.abs(a), axis=1)
+    a[scale > 0] /= scale[scale > 0, None]
+    row_free, col_free = list(range(a.shape[0])), list(range(a.shape[1]))
+    steps = []
+    for r, c in positions:
+        free = np.sort(np.abs(a[np.ix_(row_free, col_free)]), axis=None)
+        steps.append((abs(a[r, c]), free[-1], free[-2] if free.size > 1 else 0.0))
+        for r2 in row_free:
+            if r2 != r and a[r2, c] != 0.0:
+                a[r2, :] -= (a[r2, c] / a[r, c]) * a[r, :]
+        row_free.remove(r)
+        col_free.remove(c)
+    return steps
+
+
+def _assert_same_rank(mine, ref, rows):
+    """Same rank; the kernel's pivot sequence is a complete-pivot sequence
+    of the object rows, with the same pivots; and it leaves the reference's
+    positions only where the reference's own choice was a tie, which the
+    last bit of rounding decides (the I-b frames have many entries of
+    exactly 1 and 2)."""
+    assert mine.rank == ref.rank
+    for val, (forced, top, _) in zip(mine.pivots, _forced_path(rows, mine.positions)):
+        assert forced >= top - PIVOT_TOL
+        assert abs(val - forced) <= PIVOT_TOL
+    if mine.positions != ref.positions:
+        step = next(s for s, (m, r) in enumerate(zip(mine.positions, ref.positions)) if m != r)
+        _, top, second = _forced_path(rows, ref.positions)[step]
+        assert second >= top - PIVOT_TOL, "positions differ without a tie"
+    else:
+        assert all(abs(a - b) <= PIVOT_TOL for a, b in zip(mine.pivots, ref.pivots))
+
+
+def _assert_matches_object_path(p, drop_label=None):
+    pc = check_point(p, TOL, drop_label)
+    ref = verify_frame(p, pc.frame, TOL)
+    assert pc.case == ref.case
+    assert pc.check.membership_violations == ref.membership_violations
+    assert pc.check.failures() == ref.failures()
+    assert pc.ok == ref.ok
+    rows = [to_vec10(e.m) for e in pc.frame.entries]
+    d_rows = [row for row, e in zip(rows, pc.frame.entries) if not e.bracket_derived]
+    _assert_same_rank(pc.check.rank, ref.rank, rows)
+    _assert_same_rank(pc.check.negative_rank, ref.negative_rank, d_rows)
+
+
+@pytest.mark.parametrize("family", list(FAMILIES))
+def test_kernel_rows_match_object_rows(family):
+    for p in FAMILIES[family]():
+        rows, residuals, _, scales = kernel.span_rows(p.x, p.w, classify(p, TOL).v)
+        frame = frames.span_frame(p, TOL)
+        assert [e.label for e in frame.entries] == list(SPAN_LABELS)
+        for got, e in zip(rows, frame.entries):
+            want = to_vec10(e.m)
+            assert all(type(x) is float for x in got)
+            assert max(abs(g - w) for g, w in zip(got, want)) <= ROW_TOL * max(map(abs, want))
+        for res, scale, e in zip(residuals, scales, frame.entries[3:7]):
+            want = ad_h_p_residual(p, e.m, TOL).components()
+            assert max(abs(g - w) for g, w in zip(res, want)) <= ROW_TOL * max(1.0, scale)
+
+
+@pytest.mark.parametrize("family", list(FAMILIES))
+def test_kernel_check_matches_object_check(family):
+    for p in FAMILIES[family]():
+        _assert_matches_object_path(p)
+
+
+def test_kernel_residuals_of_non_members():
+    # With v off by a fixed quaternion the four u are not horizontal at p:
+    # the kernel's residuals still match the object path's, and they fail.
+    for n in range(50):
+        p = bundle.random_sp2(n)
+        v = classify(p, TOL).v
+        off = quat(v.h0 + 0.3, v.h1, v.h2 - 0.2, v.h3, backend=FLOAT)
+        _, residuals, traces, scales = kernel.span_rows(p.x, p.w, off)
+        for res, trace, scale, u in zip(residuals, traces, scales, frames.u_basis(off)):
+            want = ad_h_p_residual(p, u, TOL).components()
+            assert max(abs(g - w) for g, w in zip(res, want)) <= ROW_TOL * max(1.0, scale)
+            assert max(map(abs, res)) > 1e-3
+            assert trace == [0.0] * 4
+            assert not bundle.membership_verdict(quat(*res), quat(*trace), scale, TOL)
+
+
+@pytest.mark.parametrize("label", SPAN_LABELS)
+def test_dropped_row_failures_match_object_path(label):
+    points = _haar(20) + _quarter()[:4] + _boundary()[::75]
+    for p in points:
+        _assert_matches_object_path(p, label)
+        assert label not in [e.label for e in check_point(p, TOL, label).frame.entries]
+
+
+def test_float_check_builds_no_frame_objects(monkeypatch):
+    # verify never reads the frame, so the object path must not run for it;
+    # reading the frame builds it then.
+    p = bundle.random_sp2(1)
+    built = []
+    span_frame = frames.span_frame
+
+    def counted(*args):
+        built.append(args)
+        return span_frame(*args)
+
+    monkeypatch.setattr(frames, "span_frame", counted)
+    pc = check_point(p, TOL, "ell_j")
+    assert pc.ok is False and built == []
+    assert [e.label for e in pc.frame.entries] == [lbl for lbl in SPAN_LABELS if lbl != "ell_j"]
+    assert len(built) == 1
+    pc.frame
+    assert len(built) == 1

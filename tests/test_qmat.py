@@ -9,8 +9,10 @@ import numpy as np
 import pytest
 import sympy
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import MERSENNE_PRIMES, exact_quats
+from conftest import MERSENNE_PRIMES, exact_quats, floats, numpy_pivoted_rank
+from sp2span import bundle, frames
 from sp2span.qmat import (
     InvariantViolation,
     QMat2,
@@ -28,7 +30,7 @@ from sp2span.qmat import (
     to_vec10,
     vec10_weighted_dot,
 )
-from sp2span.quat import EXACT, FLOAT, ZeroDivisor, one, qi, qj, qk, quat, zero
+from sp2span.quat import EXACT, FLOAT, BackendMismatch, ZeroDivisor, one, qi, qj, qk, quat, zero
 
 exact_mats = exact_quats.flatmap(
     lambda a: exact_quats.flatmap(
@@ -308,3 +310,63 @@ def test_float_rank_scale_invariance():
     rows = _planted_vectors(g, 10, extra=0, backend=FLOAT)
     scaled = [[x * (10.0 ** (idx - 5)) for x in r] for idx, r in enumerate(rows)]
     assert real_rank(scaled, tol=1e-9).rank == 10
+
+
+def _span_rows(seed: int):
+    return [to_vec10(e.m) for e in frames.span_frame(bundle.random_sp2(seed)).entries]
+
+
+def test_float_rank_takes_numpy_floats():
+    # Rows of numpy floats are float rows: a 2-D ndarray, tuples of
+    # np.float64 (the benchmark's rank capture re-packs rows as tuples) and
+    # rows mixing np.float64 with float rank like lists of Python floats,
+    # not as exact binary rationals by Bareiss.
+    rows = _span_rows(3)
+    ref = real_rank([list(r) for r in rows])
+    assert ref.method == "pivoted-ge" and ref.rank == 10
+    arr = np.array(rows)
+    np_tuples = [tuple(np.float64(x) for x in r) for r in rows]
+    for variant in (arr, list(arr), np_tuples, [rows[0]] + list(arr[1:])):
+        got = real_rank(variant)
+        assert got.method == "pivoted-ge"
+        assert (got.rank, got.pivots, got.positions) == (ref.rank, ref.pivots, ref.positions)
+        assert all(type(x) is float for x in got.pivots)
+    with pytest.raises(BackendMismatch):
+        real_rank(list(arr[:-1]) + [[Fraction(1)] * 10])
+
+
+def _assert_bitwise_reference(rows):
+    got, ref = real_rank(rows, tol=1e-9), numpy_pivoted_rank(rows, 1e-9)
+    assert got.method == ref.method == "pivoted-ge"
+    assert got.rank == ref.rank
+    assert got.pivots == ref.pivots and got.positions == ref.positions
+    assert got.min_rel_pivot == ref.min_rel_pivot
+
+
+def test_float_rank_is_the_numpy_elimination_on_frames():
+    # The list elimination runs the numpy algorithm step for step: equal
+    # pivots and positions, bit for bit, on the 13 span rows and the 7 D
+    # rows of Haar points.
+    for seed in range(200):
+        rows = _span_rows(seed)
+        _assert_bitwise_reference(rows)
+        _assert_bitwise_reference(rows[:7])
+
+
+@st.composite
+def planted_float_rows(draw):
+    """Up to 14 rows of width 10: k drawn rows and their combinations, in a
+    drawn order.  Hypothesis favours 0, 1 and repeated values, so complete
+    pivoting meets many ties."""
+    k = draw(st.integers(min_value=0, max_value=10))
+    base = draw(st.lists(st.lists(floats, min_size=10, max_size=10), min_size=k, max_size=k))
+    coeffs = draw(st.lists(st.lists(floats, min_size=k, max_size=k), min_size=0, max_size=4))
+    combos = [[sum((c * b[t] for c, b in zip(cs, base)), 0.0) for t in range(10)] for cs in coeffs]
+    return draw(st.permutations(base + combos))
+
+
+@given(planted_float_rows())
+@settings(max_examples=300, deadline=None)
+def test_float_rank_is_the_numpy_elimination_on_planted_rows(rows):
+    if rows:
+        _assert_bitwise_reference(rows)
