@@ -1,10 +1,9 @@
-"""Sphere projections, horizontality conditions, and point generation on Sp(2).
+"""The sphere projection, horizontality conditions, and point generation on Sp(2).
 
-A group point is written p = [[x, y], [w, z]].  The two sphere projections
-send p to (y, z) on S^7 and on to S^4 by either (2 y conj(z), |y|^2 - |z|^2)
-or (2 conj(y) z, |y|^2 - |z|^2); the first is invariant under the right
-action p diag(conj(lam), conj(mu)), the second under the left/right mixed
-action diag(lam, lam) p diag(conj(mu), 1).
+A group point is written p = [[x, y], [w, z]].  The sphere projection
+sends p to (y, z) on S^7 and on to S^4 by (2 conj(y) z, |y|^2 - |z|^2),
+which is invariant under the left/right mixed action
+diag(lam, lam) p diag(conj(mu), 1).
 
 The horizontal space at p is described twice:
 
@@ -67,23 +66,12 @@ class DegenerateDraw(Sp2Error):
     """Random draws kept producing (numerically) dependent columns."""
 
 
-# -- sphere projections -----------------------------------------------------------
-
-
-def project_s7(p: Sp2Point):
-    """Second column (y, z) of p; a point of the unit 7-sphere."""
-    return p.y, p.z
-
-
-def project_s4_std(p: Sp2Point):
-    """(2 y conj(z), |y|^2 - |z|^2): the Hopf-type projection used for the
-    round 4-sphere; invariant under the right action."""
-    return (p.y * p.z.conj()).scale(2), p.y.norm_sq() - p.z.norm_sq()
+# -- sphere projection and actions ------------------------------------------------
 
 
 def project_s4_gm(p: Sp2Point):
-    """(2 conj(y) z, |y|^2 - |z|^2): the companion projection whose total
-    space realizes the exotic sphere quotient; invariant under the
+    """(2 conj(y) z, |y|^2 - |z|^2): the projection whose total space
+    realizes the exotic sphere quotient; invariant under the
     diag(lam, lam) ... diag(conj(mu), 1) action."""
     return (p.y.conj() * p.z).scale(2), p.y.norm_sq() - p.z.norm_sq()
 
@@ -258,20 +246,6 @@ def case_ii_corner(p: Sp2Point, tol: float = 1e-9) -> str | None:
     return None
 
 
-def h_p_basis(p: Sp2Point, tol: float = 1e-9):
-    """Four independent elements of Ad_p(h_p).
-
-    Case II points (x = 0 or w = 0, see case_ii_corner) get the constant
-    antidiagonal basis; otherwise the solutions are built from v = x w^-1
-    (any nonzero quaternion v, no fiber normalization required).
-    """
-    from . import frames  # deferred: frames builds on this module
-
-    if case_ii_corner(p, tol):
-        return frames.case_ii_basis(p.backend)
-    return frames.u_basis(p.x * p.w.inverse())
-
-
 # -- random and constructed points --------------------------------------------------
 
 
@@ -433,10 +407,6 @@ def _rng_fraction(g, num_bound: int = 8, den_bound: int = 8) -> Fraction:
 def _rng_rational_unit(g) -> Quaternion:
     s = quat(0, _rng_fraction(g), _rng_fraction(g), _rng_fraction(g))
     return sp1_cayley(s)
-
-
-def _rng_complex_unit(g) -> Quaternion:
-    return sp1_cayley(quat(0, _rng_fraction(g), 0, 0))
 
 
 def _complex_cayley_point(g) -> Sp2Point:

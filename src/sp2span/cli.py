@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -81,15 +80,15 @@ def _verify_one(args):
             p = bundle.random_sp2(key)
         else:
             p = bundle.exact_random_point(key, case=_EXACT_CYCLE[index % len(_EXACT_CYCLE)])
-        pc = frames.check_point(p, tol, drop_label=drop)
+        res = frames.check_point(p, tol, drop_label=drop)
         rec = {
             "index": index,
-            "case": pc.case,
-            "ok": pc.ok,
-            "rank": pc.check.rank.rank,
-            "neg_rank": pc.check.negative_rank.rank,
-            "min_rel_pivot": pc.check.rank.min_rel_pivot,
-            "problems": pc.check.failures(),
+            "case": res.case,
+            "ok": res.ok,
+            "rank": res.rank.rank,
+            "neg_rank": res.negative_rank.rank,
+            "min_rel_pivot": res.rank.min_rel_pivot,
+            "problems": res.failures(),
         }
     except Sp2Error as exc:
         rec = {
@@ -176,11 +175,11 @@ def _sweep_family(name, points, expected_cases, tol):
     tally: dict = {}
     for idx, p in enumerate(points):
         try:
-            pc = frames.check_point(p, tol)
-            tally[pc.case] = tally.get(pc.case, 0) + 1
-            problems = list(pc.check.failures())
-            if pc.case not in expected_cases:
-                problems.append(f"classified {pc.case}, expected one of {sorted(expected_cases)}")
+            res = frames.check_point(p, tol)
+            tally[res.case] = tally.get(res.case, 0) + 1
+            problems = res.failures()
+            if res.case not in expected_cases:
+                problems.append(f"classified {res.case}, expected one of {sorted(expected_cases)}")
             if problems:
                 failures.append({"index": idx, "problems": problems, "point": p.to_json()})
         except Sp2Error as exc:
@@ -317,7 +316,7 @@ def _load_point(path: str, tol: float) -> Sp2Point:
             obj = json.load(fh)
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, bad UTF-8, over-long integers
         raise ParseError(f"malformed JSON in {path}: {exc}") from exc
     if not isinstance(obj, dict):
         raise ParseError("point file must be a JSON object")
@@ -332,36 +331,33 @@ def _load_point(path: str, tol: float) -> Sp2Point:
 def cmd_frame(cfg: RunConfig, path: str) -> int:
     start = time.monotonic()
     p = _load_point(path, cfg.tol)
-    pc = frames.check_point(p, cfg.tol)
-    report = frames.frame_to_json(p, pc.frame, pc.check)
+    res = frames.check_point(p, cfg.tol)
+    report = frames.frame_to_json(frames.span_frame(p, cfg.tol), res)
     report["schema"] = SCHEMA
     report["command"] = "frame"
     report["backend"] = p.backend
-    report["pass"] = pc.ok
+    report["pass"] = res.ok
     report["elapsed_s"] = round(time.monotonic() - start, 3)
     lines = [f"case: {report['case']}"]
     for m in report["matrices"]:
         lines.append(f"  {m['label']:10s} {m['paper_eq']}")
     lines.append(f"rank: {report['rank']}")
     lines.append(f"pivots: {report['pivots']}")
-    lines.append("PASS" if pc.ok else "FAIL: " + "; ".join(pc.check.failures()))
+    lines.append("PASS" if res.ok else "FAIL: " + "; ".join(res.failures()))
     _emit(report, lines, cfg.emit, cfg.out)
-    return 0 if pc.ok else 1
+    return 0 if res.ok else 1
 
 
 # -- argument parsing ----------------------------------------------------------------
 
 
-def _add_common(sp, with_sampling: bool = True):
+def _add_common(sp, with_sampling: bool = True, with_backend: bool = True):
     if with_sampling:
         sp.add_argument("--samples", type=int, default=1000, help="number of points")
         sp.add_argument("--seed", type=int, default=0, help="base RNG seed")
         sp.add_argument("--jobs", type=int, default=1, help="worker processes")
-    sp.add_argument(
-        "--backend",
-        default=os.environ.get("SP2_BACKEND", FLOAT),
-        help="scalar backend: exact or float (env SP2_BACKEND)",
-    )
+    if with_backend:
+        sp.add_argument("--backend", default=FLOAT, help="scalar backend: exact or float")
     sp.add_argument("--tol", type=float, default=1e-9, help="float comparison tolerance")
     sp.add_argument("--emit", choices=("json", "text"), default="text", help="output format")
     sp.add_argument("--out", default=None, help="write the report to this path")
@@ -378,7 +374,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(sp)
     sp.add_argument("--corrupt-frame", default=None, help=argparse.SUPPRESS)
 
-    sp = sub.add_parser("special-sweep", help="deterministic per-case grids (exact backend)")
+    sp = sub.add_parser("special-sweep", help="deterministic per-case grids")
     sp.add_argument("--samples", type=int, default=25, help="points per family")
     sp.add_argument("--tol", type=float, default=1e-9)
     sp.add_argument("--emit", choices=("json", "text"), default="text")
@@ -392,8 +388,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(sp, with_sampling=False)
 
     sp = sub.add_parser("frame", help="frame report for one point file")
-    sp.add_argument("point_file", help='JSON file {"backend": ..., "p": {...}}')
-    _add_common(sp, with_sampling=False)
+    sp.add_argument("point_file", help='JSON file {"backend": ..., "p": {...}}; it names the backend')
+    _add_common(sp, with_sampling=False, with_backend=False)
 
     return ap
 
@@ -444,7 +440,7 @@ def main(argv=None) -> int:
             return cmd_standard_sphere(cfg)
         if ns.command == "frame":
             return cmd_frame(cfg, ns.point_file)
-    except (ParseError, InvariantViolation) as exc:
+    except (ParseError, InvariantViolation, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
     parser.error(f"unknown command {ns.command!r}")

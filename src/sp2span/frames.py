@@ -27,7 +27,7 @@ quaternions do not commute.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from math import gcd, hypot
@@ -81,10 +81,11 @@ class DegenerateV(Sp2Error):
 
 @dataclass(frozen=True)
 class CaseTag:
-    """The case label of a point.  No verdict depends on it.
+    """The case label of a point.  No verdict depends on its kind.
 
-    v = x w^-1 is None for case II; split is the I-b quantity |a|^2 - |b|^2,
-    present only for I-b.
+    v = x w^-1 is None for case II, and picks the u-basis (d_entries,
+    kernel.span_rows); split is the I-b quantity |a|^2 - |b|^2, present
+    only for I-b.
     """
 
     kind: str
@@ -370,10 +371,11 @@ def _bracket_entry(label: str, formula: str, m: Sp2Alg) -> FrameEntry:
     return FrameEntry(label=label, formula=formula, m=m, horizontal=False, bracket_derived=True)
 
 
-def d_entries(p: Sp2Point, tol: float = 1e-9):
+def d_entries(p: Sp2Point, tag: CaseTag, tol: float = 1e-9):
     """The seven rows of D at p: ell_i, ell_j, ell_k and the u-basis of
-    Ad_p(h_p) from bundle.h_p_basis (built from any nonzero v = x w^-1, or
-    the constant antidiagonal basis where x or w vanishes)."""
+    Ad_p(h_p) for p's case label tag (classify): the constant antidiagonal
+    basis where x or w vanishes (tag.v is None), else the basis built from
+    the nonzero v = x w^-1."""
     backend = p.backend
     out = [
         FrameEntry(
@@ -385,14 +387,16 @@ def d_entries(p: Sp2Point, tol: float = 1e-9):
         )
         for r, rho in zip("ijk", (qi(backend), qj(backend), qk(backend)))
     ]
-    if bundle.case_ii_corner(p, tol):
+    if tag.v is None:
+        us = case_ii_basis(backend)
         formulas = [f"[[0, {b}], [-conj({b}), 0]]" for b in "1ijk"]
     else:
+        us = u_basis(tag.v)
         formulas = ["[[0, v], [-conj(v), 0]], v = x w^-1"]
         formulas += [f"[[{r}, b_{r}], [-conj(b_{r}), -{r}]], {_B_RHO}" for r in "ijk"]
     out += [
         FrameEntry(label=n, formula=f, m=u, horizontal=True, bracket_derived=False)
-        for n, f, u in zip(U_LABELS, formulas, bundle.h_p_basis(p, tol))
+        for n, f, u in zip(U_LABELS, formulas, us)
     ]
     return out
 
@@ -400,12 +404,13 @@ def d_entries(p: Sp2Point, tol: float = 1e-9):
 def span_frame(p: Sp2Point, tol: float = 1e-9) -> Frame:
     """The case-free frame checked at every point: the seven D rows and the
     six brackets [u_a, u_b], in SPAN_LABELS order."""
-    d = d_entries(p, tol)
+    tag = classify(p, tol)
+    d = d_entries(p, tag, tol)
     brackets = [
         _bracket_entry(f"[{a.label},{b.label}]", f"bracket {a.label} {b.label}", bracket(a.m, b.m))
         for a, b in combinations(d[3:], 2)
     ]
-    return Frame(tag=classify(p, tol), entries=tuple(d + brackets))
+    return Frame(tag=tag, entries=tuple(d + brackets))
 
 
 def build_frame(p: Sp2Point, tag: CaseTag | None = None, tol: float = 1e-9) -> Frame:
@@ -426,7 +431,7 @@ def build_frame(p: Sp2Point, tag: CaseTag | None = None, tol: float = 1e-9) -> F
     """
     if tag is None:
         tag = classify(p, tol)
-    d = d_entries(p, tol)
+    d = d_entries(p, tag, tol)
     ells, u_entries = d[:3], d[3:]
     us = [e.m for e in u_entries]
     u0, ui_, uj_, uk_ = us
@@ -556,42 +561,7 @@ def verify_frame(p: Sp2Point, frame: Frame, tol: float = 1e-9) -> FrameCheck:
     )
 
 
-@dataclass
-class PointCheck:
-    """The verdict at one point, and the span frame it checked.
-
-    A float check runs on the kernel's rows, not on frame objects, so its
-    frame (span_frame, the object path) is built only when read."""
-
-    check: FrameCheck
-    p: Sp2Point
-    tol: float = 1e-9
-    drop_label: str | None = None
-    _frame: Frame | None = field(default=None, repr=False)
-
-    @property
-    def frame(self) -> Frame:
-        if self._frame is None:
-            self._frame = _span_frame_without(self.p, self.tol, self.drop_label)
-        return self._frame
-
-    @property
-    def case(self) -> str:
-        return self.check.case
-
-    @property
-    def ok(self) -> bool:
-        return self.check.ok
-
-
-def _span_frame_without(p: Sp2Point, tol: float, drop_label: str | None) -> Frame:
-    frame = span_frame(p, tol)
-    if drop_label is None:
-        return frame
-    return Frame(tag=frame.tag, entries=tuple(e for e in frame.entries if e.label != drop_label))
-
-
-def check_point(p: Sp2Point, tol: float = 1e-9, drop_label: str | None = None) -> PointCheck:
+def check_point(p: Sp2Point, tol: float = 1e-9, drop_label: str | None = None) -> FrameCheck:
     """The span check at p as given, with no fiber normalization: the 13
     rows of span_frame have rank 10, the seven D rows rank exactly 7, and
     each u lies in Ad_p(h_p).  drop_label removes that row first; it is the
@@ -603,8 +573,9 @@ def check_point(p: Sp2Point, tol: float = 1e-9, drop_label: str | None = None) -
     if drop_label is not None and drop_label not in SPAN_LABELS:
         raise ValueError(f"no frame row is labeled {drop_label!r}")
     if p.backend == EXACT:
-        frame = _span_frame_without(p, tol, drop_label)
-        return PointCheck(verify_frame(p, frame, tol), p, tol, drop_label, frame)
+        frame = span_frame(p, tol)
+        entries = tuple(e for e in frame.entries if e.label != drop_label)
+        return verify_frame(p, Frame(tag=frame.tag, entries=entries), tol)
     tag = classify(p, tol)
     rows, residuals, traces, scales = kernel.span_rows(p.x, p.w, tag.v)
     kept = [row for label, row in zip(SPAN_LABELS, rows) if label != drop_label]
@@ -617,19 +588,17 @@ def check_point(p: Sp2Point, tol: float = 1e-9, drop_label: str | None = None) -
         if label != drop_label
         and not bundle.membership_verdict(Quaternion(*res), Quaternion(*trace), scale, tol)
     ]
-    check = FrameCheck(
+    return FrameCheck(
         case=tag.kind,
         rank=rank,
         negative_rank=negative_rank,
         membership_violations=member_bad,
     )
-    return PointCheck(check, p, tol, drop_label)
 
 
-def frame_to_json(p: Sp2Point, frame: Frame, check: FrameCheck) -> dict:
-    case = frame.tag.kind
+def frame_to_json(frame: Frame, check: FrameCheck) -> dict:
     return {
-        "case": case,
+        "case": frame.tag.kind,
         "matrices": [
             {"label": e.label, "paper_eq": e.formula, "m": e.m.m.to_json()}
             for e in frame.entries
@@ -838,7 +807,8 @@ def identity_corner_vanishing(count: int = 100) -> IdentityResult:
     devs = []
     for idx in range(count):
         p = bundle.exact_random_point(3000 + idx, case=bundle.EXACT_CASE_KINDS[idx % 5])
-        us = bundle.h_p_basis(p)
+        tag = classify(p)
+        us = case_ii_basis(EXACT) if tag.v is None else u_basis(tag.v)
         pinv = p.inverse()
         for u in us:
             devs.append(float(ad(pinv, u).m.a.max_abs()))

@@ -106,11 +106,6 @@ class QMat2:
     def max_component_diff(self, other: "QMat2") -> Scalar:
         return (self - other).max_abs()
 
-    def approx_eq(self, other: "QMat2", tol: float = 0.0) -> bool:
-        if self.backend == EXACT and tol == 0.0:
-            return self == other
-        return self.max_component_diff(other) <= tol
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, QMat2):
             return NotImplemented
@@ -288,17 +283,6 @@ class Sp2Alg:
 
     def __repr__(self):
         return f"Sp2Alg({self.m!r})"
-
-    def to_json(self):
-        out = self.m.to_json()
-        out["kind"] = "sp2-algebra"
-        return out
-
-    @staticmethod
-    def from_json(obj, backend: str, tol: float = 1e-9) -> "Sp2Alg":
-        if isinstance(obj, dict) and obj.get("kind") not in (None, "sp2-algebra"):
-            raise ParseError(f"expected kind 'sp2-algebra', got {obj.get('kind')!r}")
-        return Sp2Alg(QMat2.from_json(obj, backend), tol=tol)
 
 
 def _mat_of(u) -> QMat2:

@@ -21,7 +21,6 @@ Scalar = Union[Fraction, float]
 
 EXACT = "exact"
 FLOAT = "float"
-BACKENDS = (EXACT, FLOAT)
 
 
 class Sp2Error(Exception):
@@ -165,11 +164,6 @@ class Quaternion:
     def norm_sq(self) -> Scalar:
         return self.h0 * self.h0 + self.h1 * self.h1 + self.h2 * self.h2 + self.h3 * self.h3
 
-    def norm(self) -> float:
-        """Euclidean norm as a double.  Diagnostic only: exact code paths
-        must use norm_sq, which stays on the backend."""
-        return math.sqrt(float(self.norm_sq()))
-
     def inverse(self) -> "Quaternion":
         n = self.norm_sq()
         if n == 0:
@@ -177,13 +171,6 @@ class Quaternion:
         return Quaternion(self.h0 / n, -self.h1 / n, -self.h2 / n, -self.h3 / n)
 
     # -- predicates and parts -------------------------------------------------
-
-    def real_part(self) -> Scalar:
-        return self.h0
-
-    def imag(self) -> "Quaternion":
-        zero = 0.0 if type(self.h0) is float else Fraction(0)
-        return Quaternion(zero, self.h1, self.h2, self.h3)
 
     def is_zero(self, tol: float = 0.0) -> bool:
         if self.backend == EXACT:
@@ -195,25 +182,8 @@ class Quaternion:
             return self.h0 == 0
         return abs(self.h0) <= tol
 
-    def is_real(self, tol: float = 0.0) -> bool:
-        if self.backend == EXACT:
-            return self.h1 == 0 and self.h2 == 0 and self.h3 == 0
-        return max(abs(self.h1), abs(self.h2), abs(self.h3)) <= tol
-
-    def is_complex(self, tol: float = 0.0) -> bool:
-        """True when q lies in span{1, i}."""
-        if self.backend == EXACT:
-            return self.h2 == 0 and self.h3 == 0
-        return max(abs(self.h2), abs(self.h3)) <= tol
-
     def max_abs(self) -> Scalar:
         return max(abs(self.h0), abs(self.h1), abs(self.h2), abs(self.h3))
-
-    def approx_eq(self, other: "Quaternion", tol: float = 0.0) -> bool:
-        self._check_backend(other)
-        if self.backend == EXACT and tol == 0.0:
-            return self == other
-        return (self - other).max_abs() <= tol
 
     # -- dunder plumbing ------------------------------------------------------
 
@@ -276,20 +246,6 @@ def qj(backend: str) -> Quaternion:
 
 def qk(backend: str) -> Quaternion:
     return quat(0, 0, 0, 1, backend=backend)
-
-
-def imaginary_units(backend: str):
-    return (qi(backend), qj(backend), qk(backend))
-
-
-def to_backend(q: Quaternion, backend: str) -> Quaternion:
-    """Convert between backends.  float -> exact is always lossless
-    (binary doubles are dyadic rationals); exact -> float rounds to nearest."""
-    if q.backend == backend:
-        return q
-    if backend == EXACT:
-        return Quaternion(*(Fraction(x) for x in q.components()))
-    return Quaternion(*(float(x) for x in q.components()))
 
 
 def dot(q: Quaternion, r: Quaternion) -> Scalar:
@@ -370,7 +326,15 @@ def scalar_from_json(obj, backend: str) -> Scalar:
         raise ParseError(f"exact scalar must be a string or integer, got {obj!r}")
     if backend == FLOAT:
         if isinstance(obj, (int, float)) and not isinstance(obj, bool):
-            return float(obj)
+            # json reads NaN, Infinity and integers beyond the double range;
+            # a NaN would slip past the max() in Sp2Point's p p* = Id check
+            try:
+                value = float(obj)
+            except OverflowError:
+                value = math.inf
+            if math.isfinite(value):
+                return value
+            raise ParseError(f"float scalar must be finite, got {obj!r}")
         raise ParseError(f"float scalar must be a JSON number, got {obj!r}")
     raise ParseError(f"unknown backend {backend!r}")
 

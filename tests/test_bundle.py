@@ -1,4 +1,4 @@
-"""Bundle layer: sphere projections and their equivariance, the dual
+"""Bundle layer: the sphere projection and its equivariance, the dual
 constructions of the fundamental fields, membership conditions, point
 generators (random, Cayley, deterministic grids), and fiber normalization."""
 
@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from sp2span import bundle
+from sp2span import bundle, frames
 from sp2span.bundle import (
     DegenerateDraw,
     NonImaginaryRho,
@@ -18,7 +18,6 @@ from sp2span.bundle import (
     ell_from_projector,
     exact_random_point,
     fiber_point,
-    h_p_basis,
     horizontal_space_rank,
     ib_float_point,
     in_ad_h_p,
@@ -26,8 +25,6 @@ from sp2span.bundle import (
     ir_w0,
     normalize_fiber,
     project_s4_gm,
-    project_s4_std,
-    project_s7,
     r_action,
     random_sp2,
     sp1_cayley,
@@ -48,6 +45,11 @@ def rng_alg(g: random.Random) -> Sp2Alg:
     return Sp2Alg(QMat2(za, b, -b.conj(), zc))
 
 
+def u_rows(p, tol: float = 1e-9):
+    """The four u of the span frame at p, for its case label."""
+    return [e.m for e in frames.d_entries(p, frames.classify(p, tol), tol)[3:]]
+
+
 def rng_unit(g: random.Random):
     while True:
         s = quat(Fraction(0), rng_frac(g), rng_frac(g), rng_frac(g), backend=EXACT)
@@ -62,18 +64,9 @@ def test_projections_land_on_spheres():
     g = random.Random(1)
     for _ in range(10):
         p = cayley_sp2(rng_alg(g))
-        y, z = project_s7(p)
-        assert y.norm_sq() + z.norm_sq() == 1
-        for q, t in (project_s4_std(p), project_s4_gm(p)):
-            assert q.norm_sq() + t * t == 1
-
-
-def test_std_projection_invariant_under_r_action():
-    g = random.Random(2)
-    for _ in range(10):
-        p = cayley_sp2(rng_alg(g))
-        lam, mu = rng_unit(g), rng_unit(g)
-        assert project_s4_std(r_action(p, lam, mu)) == project_s4_std(p)
+        assert p.y.norm_sq() + p.z.norm_sq() == 1
+        q, t = project_s4_gm(p)
+        assert q.norm_sq() + t * t == 1
 
 
 def test_gm_projection_invariant_under_diagonal_e_action():
@@ -89,7 +82,7 @@ def test_actions_preserve_sp2():
     p = cayley_sp2(rng_alg(g))
     lam, mu = rng_unit(g), rng_unit(g)
     for moved in (e_action(p, lam, mu), r_action(p, lam, mu)):
-        assert (moved.m @ moved.m.adjoint()).approx_eq(identity(EXACT), 0)
+        assert moved.m @ moved.m.adjoint() == identity(EXACT)
 
 
 # -- fundamental fields --------------------------------------------------------------
@@ -102,9 +95,9 @@ def test_ell_dual_paths_agree_exactly():
         for rho in (qi(EXACT), qj(EXACT), qk(EXACT)):
             direct = ell_direct(p, rho)
             proj = ell_from_projector(p, rho)
-            assert direct.approx_eq(proj, 0)
+            assert direct == proj
             # The front door returns the entrywise matrix as a valid algebra element.
-            assert Sp2Alg(ell(p, rho).m).m.approx_eq(direct, 0)
+            assert Sp2Alg(ell(p, rho).m).m == direct
     # Float points agree to a relative 1e-12.
     for s in range(40):
         p = random_sp2(500 + s)
@@ -152,7 +145,7 @@ def test_membership_variants_bridge():
     g = random.Random(9)
     for _ in range(10):
         p = cayley_sp2(rng_alg(g))
-        for u in h_p_basis(p):
+        for u in u_rows(p):
             assert in_ad_h_p(p, u)
             back = ad(p.inverse(), u)
             assert back.m.a.is_zero()
@@ -187,7 +180,7 @@ def test_case_ii_cut_scales_with_tol():
                 w0 = quat(1.0 / (1.0 + v.norm_sq()) ** 0.5, backend=FLOAT)
                 p = fiber_point(v, w0, one(FLOAT), one(FLOAT))
                 assert bundle.case_ii_corner(p, tol) == (entry if below else None)
-                assert all(in_ad_h_p(p, u, tol) for u in h_p_basis(p, tol))
+                assert all(in_ad_h_p(p, u, tol) for u in u_rows(p, tol))
     assert bundle.case_ii_corner(exact_random_point(3, case="II-w0")) == "w"
     assert bundle.case_ii_corner(exact_random_point(3, case="II-x0")) == "x"
     assert bundle.case_ii_corner(exact_random_point(3)) is None
@@ -197,7 +190,7 @@ def test_h_p_basis_spans_members():
     g = random.Random(10)
     for _ in range(10):
         p = cayley_sp2(rng_alg(g))
-        basis = h_p_basis(p)
+        basis = u_rows(p)
         assert len(basis) == 4
         for u in basis:
             assert in_ad_h_p(p, u)
@@ -218,7 +211,7 @@ def test_cayley_exactness():
     for _ in range(20):
         p = cayley_sp2(rng_alg(g))
         assert p.backend == EXACT
-        assert (p.m @ p.m.adjoint()).approx_eq(identity(EXACT), 0)
+        assert p.m @ p.m.adjoint() == identity(EXACT)
 
 
 def test_random_sp2_deterministic_and_valid():
@@ -245,7 +238,7 @@ def test_fiber_point_families():
         v, w0 = next(it)
         u1, u2 = rng_unit(g), rng_unit(g)
         p = fiber_point(v, w0, u1, u2)
-        assert (p.m @ p.m.adjoint()).approx_eq(identity(EXACT), 0)
+        assert p.m @ p.m.adjoint() == identity(EXACT)
         # x w^-1 reproduces v.
         assert p.x * p.w.inverse() == v
 
@@ -258,8 +251,6 @@ def test_ir_w0_closes_the_norm_condition():
 
 
 def test_exact_random_point_cases():
-    from sp2span import frames
-
     for seed in range(4):
         assert frames.classify(normalize_fiber(exact_random_point(seed)).point).kind in (
             frames.CASE_IA,
@@ -276,12 +267,10 @@ def test_exact_random_point_cases():
 def test_exact_random_point_deterministic():
     a = exact_random_point(77)
     b = exact_random_point(77)
-    assert a.m.approx_eq(b.m, 0)
+    assert a.m == b.m
 
 
 def test_grids_classify_and_are_distinct():
-    from sp2span import frames
-
     for builder, kind in (
         (bundle.grid_ia, frames.CASE_IA),
         (bundle.grid_ib, frames.CASE_IB_NONQUARTER),
@@ -298,8 +287,6 @@ def test_grids_classify_and_are_distinct():
 
 
 def test_ib_float_point_splits():
-    from sp2span import frames
-
     p = ib_float_point(0.25)
     tag = frames.classify(p)
     assert tag.kind == frames.CASE_IB_QUARTER
@@ -365,7 +352,7 @@ def test_normalize_fiber_case_ii_untouched():
     p = exact_random_point(21, case="II-x0")
     norm = normalize_fiber(p)
     assert norm.case_hint == "II-x0"
-    assert norm.point.m.approx_eq(p.m, 0)
+    assert norm.point.m == p.m
 
 
 def test_degenerate_draw_is_signaled():

@@ -1,5 +1,5 @@
 """CLI behavior: exit codes, report schema, determinism across worker
-counts, the corruption hook, environment default, and input rejection."""
+counts, the corruption hook, the ignored environment, and input rejection."""
 
 import json
 
@@ -166,13 +166,18 @@ def test_frame_subcommand(tmp_path):
     pt = tmp_path / "pt.json"
     pt.write_text(json.dumps({"backend": "exact", "p": p.m.to_json()}))
     out = tmp_path / "f.json"
-    code = main(["frame", str(pt), "--backend", "exact", "--emit", "json", "--out", str(out)])
+    code = main(["frame", str(pt), "--emit", "json", "--out", str(out)])
     assert code == 0
     rep = json.loads(out.read_text())
     assert rep["case"] == "I-b-nonquarter"
+    assert rep["backend"] == "exact"
     assert rep["rank"] == 10
     assert len(rep["matrices"]) == 13
     assert all(set(m) == {"label", "paper_eq", "m"} for m in rep["matrices"])
+    # the point file names the backend; frame takes no --backend
+    with pytest.raises(SystemExit) as err:
+        main(["frame", str(pt), "--backend", "exact"])
+    assert err.value.code == 2
 
 
 def test_frame_accepts_raw_exact_point(tmp_path):
@@ -201,6 +206,33 @@ def test_frame_rejects_malformed_json(tmp_path):
 
 def test_frame_rejects_missing_file(tmp_path):
     assert main(["frame", str(tmp_path / "absent.json")]) == 2
+
+
+def test_frame_rejects_non_finite_floats(tmp_path, capsys):
+    # json reads NaN and Infinity, and the max() in the p p* = Id check
+    # drops a NaN that is not its first argument, so the parser refuses them.
+    blob = bundle.random_sp2(7).to_json()
+    slots = [(entry, c) for entry in "abcd" for c in range(4)]
+    bad = [float("nan"), float("inf"), float("-inf"), 10**400]
+    pt = tmp_path / "pt.json"
+    for entry, c in slots:
+        for value in bad:
+            doctored = {**blob, entry: list(blob[entry])}
+            doctored[entry][c] = value
+            pt.write_text(json.dumps({"backend": "float", "p": doctored}))
+            assert main(["frame", str(pt)]) == 2, (entry, c, value)
+            assert "must be finite" in capsys.readouterr().err
+    pt.write_text('{"backend": "float", "p": {"a": [' + "1" * 5000 + ", 0, 0, 0]}}")
+    assert main(["frame", str(pt)]) == 2
+
+
+def test_unwritable_out_exits_2(tmp_path, capsys):
+    # A report that cannot be written is bad usage (2), not a failed check (1).
+    out = tmp_path / "missing" / "r.json"
+    assert main(["standard-sphere", "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert main(["verify", "--samples", "2", "--out", str(out)]) == 2
+    assert not out.exists()
 
 
 def test_frame_rejects_non_symplectic(tmp_path):
@@ -240,12 +272,13 @@ def test_usage_errors_exit_2():
 
 
 def test_env_backend_default(tmp_path, monkeypatch):
+    # --backend alone sets the backend; the environment is not read.
     monkeypatch.setenv("SP2_BACKEND", EXACT)
     out = tmp_path / "r.json"
-    # build_parser reads the env at construction time, so go through main().
     code = main(["verify", "--samples", "4", "--seed", "1", "--emit", "json", "--out", str(out)])
     assert code == 0
-    assert json.loads(out.read_text())["backend"] == "exact"
+    assert json.loads(out.read_text())["backend"] == "float"
+    assert build_parser().parse_args(["verify"]).backend == "float"
 
 
 def test_text_emit_prints_summary(capsys):

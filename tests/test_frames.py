@@ -6,6 +6,7 @@ controls, and the identity suite's plumbing."""
 import dataclasses
 import math
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -73,8 +74,8 @@ def test_classify_labels_unnormalized_exact():
     v = p.x * p.w.inverse()
     assert v.h2 != 0 or v.h3 != 0
     assert classify(p) == dataclasses.replace(classify(base), v=v)
-    pc = check_point(p)
-    assert pc.ok and pc.case == classify(base).kind
+    res = check_point(p)
+    assert res.ok and res.case == classify(base).kind
 
 
 def test_classify_float_quarter_band():
@@ -96,8 +97,8 @@ def test_flip_ib_subcase():
     # subcase keeps the point and the split but loses a rank.  The span
     # check needs no recipe and passes.
     p = ib_float_point(0.25)
-    pc = check_point(p)
-    assert pc.ok and pc.case == CASE_IB_QUARTER
+    res = check_point(p)
+    assert res.ok and res.case == CASE_IB_QUARTER
     tag = classify(p)
     assert verify_frame(p, build_frame(p, tag)).ok
     other = _other_ib_subcase(tag)
@@ -208,15 +209,15 @@ def test_frame_rank_10_per_case(name, maker):
     # The span check, and the paper's frame for the case, each certified
     # exactly: rank 10, and rank exactly 7 without the brackets.
     p = maker()
-    pc = check_point(p)
-    assert pc.ok, pc.check.failures()
-    assert [e.label for e in pc.frame.entries] == list(SPAN_LABELS)
-    assert pc.check.rank.rank == 10
-    assert pc.check.rank.method == "bareiss"
-    assert pc.check.negative_rank.rank == 7
+    res = check_point(p)
+    assert res.ok, res.failures()
+    assert [e.label for e in frames.span_frame(p).entries] == list(SPAN_LABELS)
+    assert res.rank.rank == 10
+    assert res.rank.method == "bareiss"
+    assert res.negative_rank.rank == 7
     paper = verify_frame(p, build_frame(p))
     assert paper.ok, paper.failures()
-    assert paper.case == pc.case
+    assert paper.case == res.case
     assert paper.rank.rank == 10 and paper.rank.method == "bareiss"
     assert paper.negative_rank.rank == 7
 
@@ -253,8 +254,8 @@ def test_frame_has_ten_labeled_entries():
 
 
 def test_float_quarter_point_verifies():
-    pc = check_point(ib_float_point(0.25))
-    assert pc.ok and pc.case == CASE_IB_QUARTER
+    res = check_point(ib_float_point(0.25))
+    assert res.ok and res.case == CASE_IB_QUARTER
 
 
 def test_near_quarter_tries_both_subcase_frames():
@@ -262,8 +263,8 @@ def test_near_quarter_tries_both_subcase_frames():
     # span check passes, and so do both of the paper's I-b recipes: the
     # label's choice between them decides nothing.
     p = ib_float_point(0.25 + 2e-7)
-    pc = check_point(p)
-    assert pc.ok and pc.case == CASE_IB_NONQUARTER
+    res = check_point(p)
+    assert res.ok and res.case == CASE_IB_NONQUARTER
     tag = classify(p)
     for t in (tag, _other_ib_subcase(tag)):
         check = verify_frame(p, build_frame(p, t))
@@ -273,10 +274,12 @@ def test_near_quarter_tries_both_subcase_frames():
 def test_far_from_quarter_uses_single_frame():
     # One frame, the same 13 rows whatever the case label says.
     p = ib_float_point(0.1)
-    pc = check_point(p)
-    assert pc.ok and pc.case == CASE_IB_NONQUARTER
-    assert pc.frame == frames.span_frame(p)
-    assert [e.label for e in pc.frame.entries] == list(SPAN_LABELS)
+    res = check_point(p)
+    assert res.ok and res.case == CASE_IB_NONQUARTER
+    frame = frames.span_frame(p)
+    assert frame.tag == classify(p)
+    assert [e.label for e in frame.entries] == list(SPAN_LABELS)
+    assert verify_frame(p, frame).ok
     assert verify_frame(p, build_frame(p)).ok
 
 
@@ -292,12 +295,12 @@ def test_near_quarter_continuation():
             eps = 10.0**-k
             for sign in (1, -1):
                 for phase1, phase2 in NEAR_QUARTER_PHASES:
-                    pc = check_point(ib_float_point(0.25 + sign * eps, phase1, phase2), tol)
-                    assert pc.ok, (tol, k, sign, phase1, phase2, pc.check.failures())
+                    res = check_point(ib_float_point(0.25 + sign * eps, phase1, phase2), tol)
+                    assert res.ok, (tol, k, sign, phase1, phase2, res.failures())
                     if eps < tol / 10:
-                        assert pc.case == CASE_IB_QUARTER
+                        assert res.case == CASE_IB_QUARTER
                     elif eps > tol * 10:
-                        assert pc.case == CASE_IB_NONQUARTER
+                        assert res.case == CASE_IB_NONQUARTER
 
 
 def _float_unit(a: float, b: float, c: float) -> Quaternion:
@@ -353,9 +356,9 @@ def test_boundary_continuation(stratum):
                 p = _boundary_point(stratum, side, 10.0**-e, k)
                 v = p.x * p.w.inverse()
                 assert max(abs(v.h2), abs(v.h3)) > 0  # not fiber-normalized
-                pc = check_point(p)
-                assert pc.ok, (stratum, side, e, k, pc.case, pc.check.failures())
-                pivots.append(pc.check.rank.min_rel_pivot)
+                res = check_point(p)
+                assert res.ok, (stratum, side, e, k, res.case, res.failures())
+                pivots.append(res.rank.min_rel_pivot)
     assert len(pivots) == 150 and min(pivots) > 0.1
 
 
@@ -376,9 +379,9 @@ def test_raw_cayley_points_certified():
         p = bundle.cayley_sp2(Sp2Alg(QMat2(a, b, -b.conj(), d)))
         v = p.x * p.w.inverse()
         raw += v.h2 != 0 or v.h3 != 0
-        pc = check_point(p)
-        assert pc.ok, pc.check.failures()
-        assert pc.check.rank.method == "bareiss" and pc.check.rank.rank == 10
+        res = check_point(p)
+        assert res.ok, res.failures()
+        assert res.rank.method == "bareiss" and res.rank.rank == 10
     assert raw >= 45
 
 
@@ -424,15 +427,48 @@ def test_classify_raw_edge_points():
 def test_corrupted_frame_detected():
     p = normalize_fiber(exact_random_point(107)).point
     assert classify(p).kind == CASE_IA
-    pc = check_point(p, drop_label="ell_i")
-    assert not pc.ok
-    assert any("rank" in f for f in pc.check.failures())
+    res = check_point(p, drop_label="ell_i")
+    assert not res.ok
+    assert any("rank" in f for f in res.failures())
 
 
 def test_unknown_drop_label_raises():
     p = exact_random_point(107)
     with pytest.raises(ValueError):
         check_point(p, drop_label="U_j")
+
+
+@pytest.mark.parametrize("kind", bundle.EXACT_CASE_KINDS + ("float",))
+def test_check_point_decides_the_case_once(monkeypatch, kind):
+    # classify is the one case decision: a check classifies once and takes
+    # v = x w^-1 once (not at all at case II), on both backends, and
+    # build_frame with a label decides nothing again.  The paper's recipes
+    # want fiber-normalized points, so the float point is a normalized Haar
+    # point.
+    if kind == "float":
+        p = normalize_fiber(bundle.random_sp2(120)).point
+    else:
+        p = exact_random_point(120, case=kind)
+    tag = classify(p)
+    calls = Counter()
+
+    def count(owner, name):
+        original = getattr(owner, name)
+
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counted)
+
+    count(frames, "classify")
+    count(bundle, "case_ii_corner")
+    count(Quaternion, "inverse")
+    assert check_point(p).ok
+    assert [calls["classify"], calls["case_ii_corner"], calls["inverse"]] == [1, 1, int(tag.v is not None)]
+    calls.clear()
+    build_frame(p, tag)
+    assert calls["classify"] == calls["case_ii_corner"] == 0
 
 
 def test_verify_frame_membership_flags():
@@ -473,7 +509,7 @@ def test_frame_to_json_shape():
     p = exact_random_point(109, case="I-r")
     frame = build_frame(p)
     check = verify_frame(p, frame)
-    blob = frame_to_json(p, frame, check)
+    blob = frame_to_json(frame, check)
     assert set(blob) >= {"case", "matrices", "rank", "pivots"}
     assert blob["case"] == CASE_IR and blob["rank"] == 10
     assert len(blob["matrices"]) == 10
@@ -504,13 +540,13 @@ def test_ib_split_reads_w():
 @given(st.integers(min_value=0, max_value=10**6))
 @settings(max_examples=25, deadline=None)
 def test_exact_point_sweep_property(seed):
-    pc = check_point(exact_random_point(seed))
-    assert pc.ok, pc.check.failures()
-    assert pc.check.rank.rank == 10
+    res = check_point(exact_random_point(seed))
+    assert res.ok, res.failures()
+    assert res.rank.rank == 10
 
 
 @given(st.floats(min_value=-0.49, max_value=0.49, allow_nan=False))
 @settings(max_examples=30, deadline=None)
 def test_ib_float_split_sweep_property(split):
-    pc = check_point(ib_float_point(split))
-    assert pc.ok, pc.check.failures()
+    res = check_point(ib_float_point(split))
+    assert res.ok, res.failures()

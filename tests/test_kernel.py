@@ -15,7 +15,7 @@ import pytest
 
 from sp2span import bundle, frames, kernel
 from sp2span.bundle import ad_h_p_residual, ib_float_point
-from sp2span.frames import SPAN_LABELS, check_point, classify, verify_frame
+from sp2span.frames import SPAN_LABELS, Frame, FrameCheck, check_point, classify, verify_frame
 from sp2span.qmat import to_vec10
 from sp2span.quat import FLOAT, quat
 
@@ -90,16 +90,18 @@ def _assert_same_rank(mine, ref, rows):
 
 
 def _assert_matches_object_path(p, drop_label=None):
-    pc = check_point(p, TOL, drop_label)
-    ref = verify_frame(p, pc.frame, TOL)
-    assert pc.case == ref.case
-    assert pc.check.membership_violations == ref.membership_violations
-    assert pc.check.failures() == ref.failures()
-    assert pc.ok == ref.ok
-    rows = [to_vec10(e.m) for e in pc.frame.entries]
-    d_rows = [row for row, e in zip(rows, pc.frame.entries) if not e.bracket_derived]
-    _assert_same_rank(pc.check.rank, ref.rank, rows)
-    _assert_same_rank(pc.check.negative_rank, ref.negative_rank, d_rows)
+    res = check_point(p, TOL, drop_label)
+    full = frames.span_frame(p, TOL)
+    frame = Frame(tag=full.tag, entries=tuple(e for e in full.entries if e.label != drop_label))
+    ref = verify_frame(p, frame, TOL)
+    assert res.case == ref.case
+    assert res.membership_violations == ref.membership_violations
+    assert res.failures() == ref.failures()
+    assert res.ok == ref.ok
+    rows = [to_vec10(e.m) for e in frame.entries]
+    d_rows = [row for row, e in zip(rows, frame.entries) if not e.bracket_derived]
+    _assert_same_rank(res.rank, ref.rank, rows)
+    _assert_same_rank(res.negative_rank, ref.negative_rank, d_rows)
 
 
 @pytest.mark.parametrize("family", list(FAMILIES))
@@ -144,24 +146,19 @@ def test_dropped_row_failures_match_object_path(label):
     points = _haar(20) + _quarter()[:4] + _boundary()[::75]
     for p in points:
         _assert_matches_object_path(p, label)
-        assert label not in [e.label for e in check_point(p, TOL, label).frame.entries]
 
 
 def test_float_check_builds_no_frame_objects(monkeypatch):
-    # verify never reads the frame, so the object path must not run for it;
-    # reading the frame builds it then.
+    # The float check runs on the kernel's rows: the object path (span_frame,
+    # verify_frame) must not run for it.
     p = bundle.random_sp2(1)
-    built = []
-    span_frame = frames.span_frame
 
-    def counted(*args):
-        built.append(args)
-        return span_frame(*args)
+    def refuse(*args):
+        raise AssertionError("the float check built frame objects")
 
-    monkeypatch.setattr(frames, "span_frame", counted)
-    pc = check_point(p, TOL, "ell_j")
-    assert pc.ok is False and built == []
-    assert [e.label for e in pc.frame.entries] == [lbl for lbl in SPAN_LABELS if lbl != "ell_j"]
-    assert len(built) == 1
-    pc.frame
-    assert len(built) == 1
+    monkeypatch.setattr(frames, "span_frame", refuse)
+    monkeypatch.setattr(frames, "verify_frame", refuse)
+    res = check_point(p, TOL, "ell_j")
+    assert isinstance(res, FrameCheck)
+    assert res.ok is False
+    assert res.failures() == ["bracket-free rank 6 != 7"]

@@ -1,0 +1,74 @@
+"""The package's module layering, read from the source with ast.
+
+Each module imports only the layers below it: quat, then qmat, then bundle
+and kernel, then frames, then cli, with the package entry points on top.
+Imports sit at module level, so a function that imports a sibling (a
+deferred import hiding a cycle) fails here.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "sp2span"
+LAYERS = {
+    "quat": 0,
+    "qmat": 1,
+    "bundle": 2,
+    "kernel": 2,
+    "frames": 3,
+    "cli": 4,
+    "__init__": 5,
+    "__main__": 5,
+}
+
+
+def _sibling_imports(tree: ast.AST):
+    """(node, sibling module name) for every import of a package module."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            if node.level == 1 and node.module:
+                yield node, node.module.split(".")[0]
+            elif node.level == 1:
+                for alias in node.names:
+                    yield node, alias.name
+            elif node.level == 0 and (node.module or "").split(".")[0] == "sp2span":
+                parts = node.module.split(".")
+                names = parts[1:2] or [alias.name for alias in node.names]
+                for name in names:
+                    yield node, name
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                parts = alias.name.split(".")
+                if parts[0] == "sp2span" and len(parts) > 1:
+                    yield node, parts[1]
+
+
+def _modules():
+    return {path.stem: ast.parse(path.read_text(), str(path)) for path in sorted(SRC.glob("*.py"))}
+
+
+def test_every_module_has_a_layer():
+    assert set(_modules()) == set(LAYERS)
+
+
+@pytest.mark.parametrize("module", sorted(LAYERS))
+def test_no_function_imports_a_sibling(module):
+    tree = _modules()[module]
+    for func in ast.walk(tree):
+        if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            found = [name for _, name in _sibling_imports(func) if name in LAYERS]
+            assert not found, f"{module}.{func.name} imports {found} in its body"
+
+
+@pytest.mark.parametrize("module", sorted(LAYERS))
+def test_sibling_imports_follow_the_layers(module):
+    # Every edge points down, so the import graph has no cycle.
+    tree = _modules()[module]
+    for node, name in _sibling_imports(tree):
+        if name in LAYERS:
+            assert LAYERS[name] < LAYERS[module], (
+                f"{module} (layer {LAYERS[module]}) imports {name} (layer {LAYERS[name]}) "
+                f"at line {node.lineno}"
+            )

@@ -24,7 +24,6 @@ from sp2span.quat import (
     ParseError,
     ZeroDivisor,
     dot,
-    imaginary_units,
     one,
     qi,
     qj,
@@ -33,7 +32,6 @@ from sp2span.quat import (
     quat_from_json,
     quat_to_json,
     rotate_to_complex,
-    to_backend,
     zero,
 )
 
@@ -42,7 +40,7 @@ from sp2span.quat import (
 
 
 def test_unit_table():
-    i, j, k = imaginary_units(EXACT)
+    i, j, k = qi(EXACT), qj(EXACT), qk(EXACT)
     e = one(EXACT)
     assert i * i == -e and j * j == -e and k * k == -e
     assert i * j == k and j * k == i and k * i == j
@@ -86,7 +84,7 @@ def test_norm_multiplicative(q, r):
 @given(exact_quats)
 def test_conj_recovers_norm(q):
     n = q * q.conj()
-    assert n.is_real() and n.h0 == q.norm_sq()
+    assert n == quat(q.norm_sq(), backend=EXACT)
 
 
 @given(nonzero_exact_quats)
@@ -125,20 +123,12 @@ def test_backend_mixing_raises():
         dot(qe, qf)
 
 
-def test_to_backend():
-    qe = quat(Fraction(1, 4), Fraction(-3), backend=EXACT)
-    qf = to_backend(qe, FLOAT)
-    assert qf.backend == FLOAT and qf.h0 == 0.25 and qf.h1 == -3.0
-    back = to_backend(qf, EXACT)
-    assert back.backend == EXACT and back == qe
-
-
 def test_predicates():
-    assert quat(Fraction(2), backend=EXACT).is_real()
     assert quat(Fraction(0), Fraction(1), Fraction(0), Fraction(0), backend=EXACT).is_imaginary()
-    assert quat(Fraction(1), Fraction(2), backend=EXACT).is_complex()
-    assert not quat(Fraction(1), Fraction(0), Fraction(3), backend=EXACT).is_complex()
-    assert quat(1.0, 2.0, 1e-15, 0.0).is_complex(tol=1e-12)
+    assert not quat(Fraction(1), Fraction(1), backend=EXACT).is_imaginary()
+    assert quat(1e-15, 2.0, 0.0, 0.0).is_imaginary(tol=1e-12)
+    assert quat(Fraction(0), backend=EXACT).is_zero()
+    assert quat(0.0, 1e-15, 0.0, 0.0).is_zero(tol=1e-12)
 
 
 # -- dot and scale ---------------------------------------------------------------
@@ -146,7 +136,7 @@ def test_predicates():
 
 @given(exact_quats, exact_quats)
 def test_dot_is_real_part_of_q_rbar(q, r):
-    assert dot(q, r) == (q * r.conj()).real_part()
+    assert dot(q, r) == (q * r.conj()).h0
 
 
 @given(exact_quats)
@@ -228,7 +218,3 @@ def test_json_rejects_garbage():
 def test_repr_round_trips_through_eval_shape():
     q = quat(Fraction(1, 2), Fraction(0), Fraction(3), Fraction(0), backend=EXACT)
     assert repr(q).startswith("Quaternion(") and "Fraction(1, 2)" in repr(q)
-
-
-def test_unit_constructors_agree_with_imaginary_units():
-    assert imaginary_units(EXACT) == (qi(EXACT), qj(EXACT), qk(EXACT))
