@@ -8,21 +8,29 @@ Subcommands:
 * standard-sphere the constant frame on the round 7-sphere, exact rank
 * frame           check one point from a JSON file and emit its span frame
 
+Each ``cmd_*`` returns ``(ok, report, lines)``: its verdict, the report
+keys of its own, and the text lines ending in its verdict line.  ``main``
+adds the keys every report shares (schema, command, pass, elapsed_s) and
+writes the report.
+
 Exit codes: 0 all checks passed, 1 a mathematical check failed, 2 bad usage
-or malformed input.  Reports are deterministic for a fixed (seed, samples,
-backend, tol): sample index n draws from its own Philox stream, keyed by the
-pair (seed, n) as (seed mod 2^64) * 2^64 + n, so different seeds draw
-different points and --jobs never changes the result, only the wall time.
+or malformed input, including an ``--out`` path that cannot be opened (it
+is opened before the command runs).  Reports are deterministic for a fixed
+(seed, samples, backend, tol): sample index n draws from its own Philox
+stream, keyed by the pair (seed, n) as (seed mod 2^64) * 2^64 + n, so
+different seeds draw different points and --jobs never changes the result,
+only the wall time.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
+import os
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
 
 from . import bundle, frames
 from .qmat import InvariantViolation, Sp2Point, real_rank, to_vec10
@@ -33,37 +41,10 @@ SCHEMA = 1
 _EXACT_CYCLE = (None, "I-b", None, "I-r", "II-x0", None, "II-w0", None)
 
 
-@dataclass
-class RunConfig:
-    seed: int = 0
-    samples: int = 1000
-    backend: str = FLOAT
-    tol: float = 1e-9
-    jobs: int = 1
-    emit: str = "text"
-    out: str | None = None
-    corrupt_frame: str | None = None
-
-
-# -- shared plumbing ---------------------------------------------------------------
-
-
 def canonical_json(report: dict) -> str:
     """The canonical serialized form: everything except wall time."""
     trimmed = {k: v for k, v in report.items() if k != "elapsed_s"}
     return json.dumps(trimmed, sort_keys=True, indent=2)
-
-
-def _emit(report: dict, lines, cfg_emit: str, out_path: str | None) -> None:
-    if cfg_emit == "json":
-        text = json.dumps(report, sort_keys=True, indent=2) + "\n"
-    else:
-        text = "\n".join(lines) + "\n"
-    if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
 
 
 # -- verify -------------------------------------------------------------------------
@@ -107,17 +88,19 @@ def _verify_one(args):
 
 
 def _run_indexed(worker, arg_list, jobs: int):
-    if jobs <= 1:
+    """worker over arg_list in order, on at most one process per item and per
+    CPU; in this process when that is one."""
+    workers = min(jobs, len(arg_list), os.cpu_count() or 1)
+    if workers <= 1:
         return [worker(a) for a in arg_list]
-    chunk = max(1, len(arg_list) // (jobs * 8))
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
+    chunk = max(1, len(arg_list) // (workers * 8))
+    with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(worker, arg_list, chunksize=chunk))
 
 
-def cmd_verify(cfg: RunConfig) -> int:
-    start = time.monotonic()
-    args = [(i, cfg.seed, cfg.backend, cfg.tol, cfg.corrupt_frame) for i in range(cfg.samples)]
-    records = _run_indexed(_verify_one, args, cfg.jobs)
+def cmd_verify(ns):
+    args = [(i, ns.seed, ns.backend, ns.tol, ns.corrupt_frame) for i in range(ns.samples)]
+    records = _run_indexed(_verify_one, args, ns.jobs)
     records.sort(key=lambda r: r["index"])
     tally: dict = {}
     failures = []
@@ -130,41 +113,36 @@ def cmd_verify(cfg: RunConfig) -> int:
             pivots.append(rec["min_rel_pivot"])
         if rec["neg_rank"] is not None:
             neg_max = max(neg_max, rec["neg_rank"])
-        if rec["ok"] and cfg.backend == EXACT:
+        if rec["ok"] and ns.backend == EXACT:
             certified += 1
         if not rec["ok"]:
             failures.append(rec)
     report = {
-        "schema": SCHEMA,
-        "command": "verify",
-        "backend": cfg.backend,
-        "seed": cfg.seed,
-        "samples": cfg.samples,
-        "tol": cfg.tol,
+        "backend": ns.backend,
+        "seed": ns.seed,
+        "samples": ns.samples,
+        "tol": ns.tol,
         "case_tally": tally,
         "failures": failures,
         "min_rel_pivot": min(pivots) if pivots else None,
-        "exact_certified": certified if cfg.backend == EXACT else None,
+        "exact_certified": certified if ns.backend == EXACT else None,
         "negative_control_max_rank": neg_max,
-        "pass": not failures,
-        "elapsed_s": round(time.monotonic() - start, 3),
     }
     lines = [
-        f"verify: backend={cfg.backend} samples={cfg.samples} seed={cfg.seed}",
+        f"verify: backend={ns.backend} samples={ns.samples} seed={ns.seed}",
         "case tally: " + ", ".join(f"{k}={v}" for k, v in sorted(tally.items())),
     ]
     if report["min_rel_pivot"] is not None:
         lines.append(f"min relative pivot: {report['min_rel_pivot']:.3e}")
-    if cfg.backend == EXACT:
-        lines.append(f"exact rank certificates: {certified}/{cfg.samples}")
+    if ns.backend == EXACT:
+        lines.append(f"exact rank certificates: {certified}/{ns.samples}")
     lines.append(f"negative-control max rank: {neg_max} (must be 7)")
     for rec in failures[:20]:
         lines.append(f"FAIL sample {rec['index']} [{rec['case']}]: " + "; ".join(rec["problems"]))
     if len(failures) > 20:
         lines.append(f"... and {len(failures) - 20} more failures")
-    lines.append("PASS" if report["pass"] else "FAIL")
-    _emit(report, lines, cfg.emit, cfg.out)
-    return 0 if report["pass"] else 1
+    lines.append("FAIL" if failures else "PASS")
+    return not failures, report, lines
 
 
 # -- special-sweep -------------------------------------------------------------------
@@ -203,12 +181,11 @@ QUARTER_SKIP_REASON = (
 )
 
 
-def cmd_special_sweep(cfg: RunConfig) -> int:
-    start = time.monotonic()
-    n = cfg.samples
+def cmd_special_sweep(ns):
+    n = ns.samples
     families = [
-        _sweep_family("I-a", bundle.grid_ia(n), {frames.CASE_IA}, cfg.tol),
-        _sweep_family("I-b-nonquarter", bundle.grid_ib(n), {frames.CASE_IB_NONQUARTER}, cfg.tol),
+        _sweep_family("I-a", bundle.grid_ia(n), {frames.CASE_IA}, ns.tol),
+        _sweep_family("I-b-nonquarter", bundle.grid_ib(n), {frames.CASE_IB_NONQUARTER}, ns.tol),
         {
             "name": "I-b-quarter-exact",
             "count": 0,
@@ -222,21 +199,13 @@ def cmd_special_sweep(cfg: RunConfig) -> int:
             "I-b-quarter-float",
             [bundle.ib_float_point(0.25, 0.1 + 0.2 * k, 0.7 + 0.3 * k) for k in range(max(4, n // 4))],
             {frames.CASE_IB_QUARTER},
-            cfg.tol,
+            ns.tol,
         ),
-        _sweep_family("I-r", bundle.grid_ir(n), {frames.CASE_IR}, cfg.tol),
-        _sweep_family("II", bundle.grid_ii(n), {frames.CASE_II}, cfg.tol),
+        _sweep_family("I-r", bundle.grid_ir(n), {frames.CASE_IR}, ns.tol),
+        _sweep_family("II", bundle.grid_ii(n), {frames.CASE_II}, ns.tol),
     ]
     ok = all(f["pass"] for f in families)
-    report = {
-        "schema": SCHEMA,
-        "command": "special-sweep",
-        "tol": cfg.tol,
-        "families": families,
-        "pass": ok,
-        "elapsed_s": round(time.monotonic() - start, 3),
-    }
-    lines = [f"special-sweep: {cfg.samples} points per family"]
+    lines = [f"special-sweep: {n} points per family"]
     for f in families:
         if f.get("skipped"):
             lines.append(f"SKIP {f['name']}: {f['reason']}")
@@ -246,65 +215,50 @@ def cmd_special_sweep(cfg: RunConfig) -> int:
         for rec in f["failures"][:5]:
             lines.append(f"     sample {rec['index']}: " + "; ".join(rec["problems"]))
     lines.append("PASS" if ok else "FAIL")
-    _emit(report, lines, cfg.emit, cfg.out)
-    return 0 if ok else 1
+    return ok, {"tol": ns.tol, "families": families}, lines
 
 
 # -- identities ----------------------------------------------------------------------
 
 
-def cmd_identities(cfg: RunConfig) -> int:
-    start = time.monotonic()
+def cmd_identities(ns):
     results = frames.run_identity_suite()
-    any_fail = any(r.status == frames.FAIL for r in results)
+    ok = all(r.status != frames.FAIL for r in results)
     report = {
-        "schema": SCHEMA,
-        "command": "identities",
         "results": [
             {"name": r.name, "status": r.status, "worst": r.worst, "n": r.n, "note": r.note}
             for r in results
         ],
-        "pass": not any_fail,
-        "elapsed_s": round(time.monotonic() - start, 3),
     }
-    lines = [r.line() for r in results]
-    lines.append("PASS" if not any_fail else "FAIL")
-    _emit(report, lines, cfg.emit, cfg.out)
-    return 0 if not any_fail else 1
+    return ok, report, [r.line() for r in results] + ["PASS" if ok else "FAIL"]
 
 
 # -- standard-sphere -----------------------------------------------------------------
 
 
-def cmd_standard_sphere(cfg: RunConfig) -> int:
-    start = time.monotonic()
-    frame = frames.standard_sphere_frame(cfg.backend)
+def cmd_standard_sphere(ns):
+    frame = frames.standard_sphere_frame(ns.backend)
     vecs = [to_vec10(e.m) for e in frame.entries]
-    rank = real_rank(vecs, cfg.tol)
-    u_rank = real_rank(vecs[:4], cfg.tol)
-    br_rank = real_rank(vecs[4:], cfg.tol)
+    rank = real_rank(vecs, ns.tol)
+    u_rank = real_rank(vecs[:4], ns.tol)
+    br_rank = real_rank(vecs[4:], ns.tol)
     ok = rank.rank == 10 and u_rank.rank == 4 and br_rank.rank == 6
     report = {
-        "schema": SCHEMA,
-        "command": "standard-sphere",
-        "backend": cfg.backend,
+        "backend": ns.backend,
         "rank": rank.rank,
         "u_rank": u_rank.rank,
         "bracket_rank": br_rank.rank,
         "pivots": rank.to_json()["pivots"],
-        "rows": [[str(x) for x in v] for v in vecs] if cfg.backend == EXACT else [list(v) for v in vecs],
+        "rows": [[str(x) for x in v] for v in vecs] if ns.backend == EXACT else [list(v) for v in vecs],
         "labels": [e.label for e in frame.entries],
-        "pass": ok,
-        "elapsed_s": round(time.monotonic() - start, 3),
     }
-    lines = [f"standard-sphere frame on backend {cfg.backend}"]
+    lines = [f"standard-sphere frame on backend {ns.backend}"]
     for e, v in zip(frame.entries, vecs):
         lines.append(f"  {e.label:8s} {[str(x) for x in v]}")
     lines.append(f"rank: {rank.rank} (u-basis alone {u_rank.rank}, brackets alone {br_rank.rank})")
     lines.append(f"pivots: {report['pivots']}")
     lines.append("PASS" if ok else "FAIL")
-    _emit(report, lines, cfg.emit, cfg.out)
-    return 0 if ok else 1
+    return ok, report, lines
 
 
 # -- frame ---------------------------------------------------------------------------
@@ -328,39 +282,35 @@ def _load_point(path: str, tol: float) -> Sp2Point:
     return Sp2Point.from_json(obj["p"], backend, tol=tol)
 
 
-def cmd_frame(cfg: RunConfig, path: str) -> int:
-    start = time.monotonic()
-    p = _load_point(path, cfg.tol)
-    res = frames.check_point(p, cfg.tol)
-    report = frames.frame_to_json(frames.span_frame(p, cfg.tol), res)
-    report["schema"] = SCHEMA
-    report["command"] = "frame"
+def cmd_frame(ns):
+    p = _load_point(ns.point_file, ns.tol)
+    res = frames.check_point(p, ns.tol)
+    report = frames.frame_to_json(frames.span_frame(p, ns.tol), res)
     report["backend"] = p.backend
-    report["pass"] = res.ok
-    report["elapsed_s"] = round(time.monotonic() - start, 3)
     lines = [f"case: {report['case']}"]
     for m in report["matrices"]:
         lines.append(f"  {m['label']:10s} {m['paper_eq']}")
     lines.append(f"rank: {report['rank']}")
     lines.append(f"pivots: {report['pivots']}")
     lines.append("PASS" if res.ok else "FAIL: " + "; ".join(res.failures()))
-    _emit(report, lines, cfg.emit, cfg.out)
-    return 0 if res.ok else 1
+    return res.ok, report, lines
 
 
-# -- argument parsing ----------------------------------------------------------------
+# -- argument parsing and the report envelope ----------------------------------------
 
 
-def _add_common(sp, with_sampling: bool = True, with_backend: bool = True):
-    if with_sampling:
-        sp.add_argument("--samples", type=int, default=1000, help="number of points")
-        sp.add_argument("--seed", type=int, default=0, help="base RNG seed")
-        sp.add_argument("--jobs", type=int, default=1, help="worker processes")
-    if with_backend:
-        sp.add_argument("--backend", default=FLOAT, help="scalar backend: exact or float")
-    sp.add_argument("--tol", type=float, default=1e-9, help="float comparison tolerance")
-    sp.add_argument("--emit", choices=("json", "text"), default="text", help="output format")
-    sp.add_argument("--out", default=None, help="write the report to this path")
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
+def _positive_float(text: str) -> float:
+    value = float(text)
+    if not value > 0:  # also false for NaN
+        raise argparse.ArgumentTypeError(f"must be positive, got {text}")
+    return value
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -370,81 +320,63 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = ap.add_subparsers(dest="command", required=True)
 
-    sp = sub.add_parser("verify", help="randomized rank-10 sweep")
-    _add_common(sp)
-    sp.add_argument("--corrupt-frame", default=None, help=argparse.SUPPRESS)
+    verify = sub.add_parser("verify", help="randomized rank-10 sweep")
+    verify.add_argument("--samples", type=_positive_int, default=1000, help="number of points")
+    verify.add_argument("--seed", type=int, default=0, help="base RNG seed")
+    verify.add_argument(
+        "--jobs", type=_positive_int, default=1, help="worker processes, at most one per sample and per CPU"
+    )
+    verify.add_argument("--corrupt-frame", choices=frames.SPAN_LABELS, default=None, help=argparse.SUPPRESS)
 
-    sp = sub.add_parser("special-sweep", help="deterministic per-case grids")
-    sp.add_argument("--samples", type=int, default=25, help="points per family")
-    sp.add_argument("--tol", type=float, default=1e-9)
-    sp.add_argument("--emit", choices=("json", "text"), default="text")
-    sp.add_argument("--out", default=None)
+    sweep = sub.add_parser("special-sweep", help="deterministic per-case grids")
+    sweep.add_argument("--samples", type=_positive_int, default=25, help="points per family")
 
-    sp = sub.add_parser("identities", help="closed-form identity suite")
-    sp.add_argument("--emit", choices=("json", "text"), default="text")
-    sp.add_argument("--out", default=None)
+    sub.add_parser("identities", help="closed-form identity suite")
+    sphere = sub.add_parser("standard-sphere", help="constant frame on the round 7-sphere")
 
-    sp = sub.add_parser("standard-sphere", help="constant frame on the round 7-sphere")
-    _add_common(sp, with_sampling=False)
+    frame = sub.add_parser("frame", help="frame report for one point file")
+    frame.add_argument("point_file", help='JSON file {"backend": ..., "p": {...}}; it names the backend')
 
-    sp = sub.add_parser("frame", help="frame report for one point file")
-    sp.add_argument("point_file", help='JSON file {"backend": ..., "p": {...}}; it names the backend')
-    _add_common(sp, with_sampling=False, with_backend=False)
-
+    for sp in (verify, sphere):
+        sp.add_argument("--backend", choices=(EXACT, FLOAT), default=FLOAT, help="scalar backend")
+    for sp in (verify, sweep, sphere, frame):
+        sp.add_argument("--tol", type=_positive_float, default=1e-9, help="float comparison tolerance")
+    for sp in sub.choices.values():
+        sp.add_argument("--emit", choices=("json", "text"), default="text", help="output format")
+        sp.add_argument("--out", default=None, help="write the report to this path")
     return ap
 
 
-def _config_from(ns: argparse.Namespace, parser: argparse.ArgumentParser) -> RunConfig:
-    cfg = RunConfig()
-    if hasattr(ns, "samples"):
-        if ns.samples < 1:
-            parser.error("--samples must be >= 1")
-        cfg.samples = ns.samples
-    if hasattr(ns, "seed"):
-        cfg.seed = ns.seed
-    if hasattr(ns, "jobs"):
-        if ns.jobs < 1:
-            parser.error("--jobs must be >= 1")
-        cfg.jobs = ns.jobs
-    if hasattr(ns, "backend"):
-        if ns.backend not in (EXACT, FLOAT):
-            parser.error(f"--backend must be 'exact' or 'float', got {ns.backend!r}")
-        cfg.backend = ns.backend
-    if hasattr(ns, "tol"):
-        if not ns.tol > 0:
-            parser.error("--tol must be positive")
-        cfg.tol = ns.tol
-    if hasattr(ns, "emit"):
-        cfg.emit = ns.emit
-    if hasattr(ns, "out"):
-        cfg.out = ns.out
-    if getattr(ns, "corrupt_frame", None):
-        if ns.corrupt_frame not in frames.SPAN_LABELS:
-            parser.error(f"--corrupt-frame must name a frame row, one of {', '.join(frames.SPAN_LABELS)}")
-        cfg.corrupt_frame = ns.corrupt_frame
-    return cfg
-
-
 def main(argv=None) -> int:
-    parser = build_parser()
-    ns = parser.parse_args(argv)
-    cfg = _config_from(ns, parser)
+    ns = build_parser().parse_args(argv)
+    # built per call, so a cmd_* replaced on this module (a profiler's wrapper) is the one that runs
+    commands = {
+        "verify": cmd_verify,
+        "special-sweep": cmd_special_sweep,
+        "identities": cmd_identities,
+        "standard-sphere": cmd_standard_sphere,
+        "frame": cmd_frame,
+    }
     try:
-        if ns.command == "verify":
-            return cmd_verify(cfg)
-        if ns.command == "special-sweep":
-            return cmd_special_sweep(cfg)
-        if ns.command == "identities":
-            return cmd_identities(cfg)
-        if ns.command == "standard-sphere":
-            return cmd_standard_sphere(cfg)
-        if ns.command == "frame":
-            return cmd_frame(cfg, ns.point_file)
+        # opened first, as a shell redirection is: a bad path fails before any work
+        with open(ns.out, "w", encoding="utf-8") if ns.out else contextlib.nullcontext(sys.stdout) as fh:
+            start = time.monotonic()
+            ok, report, lines = commands[ns.command](ns)
+            report = {
+                "schema": SCHEMA,
+                "command": ns.command,
+                **report,
+                "pass": ok,
+                "elapsed_s": round(time.monotonic() - start, 3),
+            }
+            if ns.emit == "json":
+                fh.write(json.dumps(report, sort_keys=True, indent=2) + "\n")
+            else:
+                fh.write("\n".join(lines) + "\n")
     except (ParseError, InvariantViolation, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
-    parser.error(f"unknown command {ns.command!r}")
-    return 2
+    return 0 if ok else 1
 
 
 if __name__ == "__main__":

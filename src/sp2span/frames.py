@@ -661,11 +661,11 @@ def _dev(a, b) -> float:
     return float(a.max_component_diff(b))
 
 
-def _result(name: str, devs, exact: bool, warn_only: bool, tol: float = 1e-9, note: str = "") -> IdentityResult:
+def _result(name: str, devs, warn_only: bool) -> IdentityResult:
+    """Identities are checked exactly: OK only when every deviation is 0."""
     worst = max(devs) if devs else 0.0
-    good = worst == 0.0 if exact else worst <= tol
-    status = OK if good else (WARN if warn_only else FAIL)
-    return IdentityResult(name=name, status=status, worst=worst, n=len(devs), note=note)
+    status = OK if worst == 0.0 else (WARN if warn_only else FAIL)
+    return IdentityResult(name=name, status=status, worst=worst, n=len(devs))
 
 
 def identity_standard_commutators() -> IdentityResult:
@@ -681,7 +681,7 @@ def identity_standard_commutators() -> IdentityResult:
         (2, 3): diag(i.scale(2), i.scale(2)),
     }
     devs = [_dev(bracket(us[a], us[b]).m, m) for (a, b), m in printed.items()]
-    return _result("standard-sphere printed commutators", devs, exact=True, warn_only=True)
+    return _result("standard-sphere printed commutators", devs, warn_only=True)
 
 
 def identity_case_commutators(count: int = 60) -> IdentityResult:
@@ -701,7 +701,7 @@ def identity_case_commutators(count: int = 60) -> IdentityResult:
         devs.append(_dev(bracket(u0, uk_).m, m_matrix(v) @ kk))
         devs.append(_dev(bracket(ui_, uj_).m, b_matrix(v) @ kk))
         devs.append(_dev(bracket(ui_, uk_).m, -(b_matrix(v) @ jj)))
-    return _result("case-I printed commutator forms (M, B)", devs, exact=True, warn_only=True)
+    return _result("case-I printed commutator forms (M, B)", devs, warn_only=True)
 
 
 def identity_u_displays(count: int = 60) -> IdentityResult:
@@ -713,13 +713,13 @@ def identity_u_displays(count: int = 60) -> IdentityResult:
         devs.append(_dev(ui_.m, ui_display(v)))
         devs.append(_dev(uj_.m, sv @ diag(qj(EXACT), qj(EXACT))))
         devs.append(_dev(uk_.m, sv @ diag(qk(EXACT), qk(EXACT))))
-    return _result("u-basis printed S(v) factorizations", devs, exact=True, warn_only=True)
+    return _result("u-basis printed S(v) factorizations", devs, warn_only=True)
 
 
 def identity_alpha_forms(count: int = 100) -> IdentityResult:
     """The two printed forms of alpha(v) on the admissible grid."""
     devs = [_dev(alpha(v), _alpha_form2(v)) for v in rational_v_grid(count)]
-    return _result("alpha(v) two printed forms agree", devs, exact=True, warn_only=False)
+    return _result("alpha(v) two printed forms agree", devs, warn_only=False)
 
 
 def identity_trace_ujk(count: int = 100) -> IdentityResult:
@@ -728,7 +728,7 @@ def identity_trace_ujk(count: int = 100) -> IdentityResult:
         uj_big, uk_big = u_jk(v)
         devs.append(float(uj_big.m.trace().max_abs()))
         devs.append(float(uk_big.m.trace().max_abs()))
-    return _result("Tr(U_j) = Tr(U_k) = 0", devs, exact=True, warn_only=False)
+    return _result("Tr(U_j) = Tr(U_k) = 0", devs, warn_only=False)
 
 
 def identity_t_closed_forms(count: int = 100) -> IdentityResult:
@@ -743,7 +743,7 @@ def identity_t_closed_forms(count: int = 100) -> IdentityResult:
         devs.append(_dev(t, t_direct))
         devs.append(_dev(t.a, t11_closed(v)))
         devs.append(_dev(t.b, t12_closed(v)))
-    return _result("t11/t12 printed closed forms", devs, exact=True, warn_only=True)
+    return _result("t11/t12 printed closed forms", devs, warn_only=True)
 
 
 def identity_nondegeneracy_factor(count: int = 100) -> IdentityResult:
@@ -758,7 +758,7 @@ def identity_nondegeneracy_factor(count: int = 100) -> IdentityResult:
         devs.append(_dev(direct, nondegeneracy_factor(v)))
         if direct.is_zero():
             nonzero_fail += 1
-    res = _result("non-degeneracy factor -t11 s12 + t12", devs, exact=True, warn_only=False)
+    res = _result("non-degeneracy factor -t11 s12 + t12", devs, warn_only=False)
     if nonzero_fail:
         res.status = FAIL
         res.note = f"factor vanished at {nonzero_fail} grid points"
@@ -776,7 +776,7 @@ def identity_ad_invariance(count: int = 200) -> IdentityResult:
         u = _random_alg(g_rng)
         w = _random_alg(g_rng)
         devs.append(abs(float(inner(ad(g, u), ad(g, w)) - inner(u, w))))
-    return _result("Ad-invariance of the inner product", devs, exact=True, warn_only=False)
+    return _result("Ad-invariance of the inner product", devs, warn_only=False)
 
 
 def _random_alg(g) -> Sp2Alg:
@@ -799,7 +799,7 @@ def identity_ell_dual(count: int = 1000) -> IdentityResult:
             m1 = bundle.ell_direct(p, rho)
             m2 = bundle.ell_from_projector(p, rho)
             devs.append(_dev(m1, m2))
-    return _result("ell dual construction paths", devs, exact=True, warn_only=False)
+    return _result("ell dual construction paths", devs, warn_only=False)
 
 
 def identity_corner_vanishing(count: int = 100) -> IdentityResult:
@@ -812,7 +812,7 @@ def identity_corner_vanishing(count: int = 100) -> IdentityResult:
         pinv = p.inverse()
         for u in us:
             devs.append(float(ad(pinv, u).m.a.max_abs()))
-    return _result("(1,1) of Ad_p^-1(u_rho) vanishes", devs, exact=True, warn_only=False)
+    return _result("(1,1) of Ad_p^-1(u_rho) vanishes", devs, warn_only=False)
 
 
 def identity_h_dim(count: int = 100) -> IdentityResult:
@@ -853,7 +853,7 @@ def identity_s2_solution(count: int = 200) -> IdentityResult:
         lhs = b.conj() * v - v.conj() * b
         rhs = v.conj() * a * v - a
         devs.append(_dev(lhs, rhs))
-    return _result("solution identity for b_a (general v)", devs, exact=True, warn_only=False)
+    return _result("solution identity for b_a (general v)", devs, warn_only=False)
 
 
 def identity_ib_adjoints(count: int = 40) -> IdentityResult:
@@ -893,7 +893,7 @@ def identity_ib_adjoints(count: int = 40) -> IdentityResult:
         devs.append(
             _dev(adm(f_i), QMat2((w.conj() * i * w).scale(-2), zq, zq, (y.conj() * i * y).scale(2)))
         )
-    return _result("v = i displayed Ad_p^-1 images", devs, exact=True, warn_only=True)
+    return _result("v = i displayed Ad_p^-1 images", devs, warn_only=True)
 
 
 def run_identity_suite():

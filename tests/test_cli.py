@@ -2,13 +2,14 @@
 counts, the corruption hook, the ignored environment, and input rejection."""
 
 import json
+import os
 
 import pytest
 
 from fractions import Fraction
 
-from sp2span import bundle, frames
-from sp2span.cli import RunConfig, build_parser, canonical_json, main
+from sp2span import bundle, cli, frames
+from sp2span.cli import build_parser, canonical_json, main
 from sp2span.qmat import QMat2, Sp2Alg, Sp2Point
 from sp2span.quat import EXACT, quat
 
@@ -226,6 +227,81 @@ def test_frame_rejects_non_finite_floats(tmp_path, capsys):
     assert main(["frame", str(pt)]) == 2
 
 
+def test_unwritable_out_fails_before_sampling(tmp_path, monkeypatch):
+    # The --out file is opened before the command runs, as a shell
+    # redirection is, so a bad path costs no sweep.
+    draws = []
+    draw = bundle.random_sp2
+
+    def counted(key, *args):
+        draws.append(key)
+        return draw(key, *args)
+
+    monkeypatch.setattr(bundle, "random_sp2", counted)
+    assert main(["verify", "--samples", "50", "--out", str(tmp_path / "missing" / "r.json")]) == 2
+    assert draws == []
+
+
+def test_jobs_start_at_most_one_worker_per_sample_and_cpu(tmp_path, monkeypatch):
+    # Each worker of a fork pool starts at the first submit, so --jobs is
+    # capped by the sample count and the CPU count; one worker runs in process.
+    started = []
+
+    class InProcessPool:
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items, chunksize=1):
+            return map(fn, items)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", InProcessPool)
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    reports = {}
+    for samples, jobs in ((2, 500), (6, 500), (6, 3), (1, 500), (6, 1)):
+        out = tmp_path / f"r{samples}-{jobs}.json"
+        argv = ["verify", "--samples", str(samples), "--seed", "9", "--jobs", str(jobs), "--emit", "json"]
+        assert main(argv + ["--out", str(out)]) == 0
+        reports[samples, jobs] = canonical_json(json.loads(out.read_text()))
+    assert started == [2, 4, 3]
+    assert reports[6, 500] == reports[6, 3] == reports[6, 1]
+
+
+ENVELOPE_ARGV = {
+    "verify": ["verify", "--samples", "2", "--seed", "1"],
+    "special-sweep": ["special-sweep", "--samples", "1"],
+    "identities": ["identities"],
+    "standard-sphere": ["standard-sphere"],
+    "frame": ["frame"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(ENVELOPE_ARGV))
+def test_report_envelope(command, tmp_path, monkeypatch, identity_results):
+    # main adds the shared keys to every report, and the exit code and the
+    # last text line both follow `pass`.
+    monkeypatch.setattr(frames, "run_identity_suite", lambda: identity_results)
+    argv = list(ENVELOPE_ARGV[command])
+    if command == "frame":
+        point = tmp_path / "pt.json"
+        point.write_text(json.dumps({"backend": "exact", "p": bundle.exact_random_point(3).m.to_json()}))
+        argv.append(str(point))
+    js, text = tmp_path / "r.json", tmp_path / "r.txt"
+    code = main(argv + ["--emit", "json", "--out", str(js)])
+    assert main(argv + ["--out", str(text)]) == code
+    rep = json.loads(js.read_text())
+    assert rep["schema"] == 1 and rep["command"] == command
+    assert isinstance(rep["pass"], bool) and isinstance(rep["elapsed_s"], float)
+    assert code == (0 if rep["pass"] else 1)
+    last = text.read_text().splitlines()[-1]
+    assert last.startswith("PASS" if rep["pass"] else "FAIL")
+
+
 def test_unwritable_out_exits_2(tmp_path, capsys):
     # A report that cannot be written is bad usage (2), not a failed check (1).
     out = tmp_path / "missing" / "r.json"
@@ -269,6 +345,17 @@ def test_usage_errors_exit_2():
     with pytest.raises(SystemExit) as err:
         main([])
     assert err.value.code == 2
+    for argv in (
+        ["verify", "--tol", "0"],
+        ["verify", "--tol", "nan"],
+        ["verify", "--jobs", "0"],
+        ["special-sweep", "--samples", "0"],
+        ["standard-sphere", "--backend", "bogus"],
+        ["identities", "--tol", "1e-9"],
+    ):
+        with pytest.raises(SystemExit) as err:
+            main(argv)
+        assert err.value.code == 2, argv
 
 
 def test_env_backend_default(tmp_path, monkeypatch):
@@ -289,8 +376,8 @@ def test_text_emit_prints_summary(capsys):
 
 
 def test_run_config_defaults():
-    cfg = RunConfig()
-    assert cfg.samples == 1000 and cfg.jobs == 1 and cfg.emit == "text"
+    ns = build_parser().parse_args(["verify"])
+    assert ns.samples == 1000 and ns.jobs == 1 and ns.emit == "text"
 
 
 def test_parser_lists_all_subcommands():
