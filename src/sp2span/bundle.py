@@ -201,7 +201,7 @@ def in_ad_h_p(p: Sp2Point, u: Sp2Alg, tol: float = 1e-9) -> bool:
 def membership_verdict(
     res: Quaternion, trace: Quaternion, scale: Scalar, tol: float = 1e-9
 ) -> bool:
-    """in_ad_h_p from parts computed elsewhere (the float span kernel): the
+    """in_ad_h_p from parts computed elsewhere (the span kernel): the
     variant-B residual res of u, its trace a + d, and its largest entry
     component scale.  Raises as ad_h_p_residual does."""
     _require_trace_free(trace, tol)

@@ -402,8 +402,10 @@ def d_entries(p: Sp2Point, tag: CaseTag, tol: float = 1e-9):
 
 
 def span_frame(p: Sp2Point, tol: float = 1e-9) -> Frame:
-    """The case-free frame checked at every point: the seven D rows and the
-    six brackets [u_a, u_b], in SPAN_LABELS order."""
+    """The case-free frame of the span check: the seven D rows and the six
+    brackets [u_a, u_b], in SPAN_LABELS order, as objects.  check_point
+    computes the same rows in kernel.span_rows; this form is their
+    reference and gives `frame` its matrices."""
     tag = classify(p, tol)
     d = d_entries(p, tag, tol)
     brackets = [
@@ -568,14 +570,12 @@ def check_point(p: Sp2Point, tol: float = 1e-9, drop_label: str | None = None) -
     corruption hook that proves the failure path fires, and must name a row
     of SPAN_LABELS.
 
-    Exact points are checked on span_frame's objects (verify_frame), float
-    points on the rows and residuals of kernel.span_rows."""
+    Both backends run on the rows and residuals of kernel.span_rows: exact
+    points get Bareiss certificates on rows equal to span_frame's, float
+    points the pivoted elimination.  span_frame and verify_frame build the
+    same check from Quaternion/QMat2 objects; they are its reference."""
     if drop_label is not None and drop_label not in SPAN_LABELS:
         raise ValueError(f"no frame row is labeled {drop_label!r}")
-    if p.backend == EXACT:
-        frame = span_frame(p, tol)
-        entries = tuple(e for e in frame.entries if e.label != drop_label)
-        return verify_frame(p, Frame(tag=frame.tag, entries=entries), tol)
     tag = classify(p, tol)
     rows, residuals, traces, scales = kernel.span_rows(p.x, p.w, tag.v)
     kept = [row for label, row in zip(SPAN_LABELS, rows) if label != drop_label]

@@ -1,8 +1,18 @@
-"""The float span kernel: the 13 rows of the span check and the membership
-residuals of the four u at one point, from numpy products of complex
-matrices.
+"""The span kernel: the 13 rows of the span check and the membership
+residuals of the four u at one point, on either backend, with no
+Quaternion or QMat2 objects in between.
 
-A quaternion q = h0 + h1 i + h2 j + h3 k is written as the complex 2x2 block
+The formulas, for a point with first column (x, w):
+
+* ell_rho = rho Id - p diag(rho, 0) p*, which reads only (x, w);
+* u0 = [[0, v], [-conj(v), 0]] and u_rho = [[rho, b_rho], [-conj(b_rho), -rho]]
+  with b_rho = (v rho - |v|^2 rho v)/(2 |v|^2), or the constant antidiagonal
+  basis at case-II points;
+* [u_a, u_b] = u_a u_b - (u_a u_b)*, valid for skew-Hermitian u_a, u_b;
+* the membership residual of u is the (1,1) quaternion entry of p* u p.
+
+Float points: a quaternion q = h0 + h1 i + h2 j + h3 k is written as the
+complex 2x2 block
 
     [[h0 + h1 i,  h2 + h3 i],
      [-h2 + h3 i, h0 - h1 i]].
@@ -10,29 +20,29 @@ A quaternion q = h0 + h1 i + h2 j + h3 k is written as the complex 2x2 block
 The map is an injective ring homomorphism that sends conj(q) to the
 conjugate transpose, so a 2x2 quaternionic matrix becomes a 4x4 complex one,
 its quaternionic adjoint becomes the conjugate transpose, and the formulas
-of the span check become matrix products over stacked (..., 4, 4) arrays:
+become numpy products over stacked (..., 4, 4) arrays.
 
-* ell_rho = rho Id - p diag(rho, 0) p*, which reads only the first column
-  (x, w) of p;
-* u0 = [[0, v], [-conj(v), 0]] and u_rho = [[rho, b_rho], [-conj(b_rho), -rho]]
-  with b_rho = (v rho - |v|^2 rho v)/(2 |v|^2), or the constant antidiagonal
-  basis at case-II points;
-* [u_a, u_b] = u_a u_b - (u_a u_b)*, valid for skew-Hermitian u_a, u_b;
-* the membership residual of u is the (1,1) quaternion entry of p* u p.
+Exact points: (x, w) and v are cleared to integer numerators, x = X/P,
+w = W/P and v = V/E, and the formulas run as Hamilton products of integer
+4-tuples (quat.hamilton).  With |V|^2 = n, every u is an integer matrix over
+Q = 2 E n (b_rho = (E^2 V rho - n rho V)/Q), so the ell rows are integers
+over P^2, the u rows over Q, the brackets over Q^2 and the residuals over
+P^2 Q; only the returned values become Fractions.
 
-Only the float backend comes here.  The object path (frames.span_frame and
-frames.verify_frame on Quaternion/QMat2 objects) computes the same rows and
-residuals, runs the exact backend, and is the reference the tests compare
-this kernel with.
+The object path (frames.span_frame and frames.verify_frame on
+Quaternion/QMat2 objects) computes the same rows and residuals; it is the
+reference the tests compare this kernel with, exactly on exact points.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
 from itertools import combinations
+from math import lcm
 
 import numpy as np
 
-from .quat import Quaternion
+from .quat import FLOAT, Quaternion, conj4, denominator, hamilton, numerators
 
 
 def _block(q: Quaternion):
@@ -60,16 +70,22 @@ _B_CASE_II = np.concatenate((np.eye(2, dtype=complex)[None], _RHO))
 _ZEROS4 = np.zeros((4, 2, 2), dtype=complex)
 _U_CASE_II = np.block([[_ZEROS4, _B_CASE_II], [-_adjoint(_B_CASE_II), _ZEROS4]])
 # (a, b) of the six brackets [u_a, u_b], in frames.SPAN_LABELS order.
-_PAIR_A, _PAIR_B = (np.array(side) for side in zip(*combinations(range(4), 2)))
+_PAIRS = tuple(combinations(range(4), 2))
+_PAIR_A, _PAIR_B = (np.array(side) for side in zip(*_PAIRS))
+# 1, i, j, k and 0 as integer 4-tuples.
+_ONE, _I, _J, _K = ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
+_ZERO = (0, 0, 0, 0)
 
 
 def span_rows(x: Quaternion, w: Quaternion, v: Quaternion | None):
-    """The span check's inputs at a float point with first column (x, w).
+    """The span check's inputs at a point with first column (x, w), on the
+    backend of x.
 
     v = x w^-1 as frames.classify computes it, or None at case-II points
     (x or w vanishes), which take the constant antidiagonal u-basis.
 
-    Returns four lists of Python floats:
+    Returns four lists, of Python floats on the float backend and of
+    Fractions on the exact one:
 
     * rows: the 13 Vec10 rows in frames.SPAN_LABELS order (ell_i, ell_j,
       ell_k, u0, u_i, u_j, u_k, then the six [u_a, u_b]);
@@ -77,6 +93,8 @@ def span_rows(x: Quaternion, w: Quaternion, v: Quaternion | None):
     * traces: for each u, the four components of its trace a + d;
     * scales: for each u, its largest entry component in absolute value.
     """
+    if x.backend != FLOAT:
+        return _exact_span_rows(x, w, v)
     col = np.array(_block(x) + _block(w))  # (4, 2): the first column of p
     ell = _RHO_ID - col @ _RHO @ _adjoint(col)
     if v is None:
@@ -98,3 +116,82 @@ def span_rows(x: Quaternion, w: Quaternion, v: Quaternion | None):
     traces = (u[:, 0, :2] + u[:, 2, 2:]).view(np.float64)
     scales = np.abs(u.view(np.float64)).max(axis=(1, 2))
     return rows.tolist(), residuals.tolist(), traces.tolist(), scales.tolist()
+
+
+def _add(a, b):
+    return (a[0] + b[0], a[1] + b[1], a[2] + b[2], a[3] + b[3])
+
+
+def _sub(a, b):
+    return (a[0] - b[0], a[1] - b[1], a[2] - b[2], a[3] - b[3])
+
+
+def _neg(a):
+    return (-a[0], -a[1], -a[2], -a[3])
+
+
+def _vec10(a, b, d):
+    """The Vec10 coordinates (a1, a2, a3, b0, b1, b2, b3, d1, d2, d3)."""
+    return [a[1], a[2], a[3], b[0], b[1], b[2], b[3], d[1], d[2], d[3]]
+
+
+def _exact_span_rows(x: Quaternion, w: Quaternion, v: Quaternion | None):
+    """span_rows on integer numerators (see the module docstring)."""
+    p_den = lcm(denominator(x), denominator(w))
+    xn, wn = numerators(x, p_den), numerators(w, p_den)
+    xc, wc = conj4(xn), conj4(wn)
+    p_sq = p_den * p_den
+    rows = []
+    for rho in (_I, _J, _K):
+        # rho Id - p diag(rho, 0) p*, times P^2
+        x_rho, w_rho = hamilton(xn, rho), hamilton(wn, rho)
+        rho_p = tuple(r * p_sq for r in rho)
+        a = _sub(rho_p, hamilton(x_rho, xc))
+        b = _neg(hamilton(x_rho, wc))
+        d = _sub(rho_p, hamilton(w_rho, wc))
+        rows.append([Fraction(c, p_sq) for c in _vec10(a, b, d)])
+
+    # each u as its integer entries (a, b, c, d) over the common q_den
+    if v is None:
+        q_den = 1
+        us = [(_ZERO, b, _neg(conj4(b)), _ZERO) for b in (_ONE, _I, _J, _K)]
+    else:
+        v_den = denominator(v)
+        vn = numerators(v, v_den)
+        n = vn[0] * vn[0] + vn[1] * vn[1] + vn[2] * vn[2] + vn[3] * vn[3]
+        q_den = 2 * v_den * n
+        b0 = tuple(2 * n * c for c in vn)
+        us = [(_ZERO, b0, _neg(conj4(b0)), _ZERO)]
+        e_sq = v_den * v_den
+        for rho in (_I, _J, _K):
+            v_rho, rho_v = hamilton(vn, rho), hamilton(rho, vn)
+            b = tuple(e_sq * s - n * t for s, t in zip(v_rho, rho_v))
+            a = tuple(q_den * r for r in rho)
+            us.append((a, b, _neg(conj4(b)), _neg(a)))
+    rows += [[Fraction(c, q_den) for c in _vec10(a, b, d)] for a, b, _, d in us]
+
+    q_sq = q_den * q_den
+    for i, j in _PAIRS:
+        a1, b1, c1, d1 = us[i]
+        a2, b2, c2, d2 = us[j]
+        m11 = _add(hamilton(a1, a2), hamilton(b1, c2))
+        m12 = _add(hamilton(a1, b2), hamilton(b1, d2))
+        m21 = _add(hamilton(c1, a2), hamilton(d1, c2))
+        m22 = _add(hamilton(c1, b2), hamilton(d1, d2))
+        # u_a u_b - (u_a u_b)*
+        a = _sub(m11, conj4(m11))
+        b = _sub(m12, conj4(m21))
+        d = _sub(m22, conj4(m22))
+        rows.append([Fraction(c, q_sq) for c in _vec10(a, b, d)])
+
+    res_den = p_sq * q_den
+    residuals, traces, scales = [], [], []
+    for a, b, c, d in us:
+        # (p* u p)_11 = conj(x) (a x + b w) + conj(w) (c x + d w)
+        top = _add(hamilton(a, xn), hamilton(b, wn))
+        bottom = _add(hamilton(c, xn), hamilton(d, wn))
+        res = _add(hamilton(xc, top), hamilton(wc, bottom))
+        residuals.append([Fraction(r, res_den) for r in res])
+        traces.append([Fraction(t, q_den) for t in _add(a, d)])
+        scales.append(Fraction(max(abs(h) for e in (a, b, c, d) for h in e), q_den))
+    return rows, residuals, traces, scales

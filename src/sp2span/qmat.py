@@ -30,7 +30,11 @@ from .quat import (
     Scalar,
     Sp2Error,
     ZeroDivisor,
+    conj4,
+    denominator,
     dot,
+    hamilton,
+    numerators,
     one,
     quat,
     quat_from_json,
@@ -191,6 +195,22 @@ def qmat_inverse(m: QMat2) -> QMat2:
 # -- validated wrappers ---------------------------------------------------------
 
 
+def _unitarity_defect(x, y, w, z, one):
+    """The largest component of p p* - one Id and p* p - one Id for
+    p = [[x, y], [w, z]] given as 4-tuples, from their independent entries:
+    the four column and row norms and the two off-diagonal products (the
+    other off-diagonals are their conjugates, and the imaginary part of a
+    diagonal entry is identically 0).  NaN when any deviation is NaN."""
+    nx, ny, nw, nz = (a0 * a0 + a1 * a1 + a2 * a2 + a3 * a3 for a0, a1, a2, a3 in (x, y, w, z))
+    devs = [abs(nx + ny - one), abs(nw + nz - one), abs(nx + nw - one), abs(ny + nz - one)]
+    rows = zip(hamilton(x, conj4(w)), hamilton(y, conj4(z)))  # (p p*)_12
+    cols = zip(hamilton(conj4(x), y), hamilton(conj4(w), z))  # (p* p)_12
+    devs += [abs(s + t) for s, t in rows]
+    devs += [abs(s + t) for s, t in cols]
+    # max() drops a NaN that is not its first argument; this key ranks it first
+    return max(devs, key=lambda d: (d != d, d))
+
+
 class Sp2Point:
     """A point of Sp(2): m @ m* = m* @ m = Id (exact, or within tol)."""
 
@@ -198,12 +218,17 @@ class Sp2Point:
 
     def __init__(self, m: QMat2, tol: float = 1e-9, validate: bool = True):
         if validate:
-            ident = identity(m.backend)
-            err = max(
-                (m @ m.adjoint()).max_component_diff(ident),
-                (m.adjoint() @ m).max_component_diff(ident),
-            )
-            ok = err == 0 if m.backend == EXACT else err <= tol
+            x, y, w, z = m.entries()
+            if m.backend == EXACT:
+                # P = den p has integer entries, and p p* = Id is P P* = den^2 Id
+                den = lcm(denominator(x), denominator(y), denominator(w), denominator(z))
+                parts = [numerators(q, den) for q in (x, y, w, z)]
+                err = _unitarity_defect(*parts, den * den)
+                ok = err == 0
+                err = Fraction(err, den * den)
+            else:
+                err = _unitarity_defect(*(e.components() for e in (x, y, w, z)), 1.0)
+                ok = err <= tol
             if not ok:
                 raise InvariantViolation(f"p p* deviates from Id by {float(err):.3e}")
         self.m = m

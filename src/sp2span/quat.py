@@ -128,27 +128,13 @@ class Quaternion:
                 a0 * b3 + a1 * b2 - a2 * b1 + a3 * b0,
             )
         self._check_backend(other)
-        # Exact: scale each operand to the lcm of its four denominators and
-        # run the Hamilton product on the integer numerators, so only the
+        # Exact: the Hamilton product of the integer numerators, so only the
         # four results pay a gcd (in the Fraction constructor), not every
         # one of the 28 intermediate operations.
-        da = math.lcm(a0.denominator, a1.denominator, a2.denominator, a3.denominator)
-        db = math.lcm(b0.denominator, b1.denominator, b2.denominator, b3.denominator)
-        a0 = a0.numerator * (da // a0.denominator)
-        a1 = a1.numerator * (da // a1.denominator)
-        a2 = a2.numerator * (da // a2.denominator)
-        a3 = a3.numerator * (da // a3.denominator)
-        b0 = b0.numerator * (db // b0.denominator)
-        b1 = b1.numerator * (db // b1.denominator)
-        b2 = b2.numerator * (db // b2.denominator)
-        b3 = b3.numerator * (db // b3.denominator)
+        da, db = denominator(self), denominator(other)
+        c0, c1, c2, c3 = hamilton(numerators(self, da), numerators(other, db))
         den = da * db
-        return Quaternion(
-            Fraction(a0 * b0 - a1 * b1 - a2 * b2 - a3 * b3, den),
-            Fraction(a0 * b1 + a1 * b0 + a2 * b3 - a3 * b2, den),
-            Fraction(a0 * b2 - a1 * b3 + a2 * b0 + a3 * b1, den),
-            Fraction(a0 * b3 + a1 * b2 - a2 * b1 + a3 * b0, den),
-        )
+        return Quaternion(Fraction(c0, den), Fraction(c1, den), Fraction(c2, den), Fraction(c3, den))
 
     def scale(self, s: Scalar) -> "Quaternion":
         """Multiply every component by a plain scalar (same backend)."""
@@ -204,6 +190,44 @@ class Quaternion:
 
     def __repr__(self):
         return f"Quaternion({self.h0!r}, {self.h1!r}, {self.h2!r}, {self.h3!r})"
+
+
+# -- integer numerators ---------------------------------------------------------
+
+
+def denominator(q: "Quaternion") -> int:
+    """The lcm of the component denominators of an exact quaternion."""
+    return math.lcm(q.h0.denominator, q.h1.denominator, q.h2.denominator, q.h3.denominator)
+
+
+def numerators(q: "Quaternion", den: int):
+    """The integers (n0, n1, n2, n3) with q = n / den; den must be a
+    multiple of denominator(q)."""
+    h0, h1, h2, h3 = q.h0, q.h1, q.h2, q.h3
+    return (
+        h0.numerator * (den // h0.denominator),
+        h1.numerator * (den // h1.denominator),
+        h2.numerator * (den // h2.denominator),
+        h3.numerator * (den // h3.denominator),
+    )
+
+
+def hamilton(a, b):
+    """The Hamilton product of two quaternions given as 4-tuples of
+    components (integers or floats)."""
+    a0, a1, a2, a3 = a
+    b0, b1, b2, b3 = b
+    return (
+        a0 * b0 - a1 * b1 - a2 * b2 - a3 * b3,
+        a0 * b1 + a1 * b0 + a2 * b3 - a3 * b2,
+        a0 * b2 - a1 * b3 + a2 * b0 + a3 * b1,
+        a0 * b3 + a1 * b2 - a2 * b1 + a3 * b0,
+    )
+
+
+def conj4(a):
+    """conj of a quaternion given as a 4-tuple."""
+    return (a[0], -a[1], -a[2], -a[3])
 
 
 # -- constructors -------------------------------------------------------------
@@ -327,7 +351,7 @@ def scalar_from_json(obj, backend: str) -> Scalar:
     if backend == FLOAT:
         if isinstance(obj, (int, float)) and not isinstance(obj, bool):
             # json reads NaN, Infinity and integers beyond the double range;
-            # a NaN would slip past the max() in Sp2Point's p p* = Id check
+            # none of them is a coordinate of a point
             try:
                 value = float(obj)
             except OverflowError:

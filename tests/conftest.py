@@ -75,6 +75,17 @@ def quat_close(q: Quaternion, r: Quaternion, tol: float = 1e-12) -> bool:
     return max(abs(x - y) for x, y in zip(q.components(), r.components())) <= tol
 
 
+def object_check(p, tol, drop_label=None):
+    """The span check on the object path: frames.verify_frame on
+    frames.span_frame without the row labeled drop_label.  The reference
+    for frames.check_point; returns (the FrameCheck, the checked frame)."""
+    full = frames.span_frame(p, tol)
+    frame = frames.Frame(
+        tag=full.tag, entries=tuple(e for e in full.entries if e.label != drop_label)
+    )
+    return frames.verify_frame(p, frame, tol), frame
+
+
 @pytest.fixture(scope="session")
 def identity_results():
     """One run of the full identity suite, shared by every test that reads it."""

@@ -2,6 +2,8 @@
 constructions of the fundamental fields, membership conditions, point
 generators (random, Cayley, deterministic grids), and fiber normalization."""
 
+import hashlib
+import json
 import random
 from fractions import Fraction
 
@@ -220,6 +222,16 @@ def test_random_sp2_deterministic_and_valid():
     assert p.m.max_component_diff(q.m) == 0
     r = (p.m @ p.m.adjoint()).max_component_diff(identity(FLOAT))
     assert r <= 1e-12
+
+
+def test_random_sp2_draws_are_frozen():
+    # The draws of keys 0-999, as serialized: a change to sampling or to its
+    # validation must not move a single bit.
+    digest = hashlib.sha256()
+    for key in range(1000):
+        digest.update(json.dumps(random_sp2(key).to_json(), sort_keys=True).encode())
+        digest.update(b"\n")
+    assert digest.hexdigest() == "e80a83b02b395db5daf7e0ecf0328900efd13a03b03f66f6733fd3b712dd7abf"
 
 
 def test_random_sp2_column_mass_is_balanced():

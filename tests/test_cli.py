@@ -210,8 +210,8 @@ def test_frame_rejects_missing_file(tmp_path):
 
 
 def test_frame_rejects_non_finite_floats(tmp_path, capsys):
-    # json reads NaN and Infinity, and the max() in the p p* = Id check
-    # drops a NaN that is not its first argument, so the parser refuses them.
+    # json reads NaN and Infinity; the parser refuses them with its own
+    # message, before the p p* = Id check would.
     blob = bundle.random_sp2(7).to_json()
     slots = [(entry, c) for entry in "abcd" for c in range(4)]
     bad = [float("nan"), float("inf"), float("-inf"), 10**400]

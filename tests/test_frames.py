@@ -362,21 +362,27 @@ def test_boundary_continuation(stratum):
     assert len(pivots) == 150 and min(pivots) > 0.1
 
 
-def test_raw_cayley_points_certified():
-    # Rational Cayley points of random sp(2) elements: v = x w^-1 is a
-    # general quaternion, which no rational fiber rotation can normalize,
-    # and the span check certifies them as given.
+def raw_cayley_points(count=50):
+    """Rational Cayley points of random sp(2) elements: v = x w^-1 is a
+    general quaternion, which no rational fiber rotation can normalize."""
     g = random.Random(17)
 
     def fr():
         return Fraction(g.randint(-6, 6), g.randint(1, 8))
 
-    raw = 0
-    for _ in range(50):
+    out = []
+    for _ in range(count):
         a = quat(0, fr(), fr(), fr(), backend=EXACT)
         d = quat(0, fr(), fr(), fr(), backend=EXACT)
         b = quat(fr(), fr(), fr(), fr(), backend=EXACT)
-        p = bundle.cayley_sp2(Sp2Alg(QMat2(a, b, -b.conj(), d)))
+        out.append(bundle.cayley_sp2(Sp2Alg(QMat2(a, b, -b.conj(), d))))
+    return out
+
+
+def test_raw_cayley_points_certified():
+    # The span check certifies the raw Cayley points as given.
+    raw = 0
+    for p in raw_cayley_points():
         v = p.x * p.w.inverse()
         raw += v.h2 != 0 or v.h3 != 0
         res = check_point(p)

@@ -28,6 +28,14 @@ COMMANDS = {
         ["verify", "--backend", "exact", "--samples", "16", "--seed", "5", "--corrupt-frame", "u0"],
         None,
     ),
+    "verify-exact-16-seed5-corrupt-ell_i": (
+        ["verify", "--backend", "exact", "--samples", "16", "--seed", "5", "--corrupt-frame", "ell_i"],
+        None,
+    ),
+    "verify-exact-16-seed5-corrupt-u_j-u_k": (
+        ["verify", "--backend", "exact", "--samples", "16", "--seed", "5", "--corrupt-frame", "[u_j,u_k]"],
+        None,
+    ),
     "frame-exact-I-a": (["frame"], (101, None)),
     "frame-exact-I-b": (["frame"], (102, "I-b")),
     "frame-exact-I-r": (["frame"], (103, "I-r")),

@@ -1,25 +1,38 @@
-"""The float span kernel against the object path.
+"""The span kernel against the object path.
 
 `frames.span_frame` (Quaternion/QMat2 objects) and `frames.verify_frame`
-stay the float reference: the kernel must give the same rows, residuals,
-ranks, pivots and membership verdicts at Haar points, at the 900 points of
-test_boundary_continuation, and at float points on the quarter stratum.
-The kernel's complex matrix products round differently from the quaternion
-products, so rows and pivots are compared at tolerances fixed from float64
-(about 1e-15 was measured on both), not bitwise, and pivot positions may
-differ where the reference's own choice between equal entries is a tie.
+stay the reference (`conftest.object_check`).  On float points the kernel
+must give the same rows, residuals, ranks, pivots and membership verdicts at
+Haar points, at the 900 points of test_boundary_continuation, and at float
+points on the quarter stratum.  The kernel's complex matrix products round
+differently from the quaternion products, so float rows and pivots are
+compared at tolerances fixed from float64 (about 1e-15 was measured on
+both), not bitwise, and pivot positions may differ where the reference's own
+choice between equal entries is a tie.  On exact points everything must be
+equal: the rows as Fractions, and the whole FrameCheck, Bareiss pivots
+included.
 """
+
+import json
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from sp2span import bundle, frames, kernel
-from sp2span.bundle import ad_h_p_residual, ib_float_point
-from sp2span.frames import SPAN_LABELS, Frame, FrameCheck, check_point, classify, verify_frame
+from sp2span import bundle, cli, frames, kernel
+from sp2span.bundle import EXACT_CASE_KINDS, ad_h_p_residual, ib_float_point, in_ad_h_p
+from sp2span.frames import SPAN_LABELS, FrameCheck, check_point, classify
 from sp2span.qmat import to_vec10
-from sp2span.quat import FLOAT, quat
+from sp2span.quat import EXACT, FLOAT, Quaternion, quat
 
-from test_frames import BOUNDARY_DRESSINGS, BOUNDARY_V, NEAR_QUARTER_PHASES, _boundary_point
+from conftest import object_check
+from test_frames import (
+    BOUNDARY_DRESSINGS,
+    BOUNDARY_V,
+    NEAR_QUARTER_PHASES,
+    _boundary_point,
+    raw_cayley_points,
+)
 
 TOL = 1e-9
 ROW_TOL = 1e-13  # times the row's largest entry
@@ -91,9 +104,7 @@ def _assert_same_rank(mine, ref, rows):
 
 def _assert_matches_object_path(p, drop_label=None):
     res = check_point(p, TOL, drop_label)
-    full = frames.span_frame(p, TOL)
-    frame = Frame(tag=full.tag, entries=tuple(e for e in full.entries if e.label != drop_label))
-    ref = verify_frame(p, frame, TOL)
+    ref, frame = object_check(p, TOL, drop_label)
     assert res.case == ref.case
     assert res.membership_violations == ref.membership_violations
     assert res.failures() == ref.failures()
@@ -162,3 +173,103 @@ def test_float_check_builds_no_frame_objects(monkeypatch):
     assert isinstance(res, FrameCheck)
     assert res.ok is False
     assert res.failures() == ["bracket-free rank 6 != 7"]
+
+
+# -- exact points: equal, not close -------------------------------------------------
+
+
+def _exact_random(seeds=range(20)):
+    return [bundle.exact_random_point(seed, case) for case in EXACT_CASE_KINDS for seed in seeds]
+
+
+EXACT_FAMILIES = {
+    "random": _exact_random,
+    "grid_ia": lambda: bundle.grid_ia(12),
+    "grid_ib": lambda: bundle.grid_ib(12),
+    "grid_ir": lambda: bundle.grid_ir(12),
+    "grid_ii": lambda: bundle.grid_ii(12),
+    "raw_cayley": raw_cayley_points,
+}
+
+
+@pytest.mark.parametrize("family", list(EXACT_FAMILIES))
+def test_exact_kernel_rows_equal_object_rows(family):
+    for p in EXACT_FAMILIES[family]():
+        assert p.backend == EXACT
+        rows, residuals, traces, _ = kernel.span_rows(p.x, p.w, classify(p, TOL).v)
+        frame = frames.span_frame(p, TOL)
+        for got, e in zip(rows, frame.entries, strict=True):
+            assert all(type(x) is Fraction for x in got)
+            assert got == list(to_vec10(e.m))
+        for res, trace, e in zip(residuals, traces, frame.entries[3:7], strict=True):
+            assert res == list(ad_h_p_residual(p, e.m, TOL).components())
+            assert trace == list(e.m.m.trace().components())
+
+
+@pytest.mark.parametrize("family", list(EXACT_FAMILIES))
+def test_exact_check_equals_object_check(family):
+    for p in EXACT_FAMILIES[family]():
+        res = check_point(p, TOL)
+        ref, _ = object_check(p, TOL)
+        assert res == ref  # rank, method, pivots, positions, membership
+        assert res.ok, res.failures()
+
+
+@pytest.mark.parametrize("label", SPAN_LABELS)
+def test_exact_dropped_row_equals_object_check(label):
+    points = _exact_random(range(3)) + raw_cayley_points(5)
+    points += [grid(2)[1] for grid in (bundle.grid_ia, bundle.grid_ib, bundle.grid_ir, bundle.grid_ii)]
+    for p in points:
+        res = check_point(p, TOL, label)
+        ref, _ = object_check(p, TOL, label)
+        assert res == ref
+        assert res.failures() == ref.failures()
+
+
+def test_exact_kernel_residuals_of_non_members():
+    # v moved off x w^-1: the four u are not horizontal at p, and the
+    # kernel's verdicts are in_ad_h_p's.
+    shift = quat(Fraction(1, 3), 0, Fraction(-1, 5), 0)
+    points = [p for p in _exact_random(range(8)) + raw_cayley_points(10) if classify(p).v is not None]
+    assert len(points) >= 30
+    for p in points:
+        off = classify(p, TOL).v + shift
+        _, residuals, traces, scales = kernel.span_rows(p.x, p.w, off)
+        for res, trace, scale, u in zip(residuals, traces, scales, frames.u_basis(off), strict=True):
+            assert res == list(ad_h_p_residual(p, u, TOL).components())
+            verdict = bundle.membership_verdict(Quaternion(*res), Quaternion(*trace), scale, TOL)
+            assert verdict == in_ad_h_p(p, u, TOL)
+            assert not verdict
+
+
+def test_exact_check_builds_no_frame_objects(monkeypatch):
+    # Both backends check on the kernel's rows: the object path (span_frame,
+    # verify_frame, and the per-entry ell and membership) must not run.
+    p = bundle.exact_random_point(1)
+
+    def refuse(*args):
+        raise AssertionError("the exact check built frame objects")
+
+    for name in ("span_frame", "verify_frame", "ell", "in_ad_h_p"):
+        monkeypatch.setattr(frames, name, refuse)
+    res = check_point(p, TOL, "ell_j")
+    assert isinstance(res, FrameCheck)
+    assert res.rank.method == "bareiss"
+    assert res.ok is False
+    assert res.failures() == ["bracket-free rank 6 != 7"]
+
+
+def test_frame_builds_span_frame_once(monkeypatch, tmp_path):
+    calls = []
+    span_frame = frames.span_frame
+
+    def counted(*args):
+        calls.append(args)
+        return span_frame(*args)
+
+    monkeypatch.setattr(frames, "span_frame", counted)
+    point_file = tmp_path / "point.json"
+    point = bundle.exact_random_point(3, "I-r")
+    point_file.write_text(json.dumps({"backend": "exact", "p": point.m.to_json()}))
+    assert cli.main(["frame", str(point_file), "--out", str(tmp_path / "out.txt")]) == 0
+    assert len(calls) == 1

@@ -140,6 +140,57 @@ def test_sp2point_validates():
         Sp2Point(bad)
 
 
+def _with_component(m: QMat2, index: int, value) -> QMat2:
+    """m with component index % 4 of entry index // 4 (x, y, w, z order)
+    replaced by value."""
+    entries = [list(e.components()) for e in m.entries()]
+    entries[index // 4][index % 4] = value
+    return QMat2(*(quat(*e) for e in entries))
+
+
+def _old_defect(m: QMat2):
+    """The deviation of p p* and p* p from Id as two full QMat2 products."""
+    ident = identity(m.backend)
+    return max(
+        (m @ m.adjoint()).max_component_diff(ident),
+        (m.adjoint() @ m).max_component_diff(ident),
+    )
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+def test_sp2point_rejects_non_finite_components(bad):
+    # max() keeps a NaN only in first place; the validation must fail on
+    # any non-finite deviation, wherever it sits.
+    for seed in range(3):
+        m = bundle.random_sp2(seed).m
+        for index in range(16):
+            with pytest.raises(InvariantViolation):
+                Sp2Point(_with_component(m, index, bad))
+
+
+def test_sp2point_rejects_every_exact_perturbation():
+    for case in bundle.EXACT_CASE_KINDS:
+        m = bundle.exact_random_point(40, case).m
+        Sp2Point(m)
+        for index in range(16):
+            moved = _with_component(m, index, m.entries()[index // 4].components()[index % 4] + Fraction(1, 10**6))
+            with pytest.raises(InvariantViolation) as info:
+                Sp2Point(moved)
+            # the reported deviation is the one the full products give
+            assert str(info.value) == f"p p* deviates from Id by {float(_old_defect(moved)):.3e}"
+
+
+def test_sp2point_float_deviation_matches_full_products():
+    for seed in range(20):
+        m = bundle.random_sp2(seed).m
+        for index in range(16):
+            moved = _with_component(m, index, m.entries()[index // 4].components()[index % 4] + 1e-3)
+            with pytest.raises(InvariantViolation) as info:
+                Sp2Point(moved)
+            reported = float(str(info.value).rsplit(" ", 1)[1])
+            assert reported == pytest.approx(_old_defect(moved), rel=2e-3)
+
+
 def test_sp2alg_validates():
     with pytest.raises(InvariantViolation):
         Sp2Alg(identity(EXACT))
