@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import cos, isqrt, sin, sqrt
+from math import cos, isqrt, lcm, sin, sqrt
 
 import numpy as np
 
@@ -48,6 +48,8 @@ from .quat import (
     Quaternion,
     Scalar,
     Sp2Error,
+    conj4,
+    hamilton,
     one,
     qi,
     qj,
@@ -331,22 +333,23 @@ def normalize_fiber(p: Sp2Point, tol: float = 1e-9) -> FiberNormalization:
 
 # -- exact point factories -----------------------------------------------------------
 
-# Generic rational Cayley points almost surely have v = x w^-1 outside
-# span{1, i} and land in case I-a.  The factories below build points on a
-# chosen stratum, already fiber-normalized, as the paper's case frames
-# expect (the span check needs neither): for a rational complex v with 1 + |v|^2 = (A^2 + B^2)/n^2 a sum of two
+# For a rational complex v with 1 + |v|^2 = (A^2 + B^2)/n^2 a sum of two
 # rational squares, w0 = n (A + B i)/(A^2 + B^2) has |w0|^2 = 1/(1 + |v|^2)
 # and
 #
 #     p = [[v w0 u1, w0 u2], [w0 u1, -conj(v) w0 u2]]
 #
 # is exactly symplectic for ANY rational unit quaternions u1, u2 (the
-# columns stay orthonormal), with v = x w^-1 preserved exactly.  Varying
-# (u1, u2) sweeps the whole fiber-normalized locus over that v.
+# columns stay orthonormal), with v = x w^-1 preserved exactly.  With v in
+# span{1, i} and a nonnegative i-part, as the grids and the named cases of
+# exact_random_point choose it, these points are fiber-normalized, as the
+# paper's case frames expect; varying (u1, u2) sweeps the whole
+# fiber-normalized locus over that v.  (The span check needs no
+# normalization.)
 
 
 def fiber_point(v: Quaternion, w0: Quaternion, u1: Quaternion, u2: Quaternion) -> Sp2Point:
-    """Assemble the normalized point above.  Preconditions: |w0|^2 (1 + |v|^2) = 1
+    """Assemble the point above.  Preconditions: |w0|^2 (1 + |v|^2) = 1
     and |u1| = |u2| = 1; validated via the Sp2Point invariant."""
     w = w0 * u1
     y = w0 * u2
@@ -398,61 +401,135 @@ def ir_w0(v: Quaternion) -> Quaternion:
 IB_W0 = quat(Fraction(1, 2), Fraction(1, 2), 0, 0)  # |w0|^2 = 1/2, for v = i
 
 
-def _rng_fraction(g, num_bound: int = 8, den_bound: int = 8) -> Fraction:
-    return Fraction(
-        int(g.integers(-num_bound, num_bound + 1)), int(g.integers(1, den_bound + 1))
+# -- exact sampling on integer numerators ---------------------------------------------
+
+# exact_random_point draws small rationals from a Philox stream and builds
+# its point as integer 4-tuples, each entry over one positive denominator
+# (quat.hamilton on numerators), so each output component is one Fraction.
+# The object constructions (sp1_cayley, cayley_sp2, r_action, fiber_point)
+# give the same points; they are the reference the tests compare with.
+
+
+def _rng_ratio(g, num_bound: int = 8, den_bound: int = 8):
+    """A random rational as (numerator, denominator), drawn in that order."""
+    return int(g.integers(-num_bound, num_bound + 1)), int(g.integers(1, den_bound + 1))
+
+
+def _over_lcm(ratios):
+    """(numerator, denominator) pairs over their common denominator: the
+    numerators and that lcm."""
+    d = lcm(*(den for _, den in ratios))
+    return [num * (d // den) for num, den in ratios], d
+
+
+def _unit_numerators(s):
+    """The unit (1 - s)(1 + s)^-1 for imaginary s = s1 i + s2 j + s3 k, given
+    as the (numerator, denominator) pairs of (s1, s2, s3), as (numerators,
+    denominator).
+
+    For imaginary s, s^2 = -|s|^2 and (1 + s)^-1 = (1 - s)/(1 + |s|^2), so
+    with s = S/D the unit is ((D^2 - |S|^2) - 2 D S)/(D^2 + |S|^2)."""
+    (a1, a2, a3), d = _over_lcm(s)
+    d_sq, s_sq = d * d, a1 * a1 + a2 * a2 + a3 * a3
+    t = -2 * d
+    return (d_sq - s_sq, t * a1, t * a2, t * a3), d_sq + s_sq
+
+
+def _rng_unit(g):
+    """sp1_cayley of a random imaginary s, as (numerators, denominator)."""
+    return _unit_numerators([_rng_ratio(g) for _ in range(3)])
+
+
+def _rng_cayley_core(g):
+    """The U(2) point (Id - S)(Id + S)^-1 for a random
+    S = [[a i, b], [-conj(b), c i]] with b = b0 + b1 i, as its entries
+    (x, y, w, z) in integer 4-tuples over one denominator.
+
+    With S = S'/D, M = D Id + S' = [[D + A i, B], [-conj(B), D + C i]] has
+    adjugate [[D + C i, -B], [conj(B), D + A i]] and determinant
+    det = (D + A i)(D + C i) + |B|^2, and (D Id - S') adj(M) is
+    [[r + e i, -2 D B], [2 D conj(B), r - e i]] with r = D^2 + A C - |B|^2
+    and e = D (C - A).  The point is that matrix times conj(det) over |det|^2.
+    """
+    (a, b0, b1, c), d = _over_lcm([_rng_ratio(g) for _ in range(4)])
+    b_sq = b0 * b0 + b1 * b1
+    r, e = d * d + a * c - b_sq, d * (c - a)
+    t, f = d * d - a * c + b_sq, d * (a + c)  # det = t + f i
+    d2 = 2 * d
+    x = (r * t + e * f, e * t - r * f, 0, 0)
+    y = (-d2 * (b0 * t + b1 * f), -d2 * (b1 * t - b0 * f), 0, 0)
+    w = (d2 * (b0 * t - b1 * f), -d2 * (b1 * t + b0 * f), 0, 0)
+    z = (r * t - e * f, -(e * t + r * f), 0, 0)
+    return (x, y, w, z), t * t + f * f
+
+
+def _fiber_numerators(v, w0, u1, u2):
+    """fiber_point's entries (x, y, w, z) from (numerators, denominator)
+    pairs, as the same pairs."""
+    (vn, v_den), (w0n, w0_den), (u1n, u1_den), (u2n, u2_den) = v, w0, u1, u2
+    w, w_den = hamilton(w0n, u1n), w0_den * u1_den
+    y, y_den = hamilton(w0n, u2n), w0_den * u2_den
+    x = hamilton(vn, w)
+    z = hamilton(conj4(vn), y)
+    return (x, v_den * w_den), (y, y_den), (w, w_den), (tuple(-h for h in z), v_den * y_den)
+
+
+def _exact_point(entries) -> Sp2Point:
+    """The validated point [[x, y], [w, z]] from four (numerators,
+    denominator) pairs."""
+    return Sp2Point(
+        QMat2(*(Quaternion(*(Fraction(c, den) for c in nums)) for nums, den in entries))
     )
 
 
-def _rng_rational_unit(g) -> Quaternion:
-    s = quat(0, _rng_fraction(g), _rng_fraction(g), _rng_fraction(g))
-    return sp1_cayley(s)
-
-
-def _complex_cayley_point(g) -> Sp2Point:
-    """A Cayley-transform point with all entries in span{1, i} (a U(2)
-    point), so v = x w^-1 is automatically complex."""
-    alpha = quat(0, _rng_fraction(g), 0, 0)
-    beta = quat(_rng_fraction(g), _rng_fraction(g), 0, 0)
-    gamma = quat(0, _rng_fraction(g), 0, 0)
-    s = Sp2Alg(QMat2(alpha, beta, -beta.conj(), gamma), validate=False)
-    return cayley_sp2(s)
-
+_ZERO4 = ((0, 0, 0, 0), 1)
+_IB_V = ((0, 1, 0, 0), 1)
+_IB_W0 = ((1, 1, 0, 0), 2)  # IB_W0
 
 EXACT_CASE_KINDS = (None, "I-b", "I-r", "II-x0", "II-w0")
 
 
 def exact_random_point(seed: int, case: str | None = None) -> Sp2Point:
-    """Deterministic rational point on the fiber-normalized locus.
+    """Deterministic exact rational point of Sp(2).
 
-    case=None composes a complex-entried Cayley core with a generic
-    Sp(1)-Cayley right dressing (which fixes v), landing in case I-a almost
-    always; the named cases are built directly.  All outputs are exactly
-    symplectic and exactly classifiable.
+    case=None composes a U(2) Cayley core (all entries in span{1, i}) with a
+    random Sp(1)-Cayley right dressing diag(conj(lam), conj(mu)), which
+    fixes v = x w^-1.  So v is complex, but its i-part takes either sign:
+    these points are not fiber-normalized, and land in case I-a almost
+    always.  The named cases are built directly, on the fiber-normalized
+    locus of their stratum.  All outputs are exactly symplectic and
+    exactly classifiable.
     """
     g = np.random.Generator(np.random.Philox(key=seed % (1 << 128)))
     if case is None:
-        p0 = _complex_cayley_point(g)
-        lam, mu = _rng_rational_unit(g), _rng_rational_unit(g)
-        return r_action(p0, lam, mu)
+        (x0, y0, w0, z0), core_den = _rng_cayley_core(g)
+        (lam, lam_den), (mu, mu_den) = _rng_unit(g), _rng_unit(g)
+        lam_c, mu_c = conj4(lam), conj4(mu)
+        x_den, y_den = core_den * lam_den, core_den * mu_den
+        return _exact_point((
+            (hamilton(x0, lam_c), x_den),
+            (hamilton(y0, mu_c), y_den),
+            (hamilton(w0, lam_c), x_den),
+            (hamilton(z0, mu_c), y_den),
+        ))
     if case == "I-b":
-        return fiber_point(qi(EXACT), IB_W0, _rng_rational_unit(g), _rng_rational_unit(g))
+        return _exact_point(_fiber_numerators(_IB_V, _IB_W0, _rng_unit(g), _rng_unit(g)))
     if case == "I-r":
         for _ in range(64):
-            fr = _rng_fraction(g)
-            if fr != 0:
+            num, den = _rng_ratio(g)
+            if num != 0:
                 break
         else:
             raise DegenerateDraw("could not draw a nonzero rational v")
-        v = quat(fr, 0, 0, 0)
-        return fiber_point(v, ir_w0(v), _rng_rational_unit(g), _rng_rational_unit(g))
+        # v = num/den and w0 = den (den + num i)/(num^2 + den^2), as ir_w0
+        v, w0 = ((num, 0, 0, 0), den), ((den * den, den * num, 0, 0), num * num + den * den)
+        return _exact_point(_fiber_numerators(v, w0, _rng_unit(g), _rng_unit(g)))
     if case == "II-x0":
-        y, w = _rng_rational_unit(g), _rng_rational_unit(g)
-        zq = zero(EXACT)
-        return Sp2Point(QMat2(zq, y, w, zq))
+        y, w = _rng_unit(g), _rng_unit(g)
+        return _exact_point((_ZERO4, y, w, _ZERO4))
     if case == "II-w0":
-        xq, zq2 = _rng_rational_unit(g), _rng_rational_unit(g)
-        return Sp2Point(diag(xq, zq2))
+        x, z = _rng_unit(g), _rng_unit(g)
+        return _exact_point((x, _ZERO4, _ZERO4, z))
     raise ValueError(f"unknown case request {case!r}")
 
 

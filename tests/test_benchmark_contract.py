@@ -72,10 +72,13 @@ def test_counted_quaternion_methods_are_own():
 def test_gate_observes_every_point(monkeypatch, backend, samples):
     # The gate wraps these names to count a case per sample (cli._verify_one),
     # to collect the seed self-test's points (bundle.random_sp2) and to take
-    # the oracle's rank inputs (frames.real_rank).  A refactor that stopped
-    # calling them would leave the oracle nothing to check.
-    indices, draws, ranks = [], [], []
+    # the oracle's rank inputs (frames.real_rank); the trace probe
+    # bundle.sample and the segment hooks wrap the two samplers by name.  A
+    # refactor that stopped calling them through the module attribute would
+    # leave the oracle nothing to check and the trace blind.
+    indices, draws, exact_draws, ranks = [], [], [], []
     verify_one, random_sp2, real_rank = cli._verify_one, bundle.random_sp2, frames.real_rank
+    exact_random_point = bundle.exact_random_point
 
     def seen_verify_one(args):
         indices.append(args[0])
@@ -86,6 +89,11 @@ def test_gate_observes_every_point(monkeypatch, backend, samples):
         draws.append(p)
         return p
 
+    def seen_exact_random_point(*args, **kwargs):
+        p = exact_random_point(*args, **kwargs)
+        exact_draws.append(p)
+        return p
+
     def seen_real_rank(vectors, *args, **kwargs):
         rows = [list(v) for v in vectors]
         ranks.append(rows)
@@ -93,12 +101,14 @@ def test_gate_observes_every_point(monkeypatch, backend, samples):
 
     monkeypatch.setattr(cli, "_verify_one", seen_verify_one)
     monkeypatch.setattr(bundle, "random_sp2", seen_random_sp2)
+    monkeypatch.setattr(bundle, "exact_random_point", seen_exact_random_point)
     monkeypatch.setattr(frames, "real_rank", seen_real_rank)
     argv = ["verify", "--backend", backend, "--samples", str(samples), "--seed", "5"]
     assert cli.main(argv + ["--emit", "json"]) == 0
     assert indices == list(range(samples))
     assert len(draws) == (samples if backend == "float" else 0)
-    assert all(isinstance(p, qmat.Sp2Point) for p in draws)
+    assert len(exact_draws) == (samples if backend == "exact" else 0)
+    assert all(isinstance(p, qmat.Sp2Point) for p in draws + exact_draws)
     assert [len(rows) for rows in ranks] == [13, 7] * samples
     scalar = float if backend == "float" else Fraction
     assert all(type(x) is scalar for rows in ranks for row in rows for x in row)

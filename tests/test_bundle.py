@@ -7,9 +7,12 @@ import json
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from sp2span import bundle, frames
+from sp2span import bundle, cli, frames
 from sp2span.bundle import (
     DegenerateDraw,
     NonImaginaryRho,
@@ -33,8 +36,8 @@ from sp2span.bundle import (
     two_squares,
     vertical_delta_basis,
 )
-from sp2span.qmat import QMat2, Sp2Alg, ad, identity
-from sp2span.quat import EXACT, FLOAT, one, qi, qj, qk, quat, zero
+from sp2span.qmat import QMat2, Sp2Alg, Sp2Point, ad, identity
+from sp2span.quat import EXACT, FLOAT, one, qi, qj, qk, quat, quat_to_json, zero
 
 def rng_frac(g: random.Random) -> Fraction:
     return Fraction(g.randint(-6, 6), g.randint(1, 8))
@@ -234,6 +237,33 @@ def test_random_sp2_draws_are_frozen():
     assert digest.hexdigest() == "e80a83b02b395db5daf7e0ecf0328900efd13a03b03f66f6733fd3b712dd7abf"
 
 
+def test_exact_draws_are_frozen():
+    # The exact draws as serialized: keys 0-199 of every case, the keys and
+    # cases of exact `verify --samples 48 --seed 1..3` (cli._verify_one's
+    # formula), the deterministic grids and the unit menu.  A change to exact
+    # sampling must not move a single Fraction.
+    digest = hashlib.sha256()
+
+    def add(p):
+        digest.update(json.dumps(p.to_json(), sort_keys=True).encode())
+        digest.update(b"\n")
+
+    for case in bundle.EXACT_CASE_KINDS:
+        for key in range(200):
+            add(exact_random_point(key, case))
+    for seed in (1, 2, 3):
+        for index in range(48):
+            key = ((seed % (1 << 64)) << 64) + index
+            add(exact_random_point(key, cli._EXACT_CYCLE[index % len(cli._EXACT_CYCLE)]))
+    for grid in (bundle.grid_ia, bundle.grid_ib, bundle.grid_ir, bundle.grid_ii):
+        for p in grid(8):
+            add(p)
+    for u in bundle.UNIT_MENU:
+        digest.update(json.dumps(quat_to_json(u)).encode())
+        digest.update(b"\n")
+    assert digest.hexdigest() == "e387ef7995f2697dcf9af028066a0ffc614ab2763edd4d7cb65b882ee2fba602"
+
+
 def test_random_sp2_column_mass_is_balanced():
     # |x|^2 averages to 1/2 under the invariant measure.
     n = 4000
@@ -280,6 +310,58 @@ def test_exact_random_point_deterministic():
     a = exact_random_point(77)
     b = exact_random_point(77)
     assert a.m == b.m
+
+
+def object_draw(seed, case):
+    """exact_random_point built from Quaternion/QMat2 objects: the same Philox
+    calls in the same order, then sp1_cayley, cayley_sp2, r_action and
+    fiber_point."""
+    g = np.random.Generator(np.random.Philox(key=seed % (1 << 128)))
+
+    def frac():
+        return Fraction(int(g.integers(-8, 9)), int(g.integers(1, 9)))
+
+    def unit():
+        return sp1_cayley(quat(0, frac(), frac(), frac()))
+
+    if case is None:
+        alpha = quat(0, frac(), 0, 0)
+        beta = quat(frac(), frac(), 0, 0)
+        gamma = quat(0, frac(), 0, 0)
+        core = cayley_sp2(Sp2Alg(QMat2(alpha, beta, -beta.conj(), gamma)))
+        return r_action(core, unit(), unit())
+    if case == "I-b":
+        return fiber_point(qi(EXACT), bundle.IB_W0, unit(), unit())
+    if case == "I-r":
+        v = quat(0)
+        while v.h0 == 0:
+            v = quat(frac())
+        return fiber_point(v, ir_w0(v), unit(), unit())
+    if case == "II-x0":
+        y, w = unit(), unit()
+        return Sp2Point(QMat2(zero(EXACT), y, w, zero(EXACT)))
+    x, z = unit(), unit()
+    return Sp2Point(QMat2(x, zero(EXACT), zero(EXACT), z))
+
+
+@pytest.mark.parametrize("case", bundle.EXACT_CASE_KINDS)
+def test_exact_random_point_matches_object_construction(case):
+    # The integer-numerator sampler against the object construction, Fraction
+    # for Fraction, on 600 keys per case (300 small keys, 300 of 128 bits).
+    for k in range(300):
+        for key in (k, (k << 64) + 977 * k + 5):
+            assert exact_random_point(key, case).m == object_draw(key, case).m
+
+
+@given(st.lists(st.tuples(st.integers(-(10**40), 10**40), st.integers(1, 10**40)), min_size=3, max_size=3))
+@settings(max_examples=200, deadline=None)
+def test_closed_form_unit_is_sp1_cayley(ratios):
+    # ((D^2 - |S|^2) - 2 D S)/(D^2 + |S|^2) for s = S/D, from unreduced
+    # (numerator, denominator) pairs, is (1 - s)(1 + s)^-1 exactly.
+    s = quat(0, *(Fraction(n, d) for n, d in ratios))
+    nums, den = bundle._unit_numerators(ratios)
+    assert den > 0
+    assert quat(*(Fraction(c, den) for c in nums)) == (one(EXACT) - s) * (one(EXACT) + s).inverse()
 
 
 def test_grids_classify_and_are_distinct():
