@@ -38,6 +38,7 @@ from .qmat import (
     ad,
     diag,
     identity,
+    point_from_numerators,
     qmat_inverse,
     real_rank,
     scalar_mat,
@@ -474,14 +475,6 @@ def _fiber_numerators(v, w0, u1, u2):
     return (x, v_den * w_den), (y, y_den), (w, w_den), (tuple(-h for h in z), v_den * y_den)
 
 
-def _exact_point(entries) -> Sp2Point:
-    """The validated point [[x, y], [w, z]] from four (numerators,
-    denominator) pairs."""
-    return Sp2Point(
-        QMat2(*(Quaternion(*(Fraction(c, den) for c in nums)) for nums, den in entries))
-    )
-
-
 _ZERO4 = ((0, 0, 0, 0), 1)
 _IB_V = ((0, 1, 0, 0), 1)
 _IB_W0 = ((1, 1, 0, 0), 2)  # IB_W0
@@ -506,14 +499,15 @@ def exact_random_point(seed: int, case: str | None = None) -> Sp2Point:
         (lam, lam_den), (mu, mu_den) = _rng_unit(g), _rng_unit(g)
         lam_c, mu_c = conj4(lam), conj4(mu)
         x_den, y_den = core_den * lam_den, core_den * mu_den
-        return _exact_point((
+        return point_from_numerators((
             (hamilton(x0, lam_c), x_den),
             (hamilton(y0, mu_c), y_den),
             (hamilton(w0, lam_c), x_den),
             (hamilton(z0, mu_c), y_den),
         ))
     if case == "I-b":
-        return _exact_point(_fiber_numerators(_IB_V, _IB_W0, _rng_unit(g), _rng_unit(g)))
+        units = _rng_unit(g), _rng_unit(g)
+        return point_from_numerators(_fiber_numerators(_IB_V, _IB_W0, *units))
     if case == "I-r":
         for _ in range(64):
             num, den = _rng_ratio(g)
@@ -523,13 +517,13 @@ def exact_random_point(seed: int, case: str | None = None) -> Sp2Point:
             raise DegenerateDraw("could not draw a nonzero rational v")
         # v = num/den and w0 = den (den + num i)/(num^2 + den^2), as ir_w0
         v, w0 = ((num, 0, 0, 0), den), ((den * den, den * num, 0, 0), num * num + den * den)
-        return _exact_point(_fiber_numerators(v, w0, _rng_unit(g), _rng_unit(g)))
+        return point_from_numerators(_fiber_numerators(v, w0, _rng_unit(g), _rng_unit(g)))
     if case == "II-x0":
         y, w = _rng_unit(g), _rng_unit(g)
-        return _exact_point((_ZERO4, y, w, _ZERO4))
+        return point_from_numerators((_ZERO4, y, w, _ZERO4))
     if case == "II-w0":
         x, z = _rng_unit(g), _rng_unit(g)
-        return _exact_point((x, _ZERO4, _ZERO4, z))
+        return point_from_numerators((x, _ZERO4, _ZERO4, z))
     raise ValueError(f"unknown case request {case!r}")
 
 

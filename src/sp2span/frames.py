@@ -51,6 +51,7 @@ from .quat import (
     Quaternion,
     Scalar,
     Sp2Error,
+    as_float,
     dot,
     one,
     qi,
@@ -655,17 +656,22 @@ def rational_v_grid(count: int, need_v1: bool = True, skip_i: bool = True):
     return out
 
 
-def _dev(a, b) -> float:
+def _dev(a, b) -> Scalar:
+    """The largest component of a - b, exact on the exact backend."""
+    if a == b:
+        return 0
     if isinstance(a, Quaternion):
-        return float((a - b).max_abs())
-    return float(a.max_component_diff(b))
+        return (a - b).max_abs()
+    return a.max_component_diff(b)
 
 
 def _result(name: str, devs, warn_only: bool) -> IdentityResult:
-    """Identities are checked exactly: OK only when every deviation is 0."""
-    worst = max(devs) if devs else 0.0
-    status = OK if worst == 0.0 else (WARN if warn_only else FAIL)
-    return IdentityResult(name=name, status=status, worst=worst, n=len(devs))
+    """Identities are checked exactly: OK only when every deviation is 0.
+    The status is decided on the exact deviations; only the reported worst
+    one becomes a float (inf when it is too large for one)."""
+    worst = max(devs, default=0)
+    status = OK if worst == 0 else (WARN if warn_only else FAIL)
+    return IdentityResult(name=name, status=status, worst=as_float(worst), n=len(devs))
 
 
 def identity_standard_commutators() -> IdentityResult:
@@ -726,8 +732,8 @@ def identity_trace_ujk(count: int = 100) -> IdentityResult:
     devs = []
     for v in rational_v_grid(count):
         uj_big, uk_big = u_jk(v)
-        devs.append(float(uj_big.m.trace().max_abs()))
-        devs.append(float(uk_big.m.trace().max_abs()))
+        devs.append(uj_big.m.trace().max_abs())
+        devs.append(uk_big.m.trace().max_abs())
     return _result("Tr(U_j) = Tr(U_k) = 0", devs, warn_only=False)
 
 
@@ -775,7 +781,7 @@ def identity_ad_invariance(count: int = 200) -> IdentityResult:
         g = bundle.exact_random_point(1000 + idx)
         u = _random_alg(g_rng)
         w = _random_alg(g_rng)
-        devs.append(abs(float(inner(ad(g, u), ad(g, w)) - inner(u, w))))
+        devs.append(abs(inner(ad(g, u), ad(g, w)) - inner(u, w)))
     return _result("Ad-invariance of the inner product", devs, warn_only=False)
 
 
@@ -811,7 +817,7 @@ def identity_corner_vanishing(count: int = 100) -> IdentityResult:
         us = case_ii_basis(EXACT) if tag.v is None else u_basis(tag.v)
         pinv = p.inverse()
         for u in us:
-            devs.append(float(ad(pinv, u).m.a.max_abs()))
+            devs.append(ad(pinv, u).m.a.max_abs())
     return _result("(1,1) of Ad_p^-1(u_rho) vanishes", devs, warn_only=False)
 
 

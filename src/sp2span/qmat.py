@@ -30,8 +30,8 @@ from .quat import (
     Scalar,
     Sp2Error,
     ZeroDivisor,
+    as_float,
     conj4,
-    denominator,
     dot,
     hamilton,
     numerators,
@@ -73,12 +73,30 @@ class QMat2:
         return (self.a, self.b, self.c, self.d)
 
     def __matmul__(self, other: "QMat2") -> "QMat2":
-        return QMat2(
-            self.a * other.a + self.b * other.c,
-            self.a * other.b + self.b * other.d,
-            self.c * other.a + self.d * other.c,
-            self.c * other.b + self.d * other.d,
-        )
+        if type(self.a.h0) is not Fraction or type(other.a.h0) is not Fraction:
+            # float, or mixed backends (the Quaternion products raise BackendMismatch)
+            return QMat2(
+                self.a * other.a + self.b * other.c,
+                self.a * other.b + self.b * other.d,
+                self.c * other.a + self.d * other.c,
+                self.c * other.b + self.d * other.d,
+            )
+        # Exact: Hamilton products of the integer numerators over one
+        # denominator per operand, so only the 16 output components pay a gcd.
+        d1, (a, b, c, d) = _integer_entries(self)
+        d2, (e, f, g, h) = _integer_entries(other)
+        den = d1 * d2
+        out = []
+        for l1, r1, l2, r2 in ((a, e, b, g), (a, f, b, h), (c, e, d, g), (c, f, d, h)):
+            s0, s1, s2, s3 = hamilton(l1, r1)
+            t0, t1, t2, t3 = hamilton(l2, r2)
+            out.append(Quaternion(
+                Fraction(s0 + t0, den),
+                Fraction(s1 + t1, den),
+                Fraction(s2 + t2, den),
+                Fraction(s3 + t3, den),
+            ))
+        return QMat2(*out)
 
     def __add__(self, other: "QMat2") -> "QMat2":
         return QMat2(self.a + other.a, self.b + other.b, self.c + other.c, self.d + other.d)
@@ -211,6 +229,23 @@ def _unitarity_defect(x, y, w, z, one):
     return max(devs, key=lambda d: (d != d, d))
 
 
+def _integer_entries(m: QMat2):
+    """(den, (A, B, C, D)) with m = [[A, B], [C, D]] / den: the entries of an
+    exact matrix as integer 4-tuples over the lcm of its 16 denominators."""
+    es = m.entries()
+    den = lcm(*(x.denominator for q in es for x in (q.h0, q.h1, q.h2, q.h3)))
+    return den, tuple(numerators(q, den) for q in es)
+
+
+def _require_unitary(den, entries):
+    """Raise InvariantViolation unless P = [[x, y], [w, z]], given as integer
+    4-tuples, is den times a point of Sp(2): P P* = P* P = den^2 Id."""
+    err = _unitarity_defect(*entries, den * den)
+    if err != 0:
+        dev = as_float(Fraction(err, den * den))
+        raise InvariantViolation(f"p p* deviates from Id by {dev:.3e}")
+
+
 class Sp2Point:
     """A point of Sp(2): m @ m* = m* @ m = Id (exact, or within tol)."""
 
@@ -218,19 +253,12 @@ class Sp2Point:
 
     def __init__(self, m: QMat2, tol: float = 1e-9, validate: bool = True):
         if validate:
-            x, y, w, z = m.entries()
             if m.backend == EXACT:
-                # P = den p has integer entries, and p p* = Id is P P* = den^2 Id
-                den = lcm(denominator(x), denominator(y), denominator(w), denominator(z))
-                parts = [numerators(q, den) for q in (x, y, w, z)]
-                err = _unitarity_defect(*parts, den * den)
-                ok = err == 0
-                err = Fraction(err, den * den)
+                _require_unitary(*_integer_entries(m))
             else:
-                err = _unitarity_defect(*(e.components() for e in (x, y, w, z)), 1.0)
-                ok = err <= tol
-            if not ok:
-                raise InvariantViolation(f"p p* deviates from Id by {float(err):.3e}")
+                err = _unitarity_defect(*(e.components() for e in m.entries()), 1.0)
+                if not err <= tol:
+                    raise InvariantViolation(f"p p* deviates from Id by {err:.3e}")
         self.m = m
 
     # named-entry accessors: p = [[x, y], [w, z]]
@@ -280,6 +308,15 @@ class Sp2Point:
         return Sp2Point(QMat2.from_json(obj, backend), tol=tol)
 
 
+def point_from_numerators(entries) -> Sp2Point:
+    """The exact point [[x, y], [w, z]] from four (numerators, denominator)
+    pairs, validated on the integers before any Fraction is built."""
+    den = lcm(*(d for _, d in entries))
+    _require_unitary(den, tuple(tuple(c * (den // d) for c in nums) for nums, d in entries))
+    m = QMat2(*(Quaternion(*(Fraction(c, d) for c in nums)) for nums, d in entries))
+    return Sp2Point(m, validate=False)
+
+
 class Sp2Alg:
     """An element of sp(2): adjoint(m) = -m, i.e. [[alpha, beta], [-conj(beta), gamma]]
     with alpha, gamma purely imaginary."""
@@ -291,7 +328,7 @@ class Sp2Alg:
             err = (m.adjoint() + m).max_abs()
             ok = err == 0 if m.backend == EXACT else err <= tol
             if not ok:
-                raise InvariantViolation(f"m* + m deviates from 0 by {float(err):.3e}")
+                raise InvariantViolation(f"m* + m deviates from 0 by {as_float(err):.3e}")
         self.m = m
 
     @property

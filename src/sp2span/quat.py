@@ -272,6 +272,15 @@ def qk(backend: str) -> Quaternion:
     return quat(0, 0, 0, 1, backend=backend)
 
 
+def as_float(s: Scalar) -> float:
+    """The float of a scalar for a report: +-inf when it is too large for
+    a float, where float() raises OverflowError."""
+    try:
+        return float(s)
+    except OverflowError:
+        return math.inf if s > 0 else -math.inf
+
+
 def dot(q: Quaternion, r: Quaternion) -> Scalar:
     """Euclidean component dot product, equal to Re(q * conj(r))."""
     q._check_backend(r)

@@ -227,6 +227,17 @@ def test_frame_rejects_non_finite_floats(tmp_path, capsys):
     assert main(["frame", str(pt)]) == 2
 
 
+def test_frame_rejects_an_exact_point_too_large_for_a_float(tmp_path, capsys):
+    # The deviation from Sp(2) is reported as inf instead of crashing on
+    # float(Fraction) with OverflowError.
+    blob = bundle.exact_random_point(7).to_json()
+    blob["a"] = ["1" + "0" * 400] + blob["a"][1:]
+    pt = tmp_path / "pt.json"
+    pt.write_text(json.dumps({"backend": "exact", "p": blob}))
+    assert main(["frame", str(pt)]) == 2
+    assert "p p* deviates from Id by inf" in capsys.readouterr().err
+
+
 def test_unwritable_out_fails_before_sampling(tmp_path, monkeypatch):
     # The --out file is opened before the command runs, as a shell
     # redirection is, so a bad path costs no sweep.

@@ -524,6 +524,23 @@ def test_frame_to_json_shape():
         assert set(m["m"]) == {"a", "b", "c", "d"}
 
 
+# -- identity plumbing --------------------------------------------------------------------
+
+
+def test_identity_status_is_decided_on_exact_deviations():
+    # a deviation that rounds to 0.0 as a float is still a failure
+    tiny = frames._dev(quat(1, 0, 0, 0), quat(1 + Fraction(1, 10**400), 0, 0, 0))
+    res = frames._result("x", [tiny], warn_only=False)
+    assert (res.status, res.worst) == (frames.FAIL, 0.0)
+    assert frames._result("x", [tiny], warn_only=True).status == frames.WARN
+    # one too large for a float fails the entry and reports inf
+    huge = frames._dev(quat(Fraction(10**400), 0, 0, 0), quat(0, 0, 0, 0))
+    res = frames._result("x", [0, huge], warn_only=False)
+    assert (res.status, res.worst) == (frames.FAIL, math.inf)
+    same = frames._result("x", [frames._dev(quat(1, 2, 3, 4), quat(1, 2, 3, 4))], warn_only=False)
+    assert (res.n, same.status, same.worst) == (2, frames.OK, 0.0)
+
+
 # -- grids and property sweep ------------------------------------------------------------
 
 

@@ -15,7 +15,7 @@ from pathlib import Path
 
 import pytest
 
-from sp2span import bundle
+from sp2span import bundle, frames
 from sp2span.cli import canonical_json, main
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -41,6 +41,7 @@ COMMANDS = {
     "frame-exact-I-r": (["frame"], (103, "I-r")),
     "frame-exact-II-x0": (["frame"], (104, "II-x0")),
     "frame-exact-II-w0": (["frame"], (105, "II-w0")),
+    "identities": (["identities"], None),
 }
 
 
@@ -60,7 +61,11 @@ def run(name: str, workdir: Path):
 
 
 @pytest.mark.parametrize("name", sorted(COMMANDS))
-def test_golden_report(name, tmp_path):
+def test_golden_report(name, tmp_path, monkeypatch, request):
+    if name == "identities":
+        # the suite runs once per test session (conftest's identity_results)
+        results = request.getfixturevalue("identity_results")
+        monkeypatch.setattr(frames, "run_identity_suite", lambda: results)
     code, text, canonical = run(name, tmp_path)
     assert text == (GOLDEN / f"{name}.txt").read_text()
     assert canonical == (GOLDEN / f"{name}.json").read_text()

@@ -11,7 +11,7 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import MERSENNE_PRIMES, exact_quats, floats, numpy_pivoted_rank
+from conftest import MERSENNE_PRIMES, big_exact_quats, exact_quats, float_quats, floats, numpy_pivoted_rank
 from sp2span import bundle, frames
 from sp2span.qmat import (
     InvariantViolation,
@@ -25,12 +25,26 @@ from sp2span.qmat import (
     from_vec10,
     identity,
     inner,
+    point_from_numerators,
     qmat_inverse,
     real_rank,
     to_vec10,
     vec10_weighted_dot,
 )
-from sp2span.quat import EXACT, FLOAT, BackendMismatch, ZeroDivisor, one, qi, qj, qk, quat, zero
+from sp2span.quat import (
+    EXACT,
+    FLOAT,
+    BackendMismatch,
+    ZeroDivisor,
+    denominator,
+    numerators,
+    one,
+    qi,
+    qj,
+    qk,
+    quat,
+    zero,
+)
 
 exact_mats = exact_quats.flatmap(
     lambda a: exact_quats.flatmap(
@@ -90,12 +104,48 @@ def test_left_mul_is_scalar_matrix_product(m):
     assert m.left_mul(q) == diag(q, q) @ m
 
 
-def test_shape_mismatch_on_backend_cross():
-    me = identity(EXACT)
-    mf = identity(FLOAT)
-    with pytest.raises(Exception) as err:
+def _entrywise(m: QMat2, n: QMat2) -> QMat2:
+    """The product from its definition, one Quaternion product per term."""
+    a, b, c, d = m.entries()
+    e, f, g, h = n.entries()
+    return QMat2(a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h)
+
+
+def _components(m: QMat2):
+    return [x for q in m.entries() for x in q.components()]
+
+
+# entries with denominators up to 10^40, small ones, and zero entries
+_product_entries = st.one_of(big_exact_quats(), exact_quats, st.just(zero(EXACT)))
+big_exact_mats = st.tuples(*[_product_entries] * 4).map(lambda t: QMat2(*t))
+float_mats = st.tuples(*[float_quats] * 4).map(lambda t: QMat2(*t))
+
+
+@given(big_exact_mats, big_exact_mats)
+@settings(max_examples=100, deadline=None)
+def test_exact_matmul_is_the_entrywise_product(m, n):
+    got = _components(m @ n)
+    want = _components(_entrywise(m, n))
+    assert all(type(x) is Fraction for x in got)
+    assert [(x.numerator, x.denominator) for x in got] == [(x.numerator, x.denominator) for x in want]
+
+
+@given(float_mats, float_mats)
+@settings(max_examples=100)
+def test_float_matmul_is_bitwise_the_entrywise_product(m, n):
+    got = _components(m @ n)
+    assert all(type(x) is float for x in got)
+    assert [x.hex() for x in got] == [x.hex() for x in _components(_entrywise(m, n))]
+
+
+@given(big_exact_mats, float_mats)
+@settings(max_examples=30)
+def test_shape_mismatch_on_backend_cross(me, mf):
+    # either order raises BackendMismatch: no TypeError, no silent coercion
+    with pytest.raises(BackendMismatch):
         me @ mf
-    assert err.type.__name__ in ("BackendMismatch", "ShapeMismatch")
+    with pytest.raises(BackendMismatch):
+        mf @ me
 
 
 # -- inverse ----------------------------------------------------------------------
@@ -180,6 +230,27 @@ def test_sp2point_rejects_every_exact_perturbation():
             assert str(info.value) == f"p p* deviates from Id by {float(_old_defect(moved)):.3e}"
 
 
+def _numerator_entries(m: QMat2):
+    """The four (numerators, denominator) pairs of an exact matrix."""
+    return [[list(numerators(q, denominator(q))), denominator(q)] for q in m.entries()]
+
+
+def test_point_from_numerators_validates_on_the_integers():
+    for case in bundle.EXACT_CASE_KINDS:
+        m = bundle.exact_random_point(41, case).m
+        assert point_from_numerators(_numerator_entries(m)).m == m
+        for index in range(16):
+            entries = _numerator_entries(m)
+            entries[index // 4][0][index % 4] += 1
+            with pytest.raises(InvariantViolation) as info:
+                point_from_numerators(entries)
+            # the same deviation the Fraction matrix reports
+            moved = QMat2(*(quat(*(Fraction(c, d) for c in nums)) for nums, d in entries))
+            with pytest.raises(InvariantViolation) as reference:
+                Sp2Point(moved)
+            assert str(info.value) == str(reference.value)
+
+
 def test_sp2point_float_deviation_matches_full_products():
     for seed in range(20):
         m = bundle.random_sp2(seed).m
@@ -195,6 +266,14 @@ def test_sp2alg_validates():
     with pytest.raises(InvariantViolation):
         Sp2Alg(identity(EXACT))
     Sp2Alg(QMat2(qi(EXACT), zero(EXACT), zero(EXACT), qk(EXACT)))
+
+
+def test_validation_reports_a_deviation_too_large_for_a_float():
+    huge = quat(Fraction(10**400), 0, 0, 0)
+    with pytest.raises(InvariantViolation, match="by inf"):
+        Sp2Point(QMat2(huge, zero(EXACT), zero(EXACT), one(EXACT)))
+    with pytest.raises(InvariantViolation, match="by inf"):
+        Sp2Alg(QMat2(huge, zero(EXACT), zero(EXACT), zero(EXACT)))
 
 
 # -- bracket and ad ----------------------------------------------------------------

@@ -23,6 +23,7 @@ from sp2span.quat import (
     NotRepresentable,
     ParseError,
     ZeroDivisor,
+    as_float,
     dot,
     one,
     qi,
@@ -129,6 +130,13 @@ def test_predicates():
     assert quat(1e-15, 2.0, 0.0, 0.0).is_imaginary(tol=1e-12)
     assert quat(Fraction(0), backend=EXACT).is_zero()
     assert quat(0.0, 1e-15, 0.0, 0.0).is_zero(tol=1e-12)
+
+
+def test_as_float_saturates_instead_of_overflowing():
+    assert as_float(Fraction(1, 3)) == 1 / 3 and as_float(0.5) == 0.5
+    assert as_float(Fraction(10**400)) == math.inf
+    assert as_float(Fraction(-(10**400), 7)) == -math.inf
+    assert as_float(Fraction(1, 10**400)) == 0.0
 
 
 # -- dot and scale ---------------------------------------------------------------
