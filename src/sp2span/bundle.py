@@ -51,6 +51,7 @@ from .quat import (
     Sp2Error,
     conj4,
     hamilton,
+    neg4,
     one,
     qi,
     qj,
@@ -94,7 +95,7 @@ def r_action(p: Sp2Point, lam: Quaternion, mu: Quaternion) -> Sp2Point:
 
 
 def _require_imaginary(rho: Quaternion, tol: float):
-    if not rho.is_imaginary(tol if rho.backend == FLOAT else 0.0):
+    if not rho.is_imaginary(tol):
         raise NonImaginaryRho(f"rho must be purely imaginary, got real part {rho.h0}")
 
 
@@ -156,9 +157,7 @@ def h_p_residual(p: Sp2Point, u: Sp2Alg, tol: float = 1e-9) -> Quaternion:
     component vanishes identically and is asserted, so the residual carries 3
     real constraints.
     """
-    a = u.m.a
-    shape_ok = a.is_zero() if u.backend == EXACT else a.max_abs() <= tol
-    if not shape_ok:
+    if not u.m.a.is_zero(tol):
         raise ShapeMismatch("variant A needs a vanishing (1,1) entry")
     beta, gamma = u.m.b, u.m.d
     x, y, w, z = p.x, p.y, p.w, p.z
@@ -175,8 +174,7 @@ def h_p_residual(p: Sp2Point, u: Sp2Alg, tol: float = 1e-9) -> Quaternion:
 
 
 def _require_trace_free(trace: Quaternion, tol: float):
-    shape_ok = trace.is_zero() if trace.backend == EXACT else trace.max_abs() <= tol
-    if not shape_ok:
+    if not trace.is_zero(tol):
         raise ShapeMismatch("variant B needs a trace-free element")
 
 
@@ -192,13 +190,11 @@ def ad_h_p_residual(p: Sp2Point, u: Sp2Alg, tol: float = 1e-9) -> Quaternion:
 
 
 def in_h_p(p: Sp2Point, u: Sp2Alg, tol: float = 1e-9) -> bool:
-    res = h_p_residual(p, u, tol)
-    return res.is_zero() if p.backend == EXACT else res.max_abs() <= tol
+    return h_p_residual(p, u, tol).is_zero(tol)
 
 
 def in_ad_h_p(p: Sp2Point, u: Sp2Alg, tol: float = 1e-9) -> bool:
-    res = ad_h_p_residual(p, u, tol)
-    return res.is_zero() if p.backend == EXACT else res.max_abs() <= tol
+    return ad_h_p_residual(p, u, tol).is_zero(tol)
 
 
 def membership_verdict(
@@ -209,7 +205,7 @@ def membership_verdict(
     component scale.  Raises as ad_h_p_residual does."""
     _require_trace_free(trace, tol)
     _sanity_zero_real(res, scale)
-    return res.is_zero() if res.backend == EXACT else res.max_abs() <= tol
+    return res.is_zero(tol)
 
 
 def horizontal_space_rank(p: Sp2Point, tol: float = 1e-9):
@@ -368,26 +364,34 @@ def two_squares(n: int):
     return None
 
 
+def complex_v_by_height(first: int):
+    """Yield the integer triples (m1, m2, n) of the complex v = (m1 + m2 i)/n
+    with m2 >= 0 and n >= 1 by height max(|m1|, m2, n), from height first
+    on; within a height by n, then m1, then m2.  Unreduced triples are
+    included."""
+    height = first
+    while True:
+        for n in range(1, height + 1):
+            for m1 in range(-height, height + 1):
+                for m2 in range(0, height + 1):
+                    if max(abs(m1), m2, n) == height:
+                        yield m1, m2, n
+        height += 1
+
+
 def admissible_v_stream():
     """Yield (v, w0) pairs: rational complex v = (m1 + m2 i)/n such that
     1 + |v|^2 is a sum of two rational squares, together with the matching
     complex w0.  Deterministic enumeration, small heights first."""
-    height = 1
-    while True:
-        height += 1
-        for n in range(1, height + 1):
-            for m1 in range(-height, height + 1):
-                for m2 in range(0, height + 1):
-                    if max(abs(m1), m2, n) != height:
-                        continue
-                    sq = two_squares(n * n + m1 * m1 + m2 * m2)
-                    if sq is None:
-                        continue
-                    a_, b_ = sq
-                    norm = n * n + m1 * m1 + m2 * m2
-                    v = quat(Fraction(m1, n), Fraction(m2, n), 0, 0)
-                    w0 = quat(Fraction(n * a_, norm), Fraction(n * b_, norm), 0, 0)
-                    yield v, w0
+    for m1, m2, n in complex_v_by_height(2):
+        norm = n * n + m1 * m1 + m2 * m2
+        sq = two_squares(norm)
+        if sq is None:
+            continue
+        a_, b_ = sq
+        v = quat(Fraction(m1, n), Fraction(m2, n), 0, 0)
+        w0 = quat(Fraction(n * a_, norm), Fraction(n * b_, norm), 0, 0)
+        yield v, w0
 
 
 def ir_w0(v: Quaternion) -> Quaternion:
@@ -411,9 +415,10 @@ IB_W0 = quat(Fraction(1, 2), Fraction(1, 2), 0, 0)  # |w0|^2 = 1/2, for v = i
 # give the same points; they are the reference the tests compare with.
 
 
-def _rng_ratio(g, num_bound: int = 8, den_bound: int = 8):
-    """A random rational as (numerator, denominator), drawn in that order."""
-    return int(g.integers(-num_bound, num_bound + 1)), int(g.integers(1, den_bound + 1))
+def _rng_ratio(g):
+    """A random rational as (numerator, denominator), drawn in that order:
+    the numerator in [-8, 8], the denominator in [1, 8]."""
+    return int(g.integers(-8, 9)), int(g.integers(1, 9))
 
 
 def _over_lcm(ratios):
@@ -472,7 +477,7 @@ def _fiber_numerators(v, w0, u1, u2):
     y, y_den = hamilton(w0n, u2n), w0_den * u2_den
     x = hamilton(vn, w)
     z = hamilton(conj4(vn), y)
-    return (x, v_den * w_den), (y, y_den), (w, w_den), (tuple(-h for h in z), v_den * y_den)
+    return (x, v_den * w_den), (y, y_den), (w, w_den), (neg4(z), v_den * y_den)
 
 
 _ZERO4 = ((0, 0, 0, 0), 1)

@@ -31,6 +31,7 @@ import os
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
+from functools import partial
 
 from . import bundle, frames
 from .qmat import InvariantViolation, Sp2Point, real_rank, to_vec10
@@ -50,38 +51,39 @@ def canonical_json(report: dict) -> str:
 # -- verify -------------------------------------------------------------------------
 
 
+def _check(draw, tol, drop=None):
+    """(p, case, FrameCheck or None, problems) for the point p = draw():
+    case "error", no check and the error as the one problem when drawing or
+    checking raises, and p None when the draw did."""
+    p = None
+    try:
+        p = draw()
+        res = frames.check_point(p, tol, drop_label=drop)
+    except Sp2Error as exc:
+        return p, "error", None, [f"{type(exc).__name__}: {exc}"]
+    return p, res.case, res, res.failures()
+
+
 def _verify_one(args):
     """One sample of the randomized sweep; top-level so worker processes can
     import it."""
     index, seed, backend, tol, drop = args
     key = ((seed % (1 << 64)) << 64) + index
-    p = None
-    try:
-        if backend == FLOAT:
-            p = bundle.random_sp2(key)
-        else:
-            p = bundle.exact_random_point(key, case=_EXACT_CYCLE[index % len(_EXACT_CYCLE)])
-        res = frames.check_point(p, tol, drop_label=drop)
-        rec = {
-            "index": index,
-            "case": res.case,
-            "ok": res.ok,
-            "rank": res.rank.rank,
-            "neg_rank": res.negative_rank.rank,
-            "min_rel_pivot": res.rank.min_rel_pivot,
-            "problems": res.failures(),
-        }
-    except Sp2Error as exc:
-        rec = {
-            "index": index,
-            "case": "error",
-            "ok": False,
-            "rank": None,
-            "neg_rank": None,
-            "min_rel_pivot": None,
-            "problems": [f"{type(exc).__name__}: {exc}"],
-        }
-    if not rec["ok"]:
+    if backend == FLOAT:
+        draw = partial(bundle.random_sp2, key)
+    else:
+        draw = partial(bundle.exact_random_point, key, case=_EXACT_CYCLE[index % len(_EXACT_CYCLE)])
+    p, case, res, problems = _check(draw, tol, drop)
+    rec = {
+        "index": index,
+        "case": case,
+        "ok": not problems,
+        "rank": res.rank.rank if res else None,
+        "neg_rank": res.negative_rank.rank if res else None,
+        "min_rel_pivot": res.rank.min_rel_pivot if res else None,
+        "problems": problems,
+    }
+    if problems:
         # the failure replay: `sp2span frame` reads this point back
         rec["point"] = p.to_json() if p is not None else None
     return rec
@@ -101,7 +103,6 @@ def _run_indexed(worker, arg_list, jobs: int):
 def cmd_verify(ns):
     args = [(i, ns.seed, ns.backend, ns.tol, ns.corrupt_frame) for i in range(ns.samples)]
     records = _run_indexed(_verify_one, args, ns.jobs)
-    records.sort(key=lambda r: r["index"])
     tally: dict = {}
     failures = []
     pivots = []
@@ -152,18 +153,13 @@ def _sweep_family(name, points, expected_cases, tol):
     failures = []
     tally: dict = {}
     for idx, p in enumerate(points):
-        try:
-            res = frames.check_point(p, tol)
-            tally[res.case] = tally.get(res.case, 0) + 1
-            problems = res.failures()
-            if res.case not in expected_cases:
-                problems.append(f"classified {res.case}, expected one of {sorted(expected_cases)}")
-            if problems:
-                failures.append({"index": idx, "problems": problems, "point": p.to_json()})
-        except Sp2Error as exc:
-            failures.append(
-                {"index": idx, "problems": [f"{type(exc).__name__}: {exc}"], "point": p.to_json()}
-            )
+        _, case, res, problems = _check(lambda: p, tol)
+        if res:
+            tally[case] = tally.get(case, 0) + 1
+            if case not in expected_cases:
+                problems.append(f"classified {case}, expected one of {sorted(expected_cases)}")
+        if problems:
+            failures.append({"index": idx, "problems": problems, "point": p.to_json()})
     return {
         "name": name,
         "count": len(points),
@@ -306,10 +302,15 @@ def _positive_int(text: str) -> int:
     return value
 
 
-def _positive_float(text: str) -> float:
+# The smallest --tol: below it rounding alone fails valid float points
+# (README, "Backends, tolerance, environment").
+MIN_TOL = 1e-14
+
+
+def _tolerance(text: str) -> float:
     value = float(text)
-    if not value > 0:  # also false for NaN
-        raise argparse.ArgumentTypeError(f"must be positive, got {text}")
+    if not value >= MIN_TOL:  # also false for NaN
+        raise argparse.ArgumentTypeError(f"must be at least {MIN_TOL:g}, got {text}")
     return value
 
 
@@ -340,7 +341,7 @@ def build_parser() -> argparse.ArgumentParser:
     for sp in (verify, sphere):
         sp.add_argument("--backend", choices=(EXACT, FLOAT), default=FLOAT, help="scalar backend")
     for sp in (verify, sweep, sphere, frame):
-        sp.add_argument("--tol", type=_positive_float, default=1e-9, help="float comparison tolerance")
+        sp.add_argument("--tol", type=_tolerance, default=1e-9, help="float comparison tolerance")
     for sp in sub.choices.values():
         sp.add_argument("--emit", choices=("json", "text"), default="text", help="output format")
         sp.add_argument("--out", default=None, help="write the report to this path")

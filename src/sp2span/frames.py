@@ -634,25 +634,14 @@ def rational_v_grid(count: int, need_v1: bool = True, skip_i: bool = True):
     need_v1 they avoid the real axis, with skip_i they avoid v = i (so they
     are I-a admissible)."""
     out = []
-    height = 0
+    triples = bundle.complex_v_by_height(1)
     while len(out) < count:
-        height += 1
-        for n in range(1, height + 1):
-            for m1 in range(-height, height + 1):
-                for m2 in range(0, height + 1):
-                    if max(abs(m1), m2, n) != height:
-                        continue
-                    if gcd(gcd(abs(m1), m2), n) != 1:
-                        continue  # the reduced form already appeared
-                    if need_v1 and m2 == 0:
-                        continue
-                    if m1 == 0 and m2 == 0:
-                        continue
-                    if skip_i and m1 == 0 and m2 == n:
-                        continue
-                    out.append(quat(Fraction(m1, n), Fraction(m2, n), 0, 0))
-                    if len(out) == count:
-                        return out
+        m1, m2, n = next(triples)
+        if gcd(gcd(abs(m1), m2), n) != 1:
+            continue  # the reduced form already appeared
+        if (need_v1 and m2 == 0) or (m1 == 0 and m2 == 0) or (skip_i and m1 == 0 and m2 == n):
+            continue
+        out.append(quat(Fraction(m1, n), Fraction(m2, n), 0, 0))
     return out
 
 
@@ -690,10 +679,10 @@ def identity_standard_commutators() -> IdentityResult:
     return _result("standard-sphere printed commutators", devs, warn_only=True)
 
 
-def identity_case_commutators(count: int = 60) -> IdentityResult:
+def identity_case_commutators() -> IdentityResult:
     """The five printed closed forms ([u0,u_i] display, M(v) twice, B(v)
     twice) against direct brackets, on rational complex v including real ones."""
-    vs = rational_v_grid(count, need_v1=False, skip_i=False) + [
+    vs = rational_v_grid(60, need_v1=False, skip_i=False) + [
         quat(Fraction(m, n), 0, 0, 0)
         for m, n in ((1, 1), (-1, 2), (2, 1), (3, 4), (-5, 3))
     ]
@@ -710,10 +699,10 @@ def identity_case_commutators(count: int = 60) -> IdentityResult:
     return _result("case-I printed commutator forms (M, B)", devs, warn_only=True)
 
 
-def identity_u_displays(count: int = 60) -> IdentityResult:
+def identity_u_displays() -> IdentityResult:
     """The printed factorizations of u_i, u_j, u_k through S(v)."""
     devs = []
-    for v in rational_v_grid(count, need_v1=False, skip_i=False):
+    for v in rational_v_grid(60, need_v1=False, skip_i=False):
         u0, ui_, uj_, uk_ = u_basis(v)
         sv = s_matrix(v)
         devs.append(_dev(ui_.m, ui_display(v)))
@@ -722,27 +711,27 @@ def identity_u_displays(count: int = 60) -> IdentityResult:
     return _result("u-basis printed S(v) factorizations", devs, warn_only=True)
 
 
-def identity_alpha_forms(count: int = 100) -> IdentityResult:
+def identity_alpha_forms() -> IdentityResult:
     """The two printed forms of alpha(v) on the admissible grid."""
-    devs = [_dev(alpha(v), _alpha_form2(v)) for v in rational_v_grid(count)]
+    devs = [_dev(alpha(v), _alpha_form2(v)) for v in rational_v_grid(100)]
     return _result("alpha(v) two printed forms agree", devs, warn_only=False)
 
 
-def identity_trace_ujk(count: int = 100) -> IdentityResult:
+def identity_trace_ujk() -> IdentityResult:
     devs = []
-    for v in rational_v_grid(count):
+    for v in rational_v_grid(100):
         uj_big, uk_big = u_jk(v)
         devs.append(uj_big.m.trace().max_abs())
         devs.append(uk_big.m.trace().max_abs())
     return _result("Tr(U_j) = Tr(U_k) = 0", devs, warn_only=False)
 
 
-def identity_t_closed_forms(count: int = 100) -> IdentityResult:
+def identity_t_closed_forms() -> IdentityResult:
     """t11 and t12 of T(v) = alpha M + B against their printed closed forms,
     and T's match with the direct U_j = T diag(j,j)."""
     devs = []
     jj_inv = diag(qj(EXACT).scale(-1), qj(EXACT).scale(-1))
-    for v in rational_v_grid(count):
+    for v in rational_v_grid(100):
         t = t_matrix(v)
         uj_big, _ = u_jk(v)
         t_direct = uj_big.m @ jj_inv
@@ -752,12 +741,12 @@ def identity_t_closed_forms(count: int = 100) -> IdentityResult:
     return _result("t11/t12 printed closed forms", devs, warn_only=True)
 
 
-def identity_nondegeneracy_factor(count: int = 100) -> IdentityResult:
+def identity_nondegeneracy_factor() -> IdentityResult:
     """-t11 s12 + t12 equals its printed factorization and is nonzero on the
     I-a grid."""
     devs = []
     nonzero_fail = 0
-    for v in rational_v_grid(count):
+    for v in rational_v_grid(100):
         t = t_matrix(v)
         s12 = s_matrix(v).b
         direct = -(t.a * s12) + t.b
@@ -771,13 +760,13 @@ def identity_nondegeneracy_factor(count: int = 100) -> IdentityResult:
     return res
 
 
-def identity_ad_invariance(count: int = 200) -> IdentityResult:
+def identity_ad_invariance() -> IdentityResult:
     """<Ad_g u, Ad_g v> = <u, v> on exact random triples."""
     import numpy as np
 
     devs = []
     g_rng = np.random.Generator(np.random.Philox(key=20260301))
-    for idx in range(count):
+    for idx in range(200):
         g = bundle.exact_random_point(1000 + idx)
         u = _random_alg(g_rng)
         w = _random_alg(g_rng)
@@ -795,11 +784,11 @@ def _random_alg(g) -> Sp2Alg:
     return Sp2Alg(QMat2(a, b, -b.conj(), d))
 
 
-def identity_ell_dual(count: int = 1000) -> IdentityResult:
+def identity_ell_dual() -> IdentityResult:
     """ell via the entrywise formula vs rho Id - p diag(rho,0) p* at exact
     points."""
     devs = []
-    for idx in range(count):
+    for idx in range(1000):
         p = bundle.exact_random_point(2000 + idx, case=bundle.EXACT_CASE_KINDS[idx % 5])
         for rho in (qi(EXACT), qj(EXACT), qk(EXACT)):
             m1 = bundle.ell_direct(p, rho)
@@ -808,10 +797,10 @@ def identity_ell_dual(count: int = 1000) -> IdentityResult:
     return _result("ell dual construction paths", devs, warn_only=False)
 
 
-def identity_corner_vanishing(count: int = 100) -> IdentityResult:
+def identity_corner_vanishing() -> IdentityResult:
     """(1,1) of Ad_{p^-1}(u_rho) vanishes for the u-basis at p."""
     devs = []
-    for idx in range(count):
+    for idx in range(100):
         p = bundle.exact_random_point(3000 + idx, case=bundle.EXACT_CASE_KINDS[idx % 5])
         tag = classify(p)
         us = case_ii_basis(EXACT) if tag.v is None else u_basis(tag.v)
@@ -821,9 +810,10 @@ def identity_corner_vanishing(count: int = 100) -> IdentityResult:
     return _result("(1,1) of Ad_p^-1(u_rho) vanishes", devs, warn_only=False)
 
 
-def identity_h_dim(count: int = 100) -> IdentityResult:
+def identity_h_dim() -> IdentityResult:
     """The membership condition cuts the 7-dimensional (a,b) space down to
     exactly 4 dimensions at every sampled point."""
+    count = 100
     bad = 0
     for idx in range(count):
         p = bundle.exact_random_point(4000 + idx, case=bundle.EXACT_CASE_KINDS[idx % 5])
@@ -839,7 +829,7 @@ def identity_h_dim(count: int = 100) -> IdentityResult:
     return res
 
 
-def identity_s2_solution(count: int = 200) -> IdentityResult:
+def identity_s2_solution() -> IdentityResult:
     """conj(b_a) v - conj(v) b_a = conj(v) a v - a for random fully general
     quaternion v (not only complex) and imaginary a."""
     import numpy as np
@@ -850,7 +840,7 @@ def identity_s2_solution(count: int = 200) -> IdentityResult:
         return Fraction(int(g.integers(-9, 10)), int(g.integers(1, 9)))
 
     devs = []
-    for _ in range(count):
+    for _ in range(200):
         v = quat(fr(), fr(), fr(), fr())
         if v.is_zero():
             continue
@@ -862,7 +852,7 @@ def identity_s2_solution(count: int = 200) -> IdentityResult:
     return _result("solution identity for b_a (general v)", devs, warn_only=False)
 
 
-def identity_ib_adjoints(count: int = 40) -> IdentityResult:
+def identity_ib_adjoints() -> IdentityResult:
     """The displayed Ad_{p^-1} images at v = i points p = [[iw, y], [w, iy]]:
     brackets, the u-basis itself, and F_i.  The (2,1) entries follow from
     skewness of the (1,2) entries."""
@@ -870,7 +860,7 @@ def identity_ib_adjoints(count: int = 40) -> IdentityResult:
     j, k = qj(EXACT), qk(EXACT)
     zq = zero(EXACT)
     devs = []
-    for idx in range(count):
+    for idx in range(40):
         p = bundle.exact_random_point(5000 + idx, case="I-b")
         w, y = p.w, p.y
         pinv = p.inverse()

@@ -23,11 +23,13 @@ its quaternionic adjoint becomes the conjugate transpose, and the formulas
 become numpy products over stacked (..., 4, 4) arrays.
 
 Exact points: (x, w) and v are cleared to integer numerators, x = X/P,
-w = W/P and v = V/E, and the formulas run as Hamilton products of integer
-4-tuples (quat.hamilton).  With |V|^2 = n, every u is an integer matrix over
-Q = 2 E n (b_rho = (E^2 V rho - n rho V)/Q), so the ell rows are integers
-over P^2, the u rows over Q, the brackets over Q^2 and the residuals over
-P^2 Q; only the returned values become Fractions.
+w = W/P and v = V/E, and the formulas run on integer 4-tuples with the
+tuple arithmetic of quat: Hamilton products (quat.hamilton) and
+quat.matmul4, the one 2x2 product, which QMat2's @ runs on as well.  With
+|V|^2 = n, every u is an integer matrix over Q = 2 E n
+(b_rho = (E^2 V rho - n rho V)/Q), so the ell rows are integers over P^2,
+the u rows over Q, the brackets over Q^2 and the residuals over P^2 Q;
+only the returned values become Fractions.
 
 The object path (frames.span_frame and frames.verify_frame on
 Quaternion/QMat2 objects) computes the same rows and residuals; it is the
@@ -42,7 +44,9 @@ from math import lcm
 
 import numpy as np
 
-from .quat import FLOAT, Quaternion, conj4, denominator, hamilton, numerators
+from .quat import (
+    FLOAT, Quaternion, add4, conj4, denominator, hamilton, matmul4, neg4, numerators, sub4
+)
 
 
 def _block(q: Quaternion):
@@ -118,18 +122,6 @@ def span_rows(x: Quaternion, w: Quaternion, v: Quaternion | None):
     return rows.tolist(), residuals.tolist(), traces.tolist(), scales.tolist()
 
 
-def _add(a, b):
-    return (a[0] + b[0], a[1] + b[1], a[2] + b[2], a[3] + b[3])
-
-
-def _sub(a, b):
-    return (a[0] - b[0], a[1] - b[1], a[2] - b[2], a[3] - b[3])
-
-
-def _neg(a):
-    return (-a[0], -a[1], -a[2], -a[3])
-
-
 def _vec10(a, b, d):
     """The Vec10 coordinates (a1, a2, a3, b0, b1, b2, b3, d1, d2, d3)."""
     return [a[1], a[2], a[3], b[0], b[1], b[2], b[3], d[1], d[2], d[3]]
@@ -146,52 +138,47 @@ def _exact_span_rows(x: Quaternion, w: Quaternion, v: Quaternion | None):
         # rho Id - p diag(rho, 0) p*, times P^2
         x_rho, w_rho = hamilton(xn, rho), hamilton(wn, rho)
         rho_p = tuple(r * p_sq for r in rho)
-        a = _sub(rho_p, hamilton(x_rho, xc))
-        b = _neg(hamilton(x_rho, wc))
-        d = _sub(rho_p, hamilton(w_rho, wc))
+        a = sub4(rho_p, hamilton(x_rho, xc))
+        b = neg4(hamilton(x_rho, wc))
+        d = sub4(rho_p, hamilton(w_rho, wc))
         rows.append([Fraction(c, p_sq) for c in _vec10(a, b, d)])
 
     # each u as its integer entries (a, b, c, d) over the common q_den
     if v is None:
         q_den = 1
-        us = [(_ZERO, b, _neg(conj4(b)), _ZERO) for b in (_ONE, _I, _J, _K)]
+        us = [(_ZERO, b, neg4(conj4(b)), _ZERO) for b in (_ONE, _I, _J, _K)]
     else:
         v_den = denominator(v)
         vn = numerators(v, v_den)
         n = vn[0] * vn[0] + vn[1] * vn[1] + vn[2] * vn[2] + vn[3] * vn[3]
         q_den = 2 * v_den * n
         b0 = tuple(2 * n * c for c in vn)
-        us = [(_ZERO, b0, _neg(conj4(b0)), _ZERO)]
+        us = [(_ZERO, b0, neg4(conj4(b0)), _ZERO)]
         e_sq = v_den * v_den
         for rho in (_I, _J, _K):
             v_rho, rho_v = hamilton(vn, rho), hamilton(rho, vn)
             b = tuple(e_sq * s - n * t for s, t in zip(v_rho, rho_v))
             a = tuple(q_den * r for r in rho)
-            us.append((a, b, _neg(conj4(b)), _neg(a)))
+            us.append((a, b, neg4(conj4(b)), neg4(a)))
     rows += [[Fraction(c, q_den) for c in _vec10(a, b, d)] for a, b, _, d in us]
 
     q_sq = q_den * q_den
     for i, j in _PAIRS:
-        a1, b1, c1, d1 = us[i]
-        a2, b2, c2, d2 = us[j]
-        m11 = _add(hamilton(a1, a2), hamilton(b1, c2))
-        m12 = _add(hamilton(a1, b2), hamilton(b1, d2))
-        m21 = _add(hamilton(c1, a2), hamilton(d1, c2))
-        m22 = _add(hamilton(c1, b2), hamilton(d1, d2))
+        m11, m12, m21, m22 = matmul4(us[i], us[j])
         # u_a u_b - (u_a u_b)*
-        a = _sub(m11, conj4(m11))
-        b = _sub(m12, conj4(m21))
-        d = _sub(m22, conj4(m22))
+        a = sub4(m11, conj4(m11))
+        b = sub4(m12, conj4(m21))
+        d = sub4(m22, conj4(m22))
         rows.append([Fraction(c, q_sq) for c in _vec10(a, b, d)])
 
     res_den = p_sq * q_den
     residuals, traces, scales = [], [], []
     for a, b, c, d in us:
         # (p* u p)_11 = conj(x) (a x + b w) + conj(w) (c x + d w)
-        top = _add(hamilton(a, xn), hamilton(b, wn))
-        bottom = _add(hamilton(c, xn), hamilton(d, wn))
-        res = _add(hamilton(xc, top), hamilton(wc, bottom))
+        top = add4(hamilton(a, xn), hamilton(b, wn))
+        bottom = add4(hamilton(c, xn), hamilton(d, wn))
+        res = add4(hamilton(xc, top), hamilton(wc, bottom))
         residuals.append([Fraction(r, res_den) for r in res])
-        traces.append([Fraction(t, q_den) for t in _add(a, d)])
+        traces.append([Fraction(t, q_den) for t in add4(a, d)])
         scales.append(Fraction(max(abs(h) for e in (a, b, c, d) for h in e), q_den))
     return rows, residuals, traces, scales

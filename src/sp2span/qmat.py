@@ -34,6 +34,7 @@ from .quat import (
     conj4,
     dot,
     hamilton,
+    matmul4,
     numerators,
     one,
     quat,
@@ -73,30 +74,22 @@ class QMat2:
         return (self.a, self.b, self.c, self.d)
 
     def __matmul__(self, other: "QMat2") -> "QMat2":
-        if type(self.a.h0) is not Fraction or type(other.a.h0) is not Fraction:
-            # float, or mixed backends (the Quaternion products raise BackendMismatch)
-            return QMat2(
-                self.a * other.a + self.b * other.c,
-                self.a * other.b + self.b * other.d,
-                self.c * other.a + self.d * other.c,
-                self.c * other.b + self.d * other.d,
-            )
-        # Exact: Hamilton products of the integer numerators over one
-        # denominator per operand, so only the 16 output components pay a gcd.
-        d1, (a, b, c, d) = _integer_entries(self)
-        d2, (e, f, g, h) = _integer_entries(other)
+        exact = type(self.a.h0) is Fraction
+        if exact != (type(other.a.h0) is Fraction):
+            raise BackendMismatch("operands live on different scalar backends")
+        if not exact:
+            m = [q.components() for q in self.entries()]
+            n = [q.components() for q in other.entries()]
+            return QMat2(*(Quaternion(*e) for e in matmul4(m, n)))
+        # Exact: the integer numerators over one denominator per operand, so
+        # only the 16 output components pay a gcd.
+        d1, m = _integer_entries(self)
+        d2, n = _integer_entries(other)
         den = d1 * d2
-        out = []
-        for l1, r1, l2, r2 in ((a, e, b, g), (a, f, b, h), (c, e, d, g), (c, f, d, h)):
-            s0, s1, s2, s3 = hamilton(l1, r1)
-            t0, t1, t2, t3 = hamilton(l2, r2)
-            out.append(Quaternion(
-                Fraction(s0 + t0, den),
-                Fraction(s1 + t1, den),
-                Fraction(s2 + t2, den),
-                Fraction(s3 + t3, den),
-            ))
-        return QMat2(*out)
+        return QMat2(*(
+            Quaternion(Fraction(c0, den), Fraction(c1, den), Fraction(c2, den), Fraction(c3, den))
+            for c0, c1, c2, c3 in matmul4(m, n)
+        ))
 
     def __add__(self, other: "QMat2") -> "QMat2":
         return QMat2(self.a + other.a, self.b + other.b, self.c + other.c, self.d + other.d)
@@ -319,14 +312,14 @@ def point_from_numerators(entries) -> Sp2Point:
 
 class Sp2Alg:
     """An element of sp(2): adjoint(m) = -m, i.e. [[alpha, beta], [-conj(beta), gamma]]
-    with alpha, gamma purely imaginary."""
+    with alpha, gamma purely imaginary (exact, or within 1e-9 on floats)."""
 
     __slots__ = ("m",)
 
-    def __init__(self, m: QMat2, tol: float = 1e-9, validate: bool = True):
+    def __init__(self, m: QMat2, validate: bool = True):
         if validate:
             err = (m.adjoint() + m).max_abs()
-            ok = err == 0 if m.backend == EXACT else err <= tol
+            ok = err == 0 if m.backend == EXACT else err <= 1e-9
             if not ok:
                 raise InvariantViolation(f"m* + m deviates from 0 by {as_float(err):.3e}")
         self.m = m

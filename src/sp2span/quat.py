@@ -104,29 +104,18 @@ class Quaternion:
 
     def __add__(self, other: "Quaternion") -> "Quaternion":
         self._check_backend(other)
-        return Quaternion(
-            self.h0 + other.h0, self.h1 + other.h1, self.h2 + other.h2, self.h3 + other.h3
-        )
+        return Quaternion(*add4(self.components(), other.components()))
 
     def __sub__(self, other: "Quaternion") -> "Quaternion":
         self._check_backend(other)
-        return Quaternion(
-            self.h0 - other.h0, self.h1 - other.h1, self.h2 - other.h2, self.h3 - other.h3
-        )
+        return Quaternion(*sub4(self.components(), other.components()))
 
     def __neg__(self) -> "Quaternion":
-        return Quaternion(-self.h0, -self.h1, -self.h2, -self.h3)
+        return Quaternion(*neg4(self.components()))
 
     def __mul__(self, other: "Quaternion") -> "Quaternion":
-        a0, a1, a2, a3 = self.h0, self.h1, self.h2, self.h3
-        b0, b1, b2, b3 = other.h0, other.h1, other.h2, other.h3
-        if type(a0) is float and type(b0) is float:
-            return Quaternion(
-                a0 * b0 - a1 * b1 - a2 * b2 - a3 * b3,
-                a0 * b1 + a1 * b0 + a2 * b3 - a3 * b2,
-                a0 * b2 - a1 * b3 + a2 * b0 + a3 * b1,
-                a0 * b3 + a1 * b2 - a2 * b1 + a3 * b0,
-            )
+        if type(self.h0) is float and type(other.h0) is float:
+            return Quaternion(*hamilton(self.components(), other.components()))
         self._check_backend(other)
         # Exact: the Hamilton product of the integer numerators, so only the
         # four results pay a gcd (in the Fraction constructor), not every
@@ -145,7 +134,7 @@ class Quaternion:
         return Quaternion(self.h0 * s, self.h1 * s, self.h2 * s, self.h3 * s)
 
     def conj(self) -> "Quaternion":
-        return Quaternion(self.h0, -self.h1, -self.h2, -self.h3)
+        return Quaternion(*conj4(self.components()))
 
     def norm_sq(self) -> Scalar:
         return self.h0 * self.h0 + self.h1 * self.h1 + self.h2 * self.h2 + self.h3 * self.h3
@@ -159,6 +148,8 @@ class Quaternion:
     # -- predicates and parts -------------------------------------------------
 
     def is_zero(self, tol: float = 0.0) -> bool:
+        """The one zero test: literal on the exact backend (tol is ignored),
+        every component within tol on floats; is_imaginary tests Re alike."""
         if self.backend == EXACT:
             return self.h0 == 0 and self.h1 == 0 and self.h2 == 0 and self.h3 == 0
         return self.max_abs() <= tol
@@ -192,7 +183,10 @@ class Quaternion:
         return f"Quaternion({self.h0!r}, {self.h1!r}, {self.h2!r}, {self.h3!r})"
 
 
-# -- integer numerators ---------------------------------------------------------
+# -- 4-tuple arithmetic ----------------------------------------------------------
+
+# Quaternions as 4-tuples of components (integers or floats): the one home
+# of the arithmetic that Quaternion, QMat2 and the span kernel run on.
 
 
 def denominator(q: "Quaternion") -> int:
@@ -228,6 +222,31 @@ def hamilton(a, b):
 def conj4(a):
     """conj of a quaternion given as a 4-tuple."""
     return (a[0], -a[1], -a[2], -a[3])
+
+
+def add4(a, b):
+    return (a[0] + b[0], a[1] + b[1], a[2] + b[2], a[3] + b[3])
+
+
+def sub4(a, b):
+    return (a[0] - b[0], a[1] - b[1], a[2] - b[2], a[3] - b[3])
+
+
+def neg4(a):
+    return (-a[0], -a[1], -a[2], -a[3])
+
+
+def matmul4(m, n):
+    """The product of two 2x2 quaternionic matrices [[a, b], [c, d]] given
+    as their entries (a, b, c, d) in 4-tuples, returned the same way."""
+    a, b, c, d = m
+    e, f, g, h = n
+    return (
+        add4(hamilton(a, e), hamilton(b, g)),
+        add4(hamilton(a, f), hamilton(b, h)),
+        add4(hamilton(c, e), hamilton(d, g)),
+        add4(hamilton(c, f), hamilton(d, h)),
+    )
 
 
 # -- constructors -------------------------------------------------------------

@@ -3,6 +3,7 @@ constructions of the fundamental fields, membership conditions, point
 generators (random, Cayley, deterministic grids), and fiber normalization."""
 
 import hashlib
+import itertools
 import json
 import random
 from fractions import Fraction
@@ -262,6 +263,35 @@ def test_exact_draws_are_frozen():
         digest.update(json.dumps(quat_to_json(u)).encode())
         digest.update(b"\n")
     assert digest.hexdigest() == "e387ef7995f2697dcf9af028066a0ffc614ab2763edd4d7cb65b882ee2fba602"
+
+
+@pytest.mark.parametrize(
+    "enumeration,expected",
+    [
+        (
+            lambda: frames.rational_v_grid(200),
+            "fbfc55f385e1d96fedaccec094a196a9ea8e8fdbee8e8e98d44d593e8aa67888",
+        ),
+        (
+            lambda: frames.rational_v_grid(200, need_v1=False, skip_i=False),
+            "1a8067242220734879bf47e12c898073b17616da854b959bed0324d1a4aadbc8",
+        ),
+        (
+            lambda: itertools.chain.from_iterable(itertools.islice(bundle.admissible_v_stream(), 200)),
+            "4205df068db0ed9b7ffb0b0f8bff93c916ab3fe6758c61c7c2bfdb0cc5294a62",
+        ),
+    ],
+    ids=["grid-admissible", "grid-all", "stream"],
+)
+def test_v_enumerations_are_frozen(enumeration, expected):
+    # The identity suite's v grids (both flag pairs in use) and the first
+    # 200 (v, w0) pairs of the stream behind grid_ia, in order: a change to
+    # the enumeration must not move or reorder a single v.
+    digest = hashlib.sha256()
+    for q in enumeration():
+        digest.update(json.dumps(quat_to_json(q)).encode())
+        digest.update(b"\n")
+    assert digest.hexdigest() == expected
 
 
 def test_random_sp2_column_mass_is_balanced():

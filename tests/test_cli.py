@@ -134,6 +134,56 @@ def test_verify_serializes_only_failing_points(tmp_path, monkeypatch, backend):
         assert replay["case"] == rec["case"] and replay["rank"] == 10 and replay["pass"] is True
 
 
+def test_error_records(tmp_path, monkeypatch):
+    # A point whose draw or check raises becomes an error record: in verify
+    # a failure with case "error", no ranks and no point (the draw never
+    # returned one), counted as "error" in the tally; in special-sweep a
+    # failure with its point, left out of the family's case tally.
+    random_sp2, check_point = bundle.random_sp2, frames.check_point
+
+    def draw(key):
+        if key % (1 << 64) == 2:
+            raise bundle.DegenerateDraw("no usable draw (test)")
+        return random_sp2(key)
+
+    monkeypatch.setattr(bundle, "random_sp2", draw)
+    out = tmp_path / "v.json"
+    assert main(["verify", "--samples", "4", "--seed", "1", "--emit", "json", "--out", str(out)]) == 1
+    rep = json.loads(out.read_text())
+    assert rep["case_tally"] == {"I-a": 3, "error": 1}
+    assert rep["failures"] == [
+        {
+            "index": 2,
+            "case": "error",
+            "ok": False,
+            "rank": None,
+            "neg_rank": None,
+            "min_rel_pivot": None,
+            "problems": ["DegenerateDraw: no usable draw (test)"],
+            "point": None,
+        }
+    ]
+    assert rep["negative_control_max_rank"] == 7 and rep["min_rel_pivot"] > 0
+
+    broken = bundle.grid_ir(3)[1]
+
+    def check(p, tol=1e-9, drop_label=None):
+        if p == broken:
+            raise bundle.DegenerateDraw("check failed (test)")
+        return check_point(p, tol, drop_label)
+
+    monkeypatch.setattr(frames, "check_point", check)
+    out = tmp_path / "s.json"
+    assert main(["special-sweep", "--samples", "3", "--emit", "json", "--out", str(out)]) == 1
+    families = {f["name"]: f for f in json.loads(out.read_text())["families"]}
+    assert all(f["pass"] for name, f in families.items() if name != "I-r")
+    ir = families["I-r"]
+    assert ir["pass"] is False and ir["count"] == 3 and ir["cases"] == {"I-r": 2}
+    assert ir["failures"] == [
+        {"index": 1, "problems": ["DegenerateDraw: check failed (test)"], "point": broken.to_json()}
+    ]
+
+
 def test_corrupt_frame_unknown_label_exits_2():
     # A label that names no frame row would corrupt nothing and pass.
     for label in ("no_such_row", "U_j"):
@@ -359,6 +409,7 @@ def test_usage_errors_exit_2():
     for argv in (
         ["verify", "--tol", "0"],
         ["verify", "--tol", "nan"],
+        ["verify", "--tol", "1e-15"],
         ["verify", "--jobs", "0"],
         ["special-sweep", "--samples", "0"],
         ["standard-sphere", "--backend", "bogus"],
