@@ -302,15 +302,17 @@ def _positive_int(text: str) -> int:
     return value
 
 
-# The smallest --tol: below it rounding alone fails valid float points
-# (README, "Backends, tolerance, environment").
+# The range of --tol (README, "Backends, tolerance, environment"): below
+# MIN_TOL rounding alone fails valid float points; above MAX_TOL the case
+# cuts label Haar points off I-a, and larger values fail them at rank 9.
 MIN_TOL = 1e-14
+MAX_TOL = 1e-3
 
 
 def _tolerance(text: str) -> float:
     value = float(text)
-    if not value >= MIN_TOL:  # also false for NaN
-        raise argparse.ArgumentTypeError(f"must be at least {MIN_TOL:g}, got {text}")
+    if not MIN_TOL <= value <= MAX_TOL:  # also false for NaN
+        raise argparse.ArgumentTypeError(f"must be between {MIN_TOL:g} and {MAX_TOL:g}, got {text}")
     return value
 
 

@@ -572,13 +572,14 @@ def check_point(p: Sp2Point, tol: float = 1e-9, drop_label: str | None = None) -
     of SPAN_LABELS.
 
     Both backends run on the rows and residuals of kernel.span_rows: exact
-    points get Bareiss certificates on rows equal to span_frame's, float
-    points the pivoted elimination.  span_frame and verify_frame build the
-    same check from Quaternion/QMat2 objects; they are its reference."""
+    points get Bareiss certificates on its integer rows (span_frame's rows
+    cleared of denominators), float points the pivoted elimination.
+    span_frame and verify_frame build the same check from Quaternion/QMat2
+    objects; they are its reference."""
     if drop_label is not None and drop_label not in SPAN_LABELS:
         raise ValueError(f"no frame row is labeled {drop_label!r}")
     tag = classify(p, tol)
-    rows, residuals, traces, scales = kernel.span_rows(p.x, p.w, tag.v)
+    rows, _, residuals, traces, scales = kernel.span_rows(p.x, p.w, tag.v)
     kept = [row for label, row in zip(SPAN_LABELS, rows) if label != drop_label]
     rank = real_rank(kept, tol)
     # the D rows come first: ell_i, ell_j, ell_k, u0, u_i, u_j, u_k

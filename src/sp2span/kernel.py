@@ -28,8 +28,11 @@ tuple arithmetic of quat: Hamilton products (quat.hamilton) and
 quat.matmul4, the one 2x2 product, which QMat2's @ runs on as well.  With
 |V|^2 = n, every u is an integer matrix over Q = 2 E n
 (b_rho = (E^2 V rho - n rho V)/Q), so the ell rows are integers over P^2,
-the u rows over Q, the brackets over Q^2 and the residuals over P^2 Q;
-only the returned values become Fractions.
+the u rows over Q, the brackets over Q^2 and the residuals over P^2 Q.
+Each row is returned as integers in lowest terms with its denominator, the
+input Bareiss takes (qmat.real_rank), so no row becomes Fractions; only the
+residuals, traces and scales do, and a zero component among them is the
+one shared Fraction(0).
 
 The object path (frames.span_frame and frames.verify_frame on
 Quaternion/QMat2 objects) computes the same rows and residuals; it is the
@@ -45,7 +48,17 @@ from math import lcm
 import numpy as np
 
 from .quat import (
-    FLOAT, Quaternion, add4, conj4, denominator, hamilton, matmul4, neg4, numerators, sub4
+    FLOAT,
+    Quaternion,
+    add4,
+    conj4,
+    denominator,
+    hamilton,
+    lowest_terms,
+    matmul4,
+    neg4,
+    numerators,
+    sub4,
 )
 
 
@@ -79,6 +92,7 @@ _PAIR_A, _PAIR_B = (np.array(side) for side in zip(*_PAIRS))
 # 1, i, j, k and 0 as integer 4-tuples.
 _ONE, _I, _J, _K = ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
 _ZERO = (0, 0, 0, 0)
+_FRACTION_ZERO = Fraction(0)  # immutable, so every zero residual component shares it
 
 
 def span_rows(x: Quaternion, w: Quaternion, v: Quaternion | None):
@@ -88,11 +102,17 @@ def span_rows(x: Quaternion, w: Quaternion, v: Quaternion | None):
     v = x w^-1 as frames.classify computes it, or None at case-II points
     (x or w vanishes), which take the constant antidiagonal u-basis.
 
-    Returns four lists, of Python floats on the float backend and of
-    Fractions on the exact one:
+    Returns five lists:
 
     * rows: the 13 Vec10 rows in frames.SPAN_LABELS order (ell_i, ell_j,
-      ell_k, u0, u_i, u_j, u_k, then the six [u_a, u_b]);
+      ell_k, u0, u_i, u_j, u_k, then the six [u_a, u_b]), each multiplied
+      by its denominator: Python floats on the float backend, Python ints
+      with no common factor with the denominator on the exact one;
+    * dens: the 13 denominators, 1 on the float backend, so that the
+      Vec10 row is [c / den for c in row] (Fraction(c, den) when exact);
+
+    and, as Python floats or Fractions:
+
     * residuals: for each u, the four components of its membership residual;
     * traces: for each u, the four components of its trace a + d;
     * scales: for each u, its largest entry component in absolute value.
@@ -119,7 +139,7 @@ def span_rows(x: Quaternion, w: Quaternion, v: Quaternion | None):
     residuals = (col[:, 0].conj() @ u @ col).view(np.float64)
     traces = (u[:, 0, :2] + u[:, 2, 2:]).view(np.float64)
     scales = np.abs(u.view(np.float64)).max(axis=(1, 2))
-    return rows.tolist(), residuals.tolist(), traces.tolist(), scales.tolist()
+    return rows.tolist(), [1] * len(rows), residuals.tolist(), traces.tolist(), scales.tolist()
 
 
 def _vec10(a, b, d):
@@ -133,7 +153,7 @@ def _exact_span_rows(x: Quaternion, w: Quaternion, v: Quaternion | None):
     xn, wn = numerators(x, p_den), numerators(w, p_den)
     xc, wc = conj4(xn), conj4(wn)
     p_sq = p_den * p_den
-    rows = []
+    reduced = []  # (integer row, denominator) in lowest terms, per row
     for rho in (_I, _J, _K):
         # rho Id - p diag(rho, 0) p*, times P^2
         x_rho, w_rho = hamilton(xn, rho), hamilton(wn, rho)
@@ -141,7 +161,7 @@ def _exact_span_rows(x: Quaternion, w: Quaternion, v: Quaternion | None):
         a = sub4(rho_p, hamilton(x_rho, xc))
         b = neg4(hamilton(x_rho, wc))
         d = sub4(rho_p, hamilton(w_rho, wc))
-        rows.append([Fraction(c, p_sq) for c in _vec10(a, b, d)])
+        reduced.append(lowest_terms(_vec10(a, b, d), p_sq))
 
     # each u as its integer entries (a, b, c, d) over the common q_den
     if v is None:
@@ -160,7 +180,7 @@ def _exact_span_rows(x: Quaternion, w: Quaternion, v: Quaternion | None):
             b = tuple(e_sq * s - n * t for s, t in zip(v_rho, rho_v))
             a = tuple(q_den * r for r in rho)
             us.append((a, b, neg4(conj4(b)), neg4(a)))
-    rows += [[Fraction(c, q_den) for c in _vec10(a, b, d)] for a, b, _, d in us]
+    reduced += [lowest_terms(_vec10(a, b, d), q_den) for a, b, _, d in us]
 
     q_sq = q_den * q_den
     for i, j in _PAIRS:
@@ -169,7 +189,7 @@ def _exact_span_rows(x: Quaternion, w: Quaternion, v: Quaternion | None):
         a = sub4(m11, conj4(m11))
         b = sub4(m12, conj4(m21))
         d = sub4(m22, conj4(m22))
-        rows.append([Fraction(c, q_sq) for c in _vec10(a, b, d)])
+        reduced.append(lowest_terms(_vec10(a, b, d), q_sq))
 
     res_den = p_sq * q_den
     residuals, traces, scales = [], [], []
@@ -178,7 +198,8 @@ def _exact_span_rows(x: Quaternion, w: Quaternion, v: Quaternion | None):
         top = add4(hamilton(a, xn), hamilton(b, wn))
         bottom = add4(hamilton(c, xn), hamilton(d, wn))
         res = add4(hamilton(xc, top), hamilton(wc, bottom))
-        residuals.append([Fraction(r, res_den) for r in res])
-        traces.append([Fraction(t, q_den) for t in add4(a, d)])
+        residuals.append([Fraction(r, res_den) if r else _FRACTION_ZERO for r in res])
+        traces.append([Fraction(t, q_den) if t else _FRACTION_ZERO for t in add4(a, d)])
         scales.append(Fraction(max(abs(h) for e in (a, b, c, d) for h in e), q_den))
-    return rows, residuals, traces, scales
+    rows, dens = zip(*reduced)
+    return list(rows), list(dens), residuals, traces, scales

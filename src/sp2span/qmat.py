@@ -34,6 +34,7 @@ from .quat import (
     conj4,
     dot,
     hamilton,
+    lowest_terms,
     matmul4,
     numerators,
     one,
@@ -303,7 +304,10 @@ class Sp2Point:
 
 def point_from_numerators(entries) -> Sp2Point:
     """The exact point [[x, y], [w, z]] from four (numerators, denominator)
-    pairs, validated on the integers before any Fraction is built."""
+    pairs, validated on the integers before any Fraction is built.  Each
+    pair is first put in lowest terms, so the common denominator is the
+    point's own, not a product of the factors it was built from."""
+    entries = [lowest_terms(nums, d) for nums, d in entries]
     den = lcm(*(d for _, d in entries))
     _require_unitary(den, tuple(tuple(c * (den // d) for c in nums) for nums, d in entries))
     m = QMat2(*(Quaternion(*(Fraction(c, d) for c in nums)) for nums, d in entries))
@@ -410,10 +414,11 @@ class RankResult:
     """Outcome of a real-rank computation over Vec10 rows.
 
     For the exact backend `pivots` holds the Bareiss pivots (integer leading
-    minors after row-wise denominator clearing): the rank certificate is that
-    each is a nonzero integer.  For floats `pivots` holds pivot magnitudes
-    after row max-abs equilibration, and `min_rel_pivot` is their minimum
-    relative to the largest equilibrated entry.
+    minors of the integer rows: rows of ints as given, Fraction rows after
+    row-wise denominator clearing): the rank certificate is that each is a
+    nonzero integer.  For floats `pivots` holds pivot magnitudes after row
+    max-abs equilibration, and `min_rel_pivot` is their minimum relative to
+    the largest equilibrated entry.
     """
 
     rank: int
@@ -436,8 +441,8 @@ class RankResult:
         return out
 
 
-def _bareiss_rank(rows: list[list[int]]) -> RankResult:
-    m = [row[:] for row in rows]
+def _bareiss_rank(rows: list[Sequence[int]]) -> RankResult:
+    m = [list(row) for row in rows]
     n_rows = len(m)
     n_cols = len(m[0])
     prev = 1
@@ -528,12 +533,14 @@ _FLOAT_TYPES = (float, np.floating)
 def real_rank(vectors: Iterable[Vec10], tol: float = 1e-9) -> RankResult:
     """Rank of the real span of the given coordinate vectors.
 
-    Exact backend: fraction-free Bareiss elimination after clearing row
-    denominators; the result is a certificate, not an estimate.  Float
-    backend (Python or numpy floats, which are ranked as Python floats):
-    complete-pivot Gaussian elimination on equilibrated rows with relative
-    pivot threshold `tol`.  Rows mixing the two backends raise
-    BackendMismatch.
+    Exact backend: fraction-free Bareiss elimination, the result a
+    certificate, not an estimate.  Rows of Python ints (the span kernel's
+    exact rows) go to it as they are; rows holding Fractions are first
+    cleared of denominators row by row, which turns a row into the integer
+    row the kernel returns for the same values.  Float backend (Python or
+    numpy floats, which are ranked as Python floats): complete-pivot
+    Gaussian elimination on equilibrated rows with relative pivot threshold
+    `tol`.  Rows mixing the two backends raise BackendMismatch.
     """
     rows = [tuple(v) for v in vectors]
     if not rows:
@@ -543,6 +550,8 @@ def real_rank(vectors: Iterable[Vec10], tol: float = 1e-9) -> RankResult:
         if len(row) != width:
             raise ShapeMismatch("rank input rows have inconsistent lengths")
     types = {type(x) for row in rows for x in row}
+    if types == {int}:
+        return _bareiss_rank(rows)
     kinds = {issubclass(t, _FLOAT_TYPES) for t in types}
     if len(kinds) > 1:
         raise BackendMismatch("rank input mixes exact and float rows")

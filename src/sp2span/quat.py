@@ -206,6 +206,13 @@ def numerators(q: "Quaternion", den: int):
     )
 
 
+def lowest_terms(nums, den: int):
+    """(nums / g, den / g) for g = gcd(den, *nums): the integers over the
+    smallest common denominator of the values nums[i] / den, for den > 0."""
+    g = math.gcd(den, *nums)
+    return [c // g for c in nums], den // g
+
+
 def hamilton(a, b):
     """The Hamilton product of two quaternions given as 4-tuples of
     components (integers or floats)."""

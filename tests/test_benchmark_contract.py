@@ -4,14 +4,14 @@ The benchmark wraps package attributes by name from outside src/ (tracing
 probes, segment cuts, identity entries, the worker pool).  A missing name
 fails its traced run at patch time, so a refactor that renames one would
 break `perfbench/run.py --trace 1` without any other test noticing.  The
-benchmark module is loaded as it is, without running its entry point.
-The names its correctness gate observes must also still be called, once
-per sample or per rank, as the gate expects.
+benchmark modules (run.py, gate.py) are loaded as they are, without
+running an entry point.  The names its correctness gate observes must also
+still be called, once per sample or per rank, as the gate expects, with
+rank inputs its oracle re-ranks.
 """
 
 import importlib.util
 import sys
-from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -22,11 +22,10 @@ PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 MODULES = {"bundle": bundle, "cli": cli, "frames": frames, "qmat": qmat, "quat": quat}
 
 
-@pytest.fixture(scope="module")
-def run_module():
+def _load(name):
     # run.py imports its sibling modules by plain name, and its dataclasses
     # look their module up in sys.modules while it loads.
-    spec = importlib.util.spec_from_file_location("perfbench_run", PERFBENCH / "run.py")
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     sys.path.insert(0, str(PERFBENCH))
     sys.modules[spec.name] = module
@@ -36,6 +35,16 @@ def run_module():
         sys.path.remove(str(PERFBENCH))
         del sys.modules[spec.name]
     return module
+
+
+@pytest.fixture(scope="module")
+def run_module():
+    return _load("run")
+
+
+@pytest.fixture(scope="module")
+def gate_module():
+    return _load("gate")
 
 
 def test_probe_targets_resolve(run_module):
@@ -69,13 +78,15 @@ def test_counted_quaternion_methods_are_own():
 
 
 @pytest.mark.parametrize("backend,samples", [("float", 4), ("exact", 8)])
-def test_gate_observes_every_point(monkeypatch, backend, samples):
+def test_gate_observes_every_point(monkeypatch, gate_module, backend, samples):
     # The gate wraps these names to count a case per sample (cli._verify_one),
     # to collect the seed self-test's points (bundle.random_sp2) and to take
     # the oracle's rank inputs (frames.real_rank); the trace probe
     # bundle.sample and the segment hooks wrap the two samplers by name.  A
     # refactor that stopped calling them through the module attribute would
-    # leave the oracle nothing to check and the trace blind.
+    # leave the oracle nothing to check and the trace blind.  The rank
+    # inputs are one scalar type per backend (floats, or the exact kernel's
+    # integer rows), and the gate's own oracle re-ranks every one of them.
     indices, draws, exact_draws, ranks = [], [], [], []
     verify_one, random_sp2, real_rank = cli._verify_one, bundle.random_sp2, frames.real_rank
     exact_random_point = bundle.exact_random_point
@@ -96,8 +107,9 @@ def test_gate_observes_every_point(monkeypatch, backend, samples):
 
     def seen_real_rank(vectors, *args, **kwargs):
         rows = [list(v) for v in vectors]
-        ranks.append(rows)
-        return real_rank(rows, *args, **kwargs)
+        result = real_rank(rows, *args, **kwargs)
+        ranks.append((rows, result.rank))
+        return result
 
     monkeypatch.setattr(cli, "_verify_one", seen_verify_one)
     monkeypatch.setattr(bundle, "random_sp2", seen_random_sp2)
@@ -109,6 +121,10 @@ def test_gate_observes_every_point(monkeypatch, backend, samples):
     assert len(draws) == (samples if backend == "float" else 0)
     assert len(exact_draws) == (samples if backend == "exact" else 0)
     assert all(isinstance(p, qmat.Sp2Point) for p in draws + exact_draws)
-    assert [len(rows) for rows in ranks] == [13, 7] * samples
-    scalar = float if backend == "float" else Fraction
-    assert all(type(x) is scalar for rows in ranks for row in rows for x in row)
+    assert [(len(rows), rank) for rows, rank in ranks] == [(13, 10), (7, 7)] * samples
+    scalar = float if backend == "float" else int
+    assert all(type(x) is scalar for rows, _ in ranks for row in rows for x in row)
+    assert gate_module.oracle_rerank(ranks, backend) == (2 * samples, 0, [])
+    # the oracle ranks the rows itself: a wrong program rank is caught
+    (rows, rank), *_ = ranks
+    assert gate_module.oracle_rerank([(rows, rank - 1)], backend)[1] == 1

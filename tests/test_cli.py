@@ -11,7 +11,9 @@ from fractions import Fraction
 from sp2span import bundle, cli, frames
 from sp2span.cli import build_parser, canonical_json, main
 from sp2span.qmat import QMat2, Sp2Alg, Sp2Point
-from sp2span.quat import EXACT, quat
+from sp2span.quat import EXACT, FLOAT, one, quat
+
+from test_kernel import FAMILIES
 
 
 def test_verify_float_small(tmp_path):
@@ -418,6 +420,36 @@ def test_usage_errors_exit_2():
         with pytest.raises(SystemExit) as err:
             main(argv)
         assert err.value.code == 2, argv
+
+
+@pytest.mark.parametrize("tol", ["1e300", "inf", "0.5", "2e-3"])
+def test_tol_above_ceiling_exits_2(capsys, tol):
+    # Before the ceiling: 1e300 overflowed in the case-II cut (a traceback),
+    # inf labeled every Haar point II, and 0.5 failed valid I-a points.
+    for command in ("verify", "special-sweep", "standard-sphere"):
+        with pytest.raises(SystemExit) as err:
+            main([command, "--tol", tol])
+        assert err.value.code == 2, (command, tol)
+        assert f"must be between {cli.MIN_TOL:g} and {cli.MAX_TOL:g}, got {tol}" in capsys.readouterr().err
+
+
+def test_float_families_pass_at_the_tol_ceiling(tmp_path):
+    # At MAX_TOL the span check passes on the Haar, boundary and quarter
+    # families and next to the case-II cut, and Haar points keep their I-a
+    # label (at 1e-2 five of 20000 were labeled I-b).
+    out = tmp_path / "r.json"
+    argv = ["verify", "--samples", "300", "--seed", "3", "--tol", str(cli.MAX_TOL)]
+    assert main(argv + ["--emit", "json", "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["case_tally"] == {"I-a": 300}
+    for family in FAMILIES.values():
+        for p in family():
+            assert frames.check_point(p, cli.MAX_TOL).ok
+    c = quat(0.6, 0.0, 0.8, 0.0, backend=FLOAT)
+    for r, below in ((0.9 * cli.MAX_TOL / 4, True), (1.1 * cli.MAX_TOL / 4, False)):
+        for v in (c.scale(r), c.scale(1 / r)):
+            w0 = quat(1.0 / (1.0 + v.norm_sq()) ** 0.5, backend=FLOAT)
+            res = frames.check_point(bundle.fiber_point(v, w0, one(FLOAT), one(FLOAT)), cli.MAX_TOL)
+            assert res.ok and (res.case == frames.CASE_II) == below
 
 
 def test_env_backend_default(tmp_path, monkeypatch):

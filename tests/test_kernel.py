@@ -9,12 +9,13 @@ differently from the quaternion products, so float rows and pivots are
 compared at tolerances fixed from float64 (about 1e-15 was measured on
 both), not bitwise, and pivot positions may differ where the reference's own
 choice between equal entries is a tie.  On exact points everything must be
-equal: the rows as Fractions, and the whole FrameCheck, Bareiss pivots
-included.
+equal: the rows (integers over a denominator) as Fractions, and the whole
+FrameCheck, Bareiss pivots included.
 """
 
 import json
 from fractions import Fraction
+from math import lcm
 
 import numpy as np
 import pytest
@@ -118,9 +119,10 @@ def _assert_matches_object_path(p, drop_label=None):
 @pytest.mark.parametrize("family", list(FAMILIES))
 def test_kernel_rows_match_object_rows(family):
     for p in FAMILIES[family]():
-        rows, residuals, _, scales = kernel.span_rows(p.x, p.w, classify(p, TOL).v)
+        rows, dens, residuals, _, scales = kernel.span_rows(p.x, p.w, classify(p, TOL).v)
         frame = frames.span_frame(p, TOL)
         assert [e.label for e in frame.entries] == list(SPAN_LABELS)
+        assert dens == [1] * len(SPAN_LABELS)
         for got, e in zip(rows, frame.entries):
             want = to_vec10(e.m)
             assert all(type(x) is float for x in got)
@@ -143,7 +145,7 @@ def test_kernel_residuals_of_non_members():
         p = bundle.random_sp2(n)
         v = classify(p, TOL).v
         off = quat(v.h0 + 0.3, v.h1, v.h2 - 0.2, v.h3, backend=FLOAT)
-        _, residuals, traces, scales = kernel.span_rows(p.x, p.w, off)
+        _, _, residuals, traces, scales = kernel.span_rows(p.x, p.w, off)
         for res, trace, scale, u in zip(residuals, traces, scales, frames.u_basis(off)):
             want = ad_h_p_residual(p, u, TOL).components()
             assert max(abs(g - w) for g, w in zip(res, want)) <= ROW_TOL * max(1.0, scale)
@@ -194,14 +196,24 @@ EXACT_FAMILIES = {
 
 @pytest.mark.parametrize("family", list(EXACT_FAMILIES))
 def test_exact_kernel_rows_equal_object_rows(family):
+    # Each exact row is integers over its denominator: the two rebuild the
+    # object row Fraction for Fraction (a row scaled by a constant fails),
+    # and the integers are the object row cleared by the lcm of its
+    # denominators, the row Bareiss took before the kernel returned ints.
     for p in EXACT_FAMILIES[family]():
         assert p.backend == EXACT
-        rows, residuals, traces, _ = kernel.span_rows(p.x, p.w, classify(p, TOL).v)
+        rows, dens, residuals, traces, _ = kernel.span_rows(p.x, p.w, classify(p, TOL).v)
         frame = frames.span_frame(p, TOL)
-        for got, e in zip(rows, frame.entries, strict=True):
-            assert all(type(x) is Fraction for x in got)
-            assert got == list(to_vec10(e.m))
+        for got, den, e in zip(rows, dens, frame.entries, strict=True):
+            want = list(to_vec10(e.m))
+            assert all(type(x) is int for x in got) and type(den) is int
+            rebuilt = [Fraction(c, den) for c in got]
+            assert all(type(x) is Fraction for x in rebuilt)
+            assert rebuilt == want
+            cleared = lcm(*(f.denominator for f in want))
+            assert (got, den) == ([f.numerator * (cleared // f.denominator) for f in want], cleared)
         for res, trace, e in zip(residuals, traces, frame.entries[3:7], strict=True):
+            assert all(type(x) is Fraction for x in res + trace)
             assert res == list(ad_h_p_residual(p, e.m, TOL).components())
             assert trace == list(e.m.m.trace().components())
 
@@ -234,7 +246,7 @@ def test_exact_kernel_residuals_of_non_members():
     assert len(points) >= 30
     for p in points:
         off = classify(p, TOL).v + shift
-        _, residuals, traces, scales = kernel.span_rows(p.x, p.w, off)
+        _, _, residuals, traces, scales = kernel.span_rows(p.x, p.w, off)
         for res, trace, scale, u in zip(residuals, traces, scales, frames.u_basis(off), strict=True):
             assert res == list(ad_h_p_residual(p, u, TOL).components())
             verdict = bundle.membership_verdict(Quaternion(*res), Quaternion(*trace), scale, TOL)
