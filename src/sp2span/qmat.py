@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import lcm
+from math import isfinite, lcm
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -51,6 +51,10 @@ class InvariantViolation(Sp2Error):
 
 class ShapeMismatch(Sp2Error):
     """Input does not have the documented shape."""
+
+
+class NonFiniteRows(Sp2Error):
+    """A float rank input holds NaN or an infinity."""
 
 
 class QMat2:
@@ -416,9 +420,10 @@ class RankResult:
     For the exact backend `pivots` holds the Bareiss pivots (integer leading
     minors of the integer rows: rows of ints as given, Fraction rows after
     row-wise denominator clearing): the rank certificate is that each is a
-    nonzero integer.  For floats `pivots` holds pivot magnitudes after row
-    max-abs equilibration, and `min_rel_pivot` is their minimum relative to
-    the largest equilibrated entry.
+    nonzero integer.  For floats `pivots` holds pivot magnitudes (Python
+    floats) after row max-abs equilibration, `positions` their (row, column)
+    in the input, and `min_rel_pivot` is their minimum relative to the
+    largest equilibrated entry.
     """
 
     rank: int
@@ -477,45 +482,50 @@ def _bareiss_rank(rows: list[Sequence[int]]) -> RankResult:
     return RankResult(rank=pr, method="bareiss", pivots=pivots, positions=positions)
 
 
-def _pivoted_rank(rows: list[Sequence[float]], rel_tol: float) -> RankResult:
-    """Complete-pivot Gaussian elimination on rows of Python floats."""
+def _pivoted_rank(rows: Sequence[Sequence[float]], rel_tol: float) -> RankResult:
+    """Complete-pivot Gaussian elimination: one numpy step per pivot on the
+    whole equilibrated block.
+
+    Pivot rows are left exactly 0 (their factor is piv / piv = 1.0) and pivot
+    columns are set to 0, so the largest entry of the whole block is the
+    largest free one, and argmax (the first largest in row-major order) finds
+    it at its input indices.  The update x - f * y takes the product and the
+    difference as two IEEE operations, the arithmetic of the scalar
+    elimination: every pivot and position is the one a row-by-row loop over
+    the free block finds (`numpy_pivoted_rank` in tests/conftest.py).
+    """
+    a = np.array(rows, dtype=np.float64)
+    n_rows, n_cols = a.shape
     # Row equilibration: rank is invariant under scaling rows by nonzero
     # constants, and it keeps the pivot ratios meaningful when one frame
     # entry dwarfs the others.
-    a = []
-    for row in rows:
-        scale = max(map(abs, row))
-        a.append([x / scale for x in row] if scale > 0.0 else list(row))
-    max_initial = max((max(map(abs, row)) for row in a), default=0.0)
+    scale = np.abs(a).max(axis=1)
+    # max passes a NaN on and an infinity is its own max, so one test on the
+    # largest row scale catches both.
+    if not isfinite(scale.max()):
+        raise NonFiniteRows("float rank input holds NaN or an infinity")
+    nonzero = scale > 0.0
+    a[nonzero] /= scale[nonzero, None]
+    max_initial = float(np.abs(a).max())
     if max_initial == 0.0:
         return RankResult(rank=0, method="pivoted-ge", min_rel_pivot=None)
     threshold = rel_tol * max_initial
-    # `a` holds the free block: the rows not yet pivoted on (`row_of` gives
-    # their indices in the input), restricted to the free columns (`col_of`).
-    row_of = list(range(len(a)))
-    col_of = list(range(len(a[0])))
+    steps = min(n_rows, n_cols)
     pivots = []
     positions = []
-    while a and col_of:
-        # complete pivoting: the largest free entry, the first in row-major
-        # order among equals
-        val = -1.0
-        for i, row in enumerate(a):
-            top = max(map(abs, row))
-            if top > val:
-                val, best = top, i
+    while True:
+        absa = np.abs(a)
+        flat = int(absa.argmax())
+        val = float(absa.flat[flat])
         if val <= threshold:
             break
-        prow = a.pop(best)
-        ci = list(map(abs, prow)).index(val)
+        r, c = divmod(flat, n_cols)
         pivots.append(val)
-        positions.append((row_of.pop(best), col_of.pop(ci)))
-        piv = prow.pop(ci)
-        for row in a:
-            f = row.pop(ci)
-            if f != 0.0:
-                f = f / piv
-                row[:] = [x - f * y for x, y in zip(row, prow)]
+        positions.append((r, c))
+        if len(pivots) == steps:
+            break
+        a -= np.multiply.outer(a[:, c] / a[r, c], a[r])
+        a[:, c] = 0.0
     min_rel = min(pivots) / max_initial if pivots else None
     return RankResult(
         rank=len(pivots),
@@ -538,14 +548,18 @@ def real_rank(vectors: Iterable[Vec10], tol: float = 1e-9) -> RankResult:
     exact rows) go to it as they are; rows holding Fractions are first
     cleared of denominators row by row, which turns a row into the integer
     row the kernel returns for the same values.  Float backend (Python or
-    numpy floats, which are ranked as Python floats): complete-pivot
+    numpy floats, taken into one float64 array as they are): complete-pivot
     Gaussian elimination on equilibrated rows with relative pivot threshold
-    `tol`.  Rows mixing the two backends raise BackendMismatch.
+    `tol`, one numpy step per pivot.  Rows mixing the two backends raise
+    BackendMismatch, rows of width 0 ShapeMismatch, and float rows holding
+    NaN or an infinity NonFiniteRows.
     """
     rows = [tuple(v) for v in vectors]
     if not rows:
         return RankResult(rank=0, method="empty")
     width = len(rows[0])
+    if width == 0:
+        raise ShapeMismatch("rank input rows have no coordinates")
     for row in rows:
         if len(row) != width:
             raise ShapeMismatch("rank input rows have inconsistent lengths")
@@ -556,8 +570,6 @@ def real_rank(vectors: Iterable[Vec10], tol: float = 1e-9) -> RankResult:
     if len(kinds) > 1:
         raise BackendMismatch("rank input mixes exact and float rows")
     if kinds.pop():
-        if types != {float}:
-            rows = [[float(x) for x in row] for row in rows]
         return _pivoted_rank(rows, tol)
     int_rows = []
     for row in rows:

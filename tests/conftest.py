@@ -93,11 +93,12 @@ def identity_results():
 
 
 def numpy_pivoted_rank(rows, rel_tol: float) -> RankResult:
-    """The float rank as numpy elimination: the reference for
-    qmat._pivoted_rank, which runs the same algorithm on Python lists.
-    Same row equilibration, complete-pivot search (np.argmax: the first
-    largest entry in row-major order), relative threshold, and update
-    row -= (row[c] / piv) * prow on every free row."""
+    """The float rank as elimination on the free block: the reference for
+    qmat._pivoted_rank, which runs the same algorithm as one step on the
+    whole block per pivot (pivot rows left at 0, pivot columns set to 0).
+    Same row equilibration, complete-pivot search (np.argmax over the free
+    rows and columns: the first largest entry in row-major order), relative
+    threshold, and update row -= (row[c] / piv) * prow on every free row."""
     a = np.array(rows, dtype=np.float64)
     n_rows, n_cols = a.shape
     scale = np.max(np.abs(a), axis=1)

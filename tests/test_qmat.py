@@ -15,6 +15,7 @@ from conftest import MERSENNE_PRIMES, big_exact_quats, exact_quats, float_quats,
 from sp2span import bundle, frames
 from sp2span.qmat import (
     InvariantViolation,
+    NonFiniteRows,
     QMat2,
     ShapeMismatch,
     Sp2Alg,
@@ -434,6 +435,26 @@ def test_rank_of_zero_and_empty():
     assert real_rank([]).rank == 0
 
 
+@pytest.mark.parametrize("rows", [[[]], [[], []]])
+def test_rank_rejects_rows_of_width_zero(rows):
+    with pytest.raises(ShapeMismatch, match="no coordinates"):
+        real_rank(rows)
+
+
+def test_float_rank_rejects_nan():
+    rows = _span_rows(1)
+    rows[4] = rows[4][:3] + (float("nan"),) + rows[4][4:]
+    with pytest.raises(NonFiniteRows, match="NaN or an infinity"):
+        real_rank(rows)
+
+
+def test_float_rank_rejects_inf():
+    rows = _span_rows(1)
+    rows[9] = rows[9][:6] + (-float("inf"),) + rows[9][7:]
+    with pytest.raises(NonFiniteRows, match="NaN or an infinity"):
+        real_rank(rows)
+
+
 def test_float_rank_scale_invariance():
     # Equilibration keeps wildly scaled but independent rows at full rank.
     g = random.Random(44)
@@ -481,6 +502,60 @@ def test_float_rank_is_the_numpy_elimination_on_frames():
         rows = _span_rows(seed)
         _assert_bitwise_reference(rows)
         _assert_bitwise_reference(rows[:7])
+
+
+def test_float_rank_is_the_numpy_elimination_on_dropped_rows():
+    # Every single-label drop, as check_point ranks it under --corrupt-frame:
+    # the 12 kept rows and the D rows among them (ranks 9 and 6 when a D
+    # row goes).
+    for seed in range(40):
+        rows = _span_rows(seed)
+        for i in range(len(frames.SPAN_LABELS)):
+            kept = rows[:i] + rows[i + 1 :]
+            _assert_bitwise_reference(kept)
+            _assert_bitwise_reference(kept[: 7 - (i < 7)])
+
+
+def test_float_rank_ties_take_the_first_in_row_major_order():
+    rows = _span_rows(11)
+    # duplicated rows: equal candidates in two rows
+    _assert_bitwise_reference(rows + [rows[4], rows[0]])
+    _assert_bitwise_reference([rows[2], rows[2], rows[5]])
+    # a row with two equal largest magnitudes, ahead of a row reaching the
+    # same magnitude once
+    tied = [[0.5, 1.0, -1.0, 0.25], [1.0, 1.0, 0.0, 0.0], [0.0, -1.0, 0.5, 1.0]]
+    _assert_bitwise_reference(tied)
+    assert real_rank(tied).positions[0] == (0, 1)
+
+
+def test_float_rank_is_the_numpy_elimination_with_zero_rows():
+    rows = _span_rows(12)
+    zero = (0.0,) * 10
+    mixed = [zero] + rows[:5] + [zero, zero] + rows[5:] + [zero]
+    _assert_bitwise_reference(mixed)
+    _assert_bitwise_reference([zero] + rows[:7])
+    assert real_rank(mixed).rank == 10
+
+
+@pytest.mark.parametrize("shape", [(1, 10), (3, 7), (10, 1), (13, 10)])
+def test_float_rank_is_the_numpy_elimination_on_shapes(shape):
+    g = np.random.default_rng(shape[0] * 100 + shape[1])
+    for _ in range(20):
+        rows = g.standard_normal(shape).tolist()
+        _assert_bitwise_reference(rows)
+        assert real_rank(rows).rank == min(shape)
+
+
+def test_float_rank_rejects_a_pivot_on_the_threshold():
+    # After the first pivot the second row keeps exactly its last entry, so
+    # the second pivot equals tol * max_initial (max_initial is 1.0): a
+    # pivot on the threshold is not counted, one ulp above it is.
+    on = [[1.0, 0.0], [1.0, 1e-9]]
+    _assert_bitwise_reference(on)
+    assert real_rank(on, tol=1e-9).rank == 1
+    above = [[1.0, 0.0], [1.0, float(np.nextafter(1e-9, 1.0))]]
+    _assert_bitwise_reference(above)
+    assert real_rank(above, tol=1e-9).rank == 2
 
 
 @st.composite
