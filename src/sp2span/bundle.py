@@ -52,6 +52,7 @@ from .quat import (
     conj4,
     hamilton,
     neg4,
+    on_backend,
     one,
     qi,
     qj,
@@ -248,13 +249,16 @@ def case_ii_corner(p: Sp2Point, tol: float = 1e-9) -> str | None:
 # -- random and constructed points --------------------------------------------------
 
 
-def random_sp2(seed: int, max_attempts: int = 64) -> Sp2Point:
+RANDOM_SP2_ATTEMPTS = 64  # draws random_sp2 tries before DegenerateDraw
+
+
+def random_sp2(seed: int) -> Sp2Point:
     """Haar-ish random float point: two Gaussian 8-vectors, the second
     orthogonalized against the first in the quaternionic Hermitian sense
     <(x,w),(y,z)> = conj(x) y + conj(w) z, both normalized, assembled as
     columns.  Deterministic per seed (counter-based Philox stream)."""
     g = np.random.Generator(np.random.Philox(key=seed % (1 << 128)))
-    for _ in range(max_attempts):
+    for _ in range(RANDOM_SP2_ATTEMPTS):
         vals = [float(t) for t in g.standard_normal(16)]
         x = Quaternion(*vals[0:4])
         w = Quaternion(*vals[4:8])
@@ -274,7 +278,7 @@ def random_sp2(seed: int, max_attempts: int = 64) -> Sp2Point:
         s2 = 1.0 / sqrt(n2)
         y, z = y.scale(s2), z.scale(s2)
         return Sp2Point(QMat2(x, y, w, z))
-    raise DegenerateDraw(f"no usable draw after {max_attempts} attempts (seed {seed})")
+    raise DegenerateDraw(f"no usable draw after {RANDOM_SP2_ATTEMPTS} attempts (seed {seed})")
 
 
 def cayley_sp2(s: Sp2Alg) -> Sp2Point:
@@ -301,7 +305,6 @@ class FiberNormalization:
     point: Sp2Point
     lam: Quaternion | None
     v: Quaternion | None
-    case_hint: str | None
 
 
 def normalize_fiber(p: Sp2Point, tol: float = 1e-9) -> FiberNormalization:
@@ -315,17 +318,16 @@ def normalize_fiber(p: Sp2Point, tol: float = 1e-9) -> FiberNormalization:
     No verdict depends on it: the span check works on the point as given.
     """
     backend = p.backend
-    corner = case_ii_corner(p, tol)
-    if corner:
-        return FiberNormalization(point=p, lam=None, v=None, case_hint=f"II-{corner}0")
+    if case_ii_corner(p, tol):
+        return FiberNormalization(point=p, lam=None, v=None)
     v_raw = p.x * p.w.inverse()
-    lam, v_norm = rotate_to_complex(v_raw, tol)
+    lam, v_norm = rotate_to_complex(v_raw)
     if lam == one(backend):
-        return FiberNormalization(point=p, lam=lam, v=v_norm, case_hint=None)
+        return FiberNormalization(point=p, lam=lam, v=v_norm)
     rotated = e_action(p, lam, lam)
     if backend == FLOAT:
         rotated = Sp2Point(rotated.m)  # revalidate after the float conjugation
-    return FiberNormalization(point=rotated, lam=lam, v=v_norm, case_hint=None)
+    return FiberNormalization(point=rotated, lam=lam, v=v_norm)
 
 
 # -- exact point factories -----------------------------------------------------------
@@ -397,7 +399,7 @@ def admissible_v_stream():
 def ir_w0(v: Quaternion) -> Quaternion:
     """For real rational v = pnum/qden, a complex w0 with
     |w0|^2 = 1/(1 + v^2): w0 = qden (qden + pnum i)/(pnum^2 + qden^2)."""
-    fr = v.h0 if type(v.h0) is Fraction else Fraction(v.h0)
+    (fr,) = on_backend((v.h0,), EXACT)
     pnum, qden = fr.numerator, fr.denominator
     norm = pnum * pnum + qden * qden
     return quat(Fraction(qden * qden, norm), Fraction(qden * pnum, norm), 0, 0)
@@ -485,6 +487,8 @@ _IB_V = ((0, 1, 0, 0), 1)
 _IB_W0 = ((1, 1, 0, 0), 2)  # IB_W0
 
 EXACT_CASE_KINDS = (None, "I-b", "I-r", "II-x0", "II-w0")
+# The case of sample index n of exact `verify`: EXACT_CYCLE[n % 8].
+EXACT_CYCLE = (None, "I-b", None, "I-r", "II-x0", None, "II-w0", None)
 
 
 def exact_random_point(seed: int, case: str | None = None) -> Sp2Point:

@@ -39,8 +39,6 @@ from .quat import EXACT, FLOAT, ParseError, Sp2Error
 
 SCHEMA = 1
 
-_EXACT_CYCLE = (None, "I-b", None, "I-r", "II-x0", None, "II-w0", None)
-
 
 def canonical_json(report: dict) -> str:
     """The canonical serialized form: everything except wall time."""
@@ -72,7 +70,8 @@ def _verify_one(args):
     if backend == FLOAT:
         draw = partial(bundle.random_sp2, key)
     else:
-        draw = partial(bundle.exact_random_point, key, case=_EXACT_CYCLE[index % len(_EXACT_CYCLE)])
+        case = bundle.EXACT_CYCLE[index % len(bundle.EXACT_CYCLE)]
+        draw = partial(bundle.exact_random_point, key, case=case)
     p, case, res, problems = _check(draw, tol, drop)
     rec = {
         "index": index,

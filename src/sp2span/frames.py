@@ -454,18 +454,18 @@ def build_frame(p: Sp2Point, tag: CaseTag | None = None, tol: float = 1e-9) -> F
         return Frame(tag=tag, entries=tuple(u_entries + rest + ells))
 
     if tag.kind in (CASE_IB_NONQUARTER, CASE_IB_QUARTER):
-        minus_half = _half(p.backend, -1)
+        minus_half = _ratio(p.backend, -1, 2)
         if tag.kind == CASE_IB_NONQUARTER:
             f_first = _bracket_entry(
                 "F_i",
                 "1/2 [u0,u_i] = [[0, 1], [-1, 0]]",
-                Sp2Alg(bracket(u0, ui_).m.scale(_half(p.backend, 1))),
+                Sp2Alg(bracket(u0, ui_).m.scale(_ratio(p.backend, 1, 2))),
             )
         else:
             f_first = _bracket_entry(
                 "F'_i",
                 "1/4 [u_j,u_k] = [[i, 1], [-1, i]]",
-                Sp2Alg(bracket(uj_, uk_).m.scale(_quarter(p.backend))),
+                Sp2Alg(bracket(uj_, uk_).m.scale(_ratio(p.backend, 1, 4))),
             )
         rest = [
             f_first,
@@ -485,12 +485,9 @@ def build_frame(p: Sp2Point, tag: CaseTag | None = None, tol: float = 1e-9) -> F
     return Frame(tag=tag, entries=tuple(ells + u_entries + rest))
 
 
-def _half(backend: str, sign: int) -> Scalar:
-    return Fraction(sign, 2) if backend == EXACT else sign * 0.5
-
-
-def _quarter(backend: str) -> Scalar:
-    return Fraction(1, 4) if backend == EXACT else 0.25
+def _ratio(backend: str, num: int, den: int) -> Scalar:
+    """num/den on the backend: a Fraction, or the float it equals."""
+    return Fraction(num, den) if backend == EXACT else num / den
 
 
 def standard_sphere_frame(backend: str = EXACT) -> Frame:
@@ -527,11 +524,7 @@ class FrameCheck:
 
     @property
     def ok(self) -> bool:
-        return (
-            self.rank.rank == 10
-            and self.negative_rank.rank == 7
-            and not self.membership_violations
-        )
+        return not self.failures()
 
     def failures(self):
         out = []
@@ -551,17 +544,9 @@ def verify_frame(p: Sp2Point, frame: Frame, tol: float = 1e-9) -> FrameCheck:
     residual is the (1,1) entry of Ad_{p^-1}(u), so that corner needs no
     separate check."""
     vecs = [to_vec10(e.m) for e in frame.entries]
-    rank = real_rank(vecs, tol)
-    negative_rank = real_rank(
-        [vec for vec, e in zip(vecs, frame.entries) if not e.bracket_derived], tol
-    )
+    d_rows = [vec for vec, e in zip(vecs, frame.entries) if not e.bracket_derived]
     member_bad = [e.label for e in frame.entries if e.horizontal and not in_ad_h_p(p, e.m, tol)]
-    return FrameCheck(
-        case=frame.tag.kind,
-        rank=rank,
-        negative_rank=negative_rank,
-        membership_violations=member_bad,
-    )
+    return _frame_check(frame.tag.kind, vecs, d_rows, member_bad, tol)
 
 
 def check_point(p: Sp2Point, tol: float = 1e-9, drop_label: str | None = None) -> FrameCheck:
@@ -581,21 +566,22 @@ def check_point(p: Sp2Point, tol: float = 1e-9, drop_label: str | None = None) -
     tag = classify(p, tol)
     rows, _, residuals, traces, scales = kernel.span_rows(p.x, p.w, tag.v)
     kept = [row for label, row in zip(SPAN_LABELS, rows) if label != drop_label]
-    rank = real_rank(kept, tol)
-    # the D rows come first: ell_i, ell_j, ell_k, u0, u_i, u_j, u_k
-    negative_rank = real_rank(kept[: 7 - (drop_label in SPAN_LABELS[:7])], tol)
     member_bad = [
         label
         for label, res, trace, scale in zip(U_LABELS, residuals, traces, scales)
         if label != drop_label
         and not bundle.membership_verdict(Quaternion(*res), Quaternion(*trace), scale, tol)
     ]
-    return FrameCheck(
-        case=tag.kind,
-        rank=rank,
-        negative_rank=negative_rank,
-        membership_violations=member_bad,
-    )
+    # the D rows come first: ell_i, ell_j, ell_k, u0, u_i, u_j, u_k
+    d_rows = kept[: 7 - (drop_label in SPAN_LABELS[:7])]
+    return _frame_check(tag.kind, kept, d_rows, member_bad, tol)
+
+
+def _frame_check(case: str, rows, d_rows, member_bad, tol: float) -> FrameCheck:
+    """The FrameCheck of a frame's rows: the rank of all of them, then of
+    its D rows (the bracket-free ones)."""
+    rank = real_rank(rows, tol)
+    return FrameCheck(case, rank, real_rank(d_rows, tol), member_bad)
 
 
 def frame_to_json(frame: Frame, check: FrameCheck) -> dict:
@@ -648,11 +634,7 @@ def rational_v_grid(count: int, need_v1: bool = True, skip_i: bool = True):
 
 def _dev(a, b) -> Scalar:
     """The largest component of a - b, exact on the exact backend."""
-    if a == b:
-        return 0
-    if isinstance(a, Quaternion):
-        return (a - b).max_abs()
-    return a.max_component_diff(b)
+    return 0 if a == b else (a - b).max_abs()
 
 
 def _result(name: str, devs, warn_only: bool) -> IdentityResult:

@@ -24,6 +24,7 @@ import numpy as np
 
 from .quat import (
     EXACT,
+    FLOAT,
     BackendMismatch,
     ParseError,
     Quaternion,
@@ -41,6 +42,7 @@ from .quat import (
     quat,
     quat_from_json,
     quat_to_json,
+    scalar_backend,
     zero,
 )
 
@@ -122,9 +124,6 @@ class QMat2:
 
     def max_abs(self) -> Scalar:
         return max(e.max_abs() for e in self.entries())
-
-    def max_component_diff(self, other: "QMat2") -> Scalar:
-        return (self - other).max_abs()
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, QMat2):
@@ -536,23 +535,20 @@ def _pivoted_rank(rows: Sequence[Sequence[float]], rel_tol: float) -> RankResult
     )
 
 
-# Float scalars: Python floats and numpy's (np.float64 is both).
-_FLOAT_TYPES = (float, np.floating)
-
-
 def real_rank(vectors: Iterable[Vec10], tol: float = 1e-9) -> RankResult:
     """Rank of the real span of the given coordinate vectors.
 
-    Exact backend: fraction-free Bareiss elimination, the result a
-    certificate, not an estimate.  Rows of Python ints (the span kernel's
-    exact rows) go to it as they are; rows holding Fractions are first
-    cleared of denominators row by row, which turns a row into the integer
-    row the kernel returns for the same values.  Float backend (Python or
-    numpy floats, taken into one float64 array as they are): complete-pivot
+    The rows' backend is quat.scalar_backend's of their scalar types.  Exact
+    backend: fraction-free Bareiss elimination, the result a certificate,
+    not an estimate.  Rows of Python ints (the span kernel's exact rows) go
+    to it as they are; rows holding Fractions are first cleared of
+    denominators row by row, which turns a row into the integer row the
+    kernel returns for the same values.  Float backend (Python or numpy
+    floats, taken into one float64 array as they are): complete-pivot
     Gaussian elimination on equilibrated rows with relative pivot threshold
-    `tol`, one numpy step per pivot.  Rows mixing the two backends raise
-    BackendMismatch, rows of width 0 ShapeMismatch, and float rows holding
-    NaN or an infinity NonFiniteRows.
+    `tol`, one numpy step per pivot.  Rows mixing Fractions and floats
+    raise BackendMismatch, rows of width 0 ShapeMismatch, and float rows
+    holding NaN or an infinity NonFiniteRows.
     """
     rows = [tuple(v) for v in vectors]
     if not rows:
@@ -564,16 +560,13 @@ def real_rank(vectors: Iterable[Vec10], tol: float = 1e-9) -> RankResult:
         if len(row) != width:
             raise ShapeMismatch("rank input rows have inconsistent lengths")
     types = {type(x) for row in rows for x in row}
+    if scalar_backend(types) == FLOAT:
+        return _pivoted_rank(rows, tol)
     if types == {int}:
         return _bareiss_rank(rows)
-    kinds = {issubclass(t, _FLOAT_TYPES) for t in types}
-    if len(kinds) > 1:
-        raise BackendMismatch("rank input mixes exact and float rows")
-    if kinds.pop():
-        return _pivoted_rank(rows, tol)
     int_rows = []
     for row in rows:
-        fracs = [x if type(x) is Fraction else Fraction(x) for x in row]
-        denom = lcm(*(f.denominator for f in fracs)) if fracs else 1
-        int_rows.append([f.numerator * (denom // f.denominator) for f in fracs])
+        # an int is its own numerator over 1
+        denom = lcm(*(x.denominator for x in row))
+        int_rows.append([x.numerator * (denom // x.denominator) for x in row])
     return _bareiss_rank(int_rows)

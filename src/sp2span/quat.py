@@ -4,7 +4,9 @@ The exact backend stores every component as a `fractions.Fraction` and never
 rounds; the float backend stores IEEE-754 doubles.  The backend is a property
 of the data, not of the call site: mixing the two in a single operation raises
 `BackendMismatch` instead of silently promoting, so an "exact" certificate can
-never be contaminated by a stray double.
+never be contaminated by a stray double.  `scalar_backend` is the one rule for
+raw scalars: Python and numpy floats are float, Fractions are exact, ints and
+bools follow the others, and any other type is a TypeError.
 
 Conventions: q = h0 + h1*i + h2*j + h3*k with i*j = k = -j*i, j*k = i, k*i = j
 and i^2 = j^2 = k^2 = -1.  conj(q) negates the imaginary part, and
@@ -16,6 +18,8 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from typing import Union
+
+import numpy as np
 
 Scalar = Union[Fraction, float]
 
@@ -43,27 +47,41 @@ class ParseError(Sp2Error):
     """Malformed serialized data."""
 
 
-def _resolve_components(parts):
-    """Coerce a 4-tuple of raw components onto a single backend.
+_FLOAT_TYPES = (float, np.floating)
 
-    ints are backend-agnostic and follow the other components (defaulting to
-    exact when nothing forces a float).  A Fraction and a float in the same
-    tuple is a hard error.
+
+def scalar_backend(types, backend: str | None = None) -> str:
+    """The one rule for the backend of raw scalars, given their types.
+
+    Python and numpy floats are FLOAT and Fractions EXACT; ints and bools
+    follow the others, or the requested backend, and are EXACT when nothing
+    else decides.  Any other type raises TypeError, and floats and Fractions
+    together, or either on the other backend, raise BackendMismatch.
     """
-    saw_float = False
-    saw_exact = False
-    for x in parts:
-        if type(x) is float:
-            saw_float = True
-        elif type(x) is Fraction:
-            saw_exact = True
-        elif type(x) is not int and type(x) is not bool:
-            raise TypeError(f"unsupported scalar component {x!r} of type {type(x).__name__}")
-    if saw_float and saw_exact:
-        raise BackendMismatch("cannot mix Fraction and float components in one quaternion")
-    if saw_float:
-        return tuple(float(x) for x in parts)
-    return tuple(x if type(x) is Fraction else Fraction(x) for x in parts)
+    kinds = set()
+    for t in types:
+        if t is Fraction:
+            kinds.add(EXACT)
+        elif t is float or issubclass(t, _FLOAT_TYPES):
+            kinds.add(FLOAT)
+        elif t is not int and t is not bool:
+            raise TypeError(f"unsupported scalar type {t.__name__}")
+    if backend is not None:
+        if backend != EXACT and backend != FLOAT:
+            raise ValueError(f"unknown backend {backend!r}")
+        kinds.add(backend)
+    if len(kinds) > 1:
+        requested = "" if backend is None else f" on the {backend} backend"
+        raise BackendMismatch(f"exact and float scalars meet{requested}")
+    return kinds.pop() if kinds else EXACT
+
+
+def on_backend(parts, backend: str | None = None) -> tuple:
+    """parts stored on the backend scalar_backend decides: Python floats
+    (numpy floats included) or Fractions."""
+    if scalar_backend(set(map(type, parts)), backend) == FLOAT:
+        return tuple([float(x) for x in parts])
+    return tuple([x if type(x) is Fraction else Fraction(x) for x in parts])
 
 
 class Quaternion:
@@ -81,7 +99,7 @@ class Quaternion:
         ):
             pass
         else:
-            h0, h1, h2, h3 = _resolve_components((h0, h1, h2, h3))
+            h0, h1, h2, h3 = on_backend((h0, h1, h2, h3))
         self.h0 = h0
         self.h1 = h1
         self.h2 = h2
@@ -127,10 +145,7 @@ class Quaternion:
 
     def scale(self, s: Scalar) -> "Quaternion":
         """Multiply every component by a plain scalar (same backend)."""
-        if type(s) is int:
-            s = Fraction(s) if self.backend == EXACT else float(s)
-        elif (type(s) is float) != (type(self.h0) is float):
-            raise BackendMismatch("scalar lives on the wrong backend")
+        (s,) = on_backend((s,), self.backend)
         return Quaternion(self.h0 * s, self.h1 * s, self.h2 * s, self.h3 * s)
 
     def conj(self) -> "Quaternion":
@@ -259,23 +274,11 @@ def matmul4(m, n):
 # -- constructors -------------------------------------------------------------
 
 
-def _coerce_scalar(x, backend: str) -> Scalar:
-    if backend == EXACT:
-        if type(x) is float:
-            raise BackendMismatch("float component on the exact backend")
-        return x if type(x) is Fraction else Fraction(x)
-    if backend == FLOAT:
-        if type(x) is Fraction:
-            raise BackendMismatch("Fraction component on the float backend")
-        return float(x)
-    raise ValueError(f"unknown backend {backend!r}")
-
-
 def quat(h0, h1=0, h2=0, h3=0, backend: str | None = None) -> Quaternion:
     """Coercing constructor.  With backend=None the components decide."""
     if backend is None:
         return Quaternion(h0, h1, h2, h3)
-    return Quaternion(*(_coerce_scalar(x, backend) for x in (h0, h1, h2, h3)))
+    return Quaternion(*on_backend((h0, h1, h2, h3), backend))
 
 
 def zero(backend: str) -> Quaternion:
@@ -316,7 +319,7 @@ def dot(q: Quaternion, r: Quaternion) -> Scalar:
 # -- fiber rotation -----------------------------------------------------------
 
 
-def rotate_to_complex(v: Quaternion, tol: float = 1e-9):
+def rotate_to_complex(v: Quaternion):
     """Find a unit lam with lam * v * conj(lam) = v0 + v1*i, v1 >= 0.
 
     Returns (lam, v_norm).  Conjugation by a unit quaternion fixes the real

@@ -315,7 +315,7 @@ def test_criterion_5_structural_invariants(identity_results):
     # Membership at every built frame, across all five exact families; the
     # (1,1) corner of each horizontal entry is computed here, outside the
     # frame check.
-    cycle = (None, "I-b", None, "I-r", "II-x0", None, "II-w0", None)
+    cycle = bundle.EXACT_CYCLE
     checked = 0
     for idx in range(60):
         p = bundle.normalize_fiber(
@@ -339,7 +339,7 @@ def test_criterion_6_negative_control(tmp_path):
     of D, everywhere sampled, and an injected frame corruption drives exit
     code 1."""
     ranks = []
-    cycle = (None, "I-b", None, "I-r", "II-x0", None, "II-w0", None)
+    cycle = bundle.EXACT_CYCLE
     for idx in range(40):
         p = bundle.normalize_fiber(
             bundle.exact_random_point(11000 + idx, case=cycle[idx % len(cycle)])

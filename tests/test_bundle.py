@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sp2span import bundle, cli, frames
+from sp2span import bundle, frames
 from sp2span.bundle import (
     DegenerateDraw,
     NonImaginaryRho,
@@ -38,7 +38,7 @@ from sp2span.bundle import (
     vertical_delta_basis,
 )
 from sp2span.qmat import QMat2, Sp2Alg, Sp2Point, ad, identity
-from sp2span.quat import EXACT, FLOAT, one, qi, qj, qk, quat, quat_to_json, zero
+from sp2span.quat import EXACT, FLOAT, BackendMismatch, one, qi, qj, qk, quat, quat_to_json, zero
 
 def rng_frac(g: random.Random) -> Fraction:
     return Fraction(g.randint(-6, 6), g.randint(1, 8))
@@ -109,7 +109,7 @@ def test_ell_dual_paths_agree_exactly():
         p = random_sp2(500 + s)
         for rho in (qi(FLOAT), qj(FLOAT), qk(FLOAT)):
             direct = ell_direct(p, rho)
-            err = direct.max_component_diff(ell_from_projector(p, rho))
+            err = (direct - ell_from_projector(p, rho)).max_abs()
             assert err <= 1e-12 * max(1.0, direct.max_abs())
 
 
@@ -128,7 +128,7 @@ def test_ell_is_pushforward_of_vertical_deltas():
         p = cayley_sp2(rng_alg(g))
         deltas = vertical_delta_basis(p)
         for lam, delta in zip((qi(EXACT), qj(EXACT), qk(EXACT)), deltas):
-            assert ad(p, delta).m.max_component_diff(ell(p, lam).m) == 0
+            assert (ad(p, delta).m - ell(p, lam).m).max_abs() == 0
 
 
 def test_membership_rejects_generic_tracefree_elements():
@@ -223,8 +223,8 @@ def test_cayley_exactness():
 def test_random_sp2_deterministic_and_valid():
     p = random_sp2(123)
     q = random_sp2(123)
-    assert p.m.max_component_diff(q.m) == 0
-    r = (p.m @ p.m.adjoint()).max_component_diff(identity(FLOAT))
+    assert (p.m - q.m).max_abs() == 0
+    r = (p.m @ p.m.adjoint() - identity(FLOAT)).max_abs()
     assert r <= 1e-12
 
 
@@ -255,7 +255,7 @@ def test_exact_draws_are_frozen():
     for seed in (1, 2, 3):
         for index in range(48):
             key = ((seed % (1 << 64)) << 64) + index
-            add(exact_random_point(key, cli._EXACT_CYCLE[index % len(cli._EXACT_CYCLE)]))
+            add(exact_random_point(key, bundle.EXACT_CYCLE[index % len(bundle.EXACT_CYCLE)]))
     for grid in (bundle.grid_ia, bundle.grid_ib, bundle.grid_ir, bundle.grid_ii):
         for p in grid(8):
             add(p)
@@ -320,6 +320,12 @@ def test_ir_w0_closes_the_norm_condition():
         v = quat(v0, backend=EXACT)
         w0 = ir_w0(v)
         assert w0.norm_sq() * (1 + v.norm_sq()) == 1
+
+
+def test_ir_w0_rejects_a_float_v():
+    # A float v has no exact w0; it is not read as a binary rational.
+    with pytest.raises(BackendMismatch):
+        ir_w0(quat(0.1, backend=FLOAT))
 
 
 def test_exact_random_point_cases():
@@ -468,18 +474,19 @@ def test_normalize_fiber_float():
         assert max(abs(vv.h2), abs(vv.h3)) <= 1e-9
         assert vv.h1 >= -1e-9
         assert abs(norm.lam.norm_sq() - 1.0) <= 1e-12
-        r = (norm.point.m @ norm.point.m.adjoint()).max_component_diff(identity(FLOAT))
+        r = (norm.point.m @ norm.point.m.adjoint() - identity(FLOAT)).max_abs()
         assert r <= 1e-10
 
 
 def test_normalize_fiber_case_ii_untouched():
     p = exact_random_point(21, case="II-x0")
     norm = normalize_fiber(p)
-    assert norm.case_hint == "II-x0"
+    assert norm.lam is None and norm.v is None
     assert norm.point.m == p.m
 
 
-def test_degenerate_draw_is_signaled():
+def test_degenerate_draw_is_signaled(monkeypatch):
     # Draws whose Gram-Schmidt step collapses must raise, not return junk.
+    monkeypatch.setattr(bundle, "RANDOM_SP2_ATTEMPTS", 0)
     with pytest.raises(DegenerateDraw):
-        bundle.random_sp2(0, max_attempts=0)
+        bundle.random_sp2(0)

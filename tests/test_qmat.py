@@ -203,8 +203,8 @@ def _old_defect(m: QMat2):
     """The deviation of p p* and p* p from Id as two full QMat2 products."""
     ident = identity(m.backend)
     return max(
-        (m @ m.adjoint()).max_component_diff(ident),
-        (m.adjoint() @ m).max_component_diff(ident),
+        (m @ m.adjoint() - ident).max_abs(),
+        (m.adjoint() @ m - ident).max_abs(),
     )
 
 
@@ -303,7 +303,7 @@ def test_bracket_is_the_commutator():
         u, v = rng_float_alg(g), rng_float_alg(g)
         m = bracket(u, v).m
         scale = u.m.max_abs() * v.m.max_abs()
-        assert m.max_component_diff(u.m @ v.m - v.m @ u.m) <= 1e-14 * scale
+        assert (m - (u.m @ v.m - v.m @ u.m)).max_abs() <= 1e-14 * scale
         # Exactly skew on floats: m* + m is 0 in every component.
         assert (m + m.adjoint()).max_abs() == 0.0
 
@@ -484,6 +484,16 @@ def test_float_rank_takes_numpy_floats():
         assert all(type(x) is float for x in got.pivots)
     with pytest.raises(BackendMismatch):
         real_rank(list(arr[:-1]) + [[Fraction(1)] * 10])
+
+
+def test_rank_backend_follows_the_scalar_rule():
+    # ints follow the other scalars: with floats they are float rows, alone
+    # or with Fractions exact rows; other scalar types are refused.
+    got = real_rank([[1.0, 0, 0], [0, np.float64(2.0), 0]])
+    assert (got.method, got.rank) == ("pivoted-ge", 2)
+    assert real_rank([[1, Fraction(1, 2)], [2, 1]]).method == "bareiss"
+    with pytest.raises(TypeError):
+        real_rank([["1", "0"], ["0", "1"]])
 
 
 def _assert_bitwise_reference(rows):

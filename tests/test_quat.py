@@ -4,6 +4,7 @@ backend discipline, normalization into span{1, i}, and JSON round-trips."""
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 
@@ -22,6 +23,7 @@ from sp2span.quat import (
     BackendMismatch,
     NotRepresentable,
     ParseError,
+    Quaternion,
     ZeroDivisor,
     as_float,
     dot,
@@ -113,15 +115,56 @@ def test_float_product_matches_matrix_model(q, r):
 
 def test_backend_mixing_raises():
     qe = quat(Fraction(1), backend=EXACT)
-    qf = quat(1.0)
+    for qf in (quat(1.0), quat(np.float64(1.0))):
+        with pytest.raises(BackendMismatch):
+            qe * qf
+        with pytest.raises(BackendMismatch):
+            qf * qe
+        with pytest.raises(BackendMismatch):
+            qe + qf
+        with pytest.raises(BackendMismatch):
+            dot(qe, qf)
+
+
+def test_numpy_float_components_are_float():
+    # numpy floats are float scalars, stored as Python floats, so the
+    # backend test on the stored components holds.
+    for q in (Quaternion(np.float64(1.0), 0.0, 0.0, 0.0), quat(np.float32(0.5), 0, 2.0)):
+        assert q.backend == FLOAT
+        assert all(type(x) is float for x in q.components())
+    assert Quaternion(np.float64(1.0), 0, 0, 0) == quat(1.0, 0.0, 0.0, 0.0)
+
+
+def test_scale_by_numpy_float():
+    qf = quat(1.0, -2.0, 0.5, 3.0)
+    doubled = qf.scale(np.float64(2.0))
+    assert doubled == qf.scale(2.0) == quat(2.0, -4.0, 1.0, 6.0)
+    assert all(type(x) is float for x in doubled.components())
+    qe = quat(Fraction(1), Fraction(1, 3), backend=EXACT)
+    for s in (np.float64(2.0), 2.0):
+        with pytest.raises(BackendMismatch):
+            qe.scale(s)
     with pytest.raises(BackendMismatch):
-        qe * qf
+        qf.scale(Fraction(2))
+    assert qe.scale(2) == quat(Fraction(2), Fraction(2, 3), backend=EXACT)
+    assert qf.scale(2) == qf.scale(2.0)
+
+
+@pytest.mark.parametrize(
+    "h0, backend",
+    [(np.float64(0.5), EXACT), (0.5, EXACT), (Fraction(1, 2), FLOAT)],
+    ids=["numpy-float-on-exact", "float-on-exact", "fraction-on-float"],
+)
+def test_scalar_on_the_other_backend_raises(h0, backend):
     with pytest.raises(BackendMismatch):
-        qf * qe
-    with pytest.raises(BackendMismatch):
-        qe + qf
-    with pytest.raises(BackendMismatch):
-        dot(qe, qf)
+        quat(h0, backend=backend)
+
+
+@pytest.mark.parametrize("h0", ["1", None, 1j], ids=["str", "none", "complex"])
+def test_unsupported_scalar_type_raises(h0):
+    for backend in (None, EXACT, FLOAT):
+        with pytest.raises(TypeError):
+            quat(h0, backend=backend)
 
 
 def test_predicates():
