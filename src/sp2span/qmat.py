@@ -446,9 +446,42 @@ class RankResult:
 
 
 def _bareiss_rank(rows: list[Sequence[int]]) -> RankResult:
+    """Fraction-free (Bareiss) elimination with first-nonzero row pivoting,
+    doing only the big-integer updates its result reads.
+
+    After j steps every entry of a row is a (j+1) x (j+1) minor of the
+    input, an integer, and step j updates a row by
+    row <- (row * piv_j - row[c_j] * prow_j) / piv_{j-1}, which zeroes its
+    entry in the pivot column c_j.  Two rules skip work without changing a
+    pivot or a position:
+
+    - Lazy rows.  The pivot search at a column brings a row up to date
+      only when it reads it, and stops at the first nonzero, so a row that
+      no search reaches is never eliminated.  A row's zeros in the pivot
+      columns are its record of the steps it has received: bringing it up
+      to date reads its multiplier at each earlier step and applies the
+      steps whose multiplier is not 0.
+    - Zero multipliers.  When row[c_j] is 0 the update only scales the row
+      by piv_j / piv_{j-1}, and a run of such steps telescopes, so it is
+      skipped.  The stored row is then the true one times
+      div[r] / piv_{j-1}, where div[r] is the pivot the row last divided by
+      (1 at first), and a stored entry is 0 exactly when the true one is.
+      The next step with a nonzero stored multiplier f gives the true row
+      (row * piv_j - f * prow_j) / div[r], and a row that becomes the pivot
+      row after skipped steps is rescaled once, to row * prev / div[r].
+      Both results are minors, so both divisions are exact.  Dividing by
+      prev in the first would floor an inexact quotient after skipped
+      steps, a wrong value with no error.  A row swap moves div with its
+      row.
+
+    eager_bareiss_rank in tests/conftest.py updates every row at every
+    step: the reference these rules must match.
+    """
     m = [list(row) for row in rows]
     n_rows = len(m)
     n_cols = len(m[0])
+    div = [1] * n_rows
+    cols = []
     prev = 1
     pr = 0
     pivots = []
@@ -456,22 +489,33 @@ def _bareiss_rank(rows: list[Sequence[int]]) -> RankResult:
     for pc in range(n_cols):
         pivot_row = None
         for r in range(pr, n_rows):
-            if m[r][pc] != 0:
+            row = m[r]
+            d = div[r]
+            for j, cj in enumerate(cols):
+                f = row[cj]
+                if f:
+                    piv = pivots[j]
+                    prow = m[j]
+                    row[cj] = 0
+                    for c in range(cj + 1, n_cols):
+                        row[c] = (row[c] * piv - f * prow[c]) // d
+                    d = piv
+            div[r] = d
+            if row[pc]:
                 pivot_row = r
                 break
         if pivot_row is None:
             continue
         if pivot_row != pr:
             m[pr], m[pivot_row] = m[pivot_row], m[pr]
-        piv = m[pr][pc]
-        for r in range(pr + 1, n_rows):
-            mrpc = m[r][pc]
-            row_r = m[r]
-            row_p = m[pr]
-            for c in range(pc + 1, n_cols):
-                # fraction-free update: every intermediate is an integer minor
-                row_r[c] = (row_r[c] * piv - mrpc * row_p[c]) // prev
-            row_r[pc] = 0
+            div[pr], div[pivot_row] = div[pivot_row], div[pr]
+        row = m[pr]
+        d = div[pr]
+        if d != prev:
+            for c in range(pc, n_cols):
+                row[c] = row[c] * prev // d
+        piv = row[pc]
+        cols.append(pc)
         pivots.append(piv)
         positions.append((pr, pc))
         prev = piv

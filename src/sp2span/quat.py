@@ -152,13 +152,29 @@ class Quaternion:
         return Quaternion(*conj4(self.components()))
 
     def norm_sq(self) -> Scalar:
-        return self.h0 * self.h0 + self.h1 * self.h1 + self.h2 * self.h2 + self.h3 * self.h3
+        if type(self.h0) is float:
+            return self.h0 * self.h0 + self.h1 * self.h1 + self.h2 * self.h2 + self.h3 * self.h3
+        # Exact: for q = N / d, |q|^2 = |N|^2 / d^2, one Fraction.
+        d = denominator(self)
+        n0, n1, n2, n3 = numerators(self, d)
+        return Fraction(n0 * n0 + n1 * n1 + n2 * n2 + n3 * n3, d * d)
 
     def inverse(self) -> "Quaternion":
-        n = self.norm_sq()
+        if type(self.h0) is float:
+            n = self.norm_sq()
+            if n == 0:
+                raise ZeroDivisor("zero quaternion has no inverse")
+            return Quaternion(self.h0 / n, -self.h1 / n, -self.h2 / n, -self.h3 / n)
+        # Exact: q^-1 = d conj(N) / |N|^2 for q = N / d, one Fraction per
+        # component.
+        d = denominator(self)
+        n0, n1, n2, n3 = numerators(self, d)
+        n = n0 * n0 + n1 * n1 + n2 * n2 + n3 * n3
         if n == 0:
             raise ZeroDivisor("zero quaternion has no inverse")
-        return Quaternion(self.h0 / n, -self.h1 / n, -self.h2 / n, -self.h3 / n)
+        return Quaternion(
+            Fraction(d * n0, n), Fraction(-d * n1, n), Fraction(-d * n2, n), Fraction(-d * n3, n)
+        )
 
     # -- predicates and parts -------------------------------------------------
 

@@ -136,3 +136,44 @@ def numpy_pivoted_rank(rows, rel_tol: float) -> RankResult:
         positions=positions,
         min_rel_pivot=min_rel,
     )
+
+
+def eager_bareiss_rank(rows) -> RankResult:
+    """The exact rank as eager Bareiss elimination, every row below the
+    pivot updated at every step: the reference for qmat._bareiss_rank,
+    which brings a row up to date only when a pivot search reads it and
+    skips zero-multiplier steps.  Same first-nonzero row pivoting, row swap
+    and pivots."""
+    m = [list(row) for row in rows]
+    n_rows = len(m)
+    n_cols = len(m[0])
+    prev = 1
+    pr = 0
+    pivots = []
+    positions = []
+    for pc in range(n_cols):
+        pivot_row = None
+        for r in range(pr, n_rows):
+            if m[r][pc] != 0:
+                pivot_row = r
+                break
+        if pivot_row is None:
+            continue
+        if pivot_row != pr:
+            m[pr], m[pivot_row] = m[pivot_row], m[pr]
+        piv = m[pr][pc]
+        for r in range(pr + 1, n_rows):
+            mrpc = m[r][pc]
+            row_r = m[r]
+            row_p = m[pr]
+            for c in range(pc + 1, n_cols):
+                # fraction-free update: every intermediate is an integer minor
+                row_r[c] = (row_r[c] * piv - mrpc * row_p[c]) // prev
+            row_r[pc] = 0
+        pivots.append(piv)
+        positions.append((pr, pc))
+        prev = piv
+        pr += 1
+        if pr == n_rows:
+            break
+    return RankResult(rank=pr, method="bareiss", pivots=pivots, positions=positions)

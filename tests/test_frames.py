@@ -4,6 +4,8 @@ points, the paper's per-case frames and their rank certificates, negative
 controls, and the identity suite's plumbing."""
 
 import dataclasses
+import hashlib
+import json
 import math
 import random
 from collections import Counter
@@ -436,6 +438,25 @@ def test_corrupted_frame_detected():
     res = check_point(p, drop_label="ell_i")
     assert not res.ok
     assert any("rank" in f for f in res.failures())
+
+
+def test_exact_certificates_are_frozen():
+    # The Bareiss results of both check_point rank calls, (rank, pivots,
+    # positions), at the points of exact `verify --samples 1600 --seed 0`
+    # (200 per EXACT_CYCLE slot), whole and with ell_i, u0 and [u_j,u_k]
+    # dropped: a change to the exact rows or to the elimination must not
+    # move a single pivot.
+    digest = hashlib.sha256()
+    cycle = bundle.EXACT_CYCLE
+    for index in range(200 * len(cycle)):
+        p = exact_random_point(index, cycle[index % len(cycle)])
+        for drop in (None, "ell_i", "u0", "[u_j,u_k]"):
+            res = check_point(p, drop_label=drop)
+            for r in (res.rank, res.negative_rank):
+                record = [r.rank, [str(x) for x in r.pivots], [list(x) for x in r.positions]]
+                digest.update(json.dumps(record).encode())
+                digest.update(b"\n")
+    assert digest.hexdigest() == "0b0ef5ec2da80b22c9d74dd5c44a5639f1f50a98753317cb1c9afc85d3bf6955"
 
 
 def test_unknown_drop_label_raises():

@@ -8,11 +8,19 @@ from fractions import Fraction
 import numpy as np
 import pytest
 import sympy
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import MERSENNE_PRIMES, big_exact_quats, exact_quats, float_quats, floats, numpy_pivoted_rank
-from sp2span import bundle, frames
+from conftest import (
+    MERSENNE_PRIMES,
+    big_exact_quats,
+    eager_bareiss_rank,
+    exact_quats,
+    float_quats,
+    floats,
+    numpy_pivoted_rank,
+)
+from sp2span import bundle, frames, kernel
 from sp2span.qmat import (
     InvariantViolation,
     NonFiniteRows,
@@ -407,6 +415,68 @@ def test_exact_rank_large_mixed_denominators(k):
     g = random.Random(300 + k)
     rows = _planted_vectors(g, k, extra=3, backend=EXACT, frac=big_frac)
     assert real_rank(rows).rank == sympy.Matrix(rows).rank() == k
+
+
+def _assert_eager_reference(rows):
+    got, ref = real_rank(rows), eager_bareiss_rank(rows)
+    assert got.method == ref.method == "bareiss"
+    assert (got.rank, got.pivots, got.positions) == (ref.rank, ref.pivots, ref.positions)
+    return got
+
+
+@st.composite
+def sparse_int_rows(draw):
+    """1-14 integer rows of width 1-11 with at least half of the entries 0:
+    sparse drawn rows, integer combinations of them (planted rank
+    deficiency), zero rows and copies of drawn rows, in a drawn order, with
+    entries up to 10^40 of either sign."""
+    n_rows = draw(st.integers(min_value=1, max_value=14))
+    width = draw(st.integers(min_value=1, max_value=11))
+    entry = st.one_of(st.just(0), st.just(0), st.integers(min_value=-(10**40), max_value=10**40))
+    k = draw(st.integers(min_value=0, max_value=n_rows))
+    base = draw(st.lists(st.lists(entry, min_size=width, max_size=width), min_size=k, max_size=k))
+    rows = list(base)
+    while len(rows) < n_rows:
+        kind = draw(st.sampled_from(("combination", "zero", "copy")))
+        if kind == "combination" and base:
+            coeffs = draw(st.lists(st.integers(min_value=-3, max_value=3), min_size=k, max_size=k))
+            rows.append([sum(c * b[t] for c, b in zip(coeffs, base)) for t in range(width)])
+        elif kind == "copy" and rows:
+            rows.append(list(draw(st.sampled_from(rows))))
+        else:
+            rows.append([0] * width)
+    rows = draw(st.permutations(rows))
+    assume(2 * sum(x == 0 for row in rows for x in row) >= n_rows * width)
+    return rows
+
+
+@given(sparse_int_rows())
+@settings(max_examples=300, deadline=None)
+def test_exact_rank_is_the_eager_elimination_on_sparse_rows(rows):
+    # Lazy rows and skipped zero-multiplier steps change no pivot, position
+    # or rank; sympy decides the rank independently.
+    assert _assert_eager_reference(rows).rank == sympy.Matrix(rows).rank()
+
+
+def test_exact_rank_is_the_eager_elimination_on_frames():
+    # The 13 rows and the 7 D rows of exact points of every sampled case and
+    # of the four grids, in order and reversed, and under every single-label
+    # drop as check_point ranks it under --corrupt-frame: the 12 kept rows
+    # and the D rows among them.
+    points = [bundle.exact_random_point(key, case) for case in bundle.EXACT_CASE_KINDS for key in range(40)]
+    for grid in (bundle.grid_ia, bundle.grid_ib, bundle.grid_ir, bundle.grid_ii):
+        points += grid(6)
+    ranks = set()
+    for p in points:
+        rows = kernel.span_rows(p.x, p.w, frames.classify(p).v)[0]
+        assert _assert_eager_reference(rows).rank == 10
+        assert _assert_eager_reference(rows[:7]).rank == 7
+        _assert_eager_reference(rows[::-1])
+        _assert_eager_reference(rows[6::-1])
+        for i in range(len(frames.SPAN_LABELS)):
+            kept = rows[:i] + rows[i + 1 :]
+            ranks.add((_assert_eager_reference(kept).rank, _assert_eager_reference(kept[: 7 - (i < 7)]).rank))
+    assert {(9, 6), (10, 6), (10, 7)} <= ranks
 
 
 @pytest.mark.parametrize("k", [1, 2, 4, 6, 8, 10])

@@ -6,7 +6,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from conftest import (
     big_exact_quats,
@@ -101,6 +102,40 @@ def test_zero_inverse_raises():
         zero(EXACT).inverse()
     with pytest.raises(ZeroDivisor):
         zero(FLOAT).inverse()
+
+
+@given(big_exact_quats())
+@settings(max_examples=300)
+def test_exact_norm_and_inverse_large_denominators(q):
+    # norm_sq and inverse run on integer numerators over the lcm
+    # denominator; the oracle takes the Fractions one by one.
+    n = sum(x * x for x in q.components())
+    assert q.norm_sq() == n and type(q.norm_sq()) is Fraction
+    if n == 0:
+        with pytest.raises(ZeroDivisor):
+            q.inverse()
+        return
+    inv = q.inverse()
+    assert inv.components() == tuple(x / n for x in q.conj().components())
+    assert all(type(x) is Fraction for x in inv.components())
+    assert q * inv == quat(1, backend=EXACT)
+
+
+magnitudes = st.floats(min_value=1e-150, max_value=1e150)
+signed = st.builds(lambda m, neg: -m if neg else m, magnitudes, st.booleans())
+wide_floats = st.one_of(st.just(0.0), signed)
+
+
+@given(wide_floats, wide_floats, wide_floats, wide_floats)
+@settings(max_examples=300)
+def test_float_norm_and_inverse_are_the_plain_expressions(a, b, c, d):
+    # The float branches are the componentwise expressions, bit for bit.
+    q = quat(a, b, c, d)
+    n = a * a + b * b + c * c + d * d
+    assert type(q.norm_sq()) is float and q.norm_sq().hex() == n.hex()
+    assume(n != 0)
+    want = (a / n, -b / n, -c / n, -d / n)
+    assert [x.hex() for x in q.inverse().components()] == [x.hex() for x in want]
 
 
 @given(float_quats, float_quats)
