@@ -5,7 +5,7 @@ sends p to (y, z) on S^7 and on to S^4 by (2 conj(y) z, |y|^2 - |z|^2),
 which is invariant under the left/right mixed action
 diag(lam, lam) p diag(conj(mu), 1).
 
-The horizontal space at p is described twice:
+The horizontal space at p is described three times:
 
 * downstairs ("variant A"): u = [[0, beta], [-conj(beta), gamma]] lies in
   h_p iff  x beta conj(y) - y conj(beta) conj(x) + w beta conj(z)
@@ -13,7 +13,16 @@ The horizontal space at p is described twice:
 
 * upstairs ("variant B"): trace-free u = [[a, b], [-conj(b), -a]] lies in
   Ad_p(h_p) iff  conj(x) a x - conj(w) conj(b) x + conj(x) b w
-  - conj(w) a w = 0.
+  - conj(w) a w = 0;
+
+* by the metric: trace-free u lies in Ad_p(h_p) iff it is orthogonal to
+  the three vertical fields ell_rho = rho Id - p diag(rho, 0) p* in the
+  Ad-invariant metric <u, v> = Re Tr(u v*) (qmat.inner).  The variant-B
+  residual is r = (p* u p)_11, and Re Tr is cyclic, so
+  <u, p diag(rho, 0) p*> = Re(r conj(rho)) and
+  <u, ell_rho> = dot(a + d, rho) - r_rho, which is -r_rho when a + d = 0.
+  The span check (frames.check_point) decides membership this way, on
+  the rows it ranks.
 
 Both residuals have identically vanishing real part, which is asserted as a
 free sanity check.  Variant B for u is equivalent to variant A for
@@ -198,17 +207,6 @@ def in_ad_h_p(p: Sp2Point, u: Sp2Alg, tol: float = 1e-9) -> bool:
     return ad_h_p_residual(p, u, tol).is_zero(tol)
 
 
-def membership_verdict(
-    res: Quaternion, trace: Quaternion, scale: Scalar, tol: float = 1e-9
-) -> bool:
-    """in_ad_h_p from parts computed elsewhere (the span kernel): the
-    variant-B residual res of u, its trace a + d, and its largest entry
-    component scale.  Raises as ad_h_p_residual does."""
-    _require_trace_free(trace, tol)
-    _sanity_zero_real(res, scale)
-    return res.is_zero(tol)
-
-
 def horizontal_space_rank(p: Sp2Point, tol: float = 1e-9):
     """Rank of the linear system cutting Ad_p(h_p) out of the 7-dimensional
     trace-free (a, b) space, and the resulting solution dimension.
@@ -237,7 +235,8 @@ def case_ii_corner(p: Sp2Point, tol: float = 1e-9) -> str | None:
     """"x" or "w" when that entry of p vanishes, else None: its norm is at
     most the case-II cut, 0 on the exact backend and tol/4 on floats.  Below
     the cut the constant antidiagonal basis is horizontal within tol, since
-    its membership residual is at most 2|x||w|."""
+    its membership residual is at most 2|x||w|, and so are its row defects
+    <u, ell_rho>, which the span check tests (their trace part is 0)."""
     cut_sq = 0 if p.backend == EXACT else (tol / 4) ** 2
     if p.x.norm_sq() <= cut_sq:
         return "x"

@@ -44,6 +44,7 @@ from .qmat import (
     inner,
     real_rank,
     to_vec10,
+    vec10_weighted_dot,
 )
 from .quat import (
     EXACT,
@@ -556,25 +557,39 @@ def check_point(p: Sp2Point, tol: float = 1e-9, drop_label: str | None = None) -
     corruption hook that proves the failure path fires, and must name a row
     of SPAN_LABELS.
 
-    Both backends run on the rows and residuals of kernel.span_rows: exact
-    points get Bareiss certificates on its integer rows (span_frame's rows
-    cleared of denominators), float points the pivoted elimination.
-    span_frame and verify_frame build the same check from Quaternion/QMat2
-    objects; they are its reference."""
+    Both backends run on the rows of kernel.span_rows alone: exact points
+    get Bareiss certificates on its integer rows (span_frame's rows cleared
+    of denominators), float points the pivoted elimination, and membership
+    is read off the u and ell rows (_horizontal_row), with no residual
+    formed.  span_frame and verify_frame build the same check from
+    Quaternion/QMat2 objects; they are its reference."""
     if drop_label is not None and drop_label not in SPAN_LABELS:
         raise ValueError(f"no frame row is labeled {drop_label!r}")
     tag = classify(p, tol)
-    rows, _, residuals, traces, scales = kernel.span_rows(p.x, p.w, tag.v)
+    rows, _ = kernel.span_rows(p.x, p.w, tag.v)
     kept = [row for label, row in zip(SPAN_LABELS, rows) if label != drop_label]
+    bound = 0 if p.backend == EXACT else tol
     member_bad = [
         label
-        for label, res, trace, scale in zip(U_LABELS, residuals, traces, scales)
-        if label != drop_label
-        and not bundle.membership_verdict(Quaternion(*res), Quaternion(*trace), scale, tol)
+        for label, row in zip(U_LABELS, rows[3:7])
+        if label != drop_label and not _horizontal_row(row, rows[:3], bound)
     ]
     # the D rows come first: ell_i, ell_j, ell_k, u0, u_i, u_j, u_k
     d_rows = kept[: 7 - (drop_label in SPAN_LABELS[:7])]
     return _frame_check(tag.kind, kept, d_rows, member_bad, tol)
+
+
+def _horizontal_row(u_row, ell_rows, bound) -> bool:
+    """Whether u lies in Ad_p(h_p), from its Vec10 row and the rows of the
+    three ell_rho at p (each row may be scaled by a positive denominator):
+    u is trace-free, a1 + d1 = a2 + d2 = a3 + d3 = 0, and orthogonal to
+    every ell_rho in the Ad-invariant metric (the bundle module docstring).
+    Each of these six numbers must be at most bound in absolute value: 0 on
+    the exact backend's integer rows, a literal test, and tol on floats,
+    the rule Quaternion.is_zero follows."""
+    defects = [u_row[c] + u_row[c + 7] for c in range(3)]
+    defects += [vec10_weighted_dot(u_row, ell_row) for ell_row in ell_rows]
+    return max(map(abs, defects)) <= bound
 
 
 def _frame_check(case: str, rows, d_rows, member_bad, tol: float) -> FrameCheck:

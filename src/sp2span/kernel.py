@@ -1,6 +1,5 @@
-"""The span kernel: the 13 rows of the span check and the membership
-residuals of the four u at one point, on either backend, with no
-Quaternion or QMat2 objects in between.
+"""The span kernel: the 13 rows of the span check at one point, on either
+backend, with no Quaternion or QMat2 objects in between.
 
 The formulas, for a point with first column (x, w):
 
@@ -8,8 +7,12 @@ The formulas, for a point with first column (x, w):
 * u0 = [[0, v], [-conj(v), 0]] and u_rho = [[rho, b_rho], [-conj(b_rho), -rho]]
   with b_rho = (v rho - |v|^2 rho v)/(2 |v|^2), or the constant antidiagonal
   basis at case-II points;
-* [u_a, u_b] = u_a u_b - (u_a u_b)*, valid for skew-Hermitian u_a, u_b;
-* the membership residual of u is the (1,1) quaternion entry of p* u p.
+* [u_a, u_b] = u_a u_b - (u_a u_b)*, valid for skew-Hermitian u_a, u_b.
+
+Membership of the four u in Ad_p(h_p) is read off the same rows
+(frames.check_point): a u is horizontal iff its row is trace-free and
+orthogonal to the three ell rows in the Ad-invariant metric
+(qmat.vec10_weighted_dot; the bundle module docstring derives it).
 
 Float points: a quaternion q = h0 + h1 i + h2 j + h3 k is written as the
 complex 2x2 block
@@ -28,20 +31,18 @@ tuple arithmetic of quat: Hamilton products (quat.hamilton) and
 quat.matmul4, the one 2x2 product, which QMat2's @ runs on as well.  With
 |V|^2 = n, every u is an integer matrix over Q = 2 E n
 (b_rho = (E^2 V rho - n rho V)/Q), so the ell rows are integers over P^2,
-the u rows over Q, the brackets over Q^2 and the residuals over P^2 Q.
-Each row is returned as integers in lowest terms with its denominator, the
-input Bareiss takes (qmat.real_rank), so no row becomes Fractions; only the
-residuals, traces and scales do, and a zero component among them is the
-one shared Fraction(0).
+the u rows over Q and the brackets over Q^2.  Each row is returned as
+integers in lowest terms with its denominator, the input Bareiss takes
+(qmat.real_rank), so no row becomes Fractions.
 
 The object path (frames.span_frame and frames.verify_frame on
-Quaternion/QMat2 objects) computes the same rows and residuals; it is the
-reference the tests compare this kernel with, exactly on exact points.
+Quaternion/QMat2 objects) computes the same rows and membership verdicts;
+it is the reference the tests compare this kernel with, exactly on exact
+points.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import combinations
 from math import lcm
 
@@ -50,7 +51,6 @@ import numpy as np
 from .quat import (
     FLOAT,
     Quaternion,
-    add4,
     conj4,
     denominator,
     hamilton,
@@ -92,7 +92,6 @@ _PAIR_A, _PAIR_B = (np.array(side) for side in zip(*_PAIRS))
 # 1, i, j, k and 0 as integer 4-tuples.
 _ONE, _I, _J, _K = ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
 _ZERO = (0, 0, 0, 0)
-_FRACTION_ZERO = Fraction(0)  # immutable, so every zero residual component shares it
 
 
 def span_rows(x: Quaternion, w: Quaternion, v: Quaternion | None):
@@ -102,20 +101,14 @@ def span_rows(x: Quaternion, w: Quaternion, v: Quaternion | None):
     v = x w^-1 as frames.classify computes it, or None at case-II points
     (x or w vanishes), which take the constant antidiagonal u-basis.
 
-    Returns five lists:
+    Returns two lists:
 
     * rows: the 13 Vec10 rows in frames.SPAN_LABELS order (ell_i, ell_j,
       ell_k, u0, u_i, u_j, u_k, then the six [u_a, u_b]), each multiplied
       by its denominator: Python floats on the float backend, Python ints
       with no common factor with the denominator on the exact one;
     * dens: the 13 denominators, 1 on the float backend, so that the
-      Vec10 row is [c / den for c in row] (Fraction(c, den) when exact);
-
-    and, as Python floats or Fractions:
-
-    * residuals: for each u, the four components of its membership residual;
-    * traces: for each u, the four components of its trace a + d;
-    * scales: for each u, its largest entry component in absolute value.
+      Vec10 row is [c / den for c in row] (Fraction(c, den) when exact).
     """
     if x.backend != FLOAT:
         return _exact_span_rows(x, w, v)
@@ -136,10 +129,7 @@ def span_rows(x: Quaternion, w: Quaternion, v: Quaternion | None):
     # Row 0 of a block holds (h0, h1, h2, h3) of its quaternion as
     # (re, im, re, im); Vec10 is (a1, a2, a3, b0, b1, b2, b3, d1, d2, d3).
     rows = np.concatenate((mats[:, 0, 1:], mats[:, 2, 5:]), axis=1)
-    residuals = (col[:, 0].conj() @ u @ col).view(np.float64)
-    traces = (u[:, 0, :2] + u[:, 2, 2:]).view(np.float64)
-    scales = np.abs(u.view(np.float64)).max(axis=(1, 2))
-    return rows.tolist(), [1] * len(rows), residuals.tolist(), traces.tolist(), scales.tolist()
+    return rows.tolist(), [1] * len(rows)
 
 
 def _vec10(a, b, d):
@@ -190,16 +180,5 @@ def _exact_span_rows(x: Quaternion, w: Quaternion, v: Quaternion | None):
         b = sub4(m12, conj4(m21))
         d = sub4(m22, conj4(m22))
         reduced.append(lowest_terms(_vec10(a, b, d), q_sq))
-
-    res_den = p_sq * q_den
-    residuals, traces, scales = [], [], []
-    for a, b, c, d in us:
-        # (p* u p)_11 = conj(x) (a x + b w) + conj(w) (c x + d w)
-        top = add4(hamilton(a, xn), hamilton(b, wn))
-        bottom = add4(hamilton(c, xn), hamilton(d, wn))
-        res = add4(hamilton(xc, top), hamilton(wc, bottom))
-        residuals.append([Fraction(r, res_den) if r else _FRACTION_ZERO for r in res])
-        traces.append([Fraction(t, q_den) if t else _FRACTION_ZERO for t in add4(a, d)])
-        scales.append(Fraction(max(abs(h) for e in (a, b, c, d) for h in e), q_den))
     rows, dens = zip(*reduced)
-    return list(rows), list(dens), residuals, traces, scales
+    return list(rows), list(dens)

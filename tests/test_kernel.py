@@ -2,7 +2,7 @@
 
 `frames.span_frame` (Quaternion/QMat2 objects) and `frames.verify_frame`
 stay the reference (`conftest.object_check`).  On float points the kernel
-must give the same rows, residuals, ranks, pivots and membership verdicts at
+must give the same rows, ranks, pivots and membership verdicts at
 Haar points, at the 900 points of test_boundary_continuation, and at float
 points on the quarter stratum.  The kernel's complex matrix products round
 differently from the quaternion products, so float rows and pivots are
@@ -11,8 +11,13 @@ both), not bitwise, and pivot positions may differ where the reference's own
 choice between equal entries is a tie.  On exact points everything must be
 equal: the rows (integers over a denominator) as Fractions, and the whole
 FrameCheck, Bareiss pivots included.
+
+Membership is read off the rows: <u, ell_rho> in the Ad-invariant metric
+(qmat.vec10_weighted_dot) is minus the rho component of the object path's
+residual ad_h_p_residual, Fraction for Fraction on exact points.
 """
 
+import dataclasses
 import json
 from fractions import Fraction
 from math import lcm
@@ -23,8 +28,8 @@ import pytest
 from sp2span import bundle, cli, frames, kernel
 from sp2span.bundle import EXACT_CASE_KINDS, ad_h_p_residual, ib_float_point, in_ad_h_p
 from sp2span.frames import SPAN_LABELS, FrameCheck, check_point, classify
-from sp2span.qmat import to_vec10
-from sp2span.quat import EXACT, FLOAT, Quaternion, quat
+from sp2span.qmat import to_vec10, vec10_weighted_dot
+from sp2span.quat import EXACT, FLOAT, quat
 
 from conftest import object_check
 from test_frames import (
@@ -63,6 +68,21 @@ def _quarter():
 
 
 FAMILIES = {"haar": _haar, "boundary": _boundary, "quarter": _quarter}
+
+
+def _ell_dots(rows, dens, u):
+    """<u, ell_rho> for rho = i, j, k from the kernel's rows, u indexing
+    them: Fractions from the exact backend's integer rows, floats from the
+    float rows, whose denominators are 1."""
+    dots = [vec10_weighted_dot(rows[u], rows[e]) for e in range(3)]
+    if type(dots[0]) is float:
+        return dots
+    return [Fraction(d, dens[u] * dens[e]) for e, d in enumerate(dots)]
+
+
+def _assert_trace_free(u_row):
+    # exactly 0, not merely within tol, on both backends
+    assert [u_row[c] + u_row[c + 7] for c in range(3)] == [0, 0, 0]
 
 
 def _forced_path(rows, positions):
@@ -119,7 +139,7 @@ def _assert_matches_object_path(p, drop_label=None):
 @pytest.mark.parametrize("family", list(FAMILIES))
 def test_kernel_rows_match_object_rows(family):
     for p in FAMILIES[family]():
-        rows, dens, residuals, _, scales = kernel.span_rows(p.x, p.w, classify(p, TOL).v)
+        rows, dens = kernel.span_rows(p.x, p.w, classify(p, TOL).v)
         frame = frames.span_frame(p, TOL)
         assert [e.label for e in frame.entries] == list(SPAN_LABELS)
         assert dens == [1] * len(SPAN_LABELS)
@@ -127,9 +147,12 @@ def test_kernel_rows_match_object_rows(family):
             want = to_vec10(e.m)
             assert all(type(x) is float for x in got)
             assert max(abs(g - w) for g, w in zip(got, want)) <= ROW_TOL * max(map(abs, want))
-        for res, scale, e in zip(residuals, scales, frame.entries[3:7]):
-            want = ad_h_p_residual(p, e.m, TOL).components()
-            assert max(abs(g - w) for g, w in zip(res, want)) <= ROW_TOL * max(1.0, scale)
+        for u, e in enumerate(frame.entries[3:7], start=3):
+            _assert_trace_free(rows[u])
+            want = ad_h_p_residual(p, e.m, TOL).components()[1:]
+            got = [-d for d in _ell_dots(rows, dens, u)]
+            assert max(abs(g - w) for g, w in zip(got, want)) <= ROW_TOL * max(1.0, *map(abs, rows[u]))
+            assert frames._horizontal_row(rows[u], rows[:3], TOL) == in_ad_h_p(p, e.m, TOL)
 
 
 @pytest.mark.parametrize("family", list(FAMILIES))
@@ -140,18 +163,21 @@ def test_kernel_check_matches_object_check(family):
 
 def test_kernel_residuals_of_non_members():
     # With v off by a fixed quaternion the four u are not horizontal at p:
-    # the kernel's residuals still match the object path's, and they fail.
+    # their <u, ell_rho> still match the object path's residuals, and fail.
     for n in range(50):
         p = bundle.random_sp2(n)
         v = classify(p, TOL).v
         off = quat(v.h0 + 0.3, v.h1, v.h2 - 0.2, v.h3, backend=FLOAT)
-        _, _, residuals, traces, scales = kernel.span_rows(p.x, p.w, off)
-        for res, trace, scale, u in zip(residuals, traces, scales, frames.u_basis(off)):
-            want = ad_h_p_residual(p, u, TOL).components()
-            assert max(abs(g - w) for g, w in zip(res, want)) <= ROW_TOL * max(1.0, scale)
-            assert max(map(abs, res)) > 1e-3
-            assert trace == [0.0] * 4
-            assert not bundle.membership_verdict(quat(*res), quat(*trace), scale, TOL)
+        rows, dens = kernel.span_rows(p.x, p.w, off)
+        for u, obj in enumerate(frames.u_basis(off), start=3):
+            _assert_trace_free(rows[u])
+            want = ad_h_p_residual(p, obj, TOL).components()[1:]
+            got = [-d for d in _ell_dots(rows, dens, u)]
+            assert max(abs(g - w) for g, w in zip(got, want)) <= ROW_TOL * max(1.0, *map(abs, rows[u]))
+            assert max(map(abs, got)) > 1e-3
+            verdict = frames._horizontal_row(rows[u], rows[:3], TOL)
+            assert verdict == in_ad_h_p(p, obj, TOL)
+            assert not verdict
 
 
 @pytest.mark.parametrize("label", SPAN_LABELS)
@@ -202,7 +228,7 @@ def test_exact_kernel_rows_equal_object_rows(family):
     # denominators, the row Bareiss took before the kernel returned ints.
     for p in EXACT_FAMILIES[family]():
         assert p.backend == EXACT
-        rows, dens, residuals, traces, _ = kernel.span_rows(p.x, p.w, classify(p, TOL).v)
+        rows, dens = kernel.span_rows(p.x, p.w, classify(p, TOL).v)
         frame = frames.span_frame(p, TOL)
         for got, den, e in zip(rows, dens, frame.entries, strict=True):
             want = list(to_vec10(e.m))
@@ -212,10 +238,12 @@ def test_exact_kernel_rows_equal_object_rows(family):
             assert rebuilt == want
             cleared = lcm(*(f.denominator for f in want))
             assert (got, den) == ([f.numerator * (cleared // f.denominator) for f in want], cleared)
-        for res, trace, e in zip(residuals, traces, frame.entries[3:7], strict=True):
-            assert all(type(x) is Fraction for x in res + trace)
-            assert res == list(ad_h_p_residual(p, e.m, TOL).components())
-            assert trace == list(e.m.m.trace().components())
+        for u, e in enumerate(frame.entries[3:7], start=3):
+            _assert_trace_free(rows[u])
+            dots = _ell_dots(rows, dens, u)
+            assert all(type(x) is Fraction for x in dots)
+            assert [-d for d in dots] == list(ad_h_p_residual(p, e.m, TOL).components()[1:])
+            assert frames._horizontal_row(rows[u], rows[:3], 0) == in_ad_h_p(p, e.m, TOL)
 
 
 @pytest.mark.parametrize("family", list(EXACT_FAMILIES))
@@ -246,11 +274,13 @@ def test_exact_kernel_residuals_of_non_members():
     assert len(points) >= 30
     for p in points:
         off = classify(p, TOL).v + shift
-        _, _, residuals, traces, scales = kernel.span_rows(p.x, p.w, off)
-        for res, trace, scale, u in zip(residuals, traces, scales, frames.u_basis(off), strict=True):
-            assert res == list(ad_h_p_residual(p, u, TOL).components())
-            verdict = bundle.membership_verdict(Quaternion(*res), Quaternion(*trace), scale, TOL)
-            assert verdict == in_ad_h_p(p, u, TOL)
+        rows, dens = kernel.span_rows(p.x, p.w, off)
+        for u, obj in enumerate(frames.u_basis(off), start=3):
+            _assert_trace_free(rows[u])
+            dots = _ell_dots(rows, dens, u)
+            assert [-d for d in dots] == list(ad_h_p_residual(p, obj, TOL).components()[1:])
+            verdict = frames._horizontal_row(rows[u], rows[:3], 0)
+            assert verdict == in_ad_h_p(p, obj, TOL)
             assert not verdict
 
 
@@ -285,3 +315,90 @@ def test_frame_builds_span_frame_once(monkeypatch, tmp_path):
     point_file.write_text(json.dumps({"backend": "exact", "p": point.m.to_json()}))
     assert cli.main(["frame", str(point_file), "--out", str(tmp_path / "out.txt")]) == 0
     assert len(calls) == 1
+
+
+# -- membership on the rows ---------------------------------------------------------
+
+# Hand-built Vec10 rows (a1, a2, a3, b0, b1, b2, b3, d1, d2, d3) standing in
+# for the three ell rows: ell number c pairs a_c with b_{c-1}.
+ELL_ROWS = [
+    (1, 0, 0, 1, 0, 0, 0, 0, 0, 0),
+    (0, 1, 0, 0, 1, 0, 0, 0, 0, 0),
+    (0, 0, 1, 0, 0, 1, 0, 0, 0, 0),
+]
+# Trace-free and orthogonal to all three: a_c + 2 b_{c-1} = 2 - 2 = 0.
+MEMBER = (2, 2, 2, -1, -1, -1, 5, -2, -2, -2)
+
+
+def _plus(row, slot, amount):
+    return tuple(c + amount * (n == slot) for n, c in enumerate(row))
+
+
+@pytest.mark.parametrize("backend", [EXACT, FLOAT])
+def test_horizontal_row_predicate(backend):
+    def rows(*vecs):
+        return [tuple(map(float, v)) for v in vecs] if backend == FLOAT else list(vecs)
+
+    bound = 0 if backend == EXACT else TOL
+    ells = rows(*ELL_ROWS)
+    (member,) = rows(MEMBER)
+    assert frames._horizontal_row(member, ells, bound)
+    # a + d != 0, yet orthogonal to every ell row (they have no d entries)
+    for c in range(3):
+        assert not frames._horizontal_row(*rows(_plus(MEMBER, 7 + c, 1)), ells, bound)
+    # the b slots weigh 2: MEMBER is orthogonal only with weight 2, and this
+    # trace-free row (a1 + b0 = 1 - 1 = 0) would be only with weight 1
+    assert sum(m * e for m, e in zip(MEMBER, ELL_ROWS[0])) != 0
+    assert not frames._horizontal_row(*rows((1, 0, 0, -1, 0, 0, 0, -1, 0, 0)), ells, bound)
+    # each ell row matters: moving b_{c-1} breaks orthogonality to ell_c alone
+    for c in range(3):
+        (off,) = rows(_plus(MEMBER, 3 + c, 1))
+        assert [vec10_weighted_dot(off, e) != 0 for e in ells] == [n == c for n in range(3)]
+        assert not frames._horizontal_row(off, ells, bound)
+
+
+def test_horizontal_row_tolerance():
+    # literal on exact rows, within tol on floats, like Quaternion.is_zero
+    ells = [tuple(map(float, e)) for e in ELL_ROWS]
+    near = _plus(tuple(map(float, MEMBER)), 3, 1e-10)  # <u, ell_i> = 2e-10
+    assert frames._horizontal_row(near, ells, 1e-9)
+    assert not frames._horizontal_row(near, ells, 1e-11)
+    assert not frames._horizontal_row(_plus(MEMBER, 3, Fraction(1, 10**12)), ELL_ROWS, 0)
+
+
+def _shifted_classify(monkeypatch, shift):
+    """frames.classify with v moved off x w^-1 by shift (case-I points)."""
+    classify_point = frames.classify
+
+    def moved(p, tol=TOL):
+        tag = classify_point(p, tol)
+        assert tag.v is not None
+        return dataclasses.replace(tag, v=tag.v + shift)
+
+    monkeypatch.setattr(frames, "classify", moved)
+
+
+U_FAILURES = [f"{label} fails membership" for label in frames.U_LABELS]
+
+
+@pytest.mark.parametrize("backend", [EXACT, FLOAT])
+def test_membership_fails_end_to_end(monkeypatch, tmp_path, backend):
+    # The check's membership verdict can fail: with v moved off x w^-1 the
+    # four u are not horizontal, and check_point and `verify` say so.  The
+    # first four exact samples (I-a, I-b, I-a, I-r) all have a v.
+    if backend == EXACT:
+        points = [bundle.exact_random_point(7, case) for case in (None, "I-b", "I-r")]
+        shift = quat(Fraction(1, 3), 0, Fraction(-1, 5), 0)
+    else:
+        points = _haar(5)
+        shift = quat(1 / 3, 0, -1 / 5, 0, backend=FLOAT)
+    _shifted_classify(monkeypatch, shift)
+    for p in points:
+        assert check_point(p, TOL).failures() == U_FAILURES
+    out = tmp_path / "verify.json"
+    argv = ["verify", "--backend", backend, "--samples", "4", "--seed", "5", "--emit", "json"]
+    assert cli.main(argv + ["--out", str(out)]) == 1
+    report = json.loads(out.read_text())
+    assert report["pass"] is False
+    assert [rec["index"] for rec in report["failures"]] == [0, 1, 2, 3]
+    assert all(rec["problems"] == U_FAILURES for rec in report["failures"])
