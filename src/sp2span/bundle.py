@@ -53,14 +53,17 @@ from .qmat import (
     scalar_mat,
 )
 from .quat import (
+    DEFAULT_TOL,
     EXACT,
     FLOAT,
     Quaternion,
     Scalar,
     Sp2Error,
+    as_float,
     conj4,
     hamilton,
     neg4,
+    negligible,
     on_backend,
     one,
     qi,
@@ -128,7 +131,7 @@ def ell_from_projector(p: Sp2Point, rho: Quaternion) -> QMat2:
     return scalar_mat(rho) - p.m @ rho_plus @ p.m.adjoint()
 
 
-def ell(p: Sp2Point, rho: Quaternion, tol: float = 1e-9) -> Sp2Alg:
+def ell(p: Sp2Point, rho: Quaternion, tol: float = DEFAULT_TOL) -> Sp2Alg:
     """The vertical fundamental-field matrix ell_rho at p, via the entrywise
     formula."""
     _require_imaginary(rho, tol)
@@ -153,14 +156,12 @@ def vertical_delta_basis(p: Sp2Point):
 
 
 def _sanity_zero_real(res: Quaternion, scale: Scalar):
-    if res.backend == EXACT:
-        if res.h0 != 0:
-            raise InvariantViolation("membership residual grew a real part (bug)")
-    elif abs(res.h0) > 1e-9 * max(1.0, float(scale)):
+    # an invariant of the formulas, so DEFAULT_TOL whatever the caller's tol
+    if not negligible(res.h0, DEFAULT_TOL * max(1.0, as_float(scale))):
         raise InvariantViolation("membership residual grew a real part (bug)")
 
 
-def h_p_residual(p: Sp2Point, u: Sp2Alg, tol: float = 1e-9) -> Quaternion:
+def h_p_residual(p: Sp2Point, u: Sp2Alg, tol: float = DEFAULT_TOL) -> Quaternion:
     """Variant A residual for u = [[0, beta], [-conj(beta), gamma]].
 
     Zero exactly when the left-translated u is horizontal at p.  The real
@@ -188,7 +189,7 @@ def _require_trace_free(trace: Quaternion, tol: float):
         raise ShapeMismatch("variant B needs a trace-free element")
 
 
-def ad_h_p_residual(p: Sp2Point, u: Sp2Alg, tol: float = 1e-9) -> Quaternion:
+def ad_h_p_residual(p: Sp2Point, u: Sp2Alg, tol: float = DEFAULT_TOL) -> Quaternion:
     """Variant B residual for trace-free u = [[a, b], [-conj(b), -a]]:
     conj(x) a x - conj(w) conj(b) x + conj(x) b w - conj(w) a w."""
     a, b, d = u.m.a, u.m.b, u.m.d
@@ -199,15 +200,15 @@ def ad_h_p_residual(p: Sp2Point, u: Sp2Alg, tol: float = 1e-9) -> Quaternion:
     return res
 
 
-def in_h_p(p: Sp2Point, u: Sp2Alg, tol: float = 1e-9) -> bool:
+def in_h_p(p: Sp2Point, u: Sp2Alg, tol: float = DEFAULT_TOL) -> bool:
     return h_p_residual(p, u, tol).is_zero(tol)
 
 
-def in_ad_h_p(p: Sp2Point, u: Sp2Alg, tol: float = 1e-9) -> bool:
+def in_ad_h_p(p: Sp2Point, u: Sp2Alg, tol: float = DEFAULT_TOL) -> bool:
     return ad_h_p_residual(p, u, tol).is_zero(tol)
 
 
-def horizontal_space_rank(p: Sp2Point, tol: float = 1e-9):
+def horizontal_space_rank(p: Sp2Point, tol: float = DEFAULT_TOL):
     """Rank of the linear system cutting Ad_p(h_p) out of the 7-dimensional
     trace-free (a, b) space, and the resulting solution dimension.
 
@@ -231,16 +232,17 @@ def horizontal_space_rank(p: Sp2Point, tol: float = 1e-9):
     return result.rank, 7 - result.rank
 
 
-def case_ii_corner(p: Sp2Point, tol: float = 1e-9) -> str | None:
-    """"x" or "w" when that entry of p vanishes, else None: its norm is at
-    most the case-II cut, 0 on the exact backend and tol/4 on floats.  Below
-    the cut the constant antidiagonal basis is horizontal within tol, since
-    its membership residual is at most 2|x||w|, and so are its row defects
-    <u, ell_rho>, which the span check tests (their trace part is 0)."""
-    cut_sq = 0 if p.backend == EXACT else (tol / 4) ** 2
-    if p.x.norm_sq() <= cut_sq:
+def case_ii_corner(p: Sp2Point, tol: float = DEFAULT_TOL) -> str | None:
+    """"x" or "w" when that entry of p vanishes, else None: its squared norm
+    is negligible at (tol/4)^2, so 0 on the exact backend and at most
+    (tol/4)^2 on floats.  Below the cut the constant antidiagonal basis is
+    horizontal within tol, since its membership residual is at most
+    2|x||w|, and so are its row defects <u, ell_rho>, which the span check
+    tests (their trace part is 0)."""
+    cut_sq = (tol / 4) ** 2
+    if negligible(p.x.norm_sq(), cut_sq):
         return "x"
-    if p.w.norm_sq() <= cut_sq:
+    if negligible(p.w.norm_sq(), cut_sq):
         return "w"
     return None
 
@@ -306,7 +308,7 @@ class FiberNormalization:
     v: Quaternion | None
 
 
-def normalize_fiber(p: Sp2Point, tol: float = 1e-9) -> FiberNormalization:
+def normalize_fiber(p: Sp2Point, tol: float = DEFAULT_TOL) -> FiberNormalization:
     """Rotate p inside its diag(lam, lam)-orbit so that v = x w^-1 lands in
     span{1, i} with nonnegative i-part.
 

@@ -35,7 +35,7 @@ from functools import partial
 
 from . import bundle, frames
 from .qmat import InvariantViolation, Sp2Point, real_rank, to_vec10
-from .quat import EXACT, FLOAT, ParseError, Sp2Error
+from .quat import DEFAULT_TOL, EXACT, FLOAT, ParseError, Sp2Error
 
 SCHEMA = 1
 
@@ -342,7 +342,7 @@ def build_parser() -> argparse.ArgumentParser:
     for sp in (verify, sphere):
         sp.add_argument("--backend", choices=(EXACT, FLOAT), default=FLOAT, help="scalar backend")
     for sp in (verify, sweep, sphere, frame):
-        sp.add_argument("--tol", type=_tolerance, default=1e-9, help="float comparison tolerance")
+        sp.add_argument("--tol", type=_tolerance, default=DEFAULT_TOL, help="float comparison tolerance")
     for sp in sub.choices.values():
         sp.add_argument("--emit", choices=("json", "text"), default="text", help="output format")
         sp.add_argument("--out", default=None, help="write the report to this path")

@@ -47,6 +47,7 @@ from .qmat import (
     vec10_weighted_dot,
 )
 from .quat import (
+    DEFAULT_TOL,
     EXACT,
     FLOAT,
     Quaternion,
@@ -54,6 +55,7 @@ from .quat import (
     Sp2Error,
     as_float,
     dot,
+    negligible,
     one,
     qi,
     qj,
@@ -100,7 +102,7 @@ def ib_split(w: Quaternion) -> Scalar:
     return w.h0 * w.h0 + w.h1 * w.h1 - w.h2 * w.h2 - w.h3 * w.h3
 
 
-def classify(p: Sp2Point, tol: float = 1e-9) -> CaseTag:
+def classify(p: Sp2Point, tol: float = DEFAULT_TOL) -> CaseTag:
     """The case label of p as given, on either backend.
 
     * II when x or w vanishes (bundle.case_ii_corner);
@@ -112,24 +114,20 @@ def classify(p: Sp2Point, tol: float = 1e-9) -> CaseTag:
       compared with 1/4;
     * otherwise I-a.
 
-    Exact points compare literally, floats at tol.
+    Every comparison is quat.negligible of the difference: literal on exact
+    points, within tol on floats.
     """
     if bundle.case_ii_corner(p, tol):
         return CaseTag(kind=CASE_II)
-    exact = p.backend == EXACT
     v = p.x * p.w.inverse()
     # |Im v|, squared on the exact backend; only its comparisons with 0 and
     # 1 are read, which the square does not change
-    im = v.h1 * v.h1 + v.h2 * v.h2 + v.h3 * v.h3 if exact else hypot(v.h1, v.h2, v.h3)
-
-    def at(value, target) -> bool:
-        return value == target if exact else abs(value - target) <= tol
-
-    if at(im, 0):
+    im = v.h1 * v.h1 + v.h2 * v.h2 + v.h3 * v.h3 if p.backend == EXACT else hypot(v.h1, v.h2, v.h3)
+    if negligible(im, tol):
         return CaseTag(kind=CASE_IR, v=v)
-    if at(v.h0, 0) and at(im, 1):
+    if negligible(v.h0, tol) and negligible(im - 1, tol):
         s = dot(p.w.conj() * v * p.w, v)
-        kind = CASE_IB_QUARTER if at(s, Fraction(1, 4)) else CASE_IB_NONQUARTER
+        kind = CASE_IB_QUARTER if negligible(s - Fraction(1, 4), tol) else CASE_IB_NONQUARTER
         return CaseTag(kind=kind, v=v, split=s)
     return CaseTag(kind=CASE_IA, v=v)
 
@@ -346,14 +344,15 @@ def nondegeneracy_factor(v: Quaternion) -> Quaternion:
 @dataclass(frozen=True)
 class FrameEntry:
     """One frame matrix with its defining formula (emitted as paper_eq in
-    JSON).  Horizontal entries must lie in Ad_p(h_p); bracket-derived
-    entries are left out of the negative control."""
+    JSON).  Its role is read from its label: a row of D when the label is
+    in D_LABELS, and a member that must lie in Ad_p(h_p) when it is in
+    U_LABELS; every other entry is a bracket.  standard_sphere_frame's
+    labels u0..u3 are not span labels, so its frame is never checked by
+    verify_frame."""
 
     label: str
     formula: str
     m: Sp2Alg
-    horizontal: bool
-    bracket_derived: bool
 
 
 @dataclass(frozen=True)
@@ -362,32 +361,22 @@ class Frame:
     entries: tuple
 
 
+ELL_LABELS = ("ell_i", "ell_j", "ell_k")
 U_LABELS = ("u0", "u_i", "u_j", "u_k")
-SPAN_LABELS = ("ell_i", "ell_j", "ell_k") + U_LABELS + tuple(
-    f"[{a},{b}]" for a, b in combinations(U_LABELS, 2)
-)
+D_LABELS = ELL_LABELS + U_LABELS  # the rows of D; the u rows are its members
+SPAN_LABELS = D_LABELS + tuple(f"[{a},{b}]" for a, b in combinations(U_LABELS, 2))
 _B_RHO = "b_rho = (v rho - |v|^2 rho v)/(2|v|^2), v = x w^-1"
 
 
-def _bracket_entry(label: str, formula: str, m: Sp2Alg) -> FrameEntry:
-    return FrameEntry(label=label, formula=formula, m=m, horizontal=False, bracket_derived=True)
-
-
-def d_entries(p: Sp2Point, tag: CaseTag, tol: float = 1e-9):
-    """The seven rows of D at p: ell_i, ell_j, ell_k and the u-basis of
-    Ad_p(h_p) for p's case label tag (classify): the constant antidiagonal
-    basis where x or w vanishes (tag.v is None), else the basis built from
-    the nonzero v = x w^-1."""
+def d_entries(p: Sp2Point, tag: CaseTag, tol: float = DEFAULT_TOL):
+    """The seven rows of D at p, labeled D_LABELS: ell_i, ell_j, ell_k and
+    the u-basis of Ad_p(h_p) for p's case label tag (classify): the
+    constant antidiagonal basis where x or w vanishes (tag.v is None), else
+    the basis built from the nonzero v = x w^-1."""
     backend = p.backend
     out = [
-        FrameEntry(
-            label=f"ell_{r}",
-            formula=f"{r}*Id - p diag({r}, 0) p*",
-            m=ell(p, rho, tol),
-            horizontal=False,
-            bracket_derived=False,
-        )
-        for r, rho in zip("ijk", (qi(backend), qj(backend), qk(backend)))
+        FrameEntry(label, f"{r}*Id - p diag({r}, 0) p*", ell(p, rho, tol))
+        for label, r, rho in zip(ELL_LABELS, "ijk", (qi(backend), qj(backend), qk(backend)))
     ]
     if tag.v is None:
         us = case_ii_basis(backend)
@@ -396,14 +385,11 @@ def d_entries(p: Sp2Point, tag: CaseTag, tol: float = 1e-9):
         us = u_basis(tag.v)
         formulas = ["[[0, v], [-conj(v), 0]], v = x w^-1"]
         formulas += [f"[[{r}, b_{r}], [-conj(b_{r}), -{r}]], {_B_RHO}" for r in "ijk"]
-    out += [
-        FrameEntry(label=n, formula=f, m=u, horizontal=True, bracket_derived=False)
-        for n, f, u in zip(U_LABELS, formulas, us)
-    ]
+    out += [FrameEntry(n, f, u) for n, f, u in zip(U_LABELS, formulas, us)]
     return out
 
 
-def span_frame(p: Sp2Point, tol: float = 1e-9) -> Frame:
+def span_frame(p: Sp2Point, tol: float = DEFAULT_TOL) -> Frame:
     """The case-free frame of the span check: the seven D rows and the six
     brackets [u_a, u_b], in SPAN_LABELS order, as objects.  check_point
     computes the same rows in kernel.span_rows; this form is their
@@ -411,13 +397,13 @@ def span_frame(p: Sp2Point, tol: float = 1e-9) -> Frame:
     tag = classify(p, tol)
     d = d_entries(p, tag, tol)
     brackets = [
-        _bracket_entry(f"[{a.label},{b.label}]", f"bracket {a.label} {b.label}", bracket(a.m, b.m))
+        FrameEntry(f"[{a.label},{b.label}]", f"bracket {a.label} {b.label}", bracket(a.m, b.m))
         for a, b in combinations(d[3:], 2)
     ]
     return Frame(tag=tag, entries=tuple(d + brackets))
 
 
-def build_frame(p: Sp2Point, tag: CaseTag | None = None, tol: float = 1e-9) -> Frame:
+def build_frame(p: Sp2Point, tag: CaseTag | None = None, tol: float = DEFAULT_TOL) -> Frame:
     """The paper's 10-element frame for p's case; the reference the
     acceptance tests certify.  The ell and u entries are those of the span
     frame (d_entries).
@@ -444,43 +430,43 @@ def build_frame(p: Sp2Point, tag: CaseTag | None = None, tol: float = 1e-9) -> F
         v = tag.v if p.backend == EXACT else quat(tag.v.h0, tag.v.h1, backend=FLOAT)
         uj_big, uk_big = _u_jk_from(alpha(v), us)
         rest = [
-            _bracket_entry(
+            FrameEntry(
                 "[u0,u_i]",
                 "bracket u0 u_i = [[1-|v|^2, -2v], [-2 conj(v), |v|^2-1]] diag(i,i)",
                 bracket(u0, ui_),
             ),
-            _bracket_entry("U_j", "alpha(v) [u0,u_j] - [u_i,u_k]", uj_big),
-            _bracket_entry("U_k", "alpha(v) [u0,u_k] + [u_i,u_j]", uk_big),
+            FrameEntry("U_j", "alpha(v) [u0,u_j] - [u_i,u_k]", uj_big),
+            FrameEntry("U_k", "alpha(v) [u0,u_k] + [u_i,u_j]", uk_big),
         ]
         return Frame(tag=tag, entries=tuple(u_entries + rest + ells))
 
     if tag.kind in (CASE_IB_NONQUARTER, CASE_IB_QUARTER):
         minus_half = _ratio(p.backend, -1, 2)
         if tag.kind == CASE_IB_NONQUARTER:
-            f_first = _bracket_entry(
+            f_first = FrameEntry(
                 "F_i",
                 "1/2 [u0,u_i] = [[0, 1], [-1, 0]]",
                 Sp2Alg(bracket(u0, ui_).m.scale(_ratio(p.backend, 1, 2))),
             )
         else:
-            f_first = _bracket_entry(
+            f_first = FrameEntry(
                 "F'_i",
                 "1/4 [u_j,u_k] = [[i, 1], [-1, i]]",
                 Sp2Alg(bracket(uj_, uk_).m.scale(_ratio(p.backend, 1, 4))),
             )
         rest = [
             f_first,
-            _bracket_entry(
+            FrameEntry(
                 "F_j", "-1/2 [u0,u_j] = diag(j, j)", Sp2Alg(bracket(u0, uj_).m.scale(minus_half))
             ),
-            _bracket_entry(
+            FrameEntry(
                 "F_k", "-1/2 [u0,u_k] = diag(k, k)", Sp2Alg(bracket(u0, uk_).m.scale(minus_half))
             ),
         ]
         return Frame(tag=tag, entries=tuple(ells + u_entries + rest))
 
     rest = [
-        _bracket_entry(name, f"bracket u0 {name[4:-1]}", bracket(u0, other))
+        FrameEntry(name, f"bracket u0 {name[4:-1]}", bracket(u0, other))
         for name, other in (("[u0,u_i]", ui_), ("[u0,u_j]", uj_), ("[u0,u_k]", uk_))
     ]
     return Frame(tag=tag, entries=tuple(ells + u_entries + rest))
@@ -496,18 +482,9 @@ def standard_sphere_frame(backend: str = EXACT) -> Frame:
     the identity plus all six pairwise brackets; spans sp(2) with rank 10."""
     us = case_ii_basis(backend)
     names = ("u0", "u1", "u2", "u3")
-    entries = [
-        FrameEntry(
-            label=n,
-            formula=f"[[0, {b}], [-conj({b}), 0]]",
-            m=u,
-            horizontal=True,
-            bracket_derived=False,
-        )
-        for n, b, u in zip(names, "1ijk", us)
-    ]
+    entries = [FrameEntry(n, f"[[0, {b}], [-conj({b}), 0]]", u) for n, b, u in zip(names, "1ijk", us)]
     entries += [
-        _bracket_entry(f"[u{a},u{b}]", f"bracket u{a} u{b}", bracket(us[a], us[b]))
+        FrameEntry(f"[u{a},u{b}]", f"bracket u{a} u{b}", bracket(us[a], us[b]))
         for a, b in combinations(range(4), 2)
     ]
     return Frame(tag=CaseTag(kind="standard"), entries=tuple(entries))
@@ -537,25 +514,27 @@ class FrameCheck:
         return out
 
 
-def verify_frame(p: Sp2Point, frame: Frame, tol: float = 1e-9) -> FrameCheck:
-    """The frame has rank 10, its bracket-free entries (the rows of D) have
-    rank exactly 7, the dimension of D, so the brackets are genuinely
-    needed, and its horizontal entries lie in Ad_p(h_p).  Membership needs a
-    trace-free u (ad_h_p_residual raises ShapeMismatch otherwise), and its
-    residual is the (1,1) entry of Ad_{p^-1}(u), so that corner needs no
-    separate check."""
+def verify_frame(p: Sp2Point, frame: Frame, tol: float = DEFAULT_TOL) -> FrameCheck:
+    """The frame has rank 10, its entries labeled D_LABELS (the rows of D)
+    have rank exactly 7, the dimension of D, so the brackets are genuinely
+    needed, and its entries labeled U_LABELS lie in Ad_p(h_p).  Membership
+    needs a trace-free u (ad_h_p_residual raises ShapeMismatch otherwise),
+    and its residual is the (1,1) entry of Ad_{p^-1}(u), so that corner
+    needs no separate check."""
     vecs = [to_vec10(e.m) for e in frame.entries]
-    d_rows = [vec for vec, e in zip(vecs, frame.entries) if not e.bracket_derived]
-    member_bad = [e.label for e in frame.entries if e.horizontal and not in_ad_h_p(p, e.m, tol)]
+    d_rows = [vec for vec, e in zip(vecs, frame.entries) if e.label in D_LABELS]
+    member_bad = [
+        e.label for e in frame.entries if e.label in U_LABELS and not in_ad_h_p(p, e.m, tol)
+    ]
     return _frame_check(frame.tag.kind, vecs, d_rows, member_bad, tol)
 
 
-def check_point(p: Sp2Point, tol: float = 1e-9, drop_label: str | None = None) -> FrameCheck:
+def check_point(p: Sp2Point, tol: float = DEFAULT_TOL, drop_label: str | None = None) -> FrameCheck:
     """The span check at p as given, with no fiber normalization: the 13
-    rows of span_frame have rank 10, the seven D rows rank exactly 7, and
-    each u lies in Ad_p(h_p).  drop_label removes that row first; it is the
-    corruption hook that proves the failure path fires, and must name a row
-    of SPAN_LABELS.
+    rows of span_frame have rank 10, the rows labeled D_LABELS rank exactly
+    7, and each row labeled U_LABELS lies in Ad_p(h_p).  drop_label removes
+    that row first; it is the corruption hook that proves the failure path
+    fires, and must name a row of SPAN_LABELS.
 
     Both backends run on the rows of kernel.span_rows alone: exact points
     get Bareiss certificates on its integer rows (span_frame's rows cleared
@@ -566,35 +545,29 @@ def check_point(p: Sp2Point, tol: float = 1e-9, drop_label: str | None = None) -
     if drop_label is not None and drop_label not in SPAN_LABELS:
         raise ValueError(f"no frame row is labeled {drop_label!r}")
     tag = classify(p, tol)
-    rows, _ = kernel.span_rows(p.x, p.w, tag.v)
-    kept = [row for label, row in zip(SPAN_LABELS, rows) if label != drop_label]
-    bound = 0 if p.backend == EXACT else tol
-    member_bad = [
-        label
-        for label, row in zip(U_LABELS, rows[3:7])
-        if label != drop_label and not _horizontal_row(row, rows[:3], bound)
-    ]
-    # the D rows come first: ell_i, ell_j, ell_k, u0, u_i, u_j, u_k
-    d_rows = kept[: 7 - (drop_label in SPAN_LABELS[:7])]
-    return _frame_check(tag.kind, kept, d_rows, member_bad, tol)
+    rows = dict(zip(SPAN_LABELS, kernel.span_rows(p.x, p.w, tag.v)))
+    ell_rows = [rows[label] for label in ELL_LABELS]  # read before a drop
+    rows.pop(drop_label, None)
+    member_bad = [u for u in U_LABELS if u in rows and not _horizontal_row(rows[u], ell_rows, tol)]
+    d_rows = [row for label, row in rows.items() if label in D_LABELS]
+    return _frame_check(tag.kind, list(rows.values()), d_rows, member_bad, tol)
 
 
-def _horizontal_row(u_row, ell_rows, bound) -> bool:
+def _horizontal_row(u_row, ell_rows, tol: float) -> bool:
     """Whether u lies in Ad_p(h_p), from its Vec10 row and the rows of the
     three ell_rho at p (each row may be scaled by a positive denominator):
     u is trace-free, a1 + d1 = a2 + d2 = a3 + d3 = 0, and orthogonal to
     every ell_rho in the Ad-invariant metric (the bundle module docstring).
-    Each of these six numbers must be at most bound in absolute value: 0 on
-    the exact backend's integer rows, a literal test, and tol on floats,
-    the rule Quaternion.is_zero follows."""
+    Each of these six numbers must be negligible (quat.negligible): 0 on
+    the exact backend's integer rows, and within tol on floats."""
     defects = [u_row[c] + u_row[c + 7] for c in range(3)]
     defects += [vec10_weighted_dot(u_row, ell_row) for ell_row in ell_rows]
-    return max(map(abs, defects)) <= bound
+    return all(negligible(d, tol) for d in defects)
 
 
 def _frame_check(case: str, rows, d_rows, member_bad, tol: float) -> FrameCheck:
     """The FrameCheck of a frame's rows: the rank of all of them, then of
-    its D rows (the bracket-free ones)."""
+    its D rows."""
     rank = real_rank(rows, tol)
     return FrameCheck(case, rank, real_rank(d_rows, tol), member_bad)
 

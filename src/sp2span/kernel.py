@@ -32,8 +32,9 @@ quat.matmul4, the one 2x2 product, which QMat2's @ runs on as well.  With
 |V|^2 = n, every u is an integer matrix over Q = 2 E n
 (b_rho = (E^2 V rho - n rho V)/Q), so the ell rows are integers over P^2,
 the u rows over Q and the brackets over Q^2.  Each row is returned as
-integers in lowest terms with its denominator, the input Bareiss takes
-(qmat.real_rank), so no row becomes Fractions.
+integers in lowest terms: the object row times the lcm of its entries'
+denominators, the input Bareiss takes (qmat.real_rank), so no row becomes
+Fractions.
 
 The object path (frames.span_frame and frames.verify_frame on
 Quaternion/QMat2 objects) computes the same rows and membership verdicts;
@@ -101,14 +102,11 @@ def span_rows(x: Quaternion, w: Quaternion, v: Quaternion | None):
     v = x w^-1 as frames.classify computes it, or None at case-II points
     (x or w vanishes), which take the constant antidiagonal u-basis.
 
-    Returns two lists:
-
-    * rows: the 13 Vec10 rows in frames.SPAN_LABELS order (ell_i, ell_j,
-      ell_k, u0, u_i, u_j, u_k, then the six [u_a, u_b]), each multiplied
-      by its denominator: Python floats on the float backend, Python ints
-      with no common factor with the denominator on the exact one;
-    * dens: the 13 denominators, 1 on the float backend, so that the
-      Vec10 row is [c / den for c in row] (Fraction(c, den) when exact).
+    Returns the 13 Vec10 rows in frames.SPAN_LABELS order (ell_i, ell_j,
+    ell_k, u0, u_i, u_j, u_k, then the six [u_a, u_b]): Python floats, the
+    row itself, on the float backend; on the exact one Python ints in
+    lowest terms, the row times its denominator, the lcm of its entries'
+    denominators.
     """
     if x.backend != FLOAT:
         return _exact_span_rows(x, w, v)
@@ -129,7 +127,7 @@ def span_rows(x: Quaternion, w: Quaternion, v: Quaternion | None):
     # Row 0 of a block holds (h0, h1, h2, h3) of its quaternion as
     # (re, im, re, im); Vec10 is (a1, a2, a3, b0, b1, b2, b3, d1, d2, d3).
     rows = np.concatenate((mats[:, 0, 1:], mats[:, 2, 5:]), axis=1)
-    return rows.tolist(), [1] * len(rows)
+    return rows.tolist()
 
 
 def _vec10(a, b, d):
@@ -143,7 +141,7 @@ def _exact_span_rows(x: Quaternion, w: Quaternion, v: Quaternion | None):
     xn, wn = numerators(x, p_den), numerators(w, p_den)
     xc, wc = conj4(xn), conj4(wn)
     p_sq = p_den * p_den
-    reduced = []  # (integer row, denominator) in lowest terms, per row
+    rows = []  # integer rows in lowest terms
     for rho in (_I, _J, _K):
         # rho Id - p diag(rho, 0) p*, times P^2
         x_rho, w_rho = hamilton(xn, rho), hamilton(wn, rho)
@@ -151,7 +149,7 @@ def _exact_span_rows(x: Quaternion, w: Quaternion, v: Quaternion | None):
         a = sub4(rho_p, hamilton(x_rho, xc))
         b = neg4(hamilton(x_rho, wc))
         d = sub4(rho_p, hamilton(w_rho, wc))
-        reduced.append(lowest_terms(_vec10(a, b, d), p_sq))
+        rows.append(lowest_terms(_vec10(a, b, d), p_sq)[0])
 
     # each u as its integer entries (a, b, c, d) over the common q_den
     if v is None:
@@ -170,7 +168,7 @@ def _exact_span_rows(x: Quaternion, w: Quaternion, v: Quaternion | None):
             b = tuple(e_sq * s - n * t for s, t in zip(v_rho, rho_v))
             a = tuple(q_den * r for r in rho)
             us.append((a, b, neg4(conj4(b)), neg4(a)))
-    reduced += [lowest_terms(_vec10(a, b, d), q_den) for a, b, _, d in us]
+    rows += [lowest_terms(_vec10(a, b, d), q_den)[0] for a, b, _, d in us]
 
     q_sq = q_den * q_den
     for i, j in _PAIRS:
@@ -179,6 +177,5 @@ def _exact_span_rows(x: Quaternion, w: Quaternion, v: Quaternion | None):
         a = sub4(m11, conj4(m11))
         b = sub4(m12, conj4(m21))
         d = sub4(m22, conj4(m22))
-        reduced.append(lowest_terms(_vec10(a, b, d), q_sq))
-    rows, dens = zip(*reduced)
-    return list(rows), list(dens)
+        rows.append(lowest_terms(_vec10(a, b, d), q_sq)[0])
+    return rows

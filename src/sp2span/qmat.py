@@ -23,6 +23,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .quat import (
+    DEFAULT_TOL,
     EXACT,
     FLOAT,
     BackendMismatch,
@@ -248,7 +249,7 @@ class Sp2Point:
 
     __slots__ = ("m",)
 
-    def __init__(self, m: QMat2, tol: float = 1e-9, validate: bool = True):
+    def __init__(self, m: QMat2, tol: float = DEFAULT_TOL, validate: bool = True):
         if validate:
             if m.backend == EXACT:
                 _require_unitary(*_integer_entries(m))
@@ -299,7 +300,7 @@ class Sp2Point:
         return out
 
     @staticmethod
-    def from_json(obj, backend: str, tol: float = 1e-9) -> "Sp2Point":
+    def from_json(obj, backend: str, tol: float = DEFAULT_TOL) -> "Sp2Point":
         if isinstance(obj, dict) and obj.get("kind") not in (None, "sp2-point"):
             raise ParseError(f"expected kind 'sp2-point', got {obj.get('kind')!r}")
         return Sp2Point(QMat2.from_json(obj, backend), tol=tol)
@@ -319,16 +320,17 @@ def point_from_numerators(entries) -> Sp2Point:
 
 class Sp2Alg:
     """An element of sp(2): adjoint(m) = -m, i.e. [[alpha, beta], [-conj(beta), gamma]]
-    with alpha, gamma purely imaginary (exact, or within 1e-9 on floats)."""
+    with alpha, gamma purely imaginary (exact, or within DEFAULT_TOL on
+    floats, whatever tol the caller checks with)."""
 
     __slots__ = ("m",)
 
     def __init__(self, m: QMat2, validate: bool = True):
         if validate:
-            err = (m.adjoint() + m).max_abs()
-            ok = err == 0 if m.backend == EXACT else err <= 1e-9
-            if not ok:
-                raise InvariantViolation(f"m* + m deviates from 0 by {as_float(err):.3e}")
+            diff = m.adjoint() + m
+            if not all(e.is_zero(DEFAULT_TOL) for e in diff.entries()):
+                dev = as_float(diff.max_abs())
+                raise InvariantViolation(f"m* + m deviates from 0 by {dev:.3e}")
         self.m = m
 
     @property
@@ -579,7 +581,7 @@ def _pivoted_rank(rows: Sequence[Sequence[float]], rel_tol: float) -> RankResult
     )
 
 
-def real_rank(vectors: Iterable[Vec10], tol: float = 1e-9) -> RankResult:
+def real_rank(vectors: Iterable[Vec10], tol: float = DEFAULT_TOL) -> RankResult:
     """Rank of the real span of the given coordinate vectors.
 
     The rows' backend is quat.scalar_backend's of their scalar types.  Exact

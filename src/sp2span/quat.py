@@ -6,7 +6,9 @@ of the data, not of the call site: mixing the two in a single operation raises
 `BackendMismatch` instead of silently promoting, so an "exact" certificate can
 never be contaminated by a stray double.  `scalar_backend` is the one rule for
 raw scalars: Python and numpy floats are float, Fractions are exact, ints and
-bools follow the others, and any other type is a TypeError.
+bools follow the others, and any other type is a TypeError.  `negligible`
+is the one zero test built on that rule, and DEFAULT_TOL the one default
+tolerance.
 
 Conventions: q = h0 + h1*i + h2*j + h3*k with i*j = k = -j*i, j*k = i, k*i = j
 and i^2 = j^2 = k^2 = -1.  conj(q) negates the imaginary part, and
@@ -25,6 +27,9 @@ Scalar = Union[Fraction, float]
 
 EXACT = "exact"
 FLOAT = "float"
+
+# The float comparison tolerance when none is given (--tol's default).
+DEFAULT_TOL = 1e-9
 
 
 class Sp2Error(Exception):
@@ -74,6 +79,21 @@ def scalar_backend(types, backend: str | None = None) -> str:
         requested = "" if backend is None else f" on the {backend} backend"
         raise BackendMismatch(f"exact and float scalars meet{requested}")
     return kinds.pop() if kinds else EXACT
+
+
+def negligible(x, tol: float = DEFAULT_TOL) -> bool:
+    """The one zero test, decided by the scalar type as scalar_backend
+    decides a backend: Python and numpy floats are negligible when
+    abs(x) <= tol (never NaN, nor an infinity at a finite tol); Fractions,
+    ints and bools only when they are 0, whatever tol is."""
+    t = type(x)
+    if t is float:
+        return abs(x) <= tol
+    if t is Fraction or t is int or t is bool:
+        return x == 0
+    if issubclass(t, _FLOAT_TYPES):
+        return bool(abs(x) <= tol)
+    raise TypeError(f"unsupported scalar type {t.__name__}")
 
 
 def on_backend(parts, backend: str | None = None) -> tuple:
@@ -179,16 +199,17 @@ class Quaternion:
     # -- predicates and parts -------------------------------------------------
 
     def is_zero(self, tol: float = 0.0) -> bool:
-        """The one zero test: literal on the exact backend (tol is ignored),
-        every component within tol on floats; is_imaginary tests Re alike."""
-        if self.backend == EXACT:
-            return self.h0 == 0 and self.h1 == 0 and self.h2 == 0 and self.h3 == 0
-        return self.max_abs() <= tol
+        """Every component negligible: literal on the exact backend (tol is
+        ignored), within tol on floats; is_imaginary tests Re alike."""
+        return (
+            negligible(self.h0, tol)
+            and negligible(self.h1, tol)
+            and negligible(self.h2, tol)
+            and negligible(self.h3, tol)
+        )
 
     def is_imaginary(self, tol: float = 0.0) -> bool:
-        if self.backend == EXACT:
-            return self.h0 == 0
-        return abs(self.h0) <= tol
+        return negligible(self.h0, tol)
 
     def max_abs(self) -> Scalar:
         return max(abs(self.h0), abs(self.h1), abs(self.h2), abs(self.h3))

@@ -324,7 +324,7 @@ def test_criterion_5_structural_invariants(identity_results):
         frame = frames.build_frame(p)
         chk = frames.verify_frame(p, frame)
         pinv = p.inverse()
-        corners = [ad(pinv, e.m).m.a for e in frame.entries if e.horizontal]
+        corners = [ad(pinv, e.m).m.a for e in frame.entries if e.label in frames.U_LABELS]
         ok = ok and chk.ok and chk.membership_violations == []
         ok = ok and len(corners) == 4 and all(c.is_zero() for c in corners)
         checked += 1
@@ -345,7 +345,7 @@ def test_criterion_6_negative_control(tmp_path):
             bundle.exact_random_point(11000 + idx, case=cycle[idx % len(cycle)])
         ).point
         frame = frames.build_frame(p)
-        rows = [to_vec10(e.m) for e in frame.entries if not e.bracket_derived]
+        rows = [to_vec10(e.m) for e in frame.entries if e.label in frames.D_LABELS]
         ranks.append(real_rank(rows).rank)
     out = tmp_path / "c.json"
     code = main(

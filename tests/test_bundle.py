@@ -5,6 +5,7 @@ generators (random, Cayley, deterministic grids), and fiber normalization."""
 import hashlib
 import itertools
 import json
+import math
 import random
 from fractions import Fraction
 
@@ -187,6 +188,12 @@ def test_case_ii_cut_scales_with_tol():
                 p = fiber_point(v, w0, one(FLOAT), one(FLOAT))
                 assert bundle.case_ii_corner(p, tol) == (entry if below else None)
                 assert all(in_ad_h_p(p, u, tol) for u in u_rows(p, tol))
+    # the cut itself is below: |x|^2 == (tol/4)^2 exactly, then one ulp more
+    for tol in (1e-9, 1e-6):
+        for t, entry in ((tol / 4, "x"), (math.nextafter(tol / 4, 1.0), None)):
+            p = Sp2Point(QMat2(*(quat(c, backend=FLOAT) for c in (t, -1.0, 1.0, t))))
+            assert (p.x.norm_sq() == (tol / 4) ** 2) is (entry == "x")
+            assert bundle.case_ii_corner(p, tol) == entry
     assert bundle.case_ii_corner(exact_random_point(3, case="II-w0")) == "w"
     assert bundle.case_ii_corner(exact_random_point(3, case="II-x0")) == "x"
     assert bundle.case_ii_corner(exact_random_point(3)) is None

@@ -87,6 +87,11 @@ def test_classify_float_quarter_band():
     assert (tag.v - qi(FLOAT)).max_abs() <= 1e-15
     near = ib_float_point(0.25 + 5e-8)
     assert classify(near).kind == CASE_IB_NONQUARTER
+    # a split exactly tol from 1/4 is on the quarter stratum; at a tol one
+    # ulp smaller it is not
+    gap = abs(classify(near).split - 0.25)
+    assert classify(near, gap).kind == CASE_IB_QUARTER
+    assert classify(near, math.nextafter(gap, 0.0)).kind == CASE_IB_NONQUARTER
 
 
 def _other_ib_subcase(tag):
@@ -226,21 +231,21 @@ def test_frame_rank_10_per_case(name, maker):
 
 @pytest.mark.parametrize("name,maker", CASE_POINT_BUILDERS)
 def test_negative_control_is_exactly_7(name, maker):
-    # The distribution itself is 7-dimensional: dropping every
-    # bracket-derived entry must leave exactly rank 7, never more.
+    # The distribution itself is 7-dimensional: the entries labeled
+    # D_LABELS must have exactly rank 7, never more.
     p = maker()
     frame = build_frame(p)
-    rows = [to_vec10(e.m) for e in frame.entries if not e.bracket_derived]
+    rows = [to_vec10(e.m) for e in frame.entries if e.label in frames.D_LABELS]
     assert real_rank(rows).rank == 7
 
 
 def test_negative_control_fails_on_its_own():
-    # Counting ell_i as bracket-derived leaves six bracket-free rows: the
-    # frame still spans, and only the negative control reports it.
+    # Relabeling ell_i out of D_LABELS leaves six D rows: the frame still
+    # spans, and only the negative control reports it.
     p = exact_random_point(110, case="I-r")
     frame = build_frame(p)
     assert frame.entries[0].label == "ell_i"
-    moved = dataclasses.replace(frame.entries[0], bracket_derived=True)
+    moved = dataclasses.replace(frame.entries[0], label="[ell_i]")
     check = verify_frame(p, frames.Frame(tag=frame.tag, entries=(moved,) + frame.entries[1:]))
     assert check.rank.rank == 10 and not check.ok
     assert check.failures() == ["bracket-free rank 6 != 7"]
@@ -505,7 +510,7 @@ def test_verify_frame_membership_flags():
     assert check.ok
     assert check.membership_violations == []
     pinv = p.inverse()
-    horizontal = [e for e in frame.entries if e.horizontal]
+    horizontal = [e for e in frame.entries if e.label in frames.U_LABELS]
     assert len(horizontal) == 4
     for e in horizontal:
         assert ad(pinv, e.m).m.a.is_zero()

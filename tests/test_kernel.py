@@ -9,8 +9,9 @@ differently from the quaternion products, so float rows and pivots are
 compared at tolerances fixed from float64 (about 1e-15 was measured on
 both), not bitwise, and pivot positions may differ where the reference's own
 choice between equal entries is a tie.  On exact points everything must be
-equal: the rows (integers over a denominator) as Fractions, and the whole
-FrameCheck, Bareiss pivots included.
+equal: the rows (integers, the object row cleared by the lcm of its
+denominators) as Fractions, and the whole FrameCheck, Bareiss pivots
+included.
 
 Membership is read off the rows: <u, ell_rho> in the Ad-invariant metric
 (qmat.vec10_weighted_dot) is minus the rho component of the object path's
@@ -19,6 +20,7 @@ residual ad_h_p_residual, Fraction for Fraction on exact points.
 
 import dataclasses
 import json
+import math
 from fractions import Fraction
 from math import lcm
 
@@ -70,14 +72,20 @@ def _quarter():
 FAMILIES = {"haar": _haar, "boundary": _boundary, "quarter": _quarter}
 
 
-def _ell_dots(rows, dens, u):
+def _ell_dots(rows, u, dens=None):
     """<u, ell_rho> for rho = i, j, k from the kernel's rows, u indexing
-    them: Fractions from the exact backend's integer rows, floats from the
-    float rows, whose denominators are 1."""
+    them: floats from the float rows, and Fractions from the exact backend's
+    integer rows given their denominators dens (_den of the object rows)."""
     dots = [vec10_weighted_dot(rows[u], rows[e]) for e in range(3)]
-    if type(dots[0]) is float:
+    if dens is None:
         return dots
     return [Fraction(d, dens[u] * dens[e]) for e, d in enumerate(dots)]
+
+
+def _den(obj):
+    """The lcm of the denominators of an exact object's Vec10 row: the
+    factor the kernel's integer row carries."""
+    return lcm(*(f.denominator for f in to_vec10(obj)))
 
 
 def _assert_trace_free(u_row):
@@ -131,7 +139,7 @@ def _assert_matches_object_path(p, drop_label=None):
     assert res.failures() == ref.failures()
     assert res.ok == ref.ok
     rows = [to_vec10(e.m) for e in frame.entries]
-    d_rows = [row for row, e in zip(rows, frame.entries) if not e.bracket_derived]
+    d_rows = [row for row, e in zip(rows, frame.entries) if e.label in frames.D_LABELS]
     _assert_same_rank(res.rank, ref.rank, rows)
     _assert_same_rank(res.negative_rank, ref.negative_rank, d_rows)
 
@@ -139,10 +147,10 @@ def _assert_matches_object_path(p, drop_label=None):
 @pytest.mark.parametrize("family", list(FAMILIES))
 def test_kernel_rows_match_object_rows(family):
     for p in FAMILIES[family]():
-        rows, dens = kernel.span_rows(p.x, p.w, classify(p, TOL).v)
+        rows = kernel.span_rows(p.x, p.w, classify(p, TOL).v)
         frame = frames.span_frame(p, TOL)
         assert [e.label for e in frame.entries] == list(SPAN_LABELS)
-        assert dens == [1] * len(SPAN_LABELS)
+        assert len(rows) == len(SPAN_LABELS)
         for got, e in zip(rows, frame.entries):
             want = to_vec10(e.m)
             assert all(type(x) is float for x in got)
@@ -150,7 +158,7 @@ def test_kernel_rows_match_object_rows(family):
         for u, e in enumerate(frame.entries[3:7], start=3):
             _assert_trace_free(rows[u])
             want = ad_h_p_residual(p, e.m, TOL).components()[1:]
-            got = [-d for d in _ell_dots(rows, dens, u)]
+            got = [-d for d in _ell_dots(rows, u)]
             assert max(abs(g - w) for g, w in zip(got, want)) <= ROW_TOL * max(1.0, *map(abs, rows[u]))
             assert frames._horizontal_row(rows[u], rows[:3], TOL) == in_ad_h_p(p, e.m, TOL)
 
@@ -168,11 +176,11 @@ def test_kernel_residuals_of_non_members():
         p = bundle.random_sp2(n)
         v = classify(p, TOL).v
         off = quat(v.h0 + 0.3, v.h1, v.h2 - 0.2, v.h3, backend=FLOAT)
-        rows, dens = kernel.span_rows(p.x, p.w, off)
+        rows = kernel.span_rows(p.x, p.w, off)
         for u, obj in enumerate(frames.u_basis(off), start=3):
             _assert_trace_free(rows[u])
             want = ad_h_p_residual(p, obj, TOL).components()[1:]
-            got = [-d for d in _ell_dots(rows, dens, u)]
+            got = [-d for d in _ell_dots(rows, u)]
             assert max(abs(g - w) for g, w in zip(got, want)) <= ROW_TOL * max(1.0, *map(abs, rows[u]))
             assert max(map(abs, got)) > 1e-3
             verdict = frames._horizontal_row(rows[u], rows[:3], TOL)
@@ -222,25 +230,25 @@ EXACT_FAMILIES = {
 
 @pytest.mark.parametrize("family", list(EXACT_FAMILIES))
 def test_exact_kernel_rows_equal_object_rows(family):
-    # Each exact row is integers over its denominator: the two rebuild the
-    # object row Fraction for Fraction (a row scaled by a constant fails),
-    # and the integers are the object row cleared by the lcm of its
-    # denominators, the row Bareiss took before the kernel returned ints.
+    # Each exact row is the object row cleared by the lcm of its
+    # denominators, the row Bareiss took before the kernel returned ints:
+    # over that lcm it rebuilds the object row Fraction for Fraction, so a
+    # row scaled by a constant fails.
     for p in EXACT_FAMILIES[family]():
         assert p.backend == EXACT
-        rows, dens = kernel.span_rows(p.x, p.w, classify(p, TOL).v)
+        rows = kernel.span_rows(p.x, p.w, classify(p, TOL).v)
         frame = frames.span_frame(p, TOL)
+        dens = [_den(e.m) for e in frame.entries]
         for got, den, e in zip(rows, dens, frame.entries, strict=True):
             want = list(to_vec10(e.m))
-            assert all(type(x) is int for x in got) and type(den) is int
+            assert all(type(x) is int for x in got)
+            assert got == [f.numerator * (den // f.denominator) for f in want]
             rebuilt = [Fraction(c, den) for c in got]
             assert all(type(x) is Fraction for x in rebuilt)
             assert rebuilt == want
-            cleared = lcm(*(f.denominator for f in want))
-            assert (got, den) == ([f.numerator * (cleared // f.denominator) for f in want], cleared)
         for u, e in enumerate(frame.entries[3:7], start=3):
             _assert_trace_free(rows[u])
-            dots = _ell_dots(rows, dens, u)
+            dots = _ell_dots(rows, u, dens)
             assert all(type(x) is Fraction for x in dots)
             assert [-d for d in dots] == list(ad_h_p_residual(p, e.m, TOL).components()[1:])
             assert frames._horizontal_row(rows[u], rows[:3], 0) == in_ad_h_p(p, e.m, TOL)
@@ -274,10 +282,12 @@ def test_exact_kernel_residuals_of_non_members():
     assert len(points) >= 30
     for p in points:
         off = classify(p, TOL).v + shift
-        rows, dens = kernel.span_rows(p.x, p.w, off)
-        for u, obj in enumerate(frames.u_basis(off), start=3):
+        rows = kernel.span_rows(p.x, p.w, off)
+        us = frames.u_basis(off)
+        dens = [_den(e.m) for e in frames.span_frame(p, TOL).entries[:3]] + [_den(m) for m in us]
+        for u, obj in enumerate(us, start=3):
             _assert_trace_free(rows[u])
-            dots = _ell_dots(rows, dens, u)
+            dots = _ell_dots(rows, u, dens)
             assert [-d for d in dots] == list(ad_h_p_residual(p, obj, TOL).components()[1:])
             verdict = frames._horizontal_row(rows[u], rows[:3], 0)
             assert verdict == in_ad_h_p(p, obj, TOL)
@@ -364,6 +374,23 @@ def test_horizontal_row_tolerance():
     assert frames._horizontal_row(near, ells, 1e-9)
     assert not frames._horizontal_row(near, ells, 1e-11)
     assert not frames._horizontal_row(_plus(MEMBER, 3, Fraction(1, 10**12)), ELL_ROWS, 0)
+
+
+@pytest.mark.parametrize("slot", range(6))
+def test_horizontal_row_reads_every_defect(monkeypatch, slot):
+    # The six defects one at a time: the traces a_c + d_c, then <u, ell_rho>,
+    # with the metric replaced so that each "ell row" is its own dot.  Each
+    # is negligible at exactly tol and not one ulp past it, and a NaN in any
+    # slot fails.
+    monkeypatch.setattr(frames, "vec10_weighted_dot", lambda u_row, ell_row: ell_row)
+
+    def horizontal(value):
+        defects = [value if n == slot else 0.0 for n in range(6)]
+        return frames._horizontal_row(defects[:3] + [0.0] * 7, defects[3:], TOL)
+
+    assert horizontal(0.0) and horizontal(TOL) and horizontal(-TOL)
+    assert not horizontal(math.nextafter(TOL, 1.0))
+    assert not horizontal(math.nan)
 
 
 def _shifted_classify(monkeypatch, shift):

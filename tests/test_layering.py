@@ -3,7 +3,8 @@
 Each module imports only the layers below it: quat, then qmat, then bundle
 and kernel, then frames, then cli, with the package entry points on top.
 Imports sit at module level, so a function that imports a sibling (a
-deferred import hiding a cycle) fails here.
+deferred import hiding a cycle) fails here, and every name imported at
+module level is used in its module (`__init__` re-exports, so it is exempt).
 """
 
 import ast
@@ -72,3 +73,24 @@ def test_sibling_imports_follow_the_layers(module):
                 f"{module} (layer {LAYERS[module]}) imports {name} (layer {LAYERS[name]}) "
                 f"at line {node.lineno}"
             )
+
+
+def _module_level_imports(tree: ast.Module):
+    """(bound name, line) for every import statement at module level, apart
+    from the __future__ ones."""
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield alias.asname or alias.name.split(".")[0], node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                yield alias.asname or alias.name, node.lineno
+
+
+@pytest.mark.parametrize("module", sorted(set(LAYERS) - {"__init__"}))
+def test_module_level_imports_are_used(module):
+    # __init__ is exempt: it imports to re-export.
+    tree = _modules()[module]
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    unused = [(name, line) for name, line in _module_level_imports(tree) if name not in used]
+    assert not unused, f"{module} imports names it never uses: {unused}"

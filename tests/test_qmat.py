@@ -468,7 +468,7 @@ def test_exact_rank_is_the_eager_elimination_on_frames():
         points += grid(6)
     ranks = set()
     for p in points:
-        rows = kernel.span_rows(p.x, p.w, frames.classify(p).v)[0]
+        rows = kernel.span_rows(p.x, p.w, frames.classify(p).v)
         assert _assert_eager_reference(rows).rank == 10
         assert _assert_eager_reference(rows[:7]).rank == 7
         _assert_eager_reference(rows[::-1])

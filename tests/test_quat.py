@@ -19,6 +19,7 @@ from conftest import (
     quat_close,
 )
 from sp2span.quat import (
+    DEFAULT_TOL,
     EXACT,
     FLOAT,
     BackendMismatch,
@@ -28,6 +29,7 @@ from sp2span.quat import (
     ZeroDivisor,
     as_float,
     dot,
+    negligible,
     one,
     qi,
     qj,
@@ -200,6 +202,69 @@ def test_unsupported_scalar_type_raises(h0):
     for backend in (None, EXACT, FLOAT):
         with pytest.raises(TypeError):
             quat(h0, backend=backend)
+    with pytest.raises(TypeError):
+        negligible(h0)
+
+
+ABOVE_TOL = math.nextafter(DEFAULT_TOL, 1.0)
+
+
+@pytest.mark.parametrize(
+    "x, tol, want",
+    [
+        (DEFAULT_TOL, DEFAULT_TOL, True),
+        (-DEFAULT_TOL, DEFAULT_TOL, True),
+        (ABOVE_TOL, DEFAULT_TOL, False),
+        (np.float64(DEFAULT_TOL), DEFAULT_TOL, True),
+        (np.float64(-ABOVE_TOL), DEFAULT_TOL, False),
+        (0.0, 0.0, True),
+        (math.inf, 1.0, False),
+        (-math.inf, 1.0, False),
+        (math.nan, math.inf, False),
+        (np.float64(math.nan), 1.0, False),
+        (Fraction(1, 10**30), 1.0, False),
+        (1, 1.0, False),
+        (True, 1.0, False),
+        (Fraction(0), DEFAULT_TOL, True),
+        (0, 0.0, True),
+    ],
+    ids=[
+        "float-at-tol",
+        "float-at-minus-tol",
+        "float-next-above-tol",
+        "numpy-at-tol",
+        "numpy-next-above-tol",
+        "float-zero-at-tol-0",
+        "inf",
+        "minus-inf",
+        "nan",
+        "numpy-nan",
+        "tiny-fraction",
+        "int-one",
+        "bool-true",
+        "fraction-zero",
+        "int-zero",
+    ],
+)
+def test_negligible(x, tol, want):
+    # Floats within tol (never NaN or an infinity), exact scalars only at 0,
+    # whatever tol is.
+    assert negligible(x, tol) is want
+
+
+@pytest.mark.parametrize("slot", range(4))
+def test_float_zero_test_reads_every_component(slot):
+    # A NaN or a value past tol in any one component is not zero; exactly
+    # tol is.  is_imaginary reads the real part alone.
+    def q(value):
+        return Quaternion(*(value if n == slot else 0.0 for n in range(4)))
+
+    assert q(DEFAULT_TOL).is_zero(DEFAULT_TOL) and q(-DEFAULT_TOL).is_zero(DEFAULT_TOL)
+    for value in (math.nan, ABOVE_TOL, math.inf):
+        assert not q(value).is_zero(DEFAULT_TOL)
+        assert q(value).is_imaginary(DEFAULT_TOL) is (slot != 0)
+    tiny = Quaternion(*(Fraction(int(n == slot), 10**30) for n in range(4)))
+    assert not tiny.is_zero(1.0)
 
 
 def test_predicates():
