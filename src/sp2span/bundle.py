@@ -56,12 +56,14 @@ from .quat import (
     DEFAULT_TOL,
     EXACT,
     FLOAT,
+    NotRepresentable,
     Quaternion,
     Scalar,
     Sp2Error,
     as_float,
     conj4,
     hamilton,
+    largest,
     neg4,
     negligible,
     on_backend,
@@ -70,7 +72,6 @@ from .quat import (
     qj,
     qk,
     quat,
-    rotate_to_complex,
     zero,
 )
 
@@ -107,11 +108,6 @@ def r_action(p: Sp2Point, lam: Quaternion, mu: Quaternion) -> Sp2Point:
 # -- fundamental vertical fields --------------------------------------------------
 
 
-def _require_imaginary(rho: Quaternion, tol: float):
-    if not rho.is_imaginary(tol):
-        raise NonImaginaryRho(f"rho must be purely imaginary, got real part {rho.h0}")
-
-
 def ell_direct(p: Sp2Point, rho: Quaternion) -> QMat2:
     """Entrywise formula [[rho - x rho conj(x), -x rho conj(w)],
     [-w rho conj(x), rho - w rho conj(w)]]."""
@@ -131,10 +127,13 @@ def ell_from_projector(p: Sp2Point, rho: Quaternion) -> QMat2:
     return scalar_mat(rho) - p.m @ rho_plus @ p.m.adjoint()
 
 
-def ell(p: Sp2Point, rho: Quaternion, tol: float = DEFAULT_TOL) -> Sp2Alg:
+def ell(p: Sp2Point, rho: Quaternion) -> Sp2Alg:
     """The vertical fundamental-field matrix ell_rho at p, via the entrywise
-    formula."""
-    _require_imaginary(rho, tol)
+    formula.  rho must be imaginary: its real part is negligible at
+    DEFAULT_TOL, as every invariant is checked, so literally 0 on the exact
+    backend; otherwise NonImaginaryRho."""
+    if not rho.is_imaginary(DEFAULT_TOL):
+        raise NonImaginaryRho(f"rho must be purely imaginary, got real part {rho.h0}")
     return Sp2Alg(ell_direct(p, rho), validate=False)
 
 
@@ -156,8 +155,9 @@ def vertical_delta_basis(p: Sp2Point):
 
 
 def _sanity_zero_real(res: Quaternion, scale: Scalar):
-    # an invariant of the formulas, so DEFAULT_TOL whatever the caller's tol
-    if not negligible(res.h0, DEFAULT_TOL * max(1.0, as_float(scale))):
+    # an invariant of the formulas, so DEFAULT_TOL whatever the caller's tol;
+    # a NaN scale fails it
+    if not negligible(res.h0, DEFAULT_TOL * largest((1.0, as_float(scale)))):
         raise InvariantViolation("membership residual grew a real part (bug)")
 
 
@@ -309,26 +309,30 @@ class FiberNormalization:
 
 
 def normalize_fiber(p: Sp2Point, tol: float = DEFAULT_TOL) -> FiberNormalization:
-    """Rotate p inside its diag(lam, lam)-orbit so that v = x w^-1 lands in
-    span{1, i} with nonnegative i-part.
+    """Move p inside its diag(lam, lam)-orbit so that v = x w^-1, already in
+    span{1, i}, gets a nonnegative i-part.
 
     Uses p -> diag(lam, lam) p diag(conj(lam), 1), which maps v to
-    lam v conj(lam).  Points with x = 0 or w = 0 (case_ii_corner) are case
-    II and are returned unchanged.  On the exact backend a v outside
-    span{1, i} raises NotRepresentable (the rotation needs square roots).
-    No verdict depends on it: the span check works on the point as given.
+    lam v conj(lam).  One rule on both backends, with no square root:
+    points with x = 0 or w = 0 (case_ii_corner) are case II and are
+    returned unchanged; a v in span{1, i} with a negative i-part is flipped
+    to conj(v) by lam = j, which only permutes and negates components, so
+    the moved point is exact on floats too; any other v raises
+    NotRepresentable.  No verdict depends on it: the span check works on
+    the point as given.
     """
-    backend = p.backend
     if case_ii_corner(p, tol):
         return FiberNormalization(point=p, lam=None, v=None)
-    v_raw = p.x * p.w.inverse()
-    lam, v_norm = rotate_to_complex(v_raw)
-    if lam == one(backend):
-        return FiberNormalization(point=p, lam=lam, v=v_norm)
-    rotated = e_action(p, lam, lam)
-    if backend == FLOAT:
-        rotated = Sp2Point(rotated.m)  # revalidate after the float conjugation
-    return FiberNormalization(point=rotated, lam=lam, v=v_norm)
+    v = p.x * p.w.inverse()
+    if v.h2 != 0 or v.h3 != 0:
+        raise NotRepresentable(
+            "rotating Im(v) onto the i-axis needs square roots; "
+            "supply a point whose v = x w^-1 lies in span{1, i}"
+        )
+    if v.h1 >= 0:
+        return FiberNormalization(point=p, lam=one(p.backend), v=v)
+    lam = qj(p.backend)
+    return FiberNormalization(point=e_action(p, lam, lam), lam=lam, v=v.conj())
 
 
 # -- exact point factories -----------------------------------------------------------

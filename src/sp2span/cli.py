@@ -234,9 +234,9 @@ def cmd_identities(ns):
 def cmd_standard_sphere(ns):
     frame = frames.standard_sphere_frame(ns.backend)
     vecs = [to_vec10(e.m) for e in frame.entries]
-    rank = real_rank(vecs, ns.tol)
-    u_rank = real_rank(vecs[:4], ns.tol)
-    br_rank = real_rank(vecs[4:], ns.tol)
+    rank = real_rank(vecs)
+    u_rank = real_rank(vecs[:4])
+    br_rank = real_rank(vecs[4:])
     ok = rank.rank == 10 and u_rank.rank == 4 and br_rank.rank == 6
     report = {
         "backend": ns.backend,
@@ -341,7 +341,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     for sp in (verify, sphere):
         sp.add_argument("--backend", choices=(EXACT, FLOAT), default=FLOAT, help="scalar backend")
-    for sp in (verify, sweep, sphere, frame):
+    for sp in (verify, sweep, frame):
         sp.add_argument("--tol", type=_tolerance, default=DEFAULT_TOL, help="float comparison tolerance")
     for sp in sub.choices.values():
         sp.add_argument("--emit", choices=("json", "text"), default="text", help="output format")

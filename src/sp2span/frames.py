@@ -368,14 +368,16 @@ SPAN_LABELS = D_LABELS + tuple(f"[{a},{b}]" for a, b in combinations(U_LABELS, 2
 _B_RHO = "b_rho = (v rho - |v|^2 rho v)/(2|v|^2), v = x w^-1"
 
 
-def d_entries(p: Sp2Point, tag: CaseTag, tol: float = DEFAULT_TOL):
+def d_entries(p: Sp2Point, tag: CaseTag):
     """The seven rows of D at p, labeled D_LABELS: ell_i, ell_j, ell_k and
     the u-basis of Ad_p(h_p) for p's case label tag (classify): the
     constant antidiagonal basis where x or w vanishes (tag.v is None), else
-    the basis built from the nonzero v = x w^-1."""
+    the basis built from the nonzero v = x w^-1.  It takes no tolerance:
+    the case is decided in tag, and the ell directions are the constants
+    i, j, k."""
     backend = p.backend
     out = [
-        FrameEntry(label, f"{r}*Id - p diag({r}, 0) p*", ell(p, rho, tol))
+        FrameEntry(label, f"{r}*Id - p diag({r}, 0) p*", ell(p, rho))
         for label, r, rho in zip(ELL_LABELS, "ijk", (qi(backend), qj(backend), qk(backend)))
     ]
     if tag.v is None:
@@ -395,7 +397,7 @@ def span_frame(p: Sp2Point, tol: float = DEFAULT_TOL) -> Frame:
     computes the same rows in kernel.span_rows; this form is their
     reference and gives `frame` its matrices."""
     tag = classify(p, tol)
-    d = d_entries(p, tag, tol)
+    d = d_entries(p, tag)
     brackets = [
         FrameEntry(f"[{a.label},{b.label}]", f"bracket {a.label} {b.label}", bracket(a.m, b.m))
         for a, b in combinations(d[3:], 2)
@@ -421,7 +423,7 @@ def build_frame(p: Sp2Point, tag: CaseTag | None = None, tol: float = DEFAULT_TO
     """
     if tag is None:
         tag = classify(p, tol)
-    d = d_entries(p, tag, tol)
+    d = d_entries(p, tag)
     ells, u_entries = d[:3], d[3:]
     us = [e.m for e in u_entries]
     u0, ui_, uj_, uk_ = us

@@ -36,6 +36,7 @@ from .quat import (
     conj4,
     dot,
     hamilton,
+    largest,
     lowest_terms,
     matmul4,
     numerators,
@@ -124,7 +125,7 @@ class QMat2:
         return self.a + self.d
 
     def max_abs(self) -> Scalar:
-        return max(e.max_abs() for e in self.entries())
+        return largest([e.max_abs() for e in self.entries()])
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, QMat2):
@@ -223,8 +224,7 @@ def _unitarity_defect(x, y, w, z, one):
     cols = zip(hamilton(conj4(x), y), hamilton(conj4(w), z))  # (p* p)_12
     devs += [abs(s + t) for s, t in rows]
     devs += [abs(s + t) for s, t in cols]
-    # max() drops a NaN that is not its first argument; this key ranks it first
-    return max(devs, key=lambda d: (d != d, d))
+    return largest(devs)
 
 
 def _integer_entries(m: QMat2):

@@ -7,8 +7,8 @@ of the data, not of the call site: mixing the two in a single operation raises
 never be contaminated by a stray double.  `scalar_backend` is the one rule for
 raw scalars: Python and numpy floats are float, Fractions are exact, ints and
 bools follow the others, and any other type is a TypeError.  `negligible`
-is the one zero test built on that rule, and DEFAULT_TOL the one default
-tolerance.
+is the one zero test built on that rule, DEFAULT_TOL the one default
+tolerance, and `largest` the one maximum of magnitudes (NaN first).
 
 Conventions: q = h0 + h1*i + h2*j + h3*k with i*j = k = -j*i, j*k = i, k*i = j
 and i^2 = j^2 = k^2 = -1.  conj(q) negates the imaginary part, and
@@ -94,6 +94,17 @@ def negligible(x, tol: float = DEFAULT_TOL) -> bool:
     if issubclass(t, _FLOAT_TYPES):
         return bool(abs(x) <= tol)
     raise TypeError(f"unsupported scalar type {t.__name__}")
+
+
+def largest(magnitudes) -> Scalar:
+    """The largest of a sequence of magnitudes (nonnegative scalars), NaN
+    when one of them is NaN.  max() alone drops a NaN that is not its first
+    argument; a sum of magnitudes is NaN only when one of them is, and only
+    floats can be NaN, so exact scalars pay one type test."""
+    top = max(magnitudes)
+    if type(top) is float and math.isnan(sum(magnitudes)):
+        return math.nan
+    return top
 
 
 def on_backend(parts, backend: str | None = None) -> tuple:
@@ -212,7 +223,7 @@ class Quaternion:
         return negligible(self.h0, tol)
 
     def max_abs(self) -> Scalar:
-        return max(abs(self.h0), abs(self.h1), abs(self.h2), abs(self.h3))
+        return largest((abs(self.h0), abs(self.h1), abs(self.h2), abs(self.h3)))
 
     # -- dunder plumbing ------------------------------------------------------
 
@@ -351,54 +362,6 @@ def dot(q: Quaternion, r: Quaternion) -> Scalar:
     """Euclidean component dot product, equal to Re(q * conj(r))."""
     q._check_backend(r)
     return q.h0 * r.h0 + q.h1 * r.h1 + q.h2 * r.h2 + q.h3 * r.h3
-
-
-# -- fiber rotation -----------------------------------------------------------
-
-
-def rotate_to_complex(v: Quaternion):
-    """Find a unit lam with lam * v * conj(lam) = v0 + v1*i, v1 >= 0.
-
-    Returns (lam, v_norm).  Conjugation by a unit quaternion fixes the real
-    part and rotates the imaginary 3-vector, so v_norm is just
-    Re(v) + |Im(v)|*i; lam is built from the half-angle construction
-    lam ~ 1 - i*a with a = Im(v)/|Im(v)|.  Directions in the southern
-    hemisphere (a1 < 0) first pre-compose with a rotation by pi about the
-    j-axis, keeping the construction away from its ill-conditioned antipode.
-
-    On the exact backend square roots are unavailable: inputs already in
-    span{1, i} are handled exactly (identity, or the j-flip when v1 < 0);
-    anything else raises NotRepresentable.
-    """
-    backend = v.backend
-    if backend == EXACT:
-        if v.h2 == 0 and v.h3 == 0:
-            if v.h1 >= 0:
-                return one(EXACT), v
-            return qj(EXACT), Quaternion(v.h0, -v.h1, Fraction(0), Fraction(0))
-        raise NotRepresentable(
-            "rotating Im(v) onto the i-axis needs square roots; "
-            "supply a pre-normalized point on the exact backend"
-        )
-
-    # hypot stays accurate when the squares would under- or overflow.
-    r = math.hypot(v.h1, v.h2, v.h3)
-    v_norm = Quaternion(v.h0, r, 0.0, 0.0)
-    if r == 0.0:
-        return one(FLOAT), v
-    a1, a2, a3 = v.h1 / r, v.h2 / r, v.h3 / r
-    pre_j = a1 < 0.0
-    if pre_j:
-        # Rotation by pi about the j-axis: (a1, a2, a3) -> (-a1, a2, -a3).
-        a1, a3 = -a1, -a3
-    # s = 1 - i*a = (1 + a1) + a3*j - a2*k, with 1 + a1 >= 1 here, and
-    # normalizing by the computed components keeps lam unit to a few ulps.
-    s0, s2, s3 = 1.0 + a1, a3, -a2
-    inv = 1.0 / math.hypot(s0, s2, s3)
-    lam = Quaternion(s0 * inv, 0.0, s2 * inv, s3 * inv)
-    if pre_j:
-        lam = lam * qj(FLOAT)
-    return lam, v_norm
 
 
 # -- JSON encoding --------------------------------------------------------------

@@ -71,10 +71,6 @@ def mat_vec(m, v):
     return [sum(m[r][c] * v[c] for c in range(4)) for r in range(4)]
 
 
-def quat_close(q: Quaternion, r: Quaternion, tol: float = 1e-12) -> bool:
-    return max(abs(x - y) for x, y in zip(q.components(), r.components())) <= tol
-
-
 def object_check(p, tol, drop_label=None):
     """The span check on the object path: frames.verify_frame on
     frames.span_frame without the row labeled drop_label.  The reference

@@ -38,8 +38,21 @@ from sp2span.bundle import (
     two_squares,
     vertical_delta_basis,
 )
-from sp2span.qmat import QMat2, Sp2Alg, Sp2Point, ad, identity
-from sp2span.quat import EXACT, FLOAT, BackendMismatch, one, qi, qj, qk, quat, quat_to_json, zero
+from sp2span.qmat import InvariantViolation, QMat2, Sp2Alg, Sp2Point, ad, identity
+from sp2span.quat import (
+    DEFAULT_TOL,
+    EXACT,
+    FLOAT,
+    BackendMismatch,
+    NotRepresentable,
+    one,
+    qi,
+    qj,
+    qk,
+    quat,
+    quat_to_json,
+    zero,
+)
 
 def rng_frac(g: random.Random) -> Fraction:
     return Fraction(g.randint(-6, 6), g.randint(1, 8))
@@ -54,7 +67,7 @@ def rng_alg(g: random.Random) -> Sp2Alg:
 
 def u_rows(p, tol: float = 1e-9):
     """The four u of the span frame at p, for its case label."""
-    return [e.m for e in frames.d_entries(p, frames.classify(p, tol), tol)[3:]]
+    return [e.m for e in frames.d_entries(p, frames.classify(p, tol))[3:]]
 
 
 def rng_unit(g: random.Random):
@@ -119,6 +132,11 @@ def test_ell_rejects_non_imaginary_rho():
     p = cayley_sp2(rng_alg(g))
     with pytest.raises(NonImaginaryRho):
         ell(p, one(EXACT))
+    # On floats the real part is compared at DEFAULT_TOL.
+    fp = random_sp2(6)
+    ell(fp, quat(DEFAULT_TOL, 1.0, 0.0, 0.0))
+    with pytest.raises(NonImaginaryRho):
+        ell(fp, quat(2 * DEFAULT_TOL, 1.0, 0.0, 0.0))
 
 
 def test_ell_is_pushforward_of_vertical_deltas():
@@ -174,6 +192,14 @@ def test_corner_of_pullback_is_the_membership_residual():
         assert ad(p.inverse(), u).m.a == residual
         nonzero += not residual.is_zero()
     assert nonzero >= 150
+
+
+def test_residual_sanity_check_fails_a_nan_scale():
+    # max(1.0, nan) is 1.0, which would test a NaN-scaled residual at
+    # DEFAULT_TOL alone.
+    bundle._sanity_zero_real(zero(FLOAT), 1.0)
+    with pytest.raises(InvariantViolation):
+        bundle._sanity_zero_real(zero(FLOAT), math.nan)
 
 
 def test_case_ii_cut_scales_with_tol():
@@ -473,23 +499,63 @@ def test_normalize_fiber_preserves_gm_projection():
         assert project_s4_gm(normalize_fiber(p).point) == project_s4_gm(p)
 
 
-def test_normalize_fiber_float():
-    for s in range(20):
-        p = random_sp2(777 + s)
-        norm = normalize_fiber(p)
-        vv = norm.point.x * norm.point.w.inverse()
-        assert max(abs(vv.h2), abs(vv.h3)) <= 1e-9
-        assert vv.h1 >= -1e-9
-        assert abs(norm.lam.norm_sq() - 1.0) <= 1e-12
-        r = (norm.point.m @ norm.point.m.adjoint() - identity(FLOAT)).max_abs()
-        assert r <= 1e-10
+def _on_backend(p: Sp2Point, backend: str) -> Sp2Point:
+    """The exact point p, or its components rounded to floats."""
+    if backend == EXACT:
+        return p
+    return Sp2Point(QMat2(*(quat(*map(float, q.components()), backend=FLOAT) for q in p.m.entries())))
+
+
+def _complex_line_point(i_sign: int) -> Sp2Point:
+    """The exact point with v = 3/4 + i_sign i and w = w0 u1, w0 and the
+    unit u1 complex: x and w are complex, so v = x w^-1 has no j- or k-part
+    in float arithmetic either."""
+    v = quat(Fraction(3, 4), i_sign, backend=EXACT)
+    w0 = quat(Fraction(20, 41), Fraction(16, 41), backend=EXACT)  # |w0|^2 (1 + |v|^2) = 1
+    u1 = quat(Fraction(3, 5), Fraction(4, 5), backend=EXACT)
+    u2 = quat(Fraction(1, 2), Fraction(1, 2), Fraction(1, 2), Fraction(1, 2), backend=EXACT)
+    return fiber_point(v, w0, u1, u2)
+
+
+@pytest.mark.parametrize("backend", [EXACT, FLOAT])
+def test_normalize_fiber_j_flip(backend):
+    # One rule on both backends: a nonnegative i-part is left alone, and a
+    # negative one is flipped by lam = j, which only permutes and negates
+    # the components of each entry, so the moved point is exact on floats.
+    want = quat(Fraction(3, 4), 1) if backend == EXACT else quat(0.75, 1.0)
+    kept = _on_backend(_complex_line_point(1), backend)
+    norm = normalize_fiber(kept)
+    assert norm.point is kept and norm.lam == one(backend)
+    assert (norm.v - want).is_zero(1e-15)
+    p = _on_backend(_complex_line_point(-1), backend)
+    norm = normalize_fiber(p)
+    assert norm.lam == qj(backend) and (norm.v - want).is_zero(1e-15)
+    for moved, entry in zip(norm.point.m.entries(), p.m.entries()):
+        assert sorted(map(abs, moved.components())) == sorted(map(abs, entry.components()))
+    vv = norm.point.x * norm.point.w.inverse()
+    assert vv.h2 == 0 and vv.h3 == 0 and (vv - want).is_zero(1e-15)
+    assert frames.classify(norm.point).kind == frames.classify(p).kind == frames.CASE_IA
+    Sp2Point(norm.point.m)  # still valid, unrounded
+
+
+@pytest.mark.parametrize("backend", [EXACT, FLOAT])
+def test_normalize_fiber_quaternionic_v_raises(backend):
+    # Moving a v with a j- or k-part into span{1, i} needs square roots, on
+    # either backend: v = j, a Haar point, a Cayley point.
+    unit = one(EXACT)
+    points = [_on_backend(fiber_point(qj(EXACT), bundle.IB_W0, unit, unit), backend)]
+    points.append(random_sp2(777) if backend == FLOAT else cayley_sp2(rng_alg(random.Random(18))))
+    for p in points:
+        with pytest.raises(NotRepresentable):
+            normalize_fiber(p)
 
 
 def test_normalize_fiber_case_ii_untouched():
-    p = exact_random_point(21, case="II-x0")
-    norm = normalize_fiber(p)
-    assert norm.lam is None and norm.v is None
-    assert norm.point.m == p.m
+    for backend in (EXACT, FLOAT):
+        p = _on_backend(exact_random_point(21, case="II-x0"), backend)
+        norm = normalize_fiber(p)
+        assert norm.lam is None and norm.v is None
+        assert norm.point.m == p.m
 
 
 def test_degenerate_draw_is_signaled(monkeypatch):

@@ -3,16 +3,21 @@ counts, the corruption hook, the ignored environment, and input rejection."""
 
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from fractions import Fraction
 
+import sp2span
 from sp2span import bundle, cli, frames
 from sp2span.cli import build_parser, canonical_json, main
 from sp2span.qmat import QMat2, Sp2Alg, Sp2Point
 from sp2span.quat import EXACT, FLOAT, one, quat
 
+from test_golden import GOLDEN
 from test_kernel import FAMILIES
 
 
@@ -212,6 +217,19 @@ def test_standard_sphere_exact(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "rank: 10" in out
     assert "PASS" in out
+
+
+def test_module_entry_point():
+    # `python -m sp2span` runs main: the exact standard-sphere report equals
+    # its golden text, and standard-sphere takes no --tol (its rows are the
+    # integers 0, +-1 and +-2).
+    env = dict(os.environ, PYTHONPATH=str(Path(sp2span.__file__).resolve().parent.parent))
+    argv = [sys.executable, "-m", "sp2span", "standard-sphere", "--backend", "exact"]
+    run = subprocess.run(argv, capture_output=True, text=True, env=env, timeout=60)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout == (GOLDEN / "standard-sphere-exact.txt").read_text()
+    run = subprocess.run(argv + ["--tol", "1e-9"], capture_output=True, text=True, env=env, timeout=60)
+    assert run.returncode == 2 and "--tol" in run.stderr
 
 
 def test_frame_subcommand(tmp_path):
@@ -416,6 +434,7 @@ def test_usage_errors_exit_2():
         ["special-sweep", "--samples", "0"],
         ["standard-sphere", "--backend", "bogus"],
         ["identities", "--tol", "1e-9"],
+        ["standard-sphere", "--tol", "1e-9"],
     ):
         with pytest.raises(SystemExit) as err:
             main(argv)
@@ -426,7 +445,7 @@ def test_usage_errors_exit_2():
 def test_tol_above_ceiling_exits_2(capsys, tol):
     # Before the ceiling: 1e300 overflowed in the case-II cut (a traceback),
     # inf labeled every Haar point II, and 0.5 failed valid I-a points.
-    for command in ("verify", "special-sweep", "standard-sphere"):
+    for command in ("verify", "special-sweep"):
         with pytest.raises(SystemExit) as err:
             main([command, "--tol", tol])
         assert err.value.code == 2, (command, tol)

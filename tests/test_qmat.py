@@ -2,6 +2,7 @@
 validation, bracket identities, Vec10 coordinates, and the rank engines
 checked against sympy (exact) and numpy (float) oracles."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -44,6 +45,7 @@ from sp2span.quat import (
     EXACT,
     FLOAT,
     BackendMismatch,
+    Quaternion,
     ZeroDivisor,
     denominator,
     numerators,
@@ -283,6 +285,15 @@ def test_validation_reports_a_deviation_too_large_for_a_float():
         Sp2Point(QMat2(huge, zero(EXACT), zero(EXACT), one(EXACT)))
     with pytest.raises(InvariantViolation, match="by inf"):
         Sp2Alg(QMat2(huge, zero(EXACT), zero(EXACT), zero(EXACT)))
+
+
+def test_max_abs_and_validation_keep_nan():
+    # max() alone drops a NaN that is not its first argument: a NaN entry
+    # must not read as the largest of the others, nor be reported as 0.
+    nan_entry = Quaternion(math.nan, 0.0, 0.0, 0.0)
+    assert math.isnan(QMat2(one(FLOAT), zero(FLOAT), zero(FLOAT), nan_entry).max_abs())
+    with pytest.raises(InvariantViolation, match="deviates from 0 by nan"):
+        Sp2Alg(QMat2(zero(FLOAT), Quaternion(0.0, math.nan, 0.0, 0.0), zero(FLOAT), zero(FLOAT)))
 
 
 # -- bracket and ad ----------------------------------------------------------------

@@ -1,5 +1,5 @@
 """Quaternion arithmetic against an independent 4x4 real-matrix model, plus
-backend discipline, normalization into span{1, i}, and JSON round-trips."""
+backend discipline, the zero test, and JSON round-trips."""
 
 import math
 from fractions import Fraction
@@ -16,14 +16,12 @@ from conftest import (
     left_mult_matrix,
     mat_vec,
     nonzero_exact_quats,
-    quat_close,
 )
 from sp2span.quat import (
     DEFAULT_TOL,
     EXACT,
     FLOAT,
     BackendMismatch,
-    NotRepresentable,
     ParseError,
     Quaternion,
     ZeroDivisor,
@@ -37,7 +35,6 @@ from sp2span.quat import (
     quat,
     quat_from_json,
     quat_to_json,
-    rotate_to_complex,
     zero,
 )
 
@@ -267,6 +264,15 @@ def test_float_zero_test_reads_every_component(slot):
     assert not tiny.is_zero(1.0)
 
 
+@pytest.mark.parametrize("slot", range(4))
+def test_max_abs_keeps_nan(slot):
+    # max() alone drops a NaN that is not its first argument.
+    q = Quaternion(*(math.nan if n == slot else float(n) for n in range(4)))
+    assert math.isnan(q.max_abs())
+    assert Quaternion(-4.0, 1.0, -0.5, 3.0).max_abs() == 4.0
+    assert quat(Fraction(-7, 3), 2, 0, 1, backend=EXACT).max_abs() == Fraction(7, 3)
+
+
 def test_predicates():
     assert quat(Fraction(0), Fraction(1), Fraction(0), Fraction(0), backend=EXACT).is_imaginary()
     assert not quat(Fraction(1), Fraction(1), backend=EXACT).is_imaginary()
@@ -293,52 +299,6 @@ def test_dot_is_real_part_of_q_rbar(q, r):
 @given(exact_quats)
 def test_scale(q):
     assert q.scale(Fraction(3, 2)) + q.scale(Fraction(-3, 2)) == zero(EXACT)
-
-
-# -- rotation into span{1, i} ----------------------------------------------------
-
-
-def test_rotate_exact_complex_is_identity():
-    v = quat(Fraction(2), Fraction(7, 3), backend=EXACT)
-    lam, moved = rotate_to_complex(v)
-    assert lam == one(EXACT) and moved == v
-
-
-def test_rotate_exact_negative_i_flips():
-    # h1 < 0 conjugates by j, which is exact and lands h1 at +7/3.
-    v = quat(Fraction(2), Fraction(-7, 3), Fraction(0), Fraction(0), backend=EXACT)
-    lam, moved = rotate_to_complex(v)
-    assert lam == qj(EXACT)
-    assert moved == quat(Fraction(2), Fraction(7, 3), backend=EXACT)
-    assert lam * v * lam.conj() == moved
-
-
-def test_rotate_exact_off_axis_raises():
-    v = quat(Fraction(0), Fraction(0), Fraction(1), Fraction(0), backend=EXACT)
-    with pytest.raises(NotRepresentable):
-        rotate_to_complex(v)
-
-
-def test_rotate_float_frozen_case():
-    # v = 3j rotates by lam = (1 - k)/sqrt(2) onto 3i.
-    lam, moved = rotate_to_complex(quat(0.0, 0.0, 3.0, 0.0))
-    s = 1 / math.sqrt(2)
-    assert quat_close(lam, quat(s, 0.0, 0.0, -s), 1e-14)
-    assert quat_close(moved, quat(0.0, 3.0, 0.0, 0.0), 1e-14)
-
-
-@given(float_quats)
-@settings(max_examples=200)
-def test_rotate_float_properties(v):
-    lam, moved = rotate_to_complex(v)
-    assert abs(lam.norm_sq() - 1.0) <= 1e-12
-    scale = max(1.0, v.max_abs())
-    assert abs(moved.h2) <= 1e-12 * scale and abs(moved.h3) <= 1e-12 * scale
-    assert moved.h1 >= -1e-12 * scale
-    assert quat_close(lam * v * lam.conj(), moved, 1e-11 * scale)
-    # Rotation preserves the real part and the imaginary norm.
-    assert abs(moved.h0 - v.h0) <= 1e-12 * scale
-    assert abs(moved.norm_sq() - v.norm_sq()) <= 1e-10 * max(1.0, v.norm_sq())
 
 
 # -- serialization ---------------------------------------------------------------
