@@ -161,14 +161,14 @@ def _sanity_zero_real(res: Quaternion, scale: Scalar):
         raise InvariantViolation("membership residual grew a real part (bug)")
 
 
-def h_p_residual(p: Sp2Point, u: Sp2Alg, tol: float = DEFAULT_TOL) -> Quaternion:
+def h_p_residual(p: Sp2Point, u: Sp2Alg) -> Quaternion:
     """Variant A residual for u = [[0, beta], [-conj(beta), gamma]].
 
     Zero exactly when the left-translated u is horizontal at p.  The real
     component vanishes identically and is asserted, so the residual carries 3
     real constraints.
     """
-    if not u.m.a.is_zero(tol):
+    if not u.m.a.is_zero(DEFAULT_TOL):
         raise ShapeMismatch("variant A needs a vanishing (1,1) entry")
     beta, gamma = u.m.b, u.m.d
     x, y, w, z = p.x, p.y, p.w, p.z
@@ -200,15 +200,15 @@ def ad_h_p_residual(p: Sp2Point, u: Sp2Alg, tol: float = DEFAULT_TOL) -> Quatern
     return res
 
 
-def in_h_p(p: Sp2Point, u: Sp2Alg, tol: float = DEFAULT_TOL) -> bool:
-    return h_p_residual(p, u, tol).is_zero(tol)
+def in_h_p(p: Sp2Point, u: Sp2Alg) -> bool:
+    return h_p_residual(p, u).is_zero(DEFAULT_TOL)
 
 
 def in_ad_h_p(p: Sp2Point, u: Sp2Alg, tol: float = DEFAULT_TOL) -> bool:
     return ad_h_p_residual(p, u, tol).is_zero(tol)
 
 
-def horizontal_space_rank(p: Sp2Point, tol: float = DEFAULT_TOL):
+def horizontal_space_rank(p: Sp2Point):
     """Rank of the linear system cutting Ad_p(h_p) out of the 7-dimensional
     trace-free (a, b) space, and the resulting solution dimension.
 
@@ -226,9 +226,9 @@ def horizontal_space_rank(p: Sp2Point, tol: float = DEFAULT_TOL):
     rows = []
     for a, b in basis:
         u = Sp2Alg(QMat2(a, b, -b.conj(), -a), validate=False)
-        res = ad_h_p_residual(p, u, tol)
+        res = ad_h_p_residual(p, u)
         rows.append((res.h1, res.h2, res.h3))
-    result = real_rank(rows, tol)
+    result = real_rank(rows)
     return result.rank, 7 - result.rank
 
 
@@ -308,7 +308,7 @@ class FiberNormalization:
     v: Quaternion | None
 
 
-def normalize_fiber(p: Sp2Point, tol: float = DEFAULT_TOL) -> FiberNormalization:
+def normalize_fiber(p: Sp2Point) -> FiberNormalization:
     """Move p inside its diag(lam, lam)-orbit so that v = x w^-1, already in
     span{1, i}, gets a nonnegative i-part.
 
@@ -321,7 +321,7 @@ def normalize_fiber(p: Sp2Point, tol: float = DEFAULT_TOL) -> FiberNormalization
     NotRepresentable.  No verdict depends on it: the span check works on
     the point as given.
     """
-    if case_ii_corner(p, tol):
+    if case_ii_corner(p):
         return FiberNormalization(point=p, lam=None, v=None)
     v = p.x * p.w.inverse()
     if v.h2 != 0 or v.h3 != 0:

@@ -4,7 +4,7 @@ Subcommands:
 
 * verify          randomized rank-10 sweep (float or exact backend)
 * special-sweep   deterministic grids through every case stratum
-* identities      the closed-form identity suite (OK / WARN / FAIL)
+* identities      the closed-form identity suite (OK / FAIL per identity)
 * standard-sphere the constant frame on the round 7-sphere, exact rank
 * frame           check one point from a JSON file and emit its span frame
 
@@ -232,22 +232,22 @@ def cmd_identities(ns):
 
 
 def cmd_standard_sphere(ns):
-    frame = frames.standard_sphere_frame(ns.backend)
+    frame = frames.standard_sphere_frame()
     vecs = [to_vec10(e.m) for e in frame.entries]
     rank = real_rank(vecs)
     u_rank = real_rank(vecs[:4])
     br_rank = real_rank(vecs[4:])
     ok = rank.rank == 10 and u_rank.rank == 4 and br_rank.rank == 6
     report = {
-        "backend": ns.backend,
+        "backend": EXACT,
         "rank": rank.rank,
         "u_rank": u_rank.rank,
         "bracket_rank": br_rank.rank,
         "pivots": rank.to_json()["pivots"],
-        "rows": [[str(x) for x in v] for v in vecs] if ns.backend == EXACT else [list(v) for v in vecs],
+        "rows": [[str(x) for x in v] for v in vecs],
         "labels": [e.label for e in frame.entries],
     }
-    lines = [f"standard-sphere frame on backend {ns.backend}"]
+    lines = [f"standard-sphere frame on backend {EXACT}"]
     for e, v in zip(frame.entries, vecs):
         lines.append(f"  {e.label:8s} {[str(x) for x in v]}")
     lines.append(f"rank: {rank.rank} (u-basis alone {u_rank.rank}, brackets alone {br_rank.rank})")
@@ -328,19 +328,18 @@ def build_parser() -> argparse.ArgumentParser:
     verify.add_argument(
         "--jobs", type=_positive_int, default=1, help="worker processes, at most one per sample and per CPU"
     )
+    verify.add_argument("--backend", choices=(EXACT, FLOAT), default=FLOAT, help="scalar backend")
     verify.add_argument("--corrupt-frame", choices=frames.SPAN_LABELS, default=None, help=argparse.SUPPRESS)
 
     sweep = sub.add_parser("special-sweep", help="deterministic per-case grids")
     sweep.add_argument("--samples", type=_positive_int, default=25, help="points per family")
 
     sub.add_parser("identities", help="closed-form identity suite")
-    sphere = sub.add_parser("standard-sphere", help="constant frame on the round 7-sphere")
+    sub.add_parser("standard-sphere", help="constant frame on the round 7-sphere, exact rank")
 
     frame = sub.add_parser("frame", help="frame report for one point file")
     frame.add_argument("point_file", help='JSON file {"backend": ..., "p": {...}}; it names the backend')
 
-    for sp in (verify, sphere):
-        sp.add_argument("--backend", choices=(EXACT, FLOAT), default=FLOAT, help="scalar backend")
     for sp in (verify, sweep, frame):
         sp.add_argument("--tol", type=_tolerance, default=DEFAULT_TOL, help="float comparison tolerance")
     for sp in sub.choices.values():

@@ -357,8 +357,7 @@ def _mat_of(u) -> QMat2:
 
 def ad(p: Sp2Point, u) -> Sp2Alg:
     """Adjoint action Ad_p(u) = p u p*.  Preserves sp(2), so no revalidation."""
-    pm = p.m if isinstance(p, Sp2Point) else p
-    return Sp2Alg(pm @ _mat_of(u) @ pm.adjoint(), validate=False)
+    return Sp2Alg(p.m @ _mat_of(u) @ p.m.adjoint(), validate=False)
 
 
 def bracket(u: Sp2Alg, v: Sp2Alg) -> Sp2Alg:

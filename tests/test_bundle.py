@@ -306,7 +306,7 @@ def test_exact_draws_are_frozen():
             "fbfc55f385e1d96fedaccec094a196a9ea8e8fdbee8e8e98d44d593e8aa67888",
         ),
         (
-            lambda: frames.rational_v_grid(200, need_v1=False, skip_i=False),
+            lambda: frames.rational_v_grid(200, admissible=False),
             "1a8067242220734879bf47e12c898073b17616da854b959bed0324d1a4aadbc8",
         ),
         (

@@ -212,7 +212,7 @@ def test_special_sweep(tmp_path):
 
 
 def test_standard_sphere_exact(tmp_path, capsys):
-    code = main(["standard-sphere", "--backend", "exact"])
+    code = main(["standard-sphere"])
     assert code == 0
     out = capsys.readouterr().out
     assert "rank: 10" in out
@@ -224,7 +224,7 @@ def test_module_entry_point():
     # its golden text, and standard-sphere takes no --tol (its rows are the
     # integers 0, +-1 and +-2).
     env = dict(os.environ, PYTHONPATH=str(Path(sp2span.__file__).resolve().parent.parent))
-    argv = [sys.executable, "-m", "sp2span", "standard-sphere", "--backend", "exact"]
+    argv = [sys.executable, "-m", "sp2span", "standard-sphere"]
     run = subprocess.run(argv, capture_output=True, text=True, env=env, timeout=60)
     assert run.returncode == 0, run.stderr
     assert run.stdout == (GOLDEN / "standard-sphere-exact.txt").read_text()
@@ -433,6 +433,7 @@ def test_usage_errors_exit_2():
         ["verify", "--jobs", "0"],
         ["special-sweep", "--samples", "0"],
         ["standard-sphere", "--backend", "bogus"],
+        ["standard-sphere", "--backend", "exact"],
         ["identities", "--tol", "1e-9"],
         ["standard-sphere", "--tol", "1e-9"],
     ):
@@ -512,4 +513,34 @@ def test_identities_json(tmp_path, monkeypatch, identity_results):
     assert rep["pass"] is True
     names = [r["name"] for r in rep["results"]]
     assert len(names) == len(set(names)) >= 13
-    assert all(r["status"] in ("OK", "WARN") for r in rep["results"])
+    assert all(r["status"] == "OK" for r in rep["results"])
+
+
+def _doubled_basis(right):
+    return lambda arg: tuple(Sp2Alg(u.m.scale(2), validate=False) for u in right(arg))
+
+
+# an input that an entry compares with direct algebra -> (a wrong version
+# of it, made from the right one, and that entry)
+WRONG_INPUTS = {
+    "c0i_matrix": (lambda right: lambda v: right(v).scale(2), frames.identity_case_commutators),
+    "ui_display": (lambda right: lambda v: right(v).scale(2), frames.identity_u_displays),
+    "t11_closed": (lambda right: lambda v: right(v).scale(3), frames.identity_t_closed_forms),
+    "case_ii_basis": (_doubled_basis, frames.identity_standard_commutators),
+    "u_basis": (_doubled_basis, frames.identity_ib_adjoints),
+}
+
+
+@pytest.mark.parametrize("name", sorted(WRONG_INPUTS))
+def test_every_printed_form_entry_can_fail(monkeypatch, identity_results, name):
+    # An entry that compares direct brackets with a printed form fails when
+    # that form is wrong, and `identities` then exits 1.  The CLI reports
+    # the session's suite with this one entry rerun on the wrong input.
+    wrong, entry = WRONG_INPUTS[name]
+    monkeypatch.setattr(frames, name, wrong(getattr(frames, name)))
+    res = entry()
+    assert res.status == frames.FAIL and res.worst > 0
+    suite = [res if r.name == res.name else r for r in identity_results]
+    assert suite.count(res) == 1
+    monkeypatch.setattr(frames, "run_identity_suite", lambda: suite)
+    assert main(["identities"]) == 1

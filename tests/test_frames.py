@@ -46,7 +46,7 @@ from sp2span.frames import (
     verify_frame,
 )
 from sp2span.qmat import QMat2, Sp2Alg, ad, bracket, diag, real_rank, to_vec10
-from sp2span.quat import EXACT, FLOAT, Quaternion, qi, qj, qk, quat
+from sp2span.quat import EXACT, FLOAT, BackendMismatch, Quaternion, qi, qj, qk, quat
 
 from conftest import nonzero_exact_quats
 
@@ -161,6 +161,30 @@ def test_s_matrix_reproduces_uj_uk():
     assert (s @ diag(qk(EXACT), qk(EXACT)) - uk.m).max_abs() == 0
 
 
+@pytest.mark.parametrize(
+    "form",
+    [
+        frames.s_matrix,
+        frames.ui_display,
+        frames.c0i_matrix,
+        frames.m_matrix,
+        frames.b_matrix,
+        frames.alpha,
+        frames._alpha_form2,
+        frames.u_jk,
+        frames.t_matrix,
+        frames.t11_closed,
+        frames.t12_closed,
+        frames.nondegeneracy_factor,
+    ],
+    ids=lambda f: f.__name__,
+)
+def test_closed_forms_take_exact_v_only(form):
+    form(quat(Fraction(7, 10), Fraction(2, 5)))
+    with pytest.raises(BackendMismatch):
+        form(quat(0.7, 0.4, backend=FLOAT))
+
+
 # -- frozen values ---------------------------------------------------------------------
 
 
@@ -249,6 +273,22 @@ def test_negative_control_fails_on_its_own():
     check = verify_frame(p, frames.Frame(tag=frame.tag, entries=(moved,) + frame.entries[1:]))
     assert check.rank.rank == 10 and not check.ok
     assert check.failures() == ["bracket-free rank 6 != 7"]
+
+
+def test_ia_recipe_takes_exact_points_in_span_1_i():
+    # I-a's U_j, U_k go through the closed form alpha(v): a float point
+    # raises BackendMismatch, and an exact point whose v a fiber action has
+    # rotated out of span{1, i} raises DegenerateV.  The span check needs
+    # neither and passes at both.
+    p = bundle.random_sp2(0)
+    assert classify(p).kind == CASE_IA and check_point(p).ok
+    with pytest.raises(BackendMismatch):
+        build_frame(p)
+    lam = bundle.sp1_cayley(quat(Fraction(0), Fraction(1, 2), Fraction(1, 3), Fraction(0), backend=EXACT))
+    p = bundle.e_action(exact_random_point(31), lam, lam)
+    assert classify(p).kind == CASE_IA and check_point(p).ok
+    with pytest.raises(DegenerateV):
+        build_frame(p)
 
 
 def test_frame_has_ten_labeled_entries():
@@ -476,9 +516,10 @@ def test_unknown_drop_label_raises():
 def test_check_point_decides_the_case_once(monkeypatch, kind):
     # classify is the one case decision: a check classifies once and takes
     # v = x w^-1 once (not at all at case II), on both backends, and
-    # build_frame with a label decides nothing again.  The paper's recipes
-    # want fiber-normalized points, so the float point is built on
-    # v = 0.7 + 0.4 i, as _boundary_point builds its points.
+    # build_frame with a label decides nothing again.  The float point is
+    # built on v = 0.7 + 0.4 i, as _boundary_point builds its points; its
+    # I-a recipe needs the exact closed form alpha(v), so build_frame
+    # raises there, before it classifies anything.
     if kind == "float":
         v = quat(0.7, 0.4, backend=FLOAT)
         u1, u2, _ = BOUNDARY_DRESSINGS[0]
@@ -503,7 +544,11 @@ def test_check_point_decides_the_case_once(monkeypatch, kind):
     assert check_point(p).ok
     assert [calls["classify"], calls["case_ii_corner"], calls["inverse"]] == [1, 1, int(tag.v is not None)]
     calls.clear()
-    build_frame(p, tag)
+    if kind == "float":
+        with pytest.raises(BackendMismatch):
+            build_frame(p, tag)
+    else:
+        build_frame(p, tag)
     assert calls["classify"] == calls["case_ii_corner"] == 0
 
 
@@ -524,18 +569,12 @@ def test_verify_frame_membership_flags():
 
 
 def test_standard_sphere_exact_rank():
-    frame = standard_sphere_frame(EXACT)
+    frame = standard_sphere_frame()
     vecs = [to_vec10(e.m) for e in frame.entries]
     res = real_rank(vecs)
     assert res.rank == 10 and res.method == "bareiss"
     assert real_rank(vecs[:4]).rank == 4
     assert real_rank(vecs[4:]).rank == 6
-
-
-def test_standard_sphere_float_matches():
-    frame = standard_sphere_frame(FLOAT)
-    vecs = [to_vec10(e.m) for e in frame.entries]
-    assert real_rank(vecs, tol=1e-9).rank == 10
 
 
 # -- serialization ----------------------------------------------------------------------
@@ -560,14 +599,13 @@ def test_frame_to_json_shape():
 def test_identity_status_is_decided_on_exact_deviations():
     # a deviation that rounds to 0.0 as a float is still a failure
     tiny = frames._dev(quat(1, 0, 0, 0), quat(1 + Fraction(1, 10**400), 0, 0, 0))
-    res = frames._result("x", [tiny], warn_only=False)
+    res = frames._result("x", [tiny])
     assert (res.status, res.worst) == (frames.FAIL, 0.0)
-    assert frames._result("x", [tiny], warn_only=True).status == frames.WARN
     # one too large for a float fails the entry and reports inf
     huge = frames._dev(quat(Fraction(10**400), 0, 0, 0), quat(0, 0, 0, 0))
-    res = frames._result("x", [0, huge], warn_only=False)
+    res = frames._result("x", [0, huge])
     assert (res.status, res.worst) == (frames.FAIL, math.inf)
-    same = frames._result("x", [frames._dev(quat(1, 2, 3, 4), quat(1, 2, 3, 4))], warn_only=False)
+    same = frames._result("x", [frames._dev(quat(1, 2, 3, 4), quat(1, 2, 3, 4))])
     assert (res.n, same.status, same.worst) == (2, frames.OK, 0.0)
 
 

@@ -22,7 +22,7 @@ GOLDEN = Path(__file__).resolve().parent / "golden"
 
 # name -> (argv, the exact_random_point (key, case) that `frame` reads, or None)
 COMMANDS = {
-    "standard-sphere-exact": (["standard-sphere", "--backend", "exact"], None),
+    "standard-sphere-exact": (["standard-sphere"], None),
     "verify-exact-16-seed5": (["verify", "--backend", "exact", "--samples", "16", "--seed", "5"], None),
     "verify-exact-16-seed5-corrupt-u0": (
         ["verify", "--backend", "exact", "--samples", "16", "--seed", "5", "--corrupt-frame", "u0"],
