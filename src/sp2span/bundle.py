@@ -60,18 +60,21 @@ from .quat import (
     Quaternion,
     Scalar,
     Sp2Error,
+    add4,
     as_float,
     conj4,
     hamilton,
     largest,
     neg4,
     negligible,
+    norm_sq4,
     on_backend,
     one,
     qi,
     qj,
     qk,
     quat,
+    sub4,
     zero,
 )
 
@@ -257,28 +260,26 @@ def random_sp2(seed: int) -> Sp2Point:
     """Haar-ish random float point: two Gaussian 8-vectors, the second
     orthogonalized against the first in the quaternionic Hermitian sense
     <(x,w),(y,z)> = conj(x) y + conj(w) z, both normalized, assembled as
-    columns.  Deterministic per seed (counter-based Philox stream)."""
+    columns.  Deterministic per seed (counter-based Philox stream).  The
+    entries are built as 4-tuples (quat.hamilton), as exact_random_point
+    builds its own, and become Quaternions only for the point."""
     g = np.random.Generator(np.random.Philox(key=seed % (1 << 128)))
     for _ in range(RANDOM_SP2_ATTEMPTS):
-        vals = [float(t) for t in g.standard_normal(16)]
-        x = Quaternion(*vals[0:4])
-        w = Quaternion(*vals[4:8])
-        n1 = x.norm_sq() + w.norm_sq()
+        vals = g.standard_normal(16).tolist()
+        x, w, y, z = vals[0:4], vals[4:8], vals[8:12], vals[12:16]
+        n1 = norm_sq4(x) + norm_sq4(w)
         if n1 < 1e-12:
             continue
         s1 = 1.0 / sqrt(n1)
-        x, w = x.scale(s1), w.scale(s1)
-        y = Quaternion(*vals[8:12])
-        z = Quaternion(*vals[12:16])
-        overlap = x.conj() * y + w.conj() * z
-        y = y - x * overlap
-        z = z - w * overlap
-        n2 = y.norm_sq() + z.norm_sq()
+        x, w = [c * s1 for c in x], [c * s1 for c in w]
+        overlap = add4(hamilton(conj4(x), y), hamilton(conj4(w), z))
+        y, z = sub4(y, hamilton(x, overlap)), sub4(z, hamilton(w, overlap))
+        n2 = norm_sq4(y) + norm_sq4(z)
         if n2 < 1e-12:
             continue
         s2 = 1.0 / sqrt(n2)
-        y, z = y.scale(s2), z.scale(s2)
-        return Sp2Point(QMat2(x, y, w, z))
+        y, z = [c * s2 for c in y], [c * s2 for c in z]
+        return Sp2Point(QMat2(*(Quaternion(*q) for q in (x, y, w, z))))
     raise DegenerateDraw(f"no usable draw after {RANDOM_SP2_ATTEMPTS} attempts (seed {seed})")
 
 

@@ -184,11 +184,10 @@ class Quaternion:
 
     def norm_sq(self) -> Scalar:
         if type(self.h0) is float:
-            return self.h0 * self.h0 + self.h1 * self.h1 + self.h2 * self.h2 + self.h3 * self.h3
+            return norm_sq4(self.components())
         # Exact: for q = N / d, |q|^2 = |N|^2 / d^2, one Fraction.
         d = denominator(self)
-        n0, n1, n2, n3 = numerators(self, d)
-        return Fraction(n0 * n0 + n1 * n1 + n2 * n2 + n3 * n3, d * d)
+        return Fraction(norm_sq4(numerators(self, d)), d * d)
 
     def inverse(self) -> "Quaternion":
         if type(self.h0) is float:
@@ -304,6 +303,11 @@ def sub4(a, b):
 
 def neg4(a):
     return (-a[0], -a[1], -a[2], -a[3])
+
+
+def norm_sq4(a):
+    """|a|^2 of a quaternion given as a 4-tuple, summed in component order."""
+    return a[0] * a[0] + a[1] * a[1] + a[2] * a[2] + a[3] * a[3]
 
 
 def matmul4(m, n):

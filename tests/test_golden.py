@@ -1,7 +1,8 @@
 """Golden reports: exact commands whose text output and canonical JSON are
 frozen under tests/golden/, so a change to the CLI that alters a report
-fails here instead of in a manual diff.  Only exact commands are frozen;
-float pivots can differ in the last bits between BLAS builds.
+fails here instead of in a manual diff.  Only exact commands are frozen:
+float pivots move in their last bits whenever the order of the float
+arithmetic changes.
 
 Regenerate (only when a report is meant to change) with
 

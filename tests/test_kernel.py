@@ -4,14 +4,17 @@
 stay the reference (`conftest.object_check`).  On float points the kernel
 must give the same rows, ranks, pivots and membership verdicts at
 Haar points, at the 900 points of test_boundary_continuation, and at float
-points on the quarter stratum.  The kernel's complex matrix products round
-differently from the quaternion products, so float rows and pivots are
-compared at tolerances fixed from float64 (about 1e-15 was measured on
-both), not bitwise, and pivot positions may differ where the reference's own
-choice between equal entries is a tie.  On exact points everything must be
-equal: the rows (integers, the object row cleared by the lcm of its
-denominators) as Fractions, and the whole FrameCheck, Bareiss pivots
-included.
+points on the quarter stratum.  The kernel forms each row over a common
+denominator (2|v|^2 for the u rows, its square for the brackets) and
+divides at the end, so its float rows round differently from the
+quaternion products: float rows and pivots are compared at tolerances
+fixed from float64 (about 1e-15 was measured on both), not bitwise, and
+pivot positions may differ where the reference's own choice between equal
+entries is a tie.  On exact points everything must be equal: the rows
+(integers, the object row cleared by the lcm of its denominators) as
+Fractions, and the whole FrameCheck, Bareiss pivots included.  The same
+formulas on a float copy of an exact point give the exact rows up to
+rounding.
 
 Membership is read off the rows: <u, ell_rho> in the Ad-invariant metric
 (qmat.vec10_weighted_dot) is minus the rho component of the object path's
@@ -252,6 +255,40 @@ def test_exact_kernel_rows_equal_object_rows(family):
             assert all(type(x) is Fraction for x in dots)
             assert [-d for d in dots] == list(ad_h_p_residual(p, e.m, TOL).components()[1:])
             assert frames._horizontal_row(rows[u], rows[:3], 0) == in_ad_h_p(p, e.m, TOL)
+
+
+def _float_copy(q):
+    """The exact quaternion q on the float backend, component by float()."""
+    return quat(*map(float, q.components()))
+
+
+def _cross_ring_points():
+    grids = (bundle.grid_ia, bundle.grid_ib, bundle.grid_ir, bundle.grid_ii)
+    return [p for grid in grids for p in grid(12)] + _exact_random()
+
+
+def test_float_rows_equal_exact_rows_across_rings():
+    # One set of formulas, two rings: the float rows of a float copy of an
+    # exact point are the exact rows up to rounding.  The exact row is the
+    # row times a positive integer, so both are compared divided by their
+    # largest absolute entry.  This guards the two steps where the backends
+    # differ, reading numerators and finishing rows; every float entry is a
+    # Python float, at case-II points too, where the formulas see only
+    # integer constants.
+    case_ii = 0
+    for p in _cross_ring_points():
+        v = classify(p, TOL).v
+        case_ii += v is None
+        exact_rows = kernel.span_rows(p.x, p.w, v)
+        float_v = None if v is None else _float_copy(v)
+        float_rows = kernel.span_rows(_float_copy(p.x), _float_copy(p.w), float_v)
+        assert len(float_rows) == len(exact_rows) == len(SPAN_LABELS)
+        for got, want in zip(float_rows, exact_rows):
+            assert all(type(x) is float for x in got)
+            got_top, want_top = max(map(abs, got)), max(map(abs, want))
+            assert want_top > 0
+            assert max(abs(g / got_top - w / want_top) for g, w in zip(got, want)) <= ROW_TOL
+    assert case_ii >= 12
 
 
 @pytest.mark.parametrize("family", list(EXACT_FAMILIES))

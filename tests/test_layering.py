@@ -94,3 +94,15 @@ def test_module_level_imports_are_used(module):
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     unused = [(name, line) for name, line in _module_level_imports(tree) if name not in used]
     assert not unused, f"{module} imports names it never uses: {unused}"
+
+
+def test_kernel_imports_no_numpy():
+    # The span rows have one set of formulas, on 4-tuples of Python ints or
+    # floats; numpy in kernel would be a second, float-only set.
+    imported = set()
+    for node in ast.walk(_modules()["kernel"]):
+        if isinstance(node, ast.Import):
+            imported |= {alias.name.split(".")[0] for alias in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            imported.add(node.module.split(".")[0])
+    assert "numpy" not in imported
