@@ -53,6 +53,7 @@ from .qmat import (
     scalar_mat,
 )
 from .quat import (
+    BackendMismatch,
     DEFAULT_TOL,
     EXACT,
     FLOAT,
@@ -68,7 +69,6 @@ from .quat import (
     neg4,
     negligible,
     norm_sq4,
-    on_backend,
     one,
     qi,
     qj,
@@ -160,7 +160,7 @@ def vertical_delta_basis(p: Sp2Point):
 def _sanity_zero_real(res: Quaternion, scale: Scalar):
     # an invariant of the formulas, so DEFAULT_TOL whatever the caller's tol;
     # a NaN scale fails it
-    if not negligible(res.h0, DEFAULT_TOL * largest((1.0, as_float(scale)))):
+    if not negligible(res.n[0], DEFAULT_TOL * largest((1.0, as_float(scale)))):
         raise InvariantViolation("membership residual grew a real part (bug)")
 
 
@@ -325,12 +325,12 @@ def normalize_fiber(p: Sp2Point) -> FiberNormalization:
     if case_ii_corner(p):
         return FiberNormalization(point=p, lam=None, v=None)
     v = p.x * p.w.inverse()
-    if v.h2 != 0 or v.h3 != 0:
+    if v.n[2] != 0 or v.n[3] != 0:
         raise NotRepresentable(
             "rotating Im(v) onto the i-axis needs square roots; "
             "supply a point whose v = x w^-1 lies in span{1, i}"
         )
-    if v.h1 >= 0:
+    if v.n[1] >= 0:
         return FiberNormalization(point=p, lam=one(p.backend), v=v)
     lam = qj(p.backend)
     return FiberNormalization(point=e_action(p, lam, lam), lam=lam, v=v.conj())
@@ -405,7 +405,9 @@ def admissible_v_stream():
 def ir_w0(v: Quaternion) -> Quaternion:
     """For real rational v = pnum/qden, a complex w0 with
     |w0|^2 = 1/(1 + v^2): w0 = qden (qden + pnum i)/(pnum^2 + qden^2)."""
-    (fr,) = on_backend((v.h0,), EXACT)
+    if v.backend != EXACT:
+        raise BackendMismatch("ir_w0 takes an exact v, not a float one")
+    fr = v.h0
     pnum, qden = fr.numerator, fr.denominator
     norm = pnum * pnum + qden * qden
     return quat(Fraction(qden * qden, norm), Fraction(qden * pnum, norm), 0, 0)
@@ -418,15 +420,23 @@ IB_W0 = quat(Fraction(1, 2), Fraction(1, 2), 0, 0)  # |w0|^2 = 1/2, for v = i
 
 # exact_random_point draws small rationals from a Philox stream and builds
 # its point as integer 4-tuples, each entry over one positive denominator
-# (quat.hamilton on numerators), so each output component is one Fraction.
-# The object constructions (sp1_cayley, cayley_sp2, r_action, fiber_point)
-# give the same points; they are the reference the tests compare with.
+# (quat.hamilton on numerators), which become the stored numerators of the
+# point's Quaternions, put in lowest terms by their constructor.  The object
+# constructions (sp1_cayley, cayley_sp2, r_action, fiber_point) give the
+# same points; they are the reference the tests compare with.
+
+# The bounds of a ratio's two draws, repeated for the most ratios one point
+# takes (ten, case None): numerator in [-8, 8], denominator in [1, 8].
+_RATIO_LOW = np.array([-8, 1] * 10)
+_RATIO_HIGH = np.array([9, 9] * 10)
 
 
-def _rng_ratio(g):
-    """A random rational as (numerator, denominator), drawn in that order:
-    the numerator in [-8, 8], the denominator in [1, 8]."""
-    return int(g.integers(-8, 9)), int(g.integers(1, 9))
+def _rng_ratios(g, count: int):
+    """count random rationals as (numerator, denominator) pairs, drawn in
+    that order in one call: numpy's bounded draws take the same bits as
+    2 * count scalar g.integers calls would."""
+    draws = g.integers(_RATIO_LOW[: 2 * count], _RATIO_HIGH[: 2 * count]).tolist()
+    return list(zip(draws[::2], draws[1::2]))
 
 
 def _over_lcm(ratios):
@@ -449,15 +459,18 @@ def _unit_numerators(s):
     return (d_sq - s_sq, t * a1, t * a2, t * a3), d_sq + s_sq
 
 
-def _rng_unit(g):
-    """sp1_cayley of a random imaginary s, as (numerators, denominator)."""
-    return _unit_numerators([_rng_ratio(g) for _ in range(3)])
+def _two_units(g):
+    """sp1_cayley of two random imaginary s, each as (numerators,
+    denominator)."""
+    ratios = _rng_ratios(g, 6)
+    return _unit_numerators(ratios[:3]), _unit_numerators(ratios[3:])
 
 
-def _rng_cayley_core(g):
-    """The U(2) point (Id - S)(Id + S)^-1 for a random
-    S = [[a i, b], [-conj(b), c i]] with b = b0 + b1 i, as its entries
-    (x, y, w, z) in integer 4-tuples over one denominator.
+def _cayley_core(ratios):
+    """The U(2) point (Id - S)(Id + S)^-1 for S = [[a i, b], [-conj(b), c i]]
+    with b = b0 + b1 i, given as the (numerator, denominator) pairs of
+    (a, b0, b1, c), as its entries (x, y, w, z) in integer 4-tuples over one
+    denominator.
 
     With S = S'/D, M = D Id + S' = [[D + A i, B], [-conj(B), D + C i]] has
     adjugate [[D + C i, -B], [conj(B), D + A i]] and determinant
@@ -465,7 +478,7 @@ def _rng_cayley_core(g):
     [[r + e i, -2 D B], [2 D conj(B), r - e i]] with r = D^2 + A C - |B|^2
     and e = D (C - A).  The point is that matrix times conj(det) over |det|^2.
     """
-    (a, b0, b1, c), d = _over_lcm([_rng_ratio(g) for _ in range(4)])
+    (a, b0, b1, c), d = _over_lcm(ratios)
     b_sq = b0 * b0 + b1 * b1
     r, e = d * d + a * c - b_sq, d * (c - a)
     t, f = d * d - a * c + b_sq, d * (a + c)  # det = t + f i
@@ -510,8 +523,9 @@ def exact_random_point(seed: int, case: str | None = None) -> Sp2Point:
     """
     g = np.random.Generator(np.random.Philox(key=seed % (1 << 128)))
     if case is None:
-        (x0, y0, w0, z0), core_den = _rng_cayley_core(g)
-        (lam, lam_den), (mu, mu_den) = _rng_unit(g), _rng_unit(g)
+        ratios = _rng_ratios(g, 10)
+        (x0, y0, w0, z0), core_den = _cayley_core(ratios[:4])
+        (lam, lam_den), (mu, mu_den) = _unit_numerators(ratios[4:7]), _unit_numerators(ratios[7:])
         lam_c, mu_c = conj4(lam), conj4(mu)
         x_den, y_den = core_den * lam_den, core_den * mu_den
         return point_from_numerators((
@@ -521,23 +535,22 @@ def exact_random_point(seed: int, case: str | None = None) -> Sp2Point:
             (hamilton(z0, mu_c), y_den),
         ))
     if case == "I-b":
-        units = _rng_unit(g), _rng_unit(g)
-        return point_from_numerators(_fiber_numerators(_IB_V, _IB_W0, *units))
+        return point_from_numerators(_fiber_numerators(_IB_V, _IB_W0, *_two_units(g)))
     if case == "I-r":
         for _ in range(64):
-            num, den = _rng_ratio(g)
+            ((num, den),) = _rng_ratios(g, 1)
             if num != 0:
                 break
         else:
             raise DegenerateDraw("could not draw a nonzero rational v")
         # v = num/den and w0 = den (den + num i)/(num^2 + den^2), as ir_w0
         v, w0 = ((num, 0, 0, 0), den), ((den * den, den * num, 0, 0), num * num + den * den)
-        return point_from_numerators(_fiber_numerators(v, w0, _rng_unit(g), _rng_unit(g)))
+        return point_from_numerators(_fiber_numerators(v, w0, *_two_units(g)))
     if case == "II-x0":
-        y, w = _rng_unit(g), _rng_unit(g)
+        y, w = _two_units(g)
         return point_from_numerators((_ZERO4, y, w, _ZERO4))
     if case == "II-w0":
-        x, z = _rng_unit(g), _rng_unit(g)
+        x, z = _two_units(g)
         return point_from_numerators((x, _ZERO4, _ZERO4, z))
     raise ValueError(f"unknown case request {case!r}")
 

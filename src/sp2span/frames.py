@@ -120,12 +120,17 @@ def classify(p: Sp2Point, tol: float = DEFAULT_TOL) -> CaseTag:
     if bundle.case_ii_corner(p, tol):
         return CaseTag(kind=CASE_II)
     v = p.x * p.w.inverse()
-    # |Im v|, squared on the exact backend; only its comparisons with 0 and
-    # 1 are read, which the square does not change
-    im = v.h1 * v.h1 + v.h2 * v.h2 + v.h3 * v.h3 if p.backend == EXACT else hypot(v.h1, v.h2, v.h3)
+    # |Im v|, squared on the exact backend (from the stored numerators over
+    # d^2); only its comparisons with 0 and 1 are read, which the square
+    # does not change.  An exact Re v is 0 exactly when its numerator is.
+    n0, n1, n2, n3 = v.n
+    if p.backend == EXACT:
+        im = Fraction(n1 * n1 + n2 * n2 + n3 * n3, v.d * v.d)
+    else:
+        im = hypot(n1, n2, n3)
     if negligible(im, tol):
         return CaseTag(kind=CASE_IR, v=v)
-    if negligible(v.h0, tol) and negligible(im - 1, tol):
+    if negligible(n0, tol) and negligible(im - 1, tol):
         s = dot(p.w.conj() * v * p.w, v)
         kind = CASE_IB_QUARTER if negligible(s - Fraction(1, 4), tol) else CASE_IB_NONQUARTER
         return CaseTag(kind=kind, v=v, split=s)

@@ -14,18 +14,19 @@ Membership of the four u in Ad_p(h_p) is read off the same rows
 orthogonal to the three ell rows in the Ad-invariant metric
 (qmat.vec10_weighted_dot; the bundle module docstring derives it).
 
-One set of formulas serves both backends.  (x, w) and v are read as
-numerators over a denominator, x = X/P, w = W/P and v = V/E: integers over
-the lcm of the components' denominators on the exact backend, the float
-components over 1 on floats.  The formulas run on these 4-tuples with the
-tuple arithmetic of quat (quat.hamilton, and quat.matmul4, which QMat2's @
-runs on as well).  With |V|^2 = n, every u is a matrix over Q = 2 E n
-(b_rho = (E^2 V rho - n rho V)/Q), so the ell rows are over P^2, the u rows
-over Q and the brackets over Q^2.  An exact row is returned as integers in
-lowest terms, the object row times the lcm of its entries' denominators,
-the input Bareiss takes (qmat.real_rank), so no row becomes Fractions; a
-float row is divided by its denominator, so every entry is a Python float,
-the integer constants of the case-II basis included.
+One set of formulas serves both backends.  (x, w) and v are read from the
+numerators and denominators the Quaternions store, x = X/P, w = W/P and
+v = V/E, with P the lcm of the stored denominators of x and w: integers on
+the exact backend, the float components over 1 on floats.  The formulas run
+on these 4-tuples with the tuple arithmetic of quat (quat.hamilton, and
+quat.matmul4, which QMat2's @ runs on as well).  With |V|^2 = n, every u is
+a matrix over Q = 2 E n (b_rho = (E^2 V rho - n rho V)/Q), so the ell rows
+are over P^2, the u rows over Q and the brackets over Q^2.  An exact row is
+returned as integers in lowest terms, the object row times the lcm of its
+entries' denominators, the input Bareiss takes (qmat.real_rank), so no row
+becomes Fractions; a float row is divided by its denominator, so every
+entry is a Python float, the integer constants of the case-II basis
+included.
 
 The object path (frames.span_frame and frames.verify_frame on
 Quaternion/QMat2 objects) computes the same rows and membership verdicts;
@@ -36,19 +37,17 @@ points.
 from __future__ import annotations
 
 from itertools import combinations
-from math import lcm
 
 from .quat import (
     FLOAT,
     Quaternion,
     conj4,
-    denominator,
     hamilton,
     lowest_terms,
     matmul4,
     neg4,
     norm_sq4,
-    numerators,
+    over_lcm,
     sub4,
 )
 
@@ -56,16 +55,6 @@ from .quat import (
 _PAIRS = tuple(combinations(range(4), 2))
 # 0, 1, i, j and k as integer 4-tuples.
 _ZERO, _ONE, _I, _J, _K = ((0, 0, 0, 0), (1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
-
-
-def _read(qs, exact: bool):
-    """The quaternions qs as 4-tuples over one denominator: integer
-    numerators over the lcm of their denominators when exact, their float
-    components over 1 otherwise."""
-    if not exact:
-        return [q.components() for q in qs], 1
-    den = lcm(*map(denominator, qs))
-    return [numerators(q, den) for q in qs], den
 
 
 def _finish(nums, den, exact: bool):
@@ -93,7 +82,7 @@ def span_rows(x: Quaternion, w: Quaternion, v: Quaternion | None):
     denominators.
     """
     exact = x.backend != FLOAT
-    (xn, wn), p_den = _read((x, w), exact)
+    (xn, wn), p_den = over_lcm((x, w))
     xc, wc = conj4(xn), conj4(wn)
     p_sq = p_den * p_den
     rows = []
@@ -111,7 +100,7 @@ def span_rows(x: Quaternion, w: Quaternion, v: Quaternion | None):
         q_den = 1
         us = [(_ZERO, b, neg4(conj4(b)), _ZERO) for b in (_ONE, _I, _J, _K)]
     else:
-        (vn,), v_den = _read((v,), exact)
+        vn, v_den = v.n, v.d
         n = norm_sq4(vn)
         q_den = 2 * v_den * n
         b0 = tuple(2 * n * c for c in vn)

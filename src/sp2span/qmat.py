@@ -37,10 +37,9 @@ from .quat import (
     dot,
     hamilton,
     largest,
-    lowest_terms,
     matmul4,
-    numerators,
     one,
+    over_lcm,
     quat,
     quat_from_json,
     quat_to_json,
@@ -67,8 +66,8 @@ class QMat2:
     __slots__ = ("a", "b", "c", "d")
 
     def __init__(self, a: Quaternion, b: Quaternion, c: Quaternion, d: Quaternion):
-        fa = type(a.h0) is float
-        if (type(b.h0) is float) != fa or (type(c.h0) is float) != fa or (type(d.h0) is float) != fa:
+        fa = type(a.n[0]) is float
+        if (type(b.n[0]) is float) != fa or (type(c.n[0]) is float) != fa or (type(d.n[0]) is float) != fa:
             raise BackendMismatch("matrix entries live on different scalar backends")
         self.a = a
         self.b = b
@@ -83,22 +82,14 @@ class QMat2:
         return (self.a, self.b, self.c, self.d)
 
     def __matmul__(self, other: "QMat2") -> "QMat2":
-        exact = type(self.a.h0) is Fraction
-        if exact != (type(other.a.h0) is Fraction):
+        if (type(self.a.n[0]) is float) != (type(other.a.n[0]) is float):
             raise BackendMismatch("operands live on different scalar backends")
-        if not exact:
-            m = [q.components() for q in self.entries()]
-            n = [q.components() for q in other.entries()]
-            return QMat2(*(Quaternion(*e) for e in matmul4(m, n)))
-        # Exact: the integer numerators over one denominator per operand, so
-        # only the 16 output components pay a gcd.
-        d1, m = _integer_entries(self)
-        d2, n = _integer_entries(other)
+        # The numerators over one denominator per operand (floats over 1),
+        # so each of the four output entries pays one gcd.
+        m, d1 = over_lcm(self.entries())
+        n, d2 = over_lcm(other.entries())
         den = d1 * d2
-        return QMat2(*(
-            Quaternion(Fraction(c0, den), Fraction(c1, den), Fraction(c2, den), Fraction(c3, den))
-            for c0, c1, c2, c3 in matmul4(m, n)
-        ))
+        return QMat2(*(Quaternion(*e, den) for e in matmul4(m, n)))
 
     def __add__(self, other: "QMat2") -> "QMat2":
         return QMat2(self.a + other.a, self.b + other.b, self.c + other.c, self.d + other.d)
@@ -227,14 +218,6 @@ def _unitarity_defect(x, y, w, z, one):
     return largest(devs)
 
 
-def _integer_entries(m: QMat2):
-    """(den, (A, B, C, D)) with m = [[A, B], [C, D]] / den: the entries of an
-    exact matrix as integer 4-tuples over the lcm of its 16 denominators."""
-    es = m.entries()
-    den = lcm(*(x.denominator for q in es for x in (q.h0, q.h1, q.h2, q.h3)))
-    return den, tuple(numerators(q, den) for q in es)
-
-
 def _require_unitary(den, entries):
     """Raise InvariantViolation unless P = [[x, y], [w, z]], given as integer
     4-tuples, is den times a point of Sp(2): P P* = P* P = den^2 Id."""
@@ -252,9 +235,10 @@ class Sp2Point:
     def __init__(self, m: QMat2, tol: float = DEFAULT_TOL, validate: bool = True):
         if validate:
             if m.backend == EXACT:
-                _require_unitary(*_integer_entries(m))
+                entries, den = over_lcm(m.entries())
+                _require_unitary(den, entries)
             else:
-                err = _unitarity_defect(*(e.components() for e in m.entries()), 1.0)
+                err = _unitarity_defect(*(e.n for e in m.entries()), 1.0)
                 if not err <= tol:
                     raise InvariantViolation(f"p p* deviates from Id by {err:.3e}")
         self.m = m
@@ -308,14 +292,10 @@ class Sp2Point:
 
 def point_from_numerators(entries) -> Sp2Point:
     """The exact point [[x, y], [w, z]] from four (numerators, denominator)
-    pairs, validated on the integers before any Fraction is built.  Each
-    pair is first put in lowest terms, so the common denominator is the
-    point's own, not a product of the factors it was built from."""
-    entries = [lowest_terms(nums, d) for nums, d in entries]
-    den = lcm(*(d for _, d in entries))
-    _require_unitary(den, tuple(tuple(c * (den // d) for c in nums) for nums, d in entries))
-    m = QMat2(*(Quaternion(*(Fraction(c, d) for c in nums)) for nums, d in entries))
-    return Sp2Point(m, validate=False)
+    pairs, validated on the integers.  Each entry is stored in lowest terms,
+    so the common denominator the check runs on is the point's own, not a
+    product of the factors it was built from."""
+    return Sp2Point(QMat2(*(Quaternion(*nums, d) for nums, d in entries)))
 
 
 class Sp2Alg:

@@ -1,14 +1,17 @@
 """Quaternion arithmetic over two strictly separated scalar backends.
 
-The exact backend stores every component as a `fractions.Fraction` and never
-rounds; the float backend stores IEEE-754 doubles.  The backend is a property
-of the data, not of the call site: mixing the two in a single operation raises
-`BackendMismatch` instead of silently promoting, so an "exact" certificate can
-never be contaminated by a stray double.  `scalar_backend` is the one rule for
-raw scalars: Python and numpy floats are float, Fractions are exact, ints and
-bools follow the others, and any other type is a TypeError.  `negligible`
-is the one zero test built on that rule, DEFAULT_TOL the one default
-tolerance, and `largest` the one maximum of magnitudes (NaN first).
+The exact backend never rounds: a Quaternion stores integer numerators over
+one positive denominator in lowest terms and reads its components out as
+`fractions.Fraction`s; the float backend stores IEEE-754 doubles over 1.
+Both run the same 4-tuple arithmetic (hamilton, add4, ...) on the stored
+numerators.  The backend is a property of the data, not of the call site:
+mixing the two in a single operation raises `BackendMismatch` instead of
+silently promoting, so an "exact" certificate can never be contaminated by a
+stray double.  `scalar_backend` is the one rule for raw scalars: Python and
+numpy floats are float, Fractions are exact, ints and bools follow the
+others, and any other type is a TypeError.  `negligible` is the one zero
+test built on that rule, DEFAULT_TOL the one default tolerance, and
+`largest` the one maximum of magnitudes (NaN first).
 
 Conventions: q = h0 + h1*i + h2*j + h3*k with i*j = k = -j*i, j*k = i, k*i = j
 and i^2 = j^2 = k^2 = -1.  conj(q) negates the imaginary part, and
@@ -107,139 +110,151 @@ def largest(magnitudes) -> Scalar:
     return top
 
 
-def on_backend(parts, backend: str | None = None) -> tuple:
-    """parts stored on the backend scalar_backend decides: Python floats
-    (numpy floats included) or Fractions."""
-    if scalar_backend(set(map(type, parts)), backend) == FLOAT:
-        return tuple([float(x) for x in parts])
-    return tuple([x if type(x) is Fraction else Fraction(x) for x in parts])
-
-
 class Quaternion:
-    __slots__ = ("h0", "h1", "h2", "h3")
+    """q = (n0 + n1 i + n2 j + n3 k) / d, stored as the numerators n and the
+    denominator d.  Exact: Python ints over an int d > 0 in lowest terms,
+    gcd(d, *n) == 1, so equal values have equal storage.  Float: the four
+    components over d = 1.
 
-    def __init__(self, h0, h1, h2, h3):
-        # Fast paths: all-float and all-Fraction tuples dominate the hot loops.
-        if type(h0) is float and type(h1) is float and type(h2) is float and type(h3) is float:
-            pass
-        elif (
-            type(h0) is Fraction
-            and type(h1) is Fraction
-            and type(h2) is Fraction
-            and type(h3) is Fraction
-        ):
-            pass
-        else:
-            h0, h1, h2, h3 = on_backend((h0, h1, h2, h3))
-        self.h0 = h0
-        self.h1 = h1
-        self.h2 = h2
-        self.h3 = h3
+    Quaternion(h0, h1, h2, h3) takes components, which scalar_backend puts
+    on a backend.  Quaternion(n0, n1, n2, n3, d) takes numerators: ints over
+    an int d > 0, which it puts in lowest terms, or floats over d = 1; the
+    arithmetic below builds every result this way, with one gcd.  h0..h3 and
+    components() read the components: Fractions on the exact backend."""
+
+    __slots__ = ("n", "d")
+
+    def __init__(self, h0, h1, h2, h3, d=None):
+        if d is not None:
+            if d != 1:
+                if d <= 0:
+                    raise ValueError(f"denominator must be positive, got {d}")
+                g = math.gcd(d, h0, h1, h2, h3)
+                if g != 1:
+                    h0, h1, h2, h3, d = h0 // g, h1 // g, h2 // g, h3 // g, d // g
+            self.n = (h0, h1, h2, h3)
+            self.d = d
+            return
+        # Fast path: all-float tuples dominate the float hot loops.
+        if not (type(h0) is float and type(h1) is float and type(h2) is float and type(h3) is float):
+            if scalar_backend({type(h0), type(h1), type(h2), type(h3)}) == EXACT:
+                # ints and Fractions both carry numerator and denominator;
+                # over the lcm of reduced denominators no common factor is left
+                d = math.lcm(h0.denominator, h1.denominator, h2.denominator, h3.denominator)
+                self.n = (
+                    h0.numerator * (d // h0.denominator),
+                    h1.numerator * (d // h1.denominator),
+                    h2.numerator * (d // h2.denominator),
+                    h3.numerator * (d // h3.denominator),
+                )
+                self.d = d
+                return
+            h0, h1, h2, h3 = float(h0), float(h1), float(h2), float(h3)
+        self.n = (h0, h1, h2, h3)
+        self.d = 1
+
+    def _component(i):
+        def get(self):
+            c = self.n[i]
+            return c if type(c) is float else Fraction(c, self.d)
+
+        return property(get, doc=f"h{i}: a Fraction on the exact backend, else a float.")
+
+    h0, h1, h2, h3 = map(_component, range(4))
+    del _component
 
     # -- backend bookkeeping ------------------------------------------------
 
     @property
     def backend(self) -> str:
-        return FLOAT if type(self.h0) is float else EXACT
+        return FLOAT if type(self.n[0]) is float else EXACT
 
     def _check_backend(self, other: "Quaternion"):
-        if (type(self.h0) is float) != (type(other.h0) is float):
+        if (type(self.n[0]) is float) != (type(other.n[0]) is float):
             raise BackendMismatch("operands live on different scalar backends")
 
     def components(self):
-        return (self.h0, self.h1, self.h2, self.h3)
+        n = self.n
+        if type(n[0]) is float:
+            return n
+        d = self.d
+        return (Fraction(n[0], d), Fraction(n[1], d), Fraction(n[2], d), Fraction(n[3], d))
 
     # -- ring structure -----------------------------------------------------
 
     def __add__(self, other: "Quaternion") -> "Quaternion":
         self._check_backend(other)
-        return Quaternion(*add4(self.components(), other.components()))
+        (a, b), d = over_lcm((self, other))
+        return Quaternion(*add4(a, b), d)
 
     def __sub__(self, other: "Quaternion") -> "Quaternion":
         self._check_backend(other)
-        return Quaternion(*sub4(self.components(), other.components()))
+        (a, b), d = over_lcm((self, other))
+        return Quaternion(*sub4(a, b), d)
 
     def __neg__(self) -> "Quaternion":
-        return Quaternion(*neg4(self.components()))
+        return Quaternion(*neg4(self.n), self.d)
 
     def __mul__(self, other: "Quaternion") -> "Quaternion":
-        if type(self.h0) is float and type(other.h0) is float:
-            return Quaternion(*hamilton(self.components(), other.components()))
         self._check_backend(other)
-        # Exact: the Hamilton product of the integer numerators, so only the
-        # four results pay a gcd (in the Fraction constructor), not every
-        # one of the 28 intermediate operations.
-        da, db = denominator(self), denominator(other)
-        c0, c1, c2, c3 = hamilton(numerators(self, da), numerators(other, db))
-        den = da * db
-        return Quaternion(Fraction(c0, den), Fraction(c1, den), Fraction(c2, den), Fraction(c3, den))
+        return Quaternion(*hamilton(self.n, other.n), self.d * other.d)
 
     def scale(self, s: Scalar) -> "Quaternion":
         """Multiply every component by a plain scalar (same backend)."""
-        (s,) = on_backend((s,), self.backend)
-        return Quaternion(self.h0 * s, self.h1 * s, self.h2 * s, self.h3 * s)
+        if scalar_backend((type(s),), self.backend) == FLOAT:
+            s = float(s)
+            return Quaternion(*[c * s for c in self.n], 1)
+        return Quaternion(*[c * s.numerator for c in self.n], self.d * s.denominator)
 
     def conj(self) -> "Quaternion":
-        return Quaternion(*conj4(self.components()))
+        return Quaternion(*conj4(self.n), self.d)
 
     def norm_sq(self) -> Scalar:
-        if type(self.h0) is float:
-            return norm_sq4(self.components())
-        # Exact: for q = N / d, |q|^2 = |N|^2 / d^2, one Fraction.
-        d = denominator(self)
-        return Fraction(norm_sq4(numerators(self, d)), d * d)
+        n = norm_sq4(self.n)
+        return n if type(n) is float else Fraction(n, self.d * self.d)
 
     def inverse(self) -> "Quaternion":
-        if type(self.h0) is float:
-            n = self.norm_sq()
-            if n == 0:
-                raise ZeroDivisor("zero quaternion has no inverse")
-            return Quaternion(self.h0 / n, -self.h1 / n, -self.h2 / n, -self.h3 / n)
-        # Exact: q^-1 = d conj(N) / |N|^2 for q = N / d, one Fraction per
-        # component.
-        d = denominator(self)
-        n0, n1, n2, n3 = numerators(self, d)
+        n0, n1, n2, n3 = self.n
         n = n0 * n0 + n1 * n1 + n2 * n2 + n3 * n3
         if n == 0:
             raise ZeroDivisor("zero quaternion has no inverse")
-        return Quaternion(
-            Fraction(d * n0, n), Fraction(-d * n1, n), Fraction(-d * n2, n), Fraction(-d * n3, n)
-        )
+        if type(n) is float:
+            return Quaternion(n0 / n, -n1 / n, -n2 / n, -n3 / n, 1)
+        # (N/d)^-1 = d conj(N) / |N|^2
+        d = self.d
+        return Quaternion(d * n0, -d * n1, -d * n2, -d * n3, n)
 
     # -- predicates and parts -------------------------------------------------
 
     def is_zero(self, tol: float = 0.0) -> bool:
         """Every component negligible: literal on the exact backend (tol is
-        ignored), within tol on floats; is_imaginary tests Re alike."""
+        ignored), within tol on floats; is_imaginary tests Re alike.  An
+        exact component is 0 exactly when its numerator is."""
+        n0, n1, n2, n3 = self.n
         return (
-            negligible(self.h0, tol)
-            and negligible(self.h1, tol)
-            and negligible(self.h2, tol)
-            and negligible(self.h3, tol)
+            negligible(n0, tol) and negligible(n1, tol) and negligible(n2, tol) and negligible(n3, tol)
         )
 
     def is_imaginary(self, tol: float = 0.0) -> bool:
-        return negligible(self.h0, tol)
+        return negligible(self.n[0], tol)
 
     def max_abs(self) -> Scalar:
-        return largest((abs(self.h0), abs(self.h1), abs(self.h2), abs(self.h3)))
+        top = largest([abs(c) for c in self.n])
+        return top if type(top) is float else Fraction(top, self.d)
 
     # -- dunder plumbing ------------------------------------------------------
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Quaternion):
             return NotImplemented
-        if (type(self.h0) is float) != (type(other.h0) is float):
+        a, b = self.n, other.n
+        if (type(a[0]) is float) != (type(b[0]) is float):
             return False
-        return (
-            self.h0 == other.h0
-            and self.h1 == other.h1
-            and self.h2 == other.h2
-            and self.h3 == other.h3
-        )
+        # componentwise, so a NaN component is unequal even to itself
+        return self.d == other.d and a[0] == b[0] and a[1] == b[1] and a[2] == b[2] and a[3] == b[3]
 
     def __hash__(self):
-        return hash((self.h0, self.h1, self.h2, self.h3))
+        return hash((self.n, self.d))
 
     def __repr__(self):
         return f"Quaternion({self.h0!r}, {self.h1!r}, {self.h2!r}, {self.h3!r})"
@@ -251,21 +266,12 @@ class Quaternion:
 # of the arithmetic that Quaternion, QMat2 and the span kernel run on.
 
 
-def denominator(q: "Quaternion") -> int:
-    """The lcm of the component denominators of an exact quaternion."""
-    return math.lcm(q.h0.denominator, q.h1.denominator, q.h2.denominator, q.h3.denominator)
-
-
-def numerators(q: "Quaternion", den: int):
-    """The integers (n0, n1, n2, n3) with q = n / den; den must be a
-    multiple of denominator(q)."""
-    h0, h1, h2, h3 = q.h0, q.h1, q.h2, q.h3
-    return (
-        h0.numerator * (den // h0.denominator),
-        h1.numerator * (den // h1.denominator),
-        h2.numerator * (den // h2.denominator),
-        h3.numerator * (den // h3.denominator),
-    )
+def over_lcm(qs):
+    """(nums, den): the quaternions qs as 4-tuples over one denominator, the
+    lcm of their stored ones.  Integer numerators on the exact backend, the
+    float components over 1 on floats."""
+    den = math.lcm(*[q.d for q in qs])
+    return [q.n if q.d == den else tuple([c * (den // q.d) for c in q.n]) for q in qs], den
 
 
 def lowest_terms(nums, den: int):
@@ -328,9 +334,10 @@ def matmul4(m, n):
 
 def quat(h0, h1=0, h2=0, h3=0, backend: str | None = None) -> Quaternion:
     """Coercing constructor.  With backend=None the components decide."""
-    if backend is None:
-        return Quaternion(h0, h1, h2, h3)
-    return Quaternion(*on_backend((h0, h1, h2, h3), backend))
+    if backend is not None:
+        if scalar_backend({type(h0), type(h1), type(h2), type(h3)}, backend) == FLOAT:
+            return Quaternion(float(h0), float(h1), float(h2), float(h3), 1)
+    return Quaternion(h0, h1, h2, h3)
 
 
 def zero(backend: str) -> Quaternion:
@@ -365,7 +372,9 @@ def as_float(s: Scalar) -> float:
 def dot(q: Quaternion, r: Quaternion) -> Scalar:
     """Euclidean component dot product, equal to Re(q * conj(r))."""
     q._check_backend(r)
-    return q.h0 * r.h0 + q.h1 * r.h1 + q.h2 * r.h2 + q.h3 * r.h3
+    (a0, a1, a2, a3), (b0, b1, b2, b3) = q.n, r.n
+    s = a0 * b0 + a1 * b1 + a2 * b2 + a3 * b3
+    return s if type(s) is float else Fraction(s, q.d * r.d)
 
 
 # -- JSON encoding --------------------------------------------------------------

@@ -47,8 +47,6 @@ from sp2span.quat import (
     BackendMismatch,
     Quaternion,
     ZeroDivisor,
-    denominator,
-    numerators,
     one,
     qi,
     qj,
@@ -243,7 +241,7 @@ def test_sp2point_rejects_every_exact_perturbation():
 
 def _numerator_entries(m: QMat2):
     """The four (numerators, denominator) pairs of an exact matrix."""
-    return [[list(numerators(q, denominator(q))), denominator(q)] for q in m.entries()]
+    return [[list(q.n), q.d] for q in m.entries()]
 
 
 def test_point_from_numerators_validates_on_the_integers():

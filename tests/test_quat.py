@@ -1,7 +1,10 @@
-"""Quaternion arithmetic against an independent 4x4 real-matrix model, plus
-backend discipline, the zero test, and JSON round-trips."""
+"""Quaternion arithmetic against an independent 4x4 real-matrix model and a
+Fraction-by-Fraction oracle, plus the storage (integer numerators over one
+denominator, in lowest terms), backend discipline, the zero test, and JSON
+round-trips."""
 
 import math
+import operator
 from fractions import Fraction
 
 import numpy as np
@@ -13,6 +16,7 @@ from conftest import (
     big_exact_quats,
     exact_quats,
     float_quats,
+    fracs,
     left_mult_matrix,
     mat_vec,
     nonzero_exact_quats,
@@ -25,8 +29,12 @@ from sp2span.quat import (
     ParseError,
     Quaternion,
     ZeroDivisor,
+    add4,
     as_float,
+    conj4,
     dot,
+    hamilton,
+    neg4,
     negligible,
     one,
     qi,
@@ -35,6 +43,7 @@ from sp2span.quat import (
     quat,
     quat_from_json,
     quat_to_json,
+    sub4,
     zero,
 )
 
@@ -60,8 +69,9 @@ def test_product_matches_matrix_model(q, r):
 @given(big_exact_quats(), big_exact_quats())
 @settings(max_examples=300)
 def test_product_matches_matrix_model_large_denominators(q, r):
-    # The exact product runs on integer numerators over each operand's lcm
-    # denominator; the oracle multiplies the Fractions one by one.
+    # The exact product runs on the stored integer numerators, over the
+    # product of the two stored denominators; the oracle multiplies the
+    # Fractions one by one.
     got = (q * r).components()
     want = mat_vec(left_mult_matrix(q), list(r.components()))
     assert list(got) == want
@@ -106,8 +116,8 @@ def test_zero_inverse_raises():
 @given(big_exact_quats())
 @settings(max_examples=300)
 def test_exact_norm_and_inverse_large_denominators(q):
-    # norm_sq and inverse run on integer numerators over the lcm
-    # denominator; the oracle takes the Fractions one by one.
+    # norm_sq and inverse run on the stored integer numerators over the
+    # stored denominator; the oracle takes the Fractions one by one.
     n = sum(x * x for x in q.components())
     assert q.norm_sq() == n and type(q.norm_sq()) is Fraction
     if n == 0:
@@ -142,6 +152,120 @@ def test_float_product_matches_matrix_model(q, r):
     got = (q * r).components()
     want = mat_vec(left_mult_matrix(q), list(r.components()))
     assert all(abs(g - w) <= 1e-12 for g, w in zip(got, want))
+
+
+# -- storage: integer numerators over one denominator ------------------------------
+
+
+def assert_lowest_terms(q: Quaternion):
+    """An exact quaternion stored as ints over an int d > 0 with
+    gcd(d, *n) == 1."""
+    assert type(q.d) is int and q.d > 0
+    assert all(type(c) is int for c in q.n)
+    assert math.gcd(q.d, *q.n) == 1
+
+
+@given(big_exact_quats(), big_exact_quats(), fracs)
+@settings(max_examples=300)
+def test_exact_results_match_the_fraction_oracle_in_lowest_terms(q, r, s):
+    # Each operation against the same operation on the Fractions one by
+    # one; every result, products and inverses included, is stored in
+    # lowest terms and read back as Fractions.
+    a, b = q.components(), r.components()
+    results = [
+        (q + r, [x + y for x, y in zip(a, b)]),
+        (q - r, [x - y for x, y in zip(a, b)]),
+        (-q, [-x for x in a]),
+        (q.conj(), [a[0], -a[1], -a[2], -a[3]]),
+        (q.scale(s), [x * s for x in a]),
+        (q * r, None),
+    ]
+    if not q.is_zero():
+        results.append((q.inverse(), None))
+    for got, want in results:
+        assert_lowest_terms(got)
+        assert all(type(x) is Fraction for x in got.components())
+        if want is not None:
+            assert list(got.components()) == want
+    assert_lowest_terms(q)
+
+
+@given(big_exact_quats(), st.integers(min_value=1, max_value=10**12))
+@settings(max_examples=300)
+def test_equal_values_have_equal_storage(q, k):
+    # Fractions, numerators over a non-reduced denominator, and arithmetic
+    # results of the same value: equal, with equal hashes and storage.
+    routes = [
+        Quaternion(*q.components()),
+        Quaternion(*(c * k for c in q.n), q.d * k),
+        quat(*q.components(), backend=EXACT),
+        (q + q) - q,
+        q * one(EXACT),
+        q.scale(Fraction(k, 1)).scale(Fraction(1, k)),
+        -(-q),
+        q.conj().conj(),
+    ]
+    for other in routes:
+        assert other == q and hash(other) == hash(q)
+        assert (other.n, other.d) == (q.n, q.d)
+
+
+@given(big_exact_quats(), big_exact_quats())
+def test_equality_is_equality_of_the_components(q, r):
+    assert (q == r) is (q.components() == r.components())
+    # equal numerators over different denominators are different values
+    assert Quaternion(*q.n, q.d + 1) != q or q.is_zero()
+
+
+def test_integers_and_fractions_give_the_same_storage():
+    q = Quaternion(Fraction(1, 2), Fraction(-1, 3), 0, 2)
+    assert (q.n, q.d) == ((3, -2, 0, 12), 6)
+    assert q == Quaternion(6, -4, 0, 24, 12)
+    assert q == quat(Fraction(3, 6), Fraction(-2, 6), 0, 2, backend=EXACT)
+    assert (quat(2, backend=EXACT).n, quat(2, backend=EXACT).d) == ((2, 0, 0, 0), 1)
+    assert q.components() == (Fraction(1, 2), Fraction(-1, 3), Fraction(0), Fraction(2))
+    assert (q.h0, q.h1, q.h2, q.h3) == q.components()
+
+
+@pytest.mark.parametrize("d", [0, -1, -6])
+def test_numerators_need_a_positive_denominator(d):
+    with pytest.raises(ValueError):
+        Quaternion(1, 2, 3, 4, d)
+
+
+@given(
+    st.tuples(wide_floats, wide_floats, wide_floats, wide_floats),
+    st.tuples(wide_floats, wide_floats, wide_floats, wide_floats),
+)
+@settings(max_examples=300)
+def test_float_results_are_the_tuple_formulas_bit_for_bit(a, b):
+    # Float quaternions store their four floats over 1, and each operation
+    # is the quat tuple formula on them, in its IEEE order.
+    q, r = quat(*a), quat(*b)
+    assert q.n == a and q.d == 1
+    for got, want in [
+        (q * r, hamilton(a, b)),
+        (q + r, add4(a, b)),
+        (q - r, sub4(a, b)),
+        (-q, neg4(a)),
+        (q.conj(), conj4(a)),
+        (q.scale(b[0]), tuple(x * b[0] for x in a)),
+    ]:
+        assert got.d == 1 and got.backend == FLOAT
+        assert [x.hex() for x in got.components()] == [x.hex() for x in want]
+
+
+def test_backend_mismatch_on_equal_numerators():
+    # Exact 1 over 1 and float 1.0 over 1 store equal-comparing tuples, yet
+    # every mixed operation raises and the two are unequal.
+    qe, qf = Quaternion(1, 0, 0, 0, 1), quat(1.0)
+    assert qe.backend == EXACT and qf.backend == FLOAT
+    for op in (operator.add, operator.sub, operator.mul, dot):
+        with pytest.raises(BackendMismatch):
+            op(qe, qf)
+        with pytest.raises(BackendMismatch):
+            op(qf, qe)
+    assert qe != qf and qf != qe
 
 
 # -- backend discipline ----------------------------------------------------------
