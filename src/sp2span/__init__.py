@@ -8,17 +8,14 @@ exact rationals (certificates) and float64 (volume sweeps).
 
 from .bundle import (
     FiberNormalization,
-    cayley_sp2,
     ell,
     exact_random_point,
     fiber_point,
     horizontal_space_rank,
     ib_float_point,
     in_ad_h_p,
-    in_h_p,
     normalize_fiber,
     random_sp2,
-    vertical_delta_basis,
 )
 from .frames import (
     CASE_IA,
@@ -50,7 +47,6 @@ from .qmat import (
     ad,
     bracket,
     inner,
-    qmat_inverse,
     real_rank,
     to_vec10,
 )
@@ -98,7 +94,6 @@ __all__ = [
     "alpha",
     "bracket",
     "build_frame",
-    "cayley_sp2",
     "check_point",
     "classify",
     "ell",
@@ -108,11 +103,9 @@ __all__ = [
     "horizontal_space_rank",
     "ib_float_point",
     "in_ad_h_p",
-    "in_h_p",
     "inner",
     "nondegeneracy_factor",
     "normalize_fiber",
-    "qmat_inverse",
     "random_sp2",
     "real_rank",
     "run_identity_suite",
@@ -120,6 +113,5 @@ __all__ = [
     "to_vec10",
     "u_basis",
     "verify_frame",
-    "vertical_delta_basis",
     "__version__",
 ]

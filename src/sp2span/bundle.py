@@ -9,7 +9,9 @@ The horizontal space at p is described three times:
 
 * downstairs ("variant A"): u = [[0, beta], [-conj(beta), gamma]] lies in
   h_p iff  x beta conj(y) - y conj(beta) conj(x) + w beta conj(z)
-  - z conj(beta) conj(w) + y gamma conj(y) + z gamma conj(z) = 0;
+  - z conj(beta) conj(w) + y gamma conj(y) + z gamma conj(z) = 0.
+  No command computes this residual; h_p_residual in tests/test_bundle.py
+  does, as the reference that variant B is bridged to;
 
 * upstairs ("variant B"): trace-free u = [[a, b], [-conj(b), -a]] lies in
   Ad_p(h_p) iff  conj(x) a x - conj(w) conj(b) x + conj(x) b w
@@ -25,9 +27,10 @@ The horizontal space at p is described three times:
   the rows it ranks.
 
 Both residuals have identically vanishing real part, which is asserted as a
-free sanity check.  Variant B for u is equivalent to variant A for
-Ad_{p^-1}(u): the variant-B residual is, as a polynomial, the (1,1) entry
-of Ad_{p^-1}(u), so a member of Ad_p(h_p) has that corner vanishing.
+free sanity check (_sanity_zero_real).  Variant B for u is equivalent to
+variant A for Ad_{p^-1}(u): the variant-B residual is, as a polynomial, the
+(1,1) entry of Ad_{p^-1}(u), so a member of Ad_p(h_p) has that corner
+vanishing.
 """
 
 from __future__ import annotations
@@ -44,11 +47,8 @@ from .qmat import (
     ShapeMismatch,
     Sp2Alg,
     Sp2Point,
-    ad,
     diag,
-    identity,
     point_from_numerators,
-    qmat_inverse,
     real_rank,
     scalar_mat,
 )
@@ -103,11 +103,6 @@ def e_action(p: Sp2Point, lam: Quaternion, mu: Quaternion) -> Sp2Point:
     return Sp2Point(m, validate=False)
 
 
-def r_action(p: Sp2Point, lam: Quaternion, mu: Quaternion) -> Sp2Point:
-    """p -> p @ diag(conj(lam), conj(mu)) for unit lam, mu."""
-    return Sp2Point(p.m @ diag(lam.conj(), mu.conj()), validate=False)
-
-
 # -- fundamental vertical fields --------------------------------------------------
 
 
@@ -140,20 +135,6 @@ def ell(p: Sp2Point, rho: Quaternion) -> Sp2Alg:
     return Sp2Alg(ell_direct(p, rho), validate=False)
 
 
-def vertical_delta_basis(p: Sp2Point):
-    """Left-trivialized generators of the diagonal structure-group orbit:
-    Ad_{p^-1}(lam Id) - diag(lam, 0) for lam in (i, j, k).
-
-    Pushing each forward with ad(p, .) recovers ell(p, lam).
-    """
-    out = []
-    pinv = p.inverse()
-    for lam in (qi(p.backend), qj(p.backend), qk(p.backend)):
-        m = ad(pinv, scalar_mat(lam)).m - diag(lam, zero(p.backend))
-        out.append(Sp2Alg(m, validate=False))
-    return tuple(out)
-
-
 # -- horizontality conditions ------------------------------------------------------
 
 
@@ -162,29 +143,6 @@ def _sanity_zero_real(res: Quaternion, scale: Scalar):
     # a NaN scale fails it
     if not negligible(res.n[0], DEFAULT_TOL * largest((1.0, as_float(scale)))):
         raise InvariantViolation("membership residual grew a real part (bug)")
-
-
-def h_p_residual(p: Sp2Point, u: Sp2Alg) -> Quaternion:
-    """Variant A residual for u = [[0, beta], [-conj(beta), gamma]].
-
-    Zero exactly when the left-translated u is horizontal at p.  The real
-    component vanishes identically and is asserted, so the residual carries 3
-    real constraints.
-    """
-    if not u.m.a.is_zero(DEFAULT_TOL):
-        raise ShapeMismatch("variant A needs a vanishing (1,1) entry")
-    beta, gamma = u.m.b, u.m.d
-    x, y, w, z = p.x, p.y, p.w, p.z
-    res = (
-        x * beta * y.conj()
-        - y * beta.conj() * x.conj()
-        + w * beta * z.conj()
-        - z * beta.conj() * w.conj()
-        + y * gamma * y.conj()
-        + z * gamma * z.conj()
-    )
-    _sanity_zero_real(res, u.m.max_abs())
-    return res
 
 
 def _require_trace_free(trace: Quaternion, tol: float):
@@ -201,10 +159,6 @@ def ad_h_p_residual(p: Sp2Point, u: Sp2Alg, tol: float = DEFAULT_TOL) -> Quatern
     res = x.conj() * a * x - w.conj() * b.conj() * x + x.conj() * b * w - w.conj() * a * w
     _sanity_zero_real(res, u.m.max_abs())
     return res
-
-
-def in_h_p(p: Sp2Point, u: Sp2Alg) -> bool:
-    return h_p_residual(p, u).is_zero(DEFAULT_TOL)
 
 
 def in_ad_h_p(p: Sp2Point, u: Sp2Alg, tol: float = DEFAULT_TOL) -> bool:
@@ -281,13 +235,6 @@ def random_sp2(seed: int) -> Sp2Point:
         y, z = [c * s2 for c in y], [c * s2 for c in z]
         return Sp2Point(QMat2(*(Quaternion(*q) for q in (x, y, w, z))))
     raise DegenerateDraw(f"no usable draw after {RANDOM_SP2_ATTEMPTS} attempts (seed {seed})")
-
-
-def cayley_sp2(s: Sp2Alg) -> Sp2Point:
-    """Cayley transform (Id - S)(Id + S)^-1; lands in Sp(2) for any S in
-    sp(2), exactly on the exact backend."""
-    ident = identity(s.backend)
-    return Sp2Point((ident - s.m) @ qmat_inverse(ident + s.m))
 
 
 def sp1_cayley(s: Quaternion) -> Quaternion:
@@ -422,8 +369,9 @@ IB_W0 = quat(Fraction(1, 2), Fraction(1, 2), 0, 0)  # |w0|^2 = 1/2, for v = i
 # its point as integer 4-tuples, each entry over one positive denominator
 # (quat.hamilton on numerators), which become the stored numerators of the
 # point's Quaternions, put in lowest terms by their constructor.  The object
-# constructions (sp1_cayley, cayley_sp2, r_action, fiber_point) give the
-# same points; they are the reference the tests compare with.
+# constructions sp1_cayley and fiber_point, with cayley_sp2 and r_action in
+# tests/conftest.py and tests/test_bundle.py, give the same points; they are
+# the reference the tests compare with.
 
 # The bounds of a ratio's two draws, repeated for the most ratios one point
 # takes (ten, case None): numerator in [-8, 8], denominator in [1, 8].

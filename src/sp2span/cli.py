@@ -15,11 +15,11 @@ writes the report.
 
 Exit codes: 0 all checks passed, 1 a mathematical check failed, 2 bad usage
 or malformed input, including an ``--out`` path that cannot be opened (it
-is opened before the command runs).  Reports are deterministic for a fixed
-(seed, samples, backend, tol): sample index n draws from its own Philox
-stream, keyed by the pair (seed, n) as (seed mod 2^64) * 2^64 + n, so
-different seeds draw different points and --jobs never changes the result,
-only the wall time.
+is opened before the command runs) or that is ``frame``'s point file.
+Reports are deterministic for a fixed (seed, samples, backend, tol): sample
+index n draws from its own Philox stream, keyed by the pair (seed, n) as
+(seed mod 2^64) * 2^64 + n, so different seeds draw different points and
+--jobs never changes the result, only the wall time.
 """
 
 from __future__ import annotations
@@ -38,12 +38,6 @@ from .qmat import InvariantViolation, Sp2Point, real_rank, to_vec10
 from .quat import DEFAULT_TOL, EXACT, FLOAT, ParseError, Sp2Error
 
 SCHEMA = 1
-
-
-def canonical_json(report: dict) -> str:
-    """The canonical serialized form: everything except wall time."""
-    trimmed = {k: v for k, v in report.items() if k != "elapsed_s"}
-    return json.dumps(trimmed, sort_keys=True, indent=2)
 
 
 # -- verify -------------------------------------------------------------------------
@@ -348,6 +342,15 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+def _same_file(a: str, b: str) -> bool:
+    """Whether the paths a and b name one file: os.path.samefile when both
+    exist, so relative paths and links are caught, else equal real paths."""
+    try:
+        return os.path.samefile(a, b)
+    except OSError:
+        return os.path.realpath(a) == os.path.realpath(b)
+
+
 def main(argv=None) -> int:
     ns = build_parser().parse_args(argv)
     # built per call, so a cmd_* replaced on this module (a profiler's wrapper) is the one that runs
@@ -359,6 +362,9 @@ def main(argv=None) -> int:
         "frame": cmd_frame,
     }
     try:
+        if ns.command == "frame" and ns.out and _same_file(ns.out, ns.point_file):
+            # opening it for the report would truncate the point before it is read
+            raise ParseError(f"--out {ns.out} is the point file {ns.point_file}")
         # opened first, as a shell redirection is: a bad path fails before any work
         with open(ns.out, "w", encoding="utf-8") if ns.out else contextlib.nullcontext(sys.stdout) as fh:
             start = time.monotonic()

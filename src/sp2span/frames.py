@@ -97,11 +97,6 @@ class CaseTag:
     split: Scalar | None = None
 
 
-def ib_split(w: Quaternion) -> Scalar:
-    """|a|^2 - |b|^2 for the decomposition w = a + b j with a, b complex."""
-    return w.h0 * w.h0 + w.h1 * w.h1 - w.h2 * w.h2 - w.h3 * w.h3
-
-
 def classify(p: Sp2Point, tol: float = DEFAULT_TOL) -> CaseTag:
     """The case label of p as given, on either backend.
 

@@ -31,16 +31,13 @@ from .quat import (
     Quaternion,
     Scalar,
     Sp2Error,
-    ZeroDivisor,
     as_float,
     conj4,
     dot,
     hamilton,
     largest,
     matmul4,
-    one,
     over_lcm,
-    quat,
     quat_from_json,
     quat_to_json,
     scalar_backend,
@@ -149,10 +146,6 @@ class QMat2:
             raise ParseError(f"matrix object is missing entry {exc.args[0]!r}") from exc
 
 
-def identity(backend: str) -> QMat2:
-    return QMat2(one(backend), zero(backend), zero(backend), one(backend))
-
-
 def diag(q1: Quaternion, q2: Quaternion) -> QMat2:
     z = zero(q1.backend)
     return QMat2(q1, z, z, q2)
@@ -160,44 +153,6 @@ def diag(q1: Quaternion, q2: Quaternion) -> QMat2:
 
 def scalar_mat(q: Quaternion) -> QMat2:
     return diag(q, q)
-
-
-def qmat_inverse(m: QMat2) -> QMat2:
-    """Invert a 2x2 quaternionic matrix via a Schur-complement step.
-
-    The pivot is chosen as the larger of |a|, |d| for float stability; the
-    antidiagonal case a = d = 0 is handled directly.  Raises ZeroDivisor for
-    singular input.
-    """
-    a, b, c, d = m.entries()
-    na, nd = a.norm_sq(), d.norm_sq()
-    if na == 0 and nd == 0:
-        if b.norm_sq() == 0 or c.norm_sq() == 0:
-            raise ZeroDivisor("singular 2x2 quaternionic matrix")
-        return QMat2(zero(m.backend), c.inverse(), b.inverse(), zero(m.backend))
-    if na >= nd:
-        ai = a.inverse()
-        s = d - c * ai * b
-        if s.norm_sq() == 0:
-            raise ZeroDivisor("singular 2x2 quaternionic matrix")
-        si = s.inverse()
-        return QMat2(
-            ai + ai * b * si * c * ai,
-            -(ai * b * si),
-            -(si * c * ai),
-            si,
-        )
-    di = d.inverse()
-    t = a - b * di * c
-    if t.norm_sq() == 0:
-        raise ZeroDivisor("singular 2x2 quaternionic matrix")
-    ti = t.inverse()
-    return QMat2(
-        ti,
-        -(ti * b * di),
-        -(di * c * ti),
-        di + di * c * ti * b * di,
-    )
 
 
 # -- validated wrappers ---------------------------------------------------------
@@ -329,15 +284,9 @@ class Sp2Alg:
         return f"Sp2Alg({self.m!r})"
 
 
-def _mat_of(u) -> QMat2:
-    if isinstance(u, QMat2):
-        return u
-    return u.m
-
-
-def ad(p: Sp2Point, u) -> Sp2Alg:
+def ad(p: Sp2Point, u: Sp2Alg) -> Sp2Alg:
     """Adjoint action Ad_p(u) = p u p*.  Preserves sp(2), so no revalidation."""
-    return Sp2Alg(p.m @ _mat_of(u) @ p.m.adjoint(), validate=False)
+    return Sp2Alg(p.m @ u.m @ p.m.adjoint(), validate=False)
 
 
 def bracket(u: Sp2Alg, v: Sp2Alg) -> Sp2Alg:
@@ -354,9 +303,9 @@ def bracket(u: Sp2Alg, v: Sp2Alg) -> Sp2Alg:
     return Sp2Alg(uv - uv.adjoint(), validate=False)
 
 
-def inner(u, v) -> Scalar:
+def inner(u: Sp2Alg, v: Sp2Alg) -> Scalar:
     """Ad-invariant inner product <u, v> = Re Tr(u v*) = sum of entrywise dots."""
-    um, vm = _mat_of(u), _mat_of(v)
+    um, vm = u.m, v.m
     return dot(um.a, vm.a) + dot(um.b, vm.b) + dot(um.c, vm.c) + dot(um.d, vm.d)
 
 
@@ -365,22 +314,9 @@ def inner(u, v) -> Scalar:
 Vec10 = tuple  # 10 scalars: (a1, a2, a3, b0, b1, b2, b3, d1, d2, d3)
 
 
-def to_vec10(u) -> Vec10:
-    m = _mat_of(u)
-    a, b, d = m.a, m.b, m.d
+def to_vec10(u: Sp2Alg) -> Vec10:
+    a, b, d = u.m.a, u.m.b, u.m.d
     return (a.h1, a.h2, a.h3, b.h0, b.h1, b.h2, b.h3, d.h1, d.h2, d.h3)
-
-
-def from_vec10(coords: Sequence[Scalar]) -> Sp2Alg:
-    if len(coords) != 10:
-        raise ShapeMismatch(f"vec10 needs exactly 10 coordinates, got {len(coords)}")
-    a1, a2, a3, b0, b1, b2, b3, d1, d2, d3 = coords
-    alpha = quat(0, a1, a2, a3)
-    beta = quat(b0, b1, b2, b3)
-    gamma = quat(0, d1, d2, d3)
-    alpha._check_backend(beta)
-    beta._check_backend(gamma)
-    return Sp2Alg(QMat2(alpha, beta, -beta.conj(), gamma), validate=False)
 
 
 def vec10_weighted_dot(s: Vec10, t: Vec10) -> Scalar:

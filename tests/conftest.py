@@ -1,5 +1,9 @@
-"""Shared strategies and independent oracles for the test suite."""
+"""Shared strategies and independent oracles for the test suite, and the
+reference constructions that no command runs: the object-level Cayley
+transform and 2x2 inverse behind the exact sampler's reference, and the
+canonical report form the golden and CLI tests compare."""
 
+import json
 from fractions import Fraction
 
 import numpy as np
@@ -7,8 +11,8 @@ import pytest
 from hypothesis import strategies as st
 
 from sp2span import frames
-from sp2span.qmat import RankResult
-from sp2span.quat import EXACT, Quaternion, quat
+from sp2span.qmat import QMat2, RankResult, Sp2Alg, Sp2Point
+from sp2span.quat import EXACT, Quaternion, ZeroDivisor, one, quat, zero
 
 # Small rationals keep Fraction blowup in long products under control while
 # still exercising carries and sign handling.
@@ -173,3 +177,61 @@ def eager_bareiss_rank(rows) -> RankResult:
         if pr == n_rows:
             break
     return RankResult(rank=pr, method="bareiss", pivots=pivots, positions=positions)
+
+
+# -- reference constructions -------------------------------------------------------
+
+
+def identity(backend: str) -> QMat2:
+    return QMat2(one(backend), zero(backend), zero(backend), one(backend))
+
+
+def qmat_inverse(m: QMat2) -> QMat2:
+    """Invert a 2x2 quaternionic matrix via a Schur-complement step.
+
+    The pivot is chosen as the larger of |a|, |d| for float stability; the
+    antidiagonal case a = d = 0 is handled directly.  Raises ZeroDivisor for
+    singular input.
+    """
+    a, b, c, d = m.entries()
+    na, nd = a.norm_sq(), d.norm_sq()
+    if na == 0 and nd == 0:
+        if b.norm_sq() == 0 or c.norm_sq() == 0:
+            raise ZeroDivisor("singular 2x2 quaternionic matrix")
+        return QMat2(zero(m.backend), c.inverse(), b.inverse(), zero(m.backend))
+    if na >= nd:
+        ai = a.inverse()
+        s = d - c * ai * b
+        if s.norm_sq() == 0:
+            raise ZeroDivisor("singular 2x2 quaternionic matrix")
+        si = s.inverse()
+        return QMat2(
+            ai + ai * b * si * c * ai,
+            -(ai * b * si),
+            -(si * c * ai),
+            si,
+        )
+    di = d.inverse()
+    t = a - b * di * c
+    if t.norm_sq() == 0:
+        raise ZeroDivisor("singular 2x2 quaternionic matrix")
+    ti = t.inverse()
+    return QMat2(
+        ti,
+        -(ti * b * di),
+        -(di * c * ti),
+        di + di * c * ti * b * di,
+    )
+
+
+def cayley_sp2(s: Sp2Alg) -> Sp2Point:
+    """Cayley transform (Id - S)(Id + S)^-1; lands in Sp(2) for any S in
+    sp(2), exactly on the exact backend."""
+    ident = identity(s.backend)
+    return Sp2Point((ident - s.m) @ qmat_inverse(ident + s.m))
+
+
+def canonical_json(report: dict) -> str:
+    """The canonical serialized form: everything except wall time."""
+    trimmed = {k: v for k, v in report.items() if k != "elapsed_s"}
+    return json.dumps(trimmed, sort_keys=True, indent=2)

@@ -18,7 +18,8 @@ from sympy.algebras import Quaternion as SymQuat
 from sympy.polys.matrices import DomainMatrix
 
 from sp2span import bundle, frames
-from sp2span.cli import canonical_json, main
+from conftest import canonical_json
+from sp2span.cli import main
 from sp2span.qmat import ad, real_rank, to_vec10
 from sp2span.quat import EXACT, FLOAT, qi, qj, qk, quat
 
@@ -136,7 +137,8 @@ def quarter_stratum_search(max_denominator: int):
                 Fraction(a_num, d), Fraction(b_num, d), Fraction(pair_b[0], d), Fraction(pair_b[1], d),
                 backend=EXACT,
             )
-            if w.norm_sq() == Fraction(1, 2) and frames.ib_split(w) == Fraction(1, 4):
+            split = w.h0 * w.h0 + w.h1 * w.h1 - w.h2 * w.h2 - w.h3 * w.h3  # |a|^2 - |b|^2
+            if w.norm_sq() == Fraction(1, 2) and split == Fraction(1, 4):
                 found.append(w)
     return found
 

@@ -13,10 +13,11 @@ from fractions import Fraction
 
 import sp2span
 from sp2span import bundle, cli, frames
-from sp2span.cli import build_parser, canonical_json, main
+from sp2span.cli import build_parser, main
 from sp2span.qmat import QMat2, Sp2Alg, Sp2Point
 from sp2span.quat import EXACT, FLOAT, one, quat
 
+from conftest import cayley_sp2, canonical_json
 from test_golden import GOLDEN
 from test_kernel import FAMILIES
 
@@ -211,6 +212,19 @@ def test_special_sweep(tmp_path):
     assert "impossible" in skipped[0]["reason"]
 
 
+def test_special_sweep_case_check_can_fail(tmp_path, monkeypatch):
+    # I-a points in the I-r family: each is checked, classified I-a and
+    # reported against the family's expected case, and the command exits 1.
+    monkeypatch.setattr(bundle, "grid_ir", bundle.grid_ia)
+    out = tmp_path / "s.json"
+    assert main(["special-sweep", "--samples", "3", "--emit", "json", "--out", str(out)]) == 1
+    families = {f["name"]: f for f in json.loads(out.read_text())["families"]}
+    ir = families.pop("I-r")
+    assert ir["pass"] is False and ir["cases"] == {"I-a": 3}
+    assert [f["problems"] for f in ir["failures"]] == [["classified I-a, expected one of ['I-r']"]] * 3
+    assert all(f["pass"] for f in families.values())
+
+
 def test_standard_sphere_exact(tmp_path, capsys):
     code = main(["standard-sphere"])
     assert code == 0
@@ -257,7 +271,7 @@ def test_frame_accepts_raw_exact_point(tmp_path):
     third = Fraction(1, 3)
     b = quat(1, third, 2, -1, backend=EXACT)
     s = Sp2Alg(QMat2(quat(0, third, 0, 1, backend=EXACT), b, -b.conj(), quat(0, 0, third, -1, backend=EXACT)))
-    p = bundle.cayley_sp2(s)
+    p = cayley_sp2(s)
     v = p.x * p.w.inverse()
     assert v.h2 != 0 or v.h3 != 0
     pt = tmp_path / "pt.json"
@@ -381,6 +395,26 @@ def test_report_envelope(command, tmp_path, monkeypatch, identity_results):
     assert code == (0 if rep["pass"] else 1)
     last = text.read_text().splitlines()[-1]
     assert last.startswith("PASS" if rep["pass"] else "FAIL")
+
+
+def test_frame_refuses_out_that_is_the_point_file(tmp_path, monkeypatch, capsys):
+    # Opening --out for the report would truncate the point before it is
+    # read; the same file is refused however it is named, and left as it was.
+    pt = tmp_path / "pt.json"
+    pt.write_text(json.dumps({"backend": "exact", "p": bundle.exact_random_point(7).m.to_json()}))
+    before = pt.read_bytes()
+    (tmp_path / "link.json").symlink_to(pt)
+    monkeypatch.chdir(tmp_path)
+    for out in (str(pt), "pt.json", "./pt.json", "link.json"):
+        assert main(["frame", "pt.json", "--out", out]) == 2
+        assert pt.read_bytes() == before
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error: --out ")
+    # a missing point file named as --out too is not created
+    assert main(["frame", "absent.json", "--out", "absent.json"]) == 2
+    assert not (tmp_path / "absent.json").exists()
+    assert main(["frame", "pt.json", "--out", "report.txt"]) == 0
+    assert pt.read_bytes() == before
 
 
 def test_unwritable_out_exits_2(tmp_path, capsys):

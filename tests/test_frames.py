@@ -32,7 +32,6 @@ from sp2span.frames import (
     check_point,
     classify,
     frame_to_json,
-    ib_split,
     nondegeneracy_factor,
     rational_v_grid,
     s_matrix,
@@ -48,7 +47,7 @@ from sp2span.frames import (
 from sp2span.qmat import QMat2, Sp2Alg, ad, bracket, diag, real_rank, to_vec10
 from sp2span.quat import EXACT, FLOAT, BackendMismatch, Quaternion, qi, qj, qk, quat
 
-from conftest import nonzero_exact_quats
+from conftest import cayley_sp2, nonzero_exact_quats
 
 
 def cx(h0, h1) -> "quat":
@@ -422,7 +421,7 @@ def raw_cayley_points(count=50):
         a = quat(0, fr(), fr(), fr(), backend=EXACT)
         d = quat(0, fr(), fr(), fr(), backend=EXACT)
         b = quat(fr(), fr(), fr(), fr(), backend=EXACT)
-        out.append(bundle.cayley_sp2(Sp2Alg(QMat2(a, b, -b.conj(), d))))
+        out.append(cayley_sp2(Sp2Alg(QMat2(a, b, -b.conj(), d))))
     return out
 
 
@@ -619,13 +618,6 @@ def test_rational_v_grid_contract():
         assert v.backend == EXACT and v.h1 > 0
         assert not (v.h0 == 0 and v.h1 == 1)
     assert len({(v.h0, v.h1) for v in vs}) == 12
-
-
-def test_ib_split_reads_w():
-    w = quat(Fraction(1, 2), Fraction(1, 2), backend=EXACT)
-    assert ib_split(w) == Fraction(1, 2)
-    w2 = quat(Fraction(1, 2), Fraction(0), Fraction(1, 2), backend=EXACT)
-    assert ib_split(w2) == 0
 
 
 @given(st.integers(min_value=0, max_value=10**6))

@@ -16,8 +16,9 @@ from pathlib import Path
 
 import pytest
 
+from conftest import canonical_json
 from sp2span import bundle, frames
-from sp2span.cli import canonical_json, main
+from sp2span.cli import main
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 

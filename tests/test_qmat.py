@@ -5,6 +5,7 @@ checked against sympy (exact) and numpy (float) oracles."""
 import math
 import random
 from fractions import Fraction
+from typing import Sequence
 
 import numpy as np
 import pytest
@@ -15,11 +16,14 @@ from hypothesis import strategies as st
 from conftest import (
     MERSENNE_PRIMES,
     big_exact_quats,
+    cayley_sp2,
     eager_bareiss_rank,
     exact_quats,
     float_quats,
     floats,
+    identity,
     numpy_pivoted_rank,
+    qmat_inverse,
 )
 from sp2span import bundle, frames, kernel
 from sp2span.qmat import (
@@ -32,11 +36,8 @@ from sp2span.qmat import (
     ad,
     bracket,
     diag,
-    from_vec10,
-    identity,
     inner,
     point_from_numerators,
-    qmat_inverse,
     real_rank,
     to_vec10,
     vec10_weighted_dot,
@@ -46,6 +47,7 @@ from sp2span.quat import (
     FLOAT,
     BackendMismatch,
     Quaternion,
+    Scalar,
     ZeroDivisor,
     one,
     qi,
@@ -76,6 +78,19 @@ def rng_alg(g: random.Random) -> Sp2Alg:
     zc = quat(Fraction(0), rng_frac(g), rng_frac(g), rng_frac(g), backend=EXACT)
     b = rng_quat(g)
     return Sp2Alg(QMat2(za, b, -b.conj(), zc))
+
+
+def from_vec10(coords: Sequence[Scalar]) -> Sp2Alg:
+    """The sp(2) element with these Vec10 coordinates: to_vec10's inverse."""
+    if len(coords) != 10:
+        raise ShapeMismatch(f"vec10 needs exactly 10 coordinates, got {len(coords)}")
+    a1, a2, a3, b0, b1, b2, b3, d1, d2, d3 = coords
+    alpha = quat(0, a1, a2, a3)
+    beta = quat(b0, b1, b2, b3)
+    gamma = quat(0, d1, d2, d3)
+    alpha._check_backend(beta)
+    beta._check_backend(gamma)
+    return Sp2Alg(QMat2(alpha, beta, -beta.conj(), gamma), validate=False)
 
 
 def rng_float_alg(g: random.Random) -> Sp2Alg:
@@ -157,7 +172,7 @@ def test_shape_mismatch_on_backend_cross(me, mf):
         mf @ me
 
 
-# -- inverse ----------------------------------------------------------------------
+# -- inverse (conftest's reference, behind cayley_sp2) ----------------------------
 
 
 @given(exact_mats)
@@ -190,8 +205,6 @@ def test_qmat_inverse_singular_raises():
 def test_sp2point_validates():
     g = random.Random(11)
     u = rng_alg(g)
-    from sp2span.bundle import cayley_sp2
-
     p = cayley_sp2(u)
     assert p.m @ p.m.adjoint() == identity(EXACT)
     bad = QMat2(p.m.a + one(EXACT), p.m.b, p.m.c, p.m.d)
@@ -335,8 +348,6 @@ def test_bracket_rejects_plain_matrices():
 
 def test_ad_is_lie_algebra_automorphism():
     g = random.Random(13)
-    from sp2span.bundle import cayley_sp2
-
     for _ in range(10):
         p = cayley_sp2(rng_alg(g))
         u, v = rng_alg(g), rng_alg(g)
@@ -369,11 +380,6 @@ def test_vec10_slot_order():
     d = quat(Fraction(0), Fraction(8), Fraction(9), Fraction(10), backend=EXACT)
     u = Sp2Alg(QMat2(a, b, -b.conj(), d))
     assert to_vec10(u) == tuple(Fraction(n) for n in (1, 2, 3, 4, 5, 6, 7, 8, 9, 10))
-
-
-def test_from_vec10_rejects_wrong_length():
-    with pytest.raises(ShapeMismatch):
-        from_vec10([Fraction(0)] * 9)
 
 
 # -- rank engines -----------------------------------------------------------------
