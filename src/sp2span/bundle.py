@@ -47,6 +47,7 @@ from .qmat import (
     ShapeMismatch,
     Sp2Alg,
     Sp2Point,
+    conjugate4,
     diag,
     point_from_numerators,
     real_rank,
@@ -70,6 +71,7 @@ from .quat import (
     negligible,
     norm_sq4,
     one,
+    over_lcm,
     qi,
     qj,
     qk,
@@ -106,23 +108,49 @@ def e_action(p: Sp2Point, lam: Quaternion, mu: Quaternion) -> Sp2Point:
 # -- fundamental vertical fields --------------------------------------------------
 
 
+# 0 as a 4-tuple of ints: times a float it gives the bits that 0.0 would.
+_ZERO = (0, 0, 0, 0)
+
+
+def _require_backend_of(p: Sp2Point, rho: Quaternion):
+    if p.backend != rho.backend:
+        raise BackendMismatch("p and rho live on different scalar backends")
+
+
 def ell_direct(p: Sp2Point, rho: Quaternion) -> QMat2:
     """Entrywise formula [[rho - x rho conj(x), -x rho conj(w)],
-    [-w rho conj(x), rho - w rho conj(w)]]."""
-    x, w = p.x, p.w
+    [-w rho conj(x), rho - w rho conj(w)]], on the numerators of x and w
+    over their lcm P: every entry is over P^2 times rho's denominator."""
+    _require_backend_of(p, rho)
+    (xn, wn), pd = over_lcm((p.x, p.w))
+    p_sq = pd * pd
+    r = rho.n
+    rho_p = tuple([c * p_sq for c in r])
+    x_rho, w_rho = hamilton(xn, r), hamilton(wn, r)
+    xc, wc = conj4(xn), conj4(wn)
+    den = p_sq * rho.d
     return QMat2(
-        rho - x * rho * x.conj(),
-        -(x * rho * w.conj()),
-        -(w * rho * x.conj()),
-        rho - w * rho * w.conj(),
+        Quaternion(*sub4(rho_p, hamilton(x_rho, xc)), den),
+        Quaternion(*neg4(hamilton(x_rho, wc)), den),
+        Quaternion(*neg4(hamilton(w_rho, xc)), den),
+        Quaternion(*sub4(rho_p, hamilton(w_rho, wc)), den),
     )
 
 
 def ell_from_projector(p: Sp2Point, rho: Quaternion) -> QMat2:
-    """Independent construction rho Id - p @ diag(rho, 0) @ p*; the reference
-    that identity_ell_dual and the tests compare ell_direct against."""
-    rho_plus = diag(rho, zero(rho.backend))
-    return scalar_mat(rho) - p.m @ rho_plus @ p.m.adjoint()
+    """Independent construction rho Id - p @ diag(rho, 0) @ p*, the generic
+    matrix product (qmat.conjugate4) on the numerators of p over their lcm
+    P; the reference that identity_ell_dual and the tests compare
+    ell_direct against."""
+    _require_backend_of(p, rho)
+    pn, pd = over_lcm(p.m.entries())
+    p_sq = pd * pd
+    r = rho.n
+    rho_p = tuple([c * p_sq for c in r])
+    projected = conjugate4(pn, (r, _ZERO, _ZERO, _ZERO))
+    den = p_sq * rho.d
+    scalar = (rho_p, _ZERO, _ZERO, rho_p)
+    return QMat2(*(Quaternion(*sub4(s, t), den) for s, t in zip(scalar, projected)))
 
 
 def ell(p: Sp2Point, rho: Quaternion) -> Sp2Alg:
@@ -449,7 +477,7 @@ def _fiber_numerators(v, w0, u1, u2):
     return (x, v_den * w_den), (y, y_den), (w, w_den), (neg4(z), v_den * y_den)
 
 
-_ZERO4 = ((0, 0, 0, 0), 1)
+_ZERO4 = (_ZERO, 1)
 _IB_V = ((0, 1, 0, 0), 1)
 _IB_W0 = ((1, 1, 0, 0), 2)  # IB_W0
 

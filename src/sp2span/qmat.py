@@ -284,9 +284,24 @@ class Sp2Alg:
         return f"Sp2Alg({self.m!r})"
 
 
+def conjugate4(p, x):
+    """P X P* for 2x2 quaternionic matrices given as their entries
+    (a, b, c, d) in 4-tuples, as quat.matmul4 takes them.  Formed as
+    (P X) P*, the order of p @ x @ p.adjoint() on QMat2, so float results
+    equal that expression's bit for bit."""
+    a, b, c, d = p
+    return matmul4(matmul4(p, x), (conj4(a), conj4(c), conj4(b), conj4(d)))
+
+
 def ad(p: Sp2Point, u: Sp2Alg) -> Sp2Alg:
-    """Adjoint action Ad_p(u) = p u p*.  Preserves sp(2), so no revalidation."""
-    return Sp2Alg(p.m @ u.m @ p.m.adjoint(), validate=False)
+    """Adjoint action Ad_p(u) = p u p*.  Preserves sp(2), so no revalidation.
+    Runs on the numerators of p and u, one gcd per result entry."""
+    if p.backend != u.backend:
+        raise BackendMismatch("operands live on different scalar backends")
+    pn, pd = over_lcm(p.m.entries())
+    un, ud = over_lcm(u.m.entries())
+    den = pd * pd * ud
+    return Sp2Alg(QMat2(*(Quaternion(*e, den) for e in conjugate4(pn, un))), validate=False)
 
 
 def bracket(u: Sp2Alg, v: Sp2Alg) -> Sp2Alg:

@@ -1,7 +1,9 @@
 """Shared strategies and independent oracles for the test suite, and the
 reference constructions that no command runs: the object-level Cayley
-transform and 2x2 inverse behind the exact sampler's reference, and the
-canonical report form the golden and CLI tests compare."""
+transform and 2x2 inverse behind the exact sampler's reference, the object
+expressions of ell_rho and Ad_p that the numerator code in bundle and qmat
+must equal, and the canonical report form the golden and CLI tests
+compare."""
 
 import json
 from fractions import Fraction
@@ -11,7 +13,7 @@ import pytest
 from hypothesis import strategies as st
 
 from sp2span import frames
-from sp2span.qmat import QMat2, RankResult, Sp2Alg, Sp2Point
+from sp2span.qmat import QMat2, RankResult, Sp2Alg, Sp2Point, diag, scalar_mat
 from sp2span.quat import EXACT, Quaternion, ZeroDivisor, one, quat, zero
 
 # Small rationals keep Fraction blowup in long products under control while
@@ -229,6 +231,27 @@ def cayley_sp2(s: Sp2Alg) -> Sp2Point:
     sp(2), exactly on the exact backend."""
     ident = identity(s.backend)
     return Sp2Point((ident - s.m) @ qmat_inverse(ident + s.m))
+
+
+def ell_from_projector_reference(p: Sp2Point, rho: Quaternion) -> QMat2:
+    """rho Id - p diag(rho, 0) p* on QMat2 objects."""
+    return scalar_mat(rho) - p.m @ diag(rho, zero(rho.backend)) @ p.m.adjoint()
+
+
+def ell_direct_reference(p: Sp2Point, rho: Quaternion) -> QMat2:
+    """The entrywise formula for ell_rho on Quaternion objects."""
+    x, w = p.x, p.w
+    return QMat2(
+        rho - x * rho * x.conj(),
+        -(x * rho * w.conj()),
+        -(w * rho * x.conj()),
+        rho - w * rho * w.conj(),
+    )
+
+
+def ad_reference(p: Sp2Point, u: Sp2Alg) -> Sp2Alg:
+    """Ad_p(u) = p u p* on QMat2 objects."""
+    return Sp2Alg(p.m @ u.m @ p.m.adjoint(), validate=False)
 
 
 def canonical_json(report: dict) -> str:

@@ -9,6 +9,7 @@ import itertools
 import json
 import math
 import random
+import struct
 from fractions import Fraction
 
 import numpy as np
@@ -16,7 +17,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import cayley_sp2, identity
+from conftest import (
+    ad_reference,
+    cayley_sp2,
+    ell_direct_reference,
+    ell_from_projector_reference,
+    identity,
+)
 from sp2span import bundle, frames
 from sp2span.bundle import (
     DegenerateDraw,
@@ -168,6 +175,62 @@ def test_ell_dual_paths_agree_exactly():
             direct = ell_direct(p, rho)
             err = (direct - ell_from_projector(p, rho)).max_abs()
             assert err <= 1e-12 * max(1.0, direct.max_abs())
+
+
+def _numerator_rewrite_points():
+    """Exact points of every EXACT_CASE_KINDS case and every grid family."""
+    points = [exact_random_point(seed, case) for case in bundle.EXACT_CASE_KINDS for seed in range(8)]
+    for grid in (bundle.grid_ia, bundle.grid_ib, bundle.grid_ir, bundle.grid_ii):
+        points += grid(8)
+    return points
+
+
+def test_numerator_code_equals_the_object_expressions_exactly():
+    # ell_direct, ell_from_projector and ad run on numerators; each equals
+    # the object expression it replaced, also where x and w are stored over
+    # different denominators.
+    g = random.Random(24)
+    points = _numerator_rewrite_points()
+    assert sum(p.x.d != p.w.d for p in points) >= 10
+    for p in points:
+        for rho in (qi(EXACT), qj(EXACT), qk(EXACT), quat(0, Fraction(2, 3), Fraction(-1, 5), 1)):
+            assert ell_direct(p, rho) == ell_direct_reference(p, rho)
+            assert ell_from_projector(p, rho) == ell_from_projector_reference(p, rho)
+        u = rng_alg(g)
+        for q in (p, p.inverse()):
+            assert ad(q, u) == ad_reference(q, u)
+            assert ad(q, ell(p, qi(EXACT))) == ad_reference(q, ell(p, qi(EXACT)))
+
+
+def _bits(m: QMat2) -> bytes:
+    return struct.pack("<16d", *(c for e in m.entries() for c in e.n))
+
+
+def test_numerator_code_keeps_the_float_bits():
+    g = random.Random(25)
+    for s in range(200):
+        p = random_sp2(700 + s)
+        rho = quat(0.0, g.uniform(-1, 1), g.uniform(-1, 1), g.uniform(-1, 1))
+        for r in (qi(FLOAT), qj(FLOAT), qk(FLOAT), rho):
+            assert _bits(ell_direct(p, r)) == _bits(ell_direct_reference(p, r))
+            assert _bits(ell_from_projector(p, r)) == _bits(ell_from_projector_reference(p, r))
+        b = quat(*(g.uniform(-1, 1) for _ in range(4)))
+        u = Sp2Alg(QMat2(rho, b, -b.conj(), quat(0.0, *(g.uniform(-1, 1) for _ in range(3)))))
+        for q in (p, p.inverse()):
+            assert _bits(ad(q, u).m) == _bits(ad_reference(q, u).m)
+
+
+def test_numerator_code_rejects_mixed_backends():
+    p, fp = exact_random_point(3), random_sp2(3)
+    for f in (ell_direct, ell_from_projector):
+        with pytest.raises(BackendMismatch):
+            f(p, qi(FLOAT))
+        with pytest.raises(BackendMismatch):
+            f(fp, qi(EXACT))
+    with pytest.raises(BackendMismatch):
+        ad(fp, ell(p, qi(EXACT)))
+    with pytest.raises(BackendMismatch):
+        ad(p, ell(fp, qi(FLOAT)))
 
 
 def test_ell_rejects_non_imaginary_rho():

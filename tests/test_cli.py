@@ -565,16 +565,44 @@ WRONG_INPUTS = {
 }
 
 
-@pytest.mark.parametrize("name", sorted(WRONG_INPUTS))
-def test_every_printed_form_entry_can_fail(monkeypatch, identity_results, name):
-    # An entry that compares direct brackets with a printed form fails when
-    # that form is wrong, and `identities` then exits 1.  The CLI reports
-    # the session's suite with this one entry rerun on the wrong input.
-    wrong, entry = WRONG_INPUTS[name]
-    monkeypatch.setattr(frames, name, wrong(getattr(frames, name)))
+# a construction that an entry compares with another -> (the module the
+# entry looks it up in, a wrong version made from the right one, that entry)
+WRONG_CONSTRUCTIONS = {
+    "ell_direct": (bundle, lambda right: lambda *args: right(*args).scale(2), frames.identity_ell_dual),
+    "ell_from_projector": (
+        bundle, lambda right: lambda *args: right(*args).scale(2), frames.identity_ell_dual
+    ),
+    "ad": (
+        frames,
+        lambda right: lambda *args: Sp2Alg(right(*args).m.scale(2), validate=False),
+        frames.identity_ad_invariance,
+    ),
+}
+
+
+def _wrong_entry_fails_identities(monkeypatch, identity_results, module, name, wrong, entry):
+    # The entry fails on the wrong version, and `identities` then exits 1.
+    # The CLI reports the session's suite with this one entry rerun.
+    monkeypatch.setattr(module, name, wrong(getattr(module, name)))
     res = entry()
     assert res.status == frames.FAIL and res.worst > 0
     suite = [res if r.name == res.name else r for r in identity_results]
     assert suite.count(res) == 1
     monkeypatch.setattr(frames, "run_identity_suite", lambda: suite)
     assert main(["identities"]) == 1
+
+
+@pytest.mark.parametrize("name", sorted(WRONG_INPUTS))
+def test_every_printed_form_entry_can_fail(monkeypatch, identity_results, name):
+    # An entry that compares direct brackets with a printed form fails when
+    # that form is wrong.
+    wrong, entry = WRONG_INPUTS[name]
+    _wrong_entry_fails_identities(monkeypatch, identity_results, frames, name, wrong, entry)
+
+
+@pytest.mark.parametrize("name", sorted(WRONG_CONSTRUCTIONS))
+def test_every_construction_comparison_can_fail(monkeypatch, identity_results, name):
+    # An entry that compares two constructions (the two ell, Ad against the
+    # inner product) fails when either is wrong.
+    module, wrong, entry = WRONG_CONSTRUCTIONS[name]
+    _wrong_entry_fails_identities(monkeypatch, identity_results, module, name, wrong, entry)

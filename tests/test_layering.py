@@ -90,13 +90,104 @@ def _module_level_imports(tree: ast.Module):
                 yield alias.asname or alias.name, node.lineno
 
 
+_FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
+
+
+def _arguments(args: ast.arguments):
+    every = args.posonlyargs + args.args + args.kwonlyargs + [args.vararg, args.kwarg]
+    return [a for a in every if a is not None]
+
+
+def _body(func):
+    """A function's statements, or a lambda's expression, as a list."""
+    return list(func.body) if isinstance(func.body, list) else [func.body]
+
+
+def _bound_names(func):
+    """The names a function or lambda binds for itself: its arguments, and
+    every assignment or comprehension target, `except ... as` name, def,
+    class and import in its body outside nested functions and classes."""
+    bound = {a.arg for a in _arguments(func.args)}
+    stack = _body(func)
+    while stack:
+        node = stack.pop()
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Load):
+            bound.add(node.id)
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            bound.add(node.name)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            bound |= {alias.asname or alias.name.split(".")[0] for alias in node.names}
+        elif isinstance(node, ast.ExceptHandler) and node.name:
+            bound.add(node.name)
+        if not isinstance(node, _FUNCTIONS + (ast.ClassDef,)):
+            stack.extend(ast.iter_child_nodes(node))
+    return bound
+
+
+def _module_scope_loads(tree: ast.Module):
+    """The names read where they resolve to module scope.  A name read
+    inside a function that binds it (an argument, an assignment target, ...)
+    is the function's own, not a use of the module's name; decorators,
+    defaults and annotations are read in the enclosing scope."""
+    used = set()
+
+    def visit(node, shadowed):
+        if isinstance(node, _FUNCTIONS):
+            outer = node.args.defaults + [d for d in node.args.kw_defaults if d]
+            if not isinstance(node, ast.Lambda):
+                outer += node.decorator_list + [node.returns]
+                outer += [a.annotation for a in _arguments(node.args)]
+            for child in outer:
+                if child is not None:
+                    visit(child, shadowed)
+            inner = shadowed | _bound_names(node)
+            for child in _body(node):
+                visit(child, inner)
+            return
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load) and node.id not in shadowed:
+            used.add(node.id)
+        for child in ast.iter_child_nodes(node):
+            visit(child, shadowed)
+
+    visit(tree, frozenset())
+    return used
+
+
+def _unused_imports(tree: ast.Module):
+    used = _module_scope_loads(tree)
+    return [(name, line) for name, line in _module_level_imports(tree) if name not in used]
+
+
 @pytest.mark.parametrize("module", sorted(set(LAYERS) - {"__init__"}))
 def test_module_level_imports_are_used(module):
     # __init__ is exempt: it imports to re-export.
-    tree = _modules()[module]
-    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
-    unused = [(name, line) for name, line in _module_level_imports(tree) if name not in used]
+    unused = _unused_imports(_modules()[module])
     assert not unused, f"{module} imports names it never uses: {unused}"
+
+
+SHADOWED_IMPORTS = """
+from .quat import one, zero, qi, qj, quat
+
+def defect(x, one):
+    return x - one
+
+def cleared(x):
+    zero = x - x
+    return [zero for qi in range(3)]
+
+def uses(x, n=qj):
+    return quat(x, n)
+"""
+
+
+def test_a_name_a_function_binds_is_not_a_use_of_the_import():
+    # A parameter (one), a local (zero) or a comprehension target (qi) of
+    # the import's name is not a use of it; a default (qj) is read in the
+    # module's scope.  Counting every ast.Name as a use saw all five used.
+    tree = ast.parse(SHADOWED_IMPORTS)
+    every_name = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    assert {"one", "zero", "qi", "qj", "quat"} <= every_name
+    assert _unused_imports(tree) == [("one", 2), ("zero", 2), ("qi", 2)]
 
 
 def test_kernel_imports_no_numpy():
@@ -128,6 +219,7 @@ UNREACHED = {
     # wait for the growth vector downstairs
     ("bundle", "e_action"): "item 3",
     ("bundle", "project_s4_gm"): "item 3",
+    ("qmat", "scalar_mat"): "item 3",  # only e_action calls it
 }
 
 
