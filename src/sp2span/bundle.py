@@ -266,11 +266,20 @@ def random_sp2(seed: int) -> Sp2Point:
 
 
 def sp1_cayley(s: Quaternion) -> Quaternion:
-    """Unit quaternion (1 - s)(1 + s)^-1 from an imaginary s."""
+    """Unit quaternion (1 - s)(1 + s)^-1 from an exact imaginary s.
+
+    For imaginary s, s^2 = -|s|^2 and (1 + s)^-1 = (1 - s)/(1 + |s|^2), so
+    with s = S/D the unit is ((D^2 - |S|^2) - 2 D S)/(D^2 + |S|^2), built
+    from the stored numerators with one gcd."""
+    if s.backend != EXACT:
+        raise BackendMismatch("sp1_cayley takes an exact s, not a float one")
     if not s.is_imaginary():
         raise ValueError("sp1_cayley needs a purely imaginary argument")
-    o = one(s.backend)
-    return (o - s) * (o + s).inverse()
+    _, a1, a2, a3 = s.n
+    d = s.d
+    d_sq, s_sq = d * d, a1 * a1 + a2 * a2 + a3 * a3
+    t = -2 * d
+    return Quaternion(d_sq - s_sq, t * a1, t * a2, t * a3, d_sq + s_sq)
 
 
 @dataclass
@@ -325,15 +334,26 @@ def normalize_fiber(p: Sp2Point) -> FiberNormalization:
 # exact_random_point choose it, these points are fiber-normalized, as the
 # paper's case frames expect; varying (u1, u2) sweeps the whole
 # fiber-normalized locus over that v.  (The span check needs no
-# normalization.)
+# normalization.)  tests/conftest.py keeps the object expressions of
+# fiber_point, sp1_cayley and ir_w0 as the references they must equal.
 
 
 def fiber_point(v: Quaternion, w0: Quaternion, u1: Quaternion, u2: Quaternion) -> Sp2Point:
-    """Assemble the point above.  Preconditions: |w0|^2 (1 + |v|^2) = 1
-    and |u1| = |u2| = 1; validated via the Sp2Point invariant."""
-    w = w0 * u1
-    y = w0 * u2
-    return Sp2Point(QMat2(v * w, y, w, -(v.conj() * y)))
+    """Assemble the point above from the stored numerators, one gcd per
+    entry (on floats, the IEEE operations of the Quaternion products in the
+    same order).  Preconditions: |w0|^2 (1 + |v|^2) = 1 and
+    |u1| = |u2| = 1; validated via the Sp2Point invariant."""
+    if len({q.backend for q in (v, w0, u1, u2)}) > 1:
+        raise BackendMismatch("fiber_point's operands live on different scalar backends")
+    vn, w0n = v.n, w0.n
+    w, w_den = hamilton(w0n, u1.n), w0.d * u1.d
+    y, y_den = hamilton(w0n, u2.n), w0.d * u2.d
+    return Sp2Point(QMat2(
+        Quaternion(*hamilton(vn, w), v.d * w_den),
+        Quaternion(*y, y_den),
+        Quaternion(*w, w_den),
+        Quaternion(*neg4(hamilton(conj4(vn), y)), v.d * y_den),
+    ))
 
 
 def two_squares(n: int):
@@ -382,24 +402,21 @@ def ir_w0(v: Quaternion) -> Quaternion:
     |w0|^2 = 1/(1 + v^2): w0 = qden (qden + pnum i)/(pnum^2 + qden^2)."""
     if v.backend != EXACT:
         raise BackendMismatch("ir_w0 takes an exact v, not a float one")
-    fr = v.h0
-    pnum, qden = fr.numerator, fr.denominator
-    norm = pnum * pnum + qden * qden
-    return quat(Fraction(qden * qden, norm), Fraction(qden * pnum, norm), 0, 0)
+    pnum, qden = v.n[0], v.d
+    return Quaternion(qden * qden, qden * pnum, 0, 0, pnum * pnum + qden * qden)
 
 
 IB_W0 = quat(Fraction(1, 2), Fraction(1, 2), 0, 0)  # |w0|^2 = 1/2, for v = i
 
 
-# -- exact sampling on integer numerators ---------------------------------------------
+# -- exact sampling -------------------------------------------------------------------
 
-# exact_random_point draws small rationals from a Philox stream and builds
-# its point as integer 4-tuples, each entry over one positive denominator
-# (quat.hamilton on numerators), which become the stored numerators of the
-# point's Quaternions, put in lowest terms by their constructor.  The object
-# constructions sp1_cayley and fiber_point, with cayley_sp2 and r_action in
-# tests/conftest.py and tests/test_bundle.py, give the same points; they are
-# the reference the tests compare with.
+# exact_random_point draws small rationals from a Philox stream.  The named
+# cases are built by the factories above (sp1_cayley, fiber_point, ir_w0).
+# Case None builds its U(2) core and right dressing as integer 4-tuples over
+# one denominator (quat.hamilton on numerators), put in lowest terms by
+# point_from_numerators; cayley_sp2 in tests/conftest.py and r_action in
+# tests/test_bundle.py are the object constructions the tests compare it with.
 
 # The bounds of a ratio's two draws, repeated for the most ratios one point
 # takes (ten, case None): numerator in [-8, 8], denominator in [1, 8].
@@ -422,24 +439,17 @@ def _over_lcm(ratios):
     return [num * (d // den) for num, den in ratios], d
 
 
-def _unit_numerators(s):
-    """The unit (1 - s)(1 + s)^-1 for imaginary s = s1 i + s2 j + s3 k, given
-    as the (numerator, denominator) pairs of (s1, s2, s3), as (numerators,
-    denominator).
-
-    For imaginary s, s^2 = -|s|^2 and (1 + s)^-1 = (1 - s)/(1 + |s|^2), so
-    with s = S/D the unit is ((D^2 - |S|^2) - 2 D S)/(D^2 + |S|^2)."""
-    (a1, a2, a3), d = _over_lcm(s)
-    d_sq, s_sq = d * d, a1 * a1 + a2 * a2 + a3 * a3
-    t = -2 * d
-    return (d_sq - s_sq, t * a1, t * a2, t * a3), d_sq + s_sq
+def _imaginary(ratios) -> Quaternion:
+    """The exact s1 i + s2 j + s3 k from the (numerator, denominator) pairs
+    of (s1, s2, s3)."""
+    (a1, a2, a3), d = _over_lcm(ratios)
+    return Quaternion(0, a1, a2, a3, d)
 
 
 def _two_units(g):
-    """sp1_cayley of two random imaginary s, each as (numerators,
-    denominator)."""
+    """sp1_cayley of two random imaginary s."""
     ratios = _rng_ratios(g, 6)
-    return _unit_numerators(ratios[:3]), _unit_numerators(ratios[3:])
+    return sp1_cayley(_imaginary(ratios[:3])), sp1_cayley(_imaginary(ratios[3:]))
 
 
 def _cayley_core(ratios):
@@ -466,21 +476,6 @@ def _cayley_core(ratios):
     return (x, y, w, z), t * t + f * f
 
 
-def _fiber_numerators(v, w0, u1, u2):
-    """fiber_point's entries (x, y, w, z) from (numerators, denominator)
-    pairs, as the same pairs."""
-    (vn, v_den), (w0n, w0_den), (u1n, u1_den), (u2n, u2_den) = v, w0, u1, u2
-    w, w_den = hamilton(w0n, u1n), w0_den * u1_den
-    y, y_den = hamilton(w0n, u2n), w0_den * u2_den
-    x = hamilton(vn, w)
-    z = hamilton(conj4(vn), y)
-    return (x, v_den * w_den), (y, y_den), (w, w_den), (neg4(z), v_den * y_den)
-
-
-_ZERO4 = (_ZERO, 1)
-_IB_V = ((0, 1, 0, 0), 1)
-_IB_W0 = ((1, 1, 0, 0), 2)  # IB_W0
-
 EXACT_CASE_KINDS = (None, "I-b", "I-r", "II-x0", "II-w0")
 # The case of sample index n of exact `verify`: EXACT_CYCLE[n % 8].
 EXACT_CYCLE = (None, "I-b", None, "I-r", "II-x0", None, "II-w0", None)
@@ -493,17 +488,19 @@ def exact_random_point(seed: int, case: str | None = None) -> Sp2Point:
     random Sp(1)-Cayley right dressing diag(conj(lam), conj(mu)), which
     fixes v = x w^-1.  So v is complex, but its i-part takes either sign:
     these points are not fiber-normalized, and land in case I-a almost
-    always.  The named cases are built directly, on the fiber-normalized
-    locus of their stratum.  All outputs are exactly symplectic and
-    exactly classifiable.
+    always.  The named cases are built on the fiber-normalized locus of
+    their stratum, by fiber_point (I-b with v = i and IB_W0, I-r with a
+    random real v and ir_w0) or as the diagonal or antidiagonal matrix of
+    two units (II), each unit an sp1_cayley of random imaginary s.  All
+    outputs are exactly symplectic and exactly classifiable.
     """
     g = np.random.Generator(np.random.Philox(key=seed % (1 << 128)))
     if case is None:
         ratios = _rng_ratios(g, 10)
         (x0, y0, w0, z0), core_den = _cayley_core(ratios[:4])
-        (lam, lam_den), (mu, mu_den) = _unit_numerators(ratios[4:7]), _unit_numerators(ratios[7:])
-        lam_c, mu_c = conj4(lam), conj4(mu)
-        x_den, y_den = core_den * lam_den, core_den * mu_den
+        lam, mu = sp1_cayley(_imaginary(ratios[4:7])), sp1_cayley(_imaginary(ratios[7:]))
+        lam_c, mu_c = conj4(lam.n), conj4(mu.n)
+        x_den, y_den = core_den * lam.d, core_den * mu.d
         return point_from_numerators((
             (hamilton(x0, lam_c), x_den),
             (hamilton(y0, mu_c), y_den),
@@ -511,7 +508,7 @@ def exact_random_point(seed: int, case: str | None = None) -> Sp2Point:
             (hamilton(z0, mu_c), y_den),
         ))
     if case == "I-b":
-        return point_from_numerators(_fiber_numerators(_IB_V, _IB_W0, *_two_units(g)))
+        return fiber_point(qi(EXACT), IB_W0, *_two_units(g))
     if case == "I-r":
         for _ in range(64):
             ((num, den),) = _rng_ratios(g, 1)
@@ -519,38 +516,31 @@ def exact_random_point(seed: int, case: str | None = None) -> Sp2Point:
                 break
         else:
             raise DegenerateDraw("could not draw a nonzero rational v")
-        # v = num/den and w0 = den (den + num i)/(num^2 + den^2), as ir_w0
-        v, w0 = ((num, 0, 0, 0), den), ((den * den, den * num, 0, 0), num * num + den * den)
-        return point_from_numerators(_fiber_numerators(v, w0, *_two_units(g)))
+        v = Quaternion(num, 0, 0, 0, den)
+        return fiber_point(v, ir_w0(v), *_two_units(g))
     if case == "II-x0":
-        y, w = _two_units(g)
-        return point_from_numerators((_ZERO4, y, w, _ZERO4))
+        zq = zero(EXACT)
+        return Sp2Point(QMat2(zq, *_two_units(g), zq))
     if case == "II-w0":
-        x, z = _two_units(g)
-        return point_from_numerators((x, _ZERO4, _ZERO4, z))
+        return Sp2Point(diag(*_two_units(g)))
     raise ValueError(f"unknown case request {case!r}")
 
 
-# Deterministic unit menu for grid constructions (no RNG involved).
-
-
-def _unit_menu():
-    seeds = [
-        quat(0, 0, 0, 0),
-        quat(0, 1, 0, 0),
-        quat(0, 0, 1, 0),
-        quat(0, 0, 0, 1),
-        quat(0, Fraction(1, 2), Fraction(1, 3), 0),
-        quat(0, 0, Fraction(2, 3), Fraction(1, 2)),
-        quat(0, Fraction(1, 3), 0, Fraction(3, 4)),
-        quat(0, Fraction(1, 2), Fraction(1, 2), Fraction(1, 2)),
-        quat(0, Fraction(2, 5), Fraction(1, 5), Fraction(3, 5)),
-        quat(0, 1, Fraction(1, 4), Fraction(1, 2)),
-    ]
-    return [sp1_cayley(s) for s in seeds]
-
-
-UNIT_MENU = _unit_menu()
+# Deterministic unit menu for grid constructions (no RNG involved): the
+# sp1_cayley units of these imaginary seeds.
+UNIT_SEEDS = (
+    quat(0, 0, 0, 0),
+    quat(0, 1, 0, 0),
+    quat(0, 0, 1, 0),
+    quat(0, 0, 0, 1),
+    quat(0, Fraction(1, 2), Fraction(1, 3), 0),
+    quat(0, 0, Fraction(2, 3), Fraction(1, 2)),
+    quat(0, Fraction(1, 3), 0, Fraction(3, 4)),
+    quat(0, Fraction(1, 2), Fraction(1, 2), Fraction(1, 2)),
+    quat(0, Fraction(2, 5), Fraction(1, 5), Fraction(3, 5)),
+    quat(0, 1, Fraction(1, 4), Fraction(1, 2)),
+)
+UNIT_MENU = [sp1_cayley(s) for s in UNIT_SEEDS]
 
 
 def grid_ia(count: int):

@@ -1,9 +1,9 @@
 """Shared strategies and independent oracles for the test suite, and the
 reference constructions that no command runs: the object-level Cayley
 transform and 2x2 inverse behind the exact sampler's reference, the object
-expressions of ell_rho and Ad_p that the numerator code in bundle and qmat
-must equal, and the canonical report form the golden and CLI tests
-compare."""
+expressions of the Sp(1) Cayley unit, the fiber point, ir_w0's w0, ell_rho
+and Ad_p that the numerator code in bundle and qmat must equal, and the
+canonical report form the golden and CLI tests compare."""
 
 import json
 from fractions import Fraction
@@ -231,6 +231,28 @@ def cayley_sp2(s: Sp2Alg) -> Sp2Point:
     sp(2), exactly on the exact backend."""
     ident = identity(s.backend)
     return Sp2Point((ident - s.m) @ qmat_inverse(ident + s.m))
+
+
+def sp1_cayley_reference(s: Quaternion) -> Quaternion:
+    """(1 - s)(1 + s)^-1 on Quaternion objects."""
+    o = one(s.backend)
+    return (o - s) * (o + s).inverse()
+
+
+def fiber_point_reference(v: Quaternion, w0: Quaternion, u1: Quaternion, u2: Quaternion) -> Sp2Point:
+    """[[v w0 u1, w0 u2], [w0 u1, -conj(v) w0 u2]] on Quaternion objects."""
+    w = w0 * u1
+    y = w0 * u2
+    return Sp2Point(QMat2(v * w, y, w, -(v.conj() * y)))
+
+
+def ir_w0_reference(v: Quaternion) -> Quaternion:
+    """qden (qden + pnum i)/(pnum^2 + qden^2) for real v = pnum/qden, on
+    Fractions."""
+    fr = v.h0
+    pnum, qden = fr.numerator, fr.denominator
+    norm = pnum * pnum + qden * qden
+    return quat(Fraction(qden * qden, norm), Fraction(qden * pnum, norm), 0, 0)
 
 
 def ell_from_projector_reference(p: Sp2Point, rho: Quaternion) -> QMat2:

@@ -22,7 +22,10 @@ from conftest import (
     cayley_sp2,
     ell_direct_reference,
     ell_from_projector_reference,
+    fiber_point_reference,
     identity,
+    ir_w0_reference,
+    sp1_cayley_reference,
 )
 from sp2span import bundle, frames
 from sp2span.bundle import (
@@ -467,6 +470,47 @@ def test_ir_w0_rejects_a_float_v():
         ir_w0(quat(0.1, backend=FLOAT))
 
 
+def test_sp1_cayley_rejects_a_float_or_real_s():
+    with pytest.raises(BackendMismatch):
+        sp1_cayley(quat(0.0, 0.5, 0.0, 0.0, backend=FLOAT))
+    with pytest.raises(ValueError):
+        sp1_cayley(quat(Fraction(1, 2), 1))
+
+
+def _float_unit(g: random.Random) -> Quaternion:
+    q = [g.gauss(0.0, 1.0) for _ in range(4)]
+    n = math.sqrt(sum(c * c for c in q))
+    return quat(*(c / n for c in q))
+
+
+def test_float_fiber_points_keep_the_object_bits():
+    # On floats fiber_point runs the IEEE operations of the object
+    # expression in the same order: every component keeps its bits.
+    g = random.Random(27)
+    for _ in range(300):
+        v = quat(*(g.uniform(-2, 2) for _ in range(4)))
+        w0 = quat(1.0 / math.sqrt(1.0 + v.norm_sq()), backend=FLOAT)
+        args = (v, w0, _float_unit(g), _float_unit(g))
+        assert _bits(fiber_point(*args).m) == _bits(fiber_point_reference(*args).m)
+
+
+def test_fiber_point_rejects_mixed_backends():
+    # Without its own check the tuple formulas would build a float point
+    # from an exact v, or fail with a bare TypeError.
+    v = quat(2)
+    float_w0 = quat(1.0 / math.sqrt(5.0), backend=FLOAT)
+    with pytest.raises(BackendMismatch):
+        fiber_point(v, float_w0, one(FLOAT), one(FLOAT))
+    with pytest.raises(BackendMismatch):
+        fiber_point(v, ir_w0(v), one(FLOAT), one(FLOAT))
+    exact = [v, ir_w0(v), one(EXACT), one(EXACT)]
+    for k in range(4):
+        mixed = list(exact)
+        mixed[k] = quat(*map(float, mixed[k].components()), backend=FLOAT)
+        with pytest.raises(BackendMismatch):
+            fiber_point(*mixed)
+
+
 def test_exact_random_point_cases():
     for seed in range(4):
         assert frames.classify(normalize_fiber(exact_random_point(seed)).point).kind in (
@@ -489,15 +533,15 @@ def test_exact_random_point_deterministic():
 
 def object_draw(seed, case):
     """exact_random_point built from Quaternion/QMat2 objects: the same Philox
-    calls in the same order, then sp1_cayley, cayley_sp2, r_action and
-    fiber_point."""
+    calls in the same order, then the object expressions of sp1_cayley,
+    fiber_point and ir_w0 (tests/conftest.py), cayley_sp2 and r_action."""
     g = np.random.Generator(np.random.Philox(key=seed % (1 << 128)))
 
     def frac():
         return Fraction(int(g.integers(-8, 9)), int(g.integers(1, 9)))
 
     def unit():
-        return sp1_cayley(quat(0, frac(), frac(), frac()))
+        return sp1_cayley_reference(quat(0, frac(), frac(), frac()))
 
     if case is None:
         alpha = quat(0, frac(), 0, 0)
@@ -506,12 +550,12 @@ def object_draw(seed, case):
         core = cayley_sp2(Sp2Alg(QMat2(alpha, beta, -beta.conj(), gamma)))
         return r_action(core, unit(), unit())
     if case == "I-b":
-        return fiber_point(qi(EXACT), bundle.IB_W0, unit(), unit())
+        return fiber_point_reference(qi(EXACT), bundle.IB_W0, unit(), unit())
     if case == "I-r":
         v = quat(0)
         while v.h0 == 0:
             v = quat(frac())
-        return fiber_point(v, ir_w0(v), unit(), unit())
+        return fiber_point_reference(v, ir_w0_reference(v), unit(), unit())
     if case == "II-x0":
         y, w = unit(), unit()
         return Sp2Point(QMat2(zero(EXACT), y, w, zero(EXACT)))
@@ -521,22 +565,53 @@ def object_draw(seed, case):
 
 @pytest.mark.parametrize("case", bundle.EXACT_CASE_KINDS)
 def test_exact_random_point_matches_object_construction(case):
-    # The integer-numerator sampler against the object construction, Fraction
-    # for Fraction, on 600 keys per case (300 small keys, 300 of 128 bits).
+    # The sampler against the object construction, Fraction for Fraction,
+    # on 600 keys per case (300 small keys, 300 of 128 bits).
     for k in range(300):
         for key in (k, (k << 64) + 977 * k + 5):
             assert exact_random_point(key, case).m == object_draw(key, case).m
 
 
-@given(st.lists(st.tuples(st.integers(-(10**40), 10**40), st.integers(1, 10**40)), min_size=3, max_size=3))
+big_ratios = st.tuples(st.integers(-(10**40), 10**40), st.integers(1, 10**40))
+
+
+@given(st.lists(big_ratios, min_size=3, max_size=3))
 @settings(max_examples=200, deadline=None)
 def test_closed_form_unit_is_sp1_cayley(ratios):
-    # ((D^2 - |S|^2) - 2 D S)/(D^2 + |S|^2) for s = S/D, from unreduced
-    # (numerator, denominator) pairs, is (1 - s)(1 + s)^-1 exactly.
+    # ((D^2 - |S|^2) - 2 D S)/(D^2 + |S|^2) for s = S/D is (1 - s)(1 + s)^-1
+    # exactly, over large and unreduced denominators.
     s = quat(0, *(Fraction(n, d) for n, d in ratios))
-    nums, den = bundle._unit_numerators(ratios)
-    assert den > 0
-    assert quat(*(Fraction(c, den) for c in nums)) == (one(EXACT) - s) * (one(EXACT) + s).inverse()
+    assert sp1_cayley(s) == sp1_cayley_reference(s)
+
+
+@given(big_ratios)
+@settings(max_examples=200, deadline=None)
+def test_ir_w0_is_its_object_expression(ratio):
+    v = quat(Fraction(*ratio))
+    assert ir_w0(v) == ir_w0_reference(v)
+
+
+def test_factories_equal_the_object_expressions(monkeypatch):
+    # sp1_cayley, fiber_point and ir_w0 run on numerators; each equals the
+    # object expression it replaced: on the unit menu, on every grid, and on
+    # random units over admissible, conjugated, real and quaternionic v.
+    assert bundle.UNIT_MENU == [sp1_cayley_reference(s) for s in bundle.UNIT_SEEDS]
+    g = random.Random(26)
+    it = bundle.admissible_v_stream()
+    for _ in range(40):
+        s1, s2 = (quat(0, rng_frac(g), rng_frac(g), rng_frac(g)) for _ in range(2))
+        u1, u2 = sp1_cayley(s1), sp1_cayley(s2)
+        assert (u1, u2) == (sp1_cayley_reference(s1), sp1_cayley_reference(s2))
+        v, w0 = next(it)
+        for vv, ww in ((v, w0), (v.conj(), w0), (qj(EXACT), bundle.IB_W0)):
+            assert fiber_point(vv, ww, u1, u2) == fiber_point_reference(vv, ww, u1, u2)
+        r = quat(rng_frac(g))
+        assert fiber_point(r, ir_w0(r), u1, u2) == fiber_point_reference(r, ir_w0_reference(r), u1, u2)
+    grids = (bundle.grid_ia, bundle.grid_ib, bundle.grid_ir, bundle.grid_ii)
+    built = [grid(12) for grid in grids]
+    monkeypatch.setattr(bundle, "fiber_point", fiber_point_reference)
+    monkeypatch.setattr(bundle, "ir_w0", ir_w0_reference)
+    assert [grid(12) for grid in grids] == built
 
 
 def test_grids_classify_and_are_distinct():

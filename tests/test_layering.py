@@ -124,12 +124,12 @@ def _bound_names(func):
     return bound
 
 
-def _module_scope_loads(tree: ast.Module):
-    """The names read where they resolve to module scope.  A name read
-    inside a function that binds it (an argument, an assignment target, ...)
-    is the function's own, not a use of the module's name; decorators,
-    defaults and annotations are read in the enclosing scope."""
-    used = set()
+def _module_scope_loads(root: ast.AST):
+    """The ast.Name nodes in root read where they resolve to module scope.
+    A name read inside a function that binds it (an argument, an assignment
+    target, ...) is the function's own, not a use of the module's name;
+    decorators, defaults and annotations are read in the enclosing scope."""
+    reads = []
 
     def visit(node, shadowed):
         if isinstance(node, _FUNCTIONS):
@@ -145,16 +145,16 @@ def _module_scope_loads(tree: ast.Module):
                 visit(child, inner)
             return
         if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load) and node.id not in shadowed:
-            used.add(node.id)
+            reads.append(node)
         for child in ast.iter_child_nodes(node):
             visit(child, shadowed)
 
-    visit(tree, frozenset())
-    return used
+    visit(root, frozenset())
+    return reads
 
 
 def _unused_imports(tree: ast.Module):
-    used = _module_scope_loads(tree)
+    used = {node.id for node in _module_scope_loads(tree)}
     return [(name, line) for name, line in _module_level_imports(tree) if name not in used]
 
 
@@ -251,10 +251,11 @@ def _sibling_bindings(tree: ast.Module):
 
 def _reached(trees):
     """The (module, name) definitions reached from cli.main, name by name:
-    a name in a reached definition (body, defaults, decorators, annotations;
-    for a class, all its methods) reaches the definition it resolves to, in
-    its own module or through `from .x import y`, and `x.attr` on a sibling
-    module x reaches x's attr."""
+    a name read in a reached definition (body, defaults, decorators,
+    annotations; for a class, all its methods) where it resolves to module
+    scope, by the rules of _module_scope_loads, reaches the definition it
+    resolves to, in its own module or through `from .x import y`, and
+    `x.attr` on such a read of a sibling module x reaches x's attr."""
     defs = {m: _definitions(t) for m, t in trees.items()}
     bindings = {m: _sibling_bindings(t) for m, t in trees.items()}
 
@@ -274,16 +275,40 @@ def _reached(trees):
         seen.add(key)
         module, name = key
         modules = bindings[module][1]
-        for node in ast.walk(defs[module][name]):
-            target = None
-            if isinstance(node, ast.Name):
-                target = resolve(module, node.id)
-            elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+        definition = defs[module][name]
+        reads = _module_scope_loads(definition)
+        targets = [resolve(module, node.id) for node in reads]
+        read_ids = {id(node) for node in reads}
+        for node in ast.walk(definition):
+            if isinstance(node, ast.Attribute) and id(node.value) in read_ids:
                 if node.value.id in modules:
-                    target = resolve(modules[node.value.id], node.attr)
-            if target is not None:
-                stack.append(target)
+                    targets.append(resolve(modules[node.value.id], node.attr))
+        stack.extend(t for t in targets if t is not None)
     return seen
+
+
+SHADOWED_DEFINITIONS = """
+def main(argv, fmt=formatter):
+    helper = argv[0]
+    return run(helper, fmt)
+
+def run(x, check):
+    return [check(x) for verdict in ()]
+
+def formatter(): ...
+def helper(): ...
+def check(): ...
+def verdict(): ...
+"""
+
+
+def test_a_name_a_function_binds_reaches_no_definition():
+    # In main, a local (helper) shares a definition's name; in run, a
+    # parameter (check) and a comprehension target (verdict) do.  None of
+    # them is a call of the definition; a default (formatter) and a call
+    # (run) are.  Counting every ast.Name as a use reached all six.
+    reached = _reached({"cli": ast.parse(SHADOWED_DEFINITIONS)})
+    assert reached == {("cli", "main"), ("cli", "run"), ("cli", "formatter")}
 
 
 def _unreached():
