@@ -49,9 +49,7 @@ from .qmat import (
     Sp2Point,
     conjugate4,
     diag,
-    point_from_numerators,
     real_rank,
-    scalar_mat,
 )
 from .quat import (
     BackendMismatch,
@@ -62,6 +60,7 @@ from .quat import (
     Quaternion,
     Scalar,
     Sp2Error,
+    ZERO4,
     add4,
     as_float,
     conj4,
@@ -101,15 +100,11 @@ def project_s4_gm(p: Sp2Point):
 
 def e_action(p: Sp2Point, lam: Quaternion, mu: Quaternion) -> Sp2Point:
     """p -> diag(lam, lam) @ p @ diag(conj(mu), 1) for unit lam, mu."""
-    m = scalar_mat(lam) @ p.m @ diag(mu.conj(), one(p.backend))
+    m = diag(lam, lam) @ p.m @ diag(mu.conj(), one(p.backend))
     return Sp2Point(m, validate=False)
 
 
 # -- fundamental vertical fields --------------------------------------------------
-
-
-# 0 as a 4-tuple of ints: times a float it gives the bits that 0.0 would.
-_ZERO = (0, 0, 0, 0)
 
 
 def _require_backend_of(p: Sp2Point, rho: Quaternion):
@@ -147,9 +142,10 @@ def ell_from_projector(p: Sp2Point, rho: Quaternion) -> QMat2:
     p_sq = pd * pd
     r = rho.n
     rho_p = tuple([c * p_sq for c in r])
-    projected = conjugate4(pn, (r, _ZERO, _ZERO, _ZERO))
+    # ZERO4 is integers: times a float it gives the bits that 0.0 would
+    projected = conjugate4(pn, (r, ZERO4, ZERO4, ZERO4))
     den = p_sq * rho.d
-    scalar = (rho_p, _ZERO, _ZERO, rho_p)
+    scalar = (rho_p, ZERO4, ZERO4, rho_p)
     return QMat2(*(Quaternion(*sub4(s, t), den) for s, t in zip(scalar, projected)))
 
 
@@ -261,7 +257,7 @@ def random_sp2(seed: int) -> Sp2Point:
             continue
         s2 = 1.0 / sqrt(n2)
         y, z = [c * s2 for c in y], [c * s2 for c in z]
-        return Sp2Point(QMat2(*(Quaternion(*q) for q in (x, y, w, z))))
+        return Sp2Point(QMat2(*(Quaternion(*q, 1) for q in (x, y, w, z))))
     raise DegenerateDraw(f"no usable draw after {RANDOM_SP2_ATTEMPTS} attempts (seed {seed})")
 
 
@@ -414,9 +410,11 @@ IB_W0 = quat(Fraction(1, 2), Fraction(1, 2), 0, 0)  # |w0|^2 = 1/2, for v = i
 # exact_random_point draws small rationals from a Philox stream.  The named
 # cases are built by the factories above (sp1_cayley, fiber_point, ir_w0).
 # Case None builds its U(2) core and right dressing as integer 4-tuples over
-# one denominator (quat.hamilton on numerators), put in lowest terms by
-# point_from_numerators; cayley_sp2 in tests/conftest.py and r_action in
-# tests/test_bundle.py are the object constructions the tests compare it with.
+# one denominator (quat.hamilton on numerators); each entry's Quaternion puts
+# them in lowest terms, so the point is validated over its own common
+# denominator, not a product of the factors it was built from.  cayley_sp2 in
+# tests/conftest.py and r_action in tests/test_bundle.py are the object
+# constructions the tests compare it with.
 
 # The bounds of a ratio's two draws, repeated for the most ratios one point
 # takes (ten, case None): numerator in [-8, 8], denominator in [1, 8].
@@ -501,11 +499,11 @@ def exact_random_point(seed: int, case: str | None = None) -> Sp2Point:
         lam, mu = sp1_cayley(_imaginary(ratios[4:7])), sp1_cayley(_imaginary(ratios[7:]))
         lam_c, mu_c = conj4(lam.n), conj4(mu.n)
         x_den, y_den = core_den * lam.d, core_den * mu.d
-        return point_from_numerators((
-            (hamilton(x0, lam_c), x_den),
-            (hamilton(y0, mu_c), y_den),
-            (hamilton(w0, lam_c), x_den),
-            (hamilton(z0, mu_c), y_den),
+        return Sp2Point(QMat2(
+            Quaternion(*hamilton(x0, lam_c), x_den),
+            Quaternion(*hamilton(y0, mu_c), y_den),
+            Quaternion(*hamilton(w0, lam_c), x_den),
+            Quaternion(*hamilton(z0, mu_c), y_den),
         ))
     if case == "I-b":
         return fiber_point(qi(EXACT), IB_W0, *_two_units(g))
@@ -613,7 +611,7 @@ def ib_float_point(split: float, phase1: float = 0.3, phase2: float = 1.1) -> Sp
         raise ValueError("split must lie in [-1/2, 1/2]")
     ra = sqrt((0.5 + split) / 2.0)
     rb = sqrt((0.5 - split) / 2.0)
-    w = Quaternion(ra * cos(phase1), ra * sin(phase1), rb * cos(phase2), rb * sin(phase2))
-    y = Quaternion(cos(phase1 + phase2) / sqrt(2.0), sin(phase1 + phase2) / sqrt(2.0), 0.0, 0.0)
+    w = quat(ra * cos(phase1), ra * sin(phase1), rb * cos(phase2), rb * sin(phase2))
+    y = quat(cos(phase1 + phase2) / sqrt(2.0), sin(phase1 + phase2) / sqrt(2.0), 0.0, 0.0)
     i_f = qi(FLOAT)
     return Sp2Point(QMat2(i_f * w, y, w, i_f * y))

@@ -236,10 +236,6 @@ def b_matrix(v: Quaternion) -> QMat2:
     return QMat2(b11, off, off, b22)
 
 
-def _cdiv(a: Quaternion, b: Quaternion) -> Quaternion:
-    return a * b.inverse()
-
-
 def alpha(v: Quaternion) -> Quaternion:
     """The complex constant making Tr(U_j) = Tr(U_k) = 0, in its first
     printed form
@@ -261,7 +257,7 @@ def alpha(v: Quaternion) -> Quaternion:
     if den.is_zero():
         raise DegenerateV("alpha(v) denominator vanishes (v^2 = -1 or v real)")
     num = quat(8 * n * n) + (o - vb2) * (o - nq) * (v2 + nq)
-    return _cdiv(num, den.scale(2 * n))
+    return num * den.scale(2 * n).inverse()
 
 
 def _alpha_form2(v: Quaternion) -> Quaternion:
@@ -271,9 +267,8 @@ def _alpha_form2(v: Quaternion) -> Quaternion:
     n = v.norm_sq()
     vb = v.conj()
     dvv = vb - v
-    return _cdiv(vb.scale(4), (quat(1) - vb * vb) * dvv) + _cdiv(
-        (v + vb).scale(1 - n), dvv.scale(2 * n)
-    )
+    first = vb.scale(4) * ((quat(1) - vb * vb) * dvv).inverse()
+    return first + (v + vb).scale(1 - n) * dvv.scale(2 * n).inverse()
 
 
 def u_jk(v: Quaternion):
@@ -300,7 +295,7 @@ def t11_closed(v: Quaternion) -> Quaternion:
     n = v.norm_sq()
     o = quat(1)
     num = (v * (o + v.conj() * v.conj())).scale(1 + n)
-    return _cdiv(num, (v.conj() - v).scale(n))
+    return num * (v.conj() - v).scale(n).inverse()
 
 
 def t12_closed(v: Quaternion) -> Quaternion:
@@ -310,7 +305,7 @@ def t12_closed(v: Quaternion) -> Quaternion:
     o = quat(1)
     vb2 = v.conj() * v.conj()
     num = ((o + vb2)).scale(2 * (1 + n))
-    return _cdiv(num, (o - vb2) * (v - v.conj()))
+    return num * ((o - vb2) * (v - v.conj())).inverse()
 
 
 def nondegeneracy_factor(v: Quaternion) -> Quaternion:
@@ -329,7 +324,7 @@ def nondegeneracy_factor(v: Quaternion) -> Quaternion:
     opv = o + vb2
     num = (opv * opv * opv).scale(1 + n)
     den = ((v - vb) * vb2 * (o - vb2)).scale(2)
-    return _cdiv(num, den)
+    return num * den.inverse()
 
 
 # -- frames ---------------------------------------------------------------------------

@@ -40,7 +40,12 @@ from itertools import combinations
 
 from .quat import (
     FLOAT,
+    I4,
+    J4,
+    K4,
+    ONE4,
     Quaternion,
+    ZERO4,
     conj4,
     hamilton,
     lowest_terms,
@@ -53,8 +58,6 @@ from .quat import (
 
 # (a, b) of the six brackets [u_a, u_b], in frames.SPAN_LABELS order.
 _PAIRS = tuple(combinations(range(4), 2))
-# 0, 1, i, j and k as integer 4-tuples.
-_ZERO, _ONE, _I, _J, _K = ((0, 0, 0, 0), (1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
 
 
 def _finish(nums, den, exact: bool):
@@ -86,7 +89,7 @@ def span_rows(x: Quaternion, w: Quaternion, v: Quaternion | None):
     xc, wc = conj4(xn), conj4(wn)
     p_sq = p_den * p_den
     rows = []
-    for rho in (_I, _J, _K):
+    for rho in (I4, J4, K4):
         # rho Id - p diag(rho, 0) p*, times P^2
         x_rho, w_rho = hamilton(xn, rho), hamilton(wn, rho)
         rho_p = tuple(r * p_sq for r in rho)
@@ -98,15 +101,15 @@ def span_rows(x: Quaternion, w: Quaternion, v: Quaternion | None):
     # each u as its entries (a, b, c, d) over the common q_den
     if v is None:
         q_den = 1
-        us = [(_ZERO, b, neg4(conj4(b)), _ZERO) for b in (_ONE, _I, _J, _K)]
+        us = [(ZERO4, b, neg4(conj4(b)), ZERO4) for b in (ONE4, I4, J4, K4)]
     else:
         vn, v_den = v.n, v.d
         n = norm_sq4(vn)
         q_den = 2 * v_den * n
         b0 = tuple(2 * n * c for c in vn)
-        us = [(_ZERO, b0, neg4(conj4(b0)), _ZERO)]
+        us = [(ZERO4, b0, neg4(conj4(b0)), ZERO4)]
         e_sq = v_den * v_den
-        for rho in (_I, _J, _K):
+        for rho in (I4, J4, K4):
             v_rho, rho_v = hamilton(vn, rho), hamilton(rho, vn)
             b = tuple(e_sq * s - n * t for s, t in zip(v_rho, rho_v))
             a = tuple(q_den * r for r in rho)

@@ -151,10 +151,6 @@ def diag(q1: Quaternion, q2: Quaternion) -> QMat2:
     return QMat2(q1, z, z, q2)
 
 
-def scalar_mat(q: Quaternion) -> QMat2:
-    return diag(q, q)
-
-
 # -- validated wrappers ---------------------------------------------------------
 
 
@@ -243,14 +239,6 @@ class Sp2Point:
         if isinstance(obj, dict) and obj.get("kind") not in (None, "sp2-point"):
             raise ParseError(f"expected kind 'sp2-point', got {obj.get('kind')!r}")
         return Sp2Point(QMat2.from_json(obj, backend), tol=tol)
-
-
-def point_from_numerators(entries) -> Sp2Point:
-    """The exact point [[x, y], [w, z]] from four (numerators, denominator)
-    pairs, validated on the integers.  Each entry is stored in lowest terms,
-    so the common denominator the check runs on is the point's own, not a
-    product of the factors it was built from."""
-    return Sp2Point(QMat2(*(Quaternion(*nums, d) for nums, d in entries)))
 
 
 class Sp2Alg:

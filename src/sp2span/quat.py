@@ -114,44 +114,25 @@ class Quaternion:
     """q = (n0 + n1 i + n2 j + n3 k) / d, stored as the numerators n and the
     denominator d.  Exact: Python ints over an int d > 0 in lowest terms,
     gcd(d, *n) == 1, so equal values have equal storage.  Float: the four
-    components over d = 1.
+    components, Python floats, over d = 1.
 
-    Quaternion(h0, h1, h2, h3) takes components, which scalar_backend puts
-    on a backend.  Quaternion(n0, n1, n2, n3, d) takes numerators: ints over
-    an int d > 0, which it puts in lowest terms, or floats over d = 1; the
-    arithmetic below builds every result this way, with one gcd.  h0..h3 and
-    components() read the components: Fractions on the exact backend."""
+    Quaternion(n0, n1, n2, n3, d) takes numerators: ints over an int d > 0,
+    which it puts in lowest terms with one gcd, or Python floats over
+    d = 1; the arithmetic below builds every result this way.  quat() takes
+    components.  h0..h3 and components() read the components: Fractions on
+    the exact backend."""
 
     __slots__ = ("n", "d")
 
-    def __init__(self, h0, h1, h2, h3, d=None):
-        if d is not None:
-            if d != 1:
-                if d <= 0:
-                    raise ValueError(f"denominator must be positive, got {d}")
-                g = math.gcd(d, h0, h1, h2, h3)
-                if g != 1:
-                    h0, h1, h2, h3, d = h0 // g, h1 // g, h2 // g, h3 // g, d // g
-            self.n = (h0, h1, h2, h3)
-            self.d = d
-            return
-        # Fast path: all-float tuples dominate the float hot loops.
-        if not (type(h0) is float and type(h1) is float and type(h2) is float and type(h3) is float):
-            if scalar_backend({type(h0), type(h1), type(h2), type(h3)}) == EXACT:
-                # ints and Fractions both carry numerator and denominator;
-                # over the lcm of reduced denominators no common factor is left
-                d = math.lcm(h0.denominator, h1.denominator, h2.denominator, h3.denominator)
-                self.n = (
-                    h0.numerator * (d // h0.denominator),
-                    h1.numerator * (d // h1.denominator),
-                    h2.numerator * (d // h2.denominator),
-                    h3.numerator * (d // h3.denominator),
-                )
-                self.d = d
-                return
-            h0, h1, h2, h3 = float(h0), float(h1), float(h2), float(h3)
-        self.n = (h0, h1, h2, h3)
-        self.d = 1
+    def __init__(self, n0, n1, n2, n3, d):
+        if d != 1:
+            if d <= 0:
+                raise ValueError(f"denominator must be positive, got {d}")
+            g = math.gcd(d, n0, n1, n2, n3)
+            if g != 1:
+                n0, n1, n2, n3, d = n0 // g, n1 // g, n2 // g, n3 // g, d // g
+        self.n = (n0, n1, n2, n3)
+        self.d = d
 
     def _component(i):
         def get(self):
@@ -257,7 +238,7 @@ class Quaternion:
         return hash((self.n, self.d))
 
     def __repr__(self):
-        return f"Quaternion({self.h0!r}, {self.h1!r}, {self.h2!r}, {self.h3!r})"
+        return f"quat({self.h0!r}, {self.h1!r}, {self.h2!r}, {self.h3!r})"
 
 
 # -- 4-tuple arithmetic ----------------------------------------------------------
@@ -332,32 +313,50 @@ def matmul4(m, n):
 # -- constructors -------------------------------------------------------------
 
 
-def quat(h0, h1=0, h2=0, h3=0, backend: str | None = None) -> Quaternion:
-    """Coercing constructor.  With backend=None the components decide."""
-    if backend is not None:
-        if scalar_backend({type(h0), type(h1), type(h2), type(h3)}, backend) == FLOAT:
-            return Quaternion(float(h0), float(h1), float(h2), float(h3), 1)
-    return Quaternion(h0, h1, h2, h3)
+def quat(h0, h1=0, h2=0, h3=0) -> Quaternion:
+    """The quaternion with components h0..h3, on the backend scalar_backend
+    gives them: floats stored as Python floats over 1, ints and Fractions
+    as integer numerators over the lcm of their denominators."""
+    if scalar_backend({type(h0), type(h1), type(h2), type(h3)}) == FLOAT:
+        return Quaternion(float(h0), float(h1), float(h2), float(h3), 1)
+    d = math.lcm(h0.denominator, h1.denominator, h2.denominator, h3.denominator)
+    return Quaternion(
+        h0.numerator * (d // h0.denominator),
+        h1.numerator * (d // h1.denominator),
+        h2.numerator * (d // h2.denominator),
+        h3.numerator * (d // h3.denominator),
+        d,
+    )
+
+
+# 0, 1, i, j and k as integer 4-tuples, and as Quaternions on each backend,
+# built once: nothing changes a Quaternion after __init__, so every caller
+# can share them.
+ZERO4, ONE4, I4, J4, K4 = (0, 0, 0, 0), (1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)
+_CONSTANTS = {
+    EXACT: tuple(Quaternion(*c, 1) for c in (ZERO4, ONE4, I4, J4, K4)),
+    FLOAT: tuple(Quaternion(*map(float, c), 1) for c in (ZERO4, ONE4, I4, J4, K4)),
+}
 
 
 def zero(backend: str) -> Quaternion:
-    return quat(0, 0, 0, 0, backend=backend)
+    return _CONSTANTS[backend][0]
 
 
 def one(backend: str) -> Quaternion:
-    return quat(1, 0, 0, 0, backend=backend)
+    return _CONSTANTS[backend][1]
 
 
 def qi(backend: str) -> Quaternion:
-    return quat(0, 1, 0, 0, backend=backend)
+    return _CONSTANTS[backend][2]
 
 
 def qj(backend: str) -> Quaternion:
-    return quat(0, 0, 1, 0, backend=backend)
+    return _CONSTANTS[backend][3]
 
 
 def qk(backend: str) -> Quaternion:
-    return quat(0, 0, 0, 1, backend=backend)
+    return _CONSTANTS[backend][4]
 
 
 def as_float(s: Scalar) -> float:
@@ -421,4 +420,4 @@ def quat_to_json(q: Quaternion):
 def quat_from_json(obj, backend: str) -> Quaternion:
     if not isinstance(obj, list) or len(obj) != 4:
         raise ParseError(f"quaternion must be a 4-element array, got {obj!r}")
-    return Quaternion(*(scalar_from_json(x, backend) for x in obj))
+    return quat(*(scalar_from_json(x, backend) for x in obj))

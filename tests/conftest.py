@@ -13,8 +13,8 @@ import pytest
 from hypothesis import strategies as st
 
 from sp2span import frames
-from sp2span.qmat import QMat2, RankResult, Sp2Alg, Sp2Point, diag, scalar_mat
-from sp2span.quat import EXACT, Quaternion, ZeroDivisor, one, quat, zero
+from sp2span.qmat import QMat2, RankResult, Sp2Alg, Sp2Point, diag
+from sp2span.quat import Quaternion, ZeroDivisor, one, quat, zero
 
 # Small rationals keep Fraction blowup in long products under control while
 # still exercising carries and sign handling.
@@ -26,7 +26,7 @@ floats = st.floats(
 
 
 def exact_quat(a, b, c, d) -> Quaternion:
-    return quat(Fraction(a), Fraction(b), Fraction(c), Fraction(d), backend=EXACT)
+    return quat(Fraction(a), Fraction(b), Fraction(c), Fraction(d))
 
 
 exact_quats = st.builds(exact_quat, fracs, fracs, fracs, fracs)
@@ -257,7 +257,7 @@ def ir_w0_reference(v: Quaternion) -> Quaternion:
 
 def ell_from_projector_reference(p: Sp2Point, rho: Quaternion) -> QMat2:
     """rho Id - p diag(rho, 0) p* on QMat2 objects."""
-    return scalar_mat(rho) - p.m @ diag(rho, zero(rho.backend)) @ p.m.adjoint()
+    return diag(rho, rho) - p.m @ diag(rho, zero(rho.backend)) @ p.m.adjoint()
 
 
 def ell_direct_reference(p: Sp2Point, rho: Quaternion) -> QMat2:

@@ -135,7 +135,6 @@ def quarter_stratum_search(max_denominator: int):
                 continue
             w = quat(
                 Fraction(a_num, d), Fraction(b_num, d), Fraction(pair_b[0], d), Fraction(pair_b[1], d),
-                backend=EXACT,
             )
             split = w.h0 * w.h0 + w.h1 * w.h1 - w.h2 * w.h2 - w.h3 * w.h3  # |a|^2 - |b|^2
             if w.norm_sq() == Fraction(1, 2) and split == Fraction(1, 4):
@@ -168,7 +167,7 @@ def _sym_ell_vec10(x: SymQuat, w: SymQuat, rho: SymQuat):
 def _ib_rows(p, kind: str):
     """The seven non-ell rows (u0, u_i, u_j, u_k and the three F entries) of
     the I-b frame recipe `kind` at v = i, as exact sympy rationals."""
-    frame = frames.build_frame(p, frames.CaseTag(kind=kind, v=quat(0, 1, backend=EXACT)))
+    frame = frames.build_frame(p, frames.CaseTag(kind=kind, v=quat(0, 1)))
     rows = [e for e in frame.entries if not e.label.startswith("ell_")]
     return [e.label for e in rows], [[sympy.Rational(c) for c in to_vec10(e.m)] for e in rows]
 

@@ -48,7 +48,7 @@ from sp2span.bundle import (
     two_squares,
     _sanity_zero_real,
 )
-from sp2span.qmat import InvariantViolation, QMat2, ShapeMismatch, Sp2Alg, Sp2Point, ad, diag, scalar_mat
+from sp2span.qmat import InvariantViolation, QMat2, ShapeMismatch, Sp2Alg, Sp2Point, ad, diag
 from sp2span.quat import (
     DEFAULT_TOL,
     EXACT,
@@ -70,9 +70,9 @@ def rng_frac(g: random.Random) -> Fraction:
 
 
 def rng_alg(g: random.Random) -> Sp2Alg:
-    za = quat(Fraction(0), rng_frac(g), rng_frac(g), rng_frac(g), backend=EXACT)
-    zc = quat(Fraction(0), rng_frac(g), rng_frac(g), rng_frac(g), backend=EXACT)
-    b = quat(rng_frac(g), rng_frac(g), rng_frac(g), rng_frac(g), backend=EXACT)
+    za = quat(Fraction(0), rng_frac(g), rng_frac(g), rng_frac(g))
+    zc = quat(Fraction(0), rng_frac(g), rng_frac(g), rng_frac(g))
+    b = quat(rng_frac(g), rng_frac(g), rng_frac(g), rng_frac(g))
     return Sp2Alg(QMat2(za, b, -b.conj(), zc))
 
 
@@ -90,7 +90,7 @@ def vertical_delta_basis(p: Sp2Point):
     out = []
     pinv = p.inverse()
     for lam in (qi(p.backend), qj(p.backend), qk(p.backend)):
-        m = ad(pinv, Sp2Alg(scalar_mat(lam))).m - diag(lam, zero(p.backend))
+        m = ad(pinv, Sp2Alg(diag(lam, lam))).m - diag(lam, zero(p.backend))
         out.append(Sp2Alg(m, validate=False))
     return tuple(out)
 
@@ -125,7 +125,7 @@ def u_rows(p, tol: float = 1e-9):
 
 def rng_unit(g: random.Random):
     while True:
-        s = quat(Fraction(0), rng_frac(g), rng_frac(g), rng_frac(g), backend=EXACT)
+        s = quat(Fraction(0), rng_frac(g), rng_frac(g), rng_frac(g))
         if not (one(EXACT) + s).is_zero():
             return sp1_cayley(s)
 
@@ -294,8 +294,8 @@ def test_corner_of_pullback_is_the_membership_residual():
     nonzero = 0
     for idx in range(200):
         p = exact_random_point(6000 + idx, case=bundle.EXACT_CASE_KINDS[idx % 5])
-        a = quat(Fraction(0), rng_frac(g), rng_frac(g), rng_frac(g), backend=EXACT)
-        b = quat(rng_frac(g), rng_frac(g), rng_frac(g), rng_frac(g), backend=EXACT)
+        a = quat(Fraction(0), rng_frac(g), rng_frac(g), rng_frac(g))
+        b = quat(rng_frac(g), rng_frac(g), rng_frac(g), rng_frac(g))
         u = Sp2Alg(QMat2(a, b, -b.conj(), -a))
         residual = bundle.ad_h_p_residual(p, u)
         assert ad(p.inverse(), u).m.a == residual
@@ -315,18 +315,18 @@ def test_case_ii_cut_scales_with_tol():
     # x or w counts as vanished at norm tol/4 or below on floats, and only
     # at exactly 0 on the exact backend; either way the basis in use is
     # horizontal within tol.  v = c r puts |x| near r, v = c/r puts |w| there.
-    c = quat(0.6, 0.0, 0.8, 0.0, backend=FLOAT)
+    c = quat(0.6, 0.0, 0.8, 0.0)
     for tol in (1e-9, 1e-6):
         for r, below in ((0.9 * tol / 4, True), (1.1 * tol / 4, False)):
             for v, entry in ((c.scale(r), "x"), (c.scale(1 / r), "w")):
-                w0 = quat(1.0 / (1.0 + v.norm_sq()) ** 0.5, backend=FLOAT)
+                w0 = quat(1.0 / (1.0 + v.norm_sq()) ** 0.5)
                 p = fiber_point(v, w0, one(FLOAT), one(FLOAT))
                 assert bundle.case_ii_corner(p, tol) == (entry if below else None)
                 assert all(in_ad_h_p(p, u, tol) for u in u_rows(p, tol))
     # the cut itself is below: |x|^2 == (tol/4)^2 exactly, then one ulp more
     for tol in (1e-9, 1e-6):
         for t, entry in ((tol / 4, "x"), (math.nextafter(tol / 4, 1.0), None)):
-            p = Sp2Point(QMat2(*(quat(c, backend=FLOAT) for c in (t, -1.0, 1.0, t))))
+            p = Sp2Point(QMat2(*(quat(c) for c in (t, -1.0, 1.0, t))))
             assert (p.x.norm_sq() == (tol / 4) ** 2) is (entry == "x")
             assert bundle.case_ii_corner(p, tol) == entry
     assert bundle.case_ii_corner(exact_random_point(3, case="II-w0")) == "w"
@@ -378,6 +378,22 @@ def test_random_sp2_draws_are_frozen():
         digest.update(json.dumps(random_sp2(key).to_json(), sort_keys=True).encode())
         digest.update(b"\n")
     assert digest.hexdigest() == "e80a83b02b395db5daf7e0ecf0328900efd13a03b03f66f6733fd3b712dd7abf"
+
+
+def test_float_component_points_are_frozen(tmp_path):
+    # The float points built from components, bit for bit: special-sweep's
+    # quarter family (ib_float_point) and a float point file, which
+    # Sp2Point.from_json reads component by component (integer literals
+    # and -0.0 among them).
+    digest = hashlib.sha256()
+    for k in range(25):
+        digest.update(_bits(ib_float_point(0.25, 0.1 + 0.2 * k, 0.7 + 0.3 * k).m))
+    literals = {"a": [0, 1, -0.0, 0], "b": [0, 0, 0, 0], "c": [0, 0, 0, 0], "d": [0.6, 0, 8e-1, 0]}
+    point_file = tmp_path / "points.json"
+    point_file.write_text(json.dumps([random_sp2(key).to_json() for key in range(25)] + [literals]))
+    for obj in json.loads(point_file.read_text()):
+        digest.update(_bits(Sp2Point.from_json(obj, FLOAT).m))
+    assert digest.hexdigest() == "c343c0d1476c0b655b8c85e2f44d79254331790dc12b6f7d8f7aaad17f747edb"
 
 
 def test_exact_draws_are_frozen():
@@ -459,7 +475,7 @@ def test_fiber_point_families():
 
 def test_ir_w0_closes_the_norm_condition():
     for v0 in (Fraction(1, 2), Fraction(-3), Fraction(7, 5)):
-        v = quat(v0, backend=EXACT)
+        v = quat(v0)
         w0 = ir_w0(v)
         assert w0.norm_sq() * (1 + v.norm_sq()) == 1
 
@@ -467,12 +483,12 @@ def test_ir_w0_closes_the_norm_condition():
 def test_ir_w0_rejects_a_float_v():
     # A float v has no exact w0; it is not read as a binary rational.
     with pytest.raises(BackendMismatch):
-        ir_w0(quat(0.1, backend=FLOAT))
+        ir_w0(quat(0.1))
 
 
 def test_sp1_cayley_rejects_a_float_or_real_s():
     with pytest.raises(BackendMismatch):
-        sp1_cayley(quat(0.0, 0.5, 0.0, 0.0, backend=FLOAT))
+        sp1_cayley(quat(0.0, 0.5, 0.0, 0.0))
     with pytest.raises(ValueError):
         sp1_cayley(quat(Fraction(1, 2), 1))
 
@@ -489,7 +505,7 @@ def test_float_fiber_points_keep_the_object_bits():
     g = random.Random(27)
     for _ in range(300):
         v = quat(*(g.uniform(-2, 2) for _ in range(4)))
-        w0 = quat(1.0 / math.sqrt(1.0 + v.norm_sq()), backend=FLOAT)
+        w0 = quat(1.0 / math.sqrt(1.0 + v.norm_sq()))
         args = (v, w0, _float_unit(g), _float_unit(g))
         assert _bits(fiber_point(*args).m) == _bits(fiber_point_reference(*args).m)
 
@@ -498,7 +514,7 @@ def test_fiber_point_rejects_mixed_backends():
     # Without its own check the tuple formulas would build a float point
     # from an exact v, or fail with a bare TypeError.
     v = quat(2)
-    float_w0 = quat(1.0 / math.sqrt(5.0), backend=FLOAT)
+    float_w0 = quat(1.0 / math.sqrt(5.0))
     with pytest.raises(BackendMismatch):
         fiber_point(v, float_w0, one(FLOAT), one(FLOAT))
     with pytest.raises(BackendMismatch):
@@ -506,7 +522,7 @@ def test_fiber_point_rejects_mixed_backends():
     exact = [v, ir_w0(v), one(EXACT), one(EXACT)]
     for k in range(4):
         mixed = list(exact)
-        mixed[k] = quat(*map(float, mixed[k].components()), backend=FLOAT)
+        mixed[k] = quat(*map(float, mixed[k].components()))
         with pytest.raises(BackendMismatch):
             fiber_point(*mixed)
 
@@ -670,7 +686,7 @@ def test_normalize_fiber_exact_flip():
         assert vv.h2 == 0 and vv.h3 == 0 and vv.h1 >= 0
         if v.h1 < 0:
             flipped += 1
-            assert vv == quat(v.h0, -v.h1, backend=EXACT)
+            assert vv == quat(v.h0, -v.h1)
     assert flipped > 0
 
 
@@ -685,17 +701,17 @@ def _on_backend(p: Sp2Point, backend: str) -> Sp2Point:
     """The exact point p, or its components rounded to floats."""
     if backend == EXACT:
         return p
-    return Sp2Point(QMat2(*(quat(*map(float, q.components()), backend=FLOAT) for q in p.m.entries())))
+    return Sp2Point(QMat2(*(quat(*map(float, q.components())) for q in p.m.entries())))
 
 
 def _complex_line_point(i_sign: int) -> Sp2Point:
     """The exact point with v = 3/4 + i_sign i and w = w0 u1, w0 and the
     unit u1 complex: x and w are complex, so v = x w^-1 has no j- or k-part
     in float arithmetic either."""
-    v = quat(Fraction(3, 4), i_sign, backend=EXACT)
-    w0 = quat(Fraction(20, 41), Fraction(16, 41), backend=EXACT)  # |w0|^2 (1 + |v|^2) = 1
-    u1 = quat(Fraction(3, 5), Fraction(4, 5), backend=EXACT)
-    u2 = quat(Fraction(1, 2), Fraction(1, 2), Fraction(1, 2), Fraction(1, 2), backend=EXACT)
+    v = quat(Fraction(3, 4), i_sign)
+    w0 = quat(Fraction(20, 41), Fraction(16, 41))  # |w0|^2 (1 + |v|^2) = 1
+    u1 = quat(Fraction(3, 5), Fraction(4, 5))
+    u2 = quat(Fraction(1, 2), Fraction(1, 2), Fraction(1, 2), Fraction(1, 2))
     return fiber_point(v, w0, u1, u2)
 
 

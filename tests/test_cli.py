@@ -269,8 +269,8 @@ def test_frame_accepts_raw_exact_point(tmp_path):
     # A rational Cayley point whose v = x w^-1 leaves span{1, i}: no
     # rational fiber rotation normalizes it, and none is needed.
     third = Fraction(1, 3)
-    b = quat(1, third, 2, -1, backend=EXACT)
-    s = Sp2Alg(QMat2(quat(0, third, 0, 1, backend=EXACT), b, -b.conj(), quat(0, 0, third, -1, backend=EXACT)))
+    b = quat(1, third, 2, -1)
+    s = Sp2Alg(QMat2(quat(0, third, 0, 1), b, -b.conj(), quat(0, 0, third, -1)))
     p = cayley_sp2(s)
     v = p.x * p.w.inverse()
     assert v.h2 != 0 or v.h3 != 0
@@ -498,10 +498,10 @@ def test_float_families_pass_at_the_tol_ceiling(tmp_path):
     for family in FAMILIES.values():
         for p in family():
             assert frames.check_point(p, cli.MAX_TOL).ok
-    c = quat(0.6, 0.0, 0.8, 0.0, backend=FLOAT)
+    c = quat(0.6, 0.0, 0.8, 0.0)
     for r, below in ((0.9 * cli.MAX_TOL / 4, True), (1.1 * cli.MAX_TOL / 4, False)):
         for v in (c.scale(r), c.scale(1 / r)):
-            w0 = quat(1.0 / (1.0 + v.norm_sq()) ** 0.5, backend=FLOAT)
+            w0 = quat(1.0 / (1.0 + v.norm_sq()) ** 0.5)
             res = frames.check_point(bundle.fiber_point(v, w0, one(FLOAT), one(FLOAT)), cli.MAX_TOL)
             assert res.ok and (res.case == frames.CASE_II) == below
 

@@ -51,7 +51,7 @@ from conftest import cayley_sp2, nonzero_exact_quats
 
 
 def cx(h0, h1) -> "quat":
-    return quat(Fraction(h0), Fraction(h1), backend=EXACT)
+    return quat(Fraction(h0), Fraction(h1))
 
 
 # -- classification -------------------------------------------------------------------
@@ -70,7 +70,7 @@ def test_classify_labels_unnormalized_exact():
     # Rotate v out of span{1, i} with a fiber action by a generic unit: the
     # label is read off the raw point, and the span check passes there.
     base = exact_random_point(31)
-    lam = bundle.sp1_cayley(quat(Fraction(0), Fraction(1, 2), Fraction(1, 3), Fraction(0), backend=EXACT))
+    lam = bundle.sp1_cayley(quat(Fraction(0), Fraction(1, 2), Fraction(1, 3), Fraction(0)))
     p = bundle.e_action(base, lam, lam)
     v = p.x * p.w.inverse()
     assert v.h2 != 0 or v.h3 != 0
@@ -133,7 +133,7 @@ def test_u_basis_members_are_horizontal():
     g = random.Random(41)
     for _ in range(8):
         v, w0 = next(it)
-        s1 = quat(Fraction(0), Fraction(g.randint(-3, 3), 4), Fraction(g.randint(-3, 3), 4), Fraction(0), backend=EXACT)
+        s1 = quat(Fraction(0), Fraction(g.randint(-3, 3), 4), Fraction(g.randint(-3, 3), 4), Fraction(0))
         u1 = bundle.sp1_cayley(s1)
         p = fiber_point(v, w0, u1, u1)
         for u in u_basis(v):
@@ -142,7 +142,7 @@ def test_u_basis_members_are_horizontal():
 
 def test_u_basis_rejects_zero():
     with pytest.raises(ZeroV):
-        u_basis(quat(Fraction(0), backend=EXACT))
+        u_basis(quat(Fraction(0)))
 
 
 def test_commutator_closed_form_spot():
@@ -181,7 +181,7 @@ def test_s_matrix_reproduces_uj_uk():
 def test_closed_forms_take_exact_v_only(form):
     form(quat(Fraction(7, 10), Fraction(2, 5)))
     with pytest.raises(BackendMismatch):
-        form(quat(0.7, 0.4, backend=FLOAT))
+        form(quat(0.7, 0.4))
 
 
 # -- frozen values ---------------------------------------------------------------------
@@ -192,14 +192,14 @@ def test_alpha_frozen_value():
 
 
 def test_alpha_at_i_is_one():
-    assert alpha(qi(EXACT)) == quat(Fraction(1), backend=EXACT)
+    assert alpha(qi(EXACT)) == quat(Fraction(1))
 
 
 def test_alpha_degenerate_inputs():
     with pytest.raises(DegenerateV):
         alpha(cx(2, 0))  # real v: the closed forms divide by v - conj(v)
     with pytest.raises(ZeroV):
-        alpha(quat(Fraction(0), backend=EXACT))
+        alpha(quat(Fraction(0)))
 
 
 def test_nondegeneracy_factor_frozen_value():
@@ -283,7 +283,7 @@ def test_ia_recipe_takes_exact_points_in_span_1_i():
     assert classify(p).kind == CASE_IA and check_point(p).ok
     with pytest.raises(BackendMismatch):
         build_frame(p)
-    lam = bundle.sp1_cayley(quat(Fraction(0), Fraction(1, 2), Fraction(1, 3), Fraction(0), backend=EXACT))
+    lam = bundle.sp1_cayley(quat(Fraction(0), Fraction(1, 2), Fraction(1, 3), Fraction(0)))
     p = bundle.e_action(exact_random_point(31), lam, lam)
     assert classify(p).kind == CASE_IA and check_point(p).ok
     with pytest.raises(DegenerateV):
@@ -355,7 +355,6 @@ def _float_unit(a: float, b: float, c: float) -> Quaternion:
         math.sin(a) * math.cos(b),
         math.sin(a) * math.sin(b) * math.cos(c),
         math.sin(a) * math.sin(b) * math.sin(c),
-        backend=FLOAT,
     )
 
 
@@ -369,12 +368,12 @@ BOUNDARY_DRESSINGS = [
     )
     for k in range(5)
 ]
-_C = quat(0.6, 0.8, backend=FLOAT)
+_C = quat(0.6, 0.8)
 # v as a function of (side, eps, dressing index), approaching each stratum.
 BOUNDARY_V = {
-    "v->i": lambda s, e, k: quat(0.0, 1.0 + s * e, backend=FLOAT) if k % 2 else quat(s * e, 1.0, backend=FLOAT),
-    "v->real": lambda s, e, k: quat(0.7, s * e, backend=FLOAT),
-    "v->-1": lambda s, e, k: quat(-1.0 + 0.6 * s * e, 0.8 * s * e, backend=FLOAT),
+    "v->i": lambda s, e, k: quat(0.0, 1.0 + s * e) if k % 2 else quat(s * e, 1.0),
+    "v->real": lambda s, e, k: quat(0.7, s * e),
+    "v->-1": lambda s, e, k: quat(-1.0 + 0.6 * s * e, 0.8 * s * e),
     "x->0": lambda s, e, k: _C.scale(s * e),
     "w->0": lambda s, e, k: _C.scale(s / e),
 }
@@ -386,7 +385,7 @@ def _boundary_point(stratum: str, side: int, eps: float, k: int):
         p = ib_float_point(0.25 + side * eps, 0.3 + k, 1.1 + 0.5 * k)
     else:
         v = BOUNDARY_V[stratum](side, eps, k)
-        p = fiber_point(v, quat(1.0 / math.sqrt(1.0 + v.norm_sq()), backend=FLOAT), u1, u2)
+        p = fiber_point(v, quat(1.0 / math.sqrt(1.0 + v.norm_sq())), u1, u2)
     return bundle.e_action(p, lam, lam)
 
 
@@ -418,9 +417,9 @@ def raw_cayley_points(count=50):
 
     out = []
     for _ in range(count):
-        a = quat(0, fr(), fr(), fr(), backend=EXACT)
-        d = quat(0, fr(), fr(), fr(), backend=EXACT)
-        b = quat(fr(), fr(), fr(), fr(), backend=EXACT)
+        a = quat(0, fr(), fr(), fr())
+        d = quat(0, fr(), fr(), fr())
+        b = quat(fr(), fr(), fr(), fr())
         out.append(cayley_sp2(Sp2Alg(QMat2(a, b, -b.conj(), d))))
     return out
 
@@ -441,7 +440,7 @@ def _fiber_lams(backend: str):
     if backend == EXACT:
         half, third = Fraction(1, 2), Fraction(1, 3)
         seeds = ((1, 0, 0), (half, third, 0), (0, 2 * third, -3 * half), (-third, 2, half))
-        return [bundle.sp1_cayley(quat(0, a, b, c, backend=EXACT)) for a, b, c in seeds]
+        return [bundle.sp1_cayley(quat(0, a, b, c)) for a, b, c in seeds]
     angles = ((0.4, 1.0, 2.0), (2.5, 0.3, 0.9), (1.3, 2.2, -0.6), (3.0, 0.1, 1.4))
     return [_float_unit(a, b, c) for a, b, c in angles]
 
@@ -470,11 +469,11 @@ def test_classify_invariant_under_fiber_action():
 def test_classify_raw_edge_points():
     # v = -i is I-b (the normalized v = i), and |x| = 1e-150 is case II,
     # where the constant basis passes the span check.
-    unit = quat(1, backend=EXACT)
+    unit = quat(1)
     minus_i = fiber_point(-qi(EXACT), bundle.IB_W0, unit, unit)
     assert classify(minus_i).kind == CASE_IB_NONQUARTER
     assert check_point(minus_i).ok
-    tiny = fiber_point(_C.scale(1e-150), quat(1.0, backend=FLOAT), *BOUNDARY_DRESSINGS[0][:2])
+    tiny = fiber_point(_C.scale(1e-150), quat(1.0), *BOUNDARY_DRESSINGS[0][:2])
     assert classify(tiny).kind == CASE_II and check_point(tiny).ok
 
 
@@ -520,9 +519,9 @@ def test_check_point_decides_the_case_once(monkeypatch, kind):
     # I-a recipe needs the exact closed form alpha(v), so build_frame
     # raises there, before it classifies anything.
     if kind == "float":
-        v = quat(0.7, 0.4, backend=FLOAT)
+        v = quat(0.7, 0.4)
         u1, u2, _ = BOUNDARY_DRESSINGS[0]
-        p = fiber_point(v, quat(1.0 / math.sqrt(1.0 + v.norm_sq()), backend=FLOAT), u1, u2)
+        p = fiber_point(v, quat(1.0 / math.sqrt(1.0 + v.norm_sq())), u1, u2)
     else:
         p = exact_random_point(120, case=kind)
     tag = classify(p)

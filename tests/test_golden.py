@@ -1,6 +1,7 @@
-"""Golden reports: exact commands whose text output and canonical JSON are
-frozen under tests/golden/, so a change to the CLI that alters a report
-fails here instead of in a manual diff.  Only exact commands are frozen:
+"""Golden reports: commands whose text output and canonical JSON are frozen
+under tests/golden/, so a change to the CLI that alters a report fails
+here instead of in a manual diff.  Exact commands are frozen, and
+special-sweep, whose report holds case tallies and counts but no pivots:
 float pivots move in their last bits whenever the order of the float
 arithmetic changes.
 
@@ -44,6 +45,7 @@ COMMANDS = {
     "frame-exact-II-x0": (["frame"], (104, "II-x0")),
     "frame-exact-II-w0": (["frame"], (105, "II-w0")),
     "identities": (["identities"], None),
+    "special-sweep": (["special-sweep"], None),
 }
 
 

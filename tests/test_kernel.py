@@ -178,7 +178,7 @@ def test_kernel_residuals_of_non_members():
     for n in range(50):
         p = bundle.random_sp2(n)
         v = classify(p, TOL).v
-        off = quat(v.h0 + 0.3, v.h1, v.h2 - 0.2, v.h3, backend=FLOAT)
+        off = quat(v.h0 + 0.3, v.h1, v.h2 - 0.2, v.h3)
         rows = kernel.span_rows(p.x, p.w, off)
         for u, obj in enumerate(frames.u_basis(off), start=3):
             _assert_trace_free(rows[u])
@@ -455,7 +455,7 @@ def test_membership_fails_end_to_end(monkeypatch, tmp_path, backend):
         shift = quat(Fraction(1, 3), 0, Fraction(-1, 5), 0)
     else:
         points = _haar(5)
-        shift = quat(1 / 3, 0, -1 / 5, 0, backend=FLOAT)
+        shift = quat(1 / 3, 0, -1 / 5, 0)
     _shifted_classify(monkeypatch, shift)
     for p in points:
         assert check_point(p, TOL).failures() == U_FAILURES

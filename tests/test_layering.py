@@ -219,7 +219,6 @@ UNREACHED = {
     # wait for the growth vector downstairs
     ("bundle", "e_action"): "item 3",
     ("bundle", "project_s4_gm"): "item 3",
-    ("qmat", "scalar_mat"): "item 3",  # only e_action calls it
 }
 
 

@@ -37,7 +37,6 @@ from sp2span.qmat import (
     bracket,
     diag,
     inner,
-    point_from_numerators,
     real_rank,
     to_vec10,
     vec10_weighted_dot,
@@ -69,13 +68,13 @@ def rng_frac(g: random.Random) -> Fraction:
 
 
 def rng_quat(g: random.Random):
-    return quat(rng_frac(g), rng_frac(g), rng_frac(g), rng_frac(g), backend=EXACT)
+    return quat(rng_frac(g), rng_frac(g), rng_frac(g), rng_frac(g))
 
 
 def rng_alg(g: random.Random) -> Sp2Alg:
     """Random exact skew-Hermitian matrix: imaginary diagonal, free corner."""
-    za = quat(Fraction(0), rng_frac(g), rng_frac(g), rng_frac(g), backend=EXACT)
-    zc = quat(Fraction(0), rng_frac(g), rng_frac(g), rng_frac(g), backend=EXACT)
+    za = quat(Fraction(0), rng_frac(g), rng_frac(g), rng_frac(g))
+    zc = quat(Fraction(0), rng_frac(g), rng_frac(g), rng_frac(g))
     b = rng_quat(g)
     return Sp2Alg(QMat2(za, b, -b.conj(), zc))
 
@@ -124,7 +123,7 @@ def test_real_trace_is_cyclic(m, n):
 @given(exact_mats)
 @settings(max_examples=60)
 def test_left_mul_is_scalar_matrix_product(m):
-    q = quat(Fraction(2), Fraction(-1), Fraction(0), Fraction(3), backend=EXACT)
+    q = quat(Fraction(2), Fraction(-1), Fraction(0), Fraction(3))
     assert m.left_mul(q) == diag(q, q) @ m
 
 
@@ -193,7 +192,7 @@ def test_qmat_inverse_antidiagonal():
 
 
 def test_qmat_inverse_singular_raises():
-    q = quat(Fraction(1), Fraction(2), backend=EXACT)
+    q = quat(Fraction(1), Fraction(2))
     m = QMat2(q, q, q, q)
     with pytest.raises(ZeroDivisor):
         qmat_inverse(m)
@@ -257,15 +256,22 @@ def _numerator_entries(m: QMat2):
     return [[list(q.n), q.d] for q in m.entries()]
 
 
+def _point_from_numerators(entries) -> Sp2Point:
+    """The point of four (numerators, denominator) pairs, built the way
+    exact_random_point's case None builds its own: each entry stored in
+    lowest terms, so the check runs on the point's own common denominator."""
+    return Sp2Point(QMat2(*(Quaternion(*nums, d) for nums, d in entries)))
+
+
 def test_point_from_numerators_validates_on_the_integers():
     for case in bundle.EXACT_CASE_KINDS:
         m = bundle.exact_random_point(41, case).m
-        assert point_from_numerators(_numerator_entries(m)).m == m
+        assert _point_from_numerators(_numerator_entries(m)).m == m
         for index in range(16):
             entries = _numerator_entries(m)
             entries[index // 4][0][index % 4] += 1
             with pytest.raises(InvariantViolation) as info:
-                point_from_numerators(entries)
+                _point_from_numerators(entries)
             # the same deviation the Fraction matrix reports
             moved = QMat2(*(quat(*(Fraction(c, d) for c in nums)) for nums, d in entries))
             with pytest.raises(InvariantViolation) as reference:
@@ -301,10 +307,10 @@ def test_validation_reports_a_deviation_too_large_for_a_float():
 def test_max_abs_and_validation_keep_nan():
     # max() alone drops a NaN that is not its first argument: a NaN entry
     # must not read as the largest of the others, nor be reported as 0.
-    nan_entry = Quaternion(math.nan, 0.0, 0.0, 0.0)
+    nan_entry = quat(math.nan, 0.0, 0.0, 0.0)
     assert math.isnan(QMat2(one(FLOAT), zero(FLOAT), zero(FLOAT), nan_entry).max_abs())
     with pytest.raises(InvariantViolation, match="deviates from 0 by nan"):
-        Sp2Alg(QMat2(zero(FLOAT), Quaternion(0.0, math.nan, 0.0, 0.0), zero(FLOAT), zero(FLOAT)))
+        Sp2Alg(QMat2(zero(FLOAT), quat(0.0, math.nan, 0.0, 0.0), zero(FLOAT), zero(FLOAT)))
 
 
 # -- bracket and ad ----------------------------------------------------------------
@@ -375,9 +381,9 @@ def test_vec10_round_trip():
 
 
 def test_vec10_slot_order():
-    a = quat(Fraction(0), Fraction(1), Fraction(2), Fraction(3), backend=EXACT)
-    b = quat(Fraction(4), Fraction(5), Fraction(6), Fraction(7), backend=EXACT)
-    d = quat(Fraction(0), Fraction(8), Fraction(9), Fraction(10), backend=EXACT)
+    a = quat(Fraction(0), Fraction(1), Fraction(2), Fraction(3))
+    b = quat(Fraction(4), Fraction(5), Fraction(6), Fraction(7))
+    d = quat(Fraction(0), Fraction(8), Fraction(9), Fraction(10))
     u = Sp2Alg(QMat2(a, b, -b.conj(), d))
     assert to_vec10(u) == tuple(Fraction(n) for n in (1, 2, 3, 4, 5, 6, 7, 8, 9, 10))
 

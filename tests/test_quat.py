@@ -97,7 +97,7 @@ def test_norm_multiplicative(q, r):
 @given(exact_quats)
 def test_conj_recovers_norm(q):
     n = q * q.conj()
-    assert n == quat(q.norm_sq(), backend=EXACT)
+    assert n == quat(q.norm_sq())
 
 
 @given(nonzero_exact_quats)
@@ -127,7 +127,7 @@ def test_exact_norm_and_inverse_large_denominators(q):
     inv = q.inverse()
     assert inv.components() == tuple(x / n for x in q.conj().components())
     assert all(type(x) is Fraction for x in inv.components())
-    assert q * inv == quat(1, backend=EXACT)
+    assert q * inv == quat(1)
 
 
 magnitudes = st.floats(min_value=1e-150, max_value=1e150)
@@ -196,9 +196,8 @@ def test_equal_values_have_equal_storage(q, k):
     # Fractions, numerators over a non-reduced denominator, and arithmetic
     # results of the same value: equal, with equal hashes and storage.
     routes = [
-        Quaternion(*q.components()),
+        quat(*q.components()),
         Quaternion(*(c * k for c in q.n), q.d * k),
-        quat(*q.components(), backend=EXACT),
         (q + q) - q,
         q * one(EXACT),
         q.scale(Fraction(k, 1)).scale(Fraction(1, k)),
@@ -218,11 +217,11 @@ def test_equality_is_equality_of_the_components(q, r):
 
 
 def test_integers_and_fractions_give_the_same_storage():
-    q = Quaternion(Fraction(1, 2), Fraction(-1, 3), 0, 2)
+    q = quat(Fraction(1, 2), Fraction(-1, 3), 0, 2)
     assert (q.n, q.d) == ((3, -2, 0, 12), 6)
     assert q == Quaternion(6, -4, 0, 24, 12)
-    assert q == quat(Fraction(3, 6), Fraction(-2, 6), 0, 2, backend=EXACT)
-    assert (quat(2, backend=EXACT).n, quat(2, backend=EXACT).d) == ((2, 0, 0, 0), 1)
+    assert q == quat(Fraction(3, 6), Fraction(-2, 6), 0, 2)
+    assert (quat(2).n, quat(2).d) == ((2, 0, 0, 0), 1)
     assert q.components() == (Fraction(1, 2), Fraction(-1, 3), Fraction(0), Fraction(2))
     assert (q.h0, q.h1, q.h2, q.h3) == q.components()
 
@@ -272,7 +271,7 @@ def test_backend_mismatch_on_equal_numerators():
 
 
 def test_backend_mixing_raises():
-    qe = quat(Fraction(1), backend=EXACT)
+    qe = quat(Fraction(1))
     for qf in (quat(1.0), quat(np.float64(1.0))):
         with pytest.raises(BackendMismatch):
             qe * qf
@@ -287,10 +286,10 @@ def test_backend_mixing_raises():
 def test_numpy_float_components_are_float():
     # numpy floats are float scalars, stored as Python floats, so the
     # backend test on the stored components holds.
-    for q in (Quaternion(np.float64(1.0), 0.0, 0.0, 0.0), quat(np.float32(0.5), 0, 2.0)):
+    for q in (quat(np.float64(1.0), 0.0, 0.0, 0.0), quat(np.float32(0.5), 0, 2.0)):
         assert q.backend == FLOAT
         assert all(type(x) is float for x in q.components())
-    assert Quaternion(np.float64(1.0), 0, 0, 0) == quat(1.0, 0.0, 0.0, 0.0)
+    assert quat(np.float64(1.0), 0, 0, 0) == quat(1.0, 0.0, 0.0, 0.0)
 
 
 def test_scale_by_numpy_float():
@@ -298,13 +297,13 @@ def test_scale_by_numpy_float():
     doubled = qf.scale(np.float64(2.0))
     assert doubled == qf.scale(2.0) == quat(2.0, -4.0, 1.0, 6.0)
     assert all(type(x) is float for x in doubled.components())
-    qe = quat(Fraction(1), Fraction(1, 3), backend=EXACT)
+    qe = quat(Fraction(1), Fraction(1, 3))
     for s in (np.float64(2.0), 2.0):
         with pytest.raises(BackendMismatch):
             qe.scale(s)
     with pytest.raises(BackendMismatch):
         qf.scale(Fraction(2))
-    assert qe.scale(2) == quat(Fraction(2), Fraction(2, 3), backend=EXACT)
+    assert qe.scale(2) == quat(Fraction(2), Fraction(2, 3))
     assert qf.scale(2) == qf.scale(2.0)
 
 
@@ -314,17 +313,59 @@ def test_scale_by_numpy_float():
     ids=["numpy-float-on-exact", "float-on-exact", "fraction-on-float"],
 )
 def test_scalar_on_the_other_backend_raises(h0, backend):
+    # Quaternion.scale is the one call that requests a backend, its own.
     with pytest.raises(BackendMismatch):
-        quat(h0, backend=backend)
+        one(backend).scale(h0)
 
 
 @pytest.mark.parametrize("h0", ["1", None, 1j], ids=["str", "none", "complex"])
 def test_unsupported_scalar_type_raises(h0):
-    for backend in (None, EXACT, FLOAT):
+    with pytest.raises(TypeError):
+        quat(h0)
+    for backend in (EXACT, FLOAT):
         with pytest.raises(TypeError):
-            quat(h0, backend=backend)
+            one(backend).scale(h0)
     with pytest.raises(TypeError):
         negligible(h0)
+
+
+def test_quaternion_takes_numerators_and_quat_components():
+    # Quaternion reads numerators over a required denominator; quat reads
+    # components, whose types alone decide the backend.
+    assert Quaternion(1, 2, 3, 4, 2) == quat(Fraction(1, 2), 1, Fraction(3, 2), 2)
+    assert Quaternion(0.5, 1.0, 1.5, 2.0, 1) == quat(0.5, 1, 1.5, 2)
+    with pytest.raises(TypeError):
+        Quaternion(1, 2, 3, 4)
+    with pytest.raises(TypeError):
+        quat(1, backend=EXACT)
+
+
+CONSTANT_COMPONENTS = {zero: (0, 0, 0, 0), one: (1, 0, 0, 0), qi: (0, 1, 0, 0), qj: (0, 0, 1, 0), qk: (0, 0, 0, 1)}
+
+
+@pytest.mark.parametrize("backend", [EXACT, FLOAT])
+def test_constants_are_built_once_and_never_change(backend):
+    # zero, one, qi, qj and qk return one shared object per backend, so no
+    # operation may change the object it reads.
+    exact = backend == EXACT
+    other = quat(Fraction(2, 3), Fraction(-1, 2), 3, 5) if exact else quat(2 / 3, -0.5, 3.0, 5.0)
+    s = Fraction(3, 7) if exact else 3 / 7
+    for make, components in CONSTANT_COMPONENTS.items():
+        c = make(backend)
+        assert make(backend) is c
+        want = quat(*(components if exact else map(float, components)))
+        assert c == want and c.backend == backend
+        for use in (
+            operator.neg,
+            Quaternion.conj,
+            lambda q: q.scale(s),
+            lambda q: q * other,
+            lambda q: other * q,
+            lambda q: q + other,
+            lambda q: q * q,
+        ):
+            use(c)
+            assert (c.n, c.d) == (want.n, want.d)
 
 
 ABOVE_TOL = math.nextafter(DEFAULT_TOL, 1.0)
@@ -378,30 +419,30 @@ def test_float_zero_test_reads_every_component(slot):
     # A NaN or a value past tol in any one component is not zero; exactly
     # tol is.  is_imaginary reads the real part alone.
     def q(value):
-        return Quaternion(*(value if n == slot else 0.0 for n in range(4)))
+        return quat(*(value if n == slot else 0.0 for n in range(4)))
 
     assert q(DEFAULT_TOL).is_zero(DEFAULT_TOL) and q(-DEFAULT_TOL).is_zero(DEFAULT_TOL)
     for value in (math.nan, ABOVE_TOL, math.inf):
         assert not q(value).is_zero(DEFAULT_TOL)
         assert q(value).is_imaginary(DEFAULT_TOL) is (slot != 0)
-    tiny = Quaternion(*(Fraction(int(n == slot), 10**30) for n in range(4)))
+    tiny = quat(*(Fraction(int(n == slot), 10**30) for n in range(4)))
     assert not tiny.is_zero(1.0)
 
 
 @pytest.mark.parametrize("slot", range(4))
 def test_max_abs_keeps_nan(slot):
     # max() alone drops a NaN that is not its first argument.
-    q = Quaternion(*(math.nan if n == slot else float(n) for n in range(4)))
+    q = quat(*(math.nan if n == slot else float(n) for n in range(4)))
     assert math.isnan(q.max_abs())
-    assert Quaternion(-4.0, 1.0, -0.5, 3.0).max_abs() == 4.0
-    assert quat(Fraction(-7, 3), 2, 0, 1, backend=EXACT).max_abs() == Fraction(7, 3)
+    assert quat(-4.0, 1.0, -0.5, 3.0).max_abs() == 4.0
+    assert quat(Fraction(-7, 3), 2, 0, 1).max_abs() == Fraction(7, 3)
 
 
 def test_predicates():
-    assert quat(Fraction(0), Fraction(1), Fraction(0), Fraction(0), backend=EXACT).is_imaginary()
-    assert not quat(Fraction(1), Fraction(1), backend=EXACT).is_imaginary()
+    assert quat(Fraction(0), Fraction(1), Fraction(0), Fraction(0)).is_imaginary()
+    assert not quat(Fraction(1), Fraction(1)).is_imaginary()
     assert quat(1e-15, 2.0, 0.0, 0.0).is_imaginary(tol=1e-12)
-    assert quat(Fraction(0), backend=EXACT).is_zero()
+    assert quat(Fraction(0)).is_zero()
     assert quat(0.0, 1e-15, 0.0, 0.0).is_zero(tol=1e-12)
 
 
@@ -451,5 +492,7 @@ def test_json_rejects_garbage():
 
 
 def test_repr_round_trips_through_eval_shape():
-    q = quat(Fraction(1, 2), Fraction(0), Fraction(3), Fraction(0), backend=EXACT)
-    assert repr(q).startswith("Quaternion(") and "Fraction(1, 2)" in repr(q)
+    q = quat(Fraction(1, 2), Fraction(0), Fraction(3), Fraction(0))
+    assert repr(q).startswith("quat(") and "Fraction(1, 2)" in repr(q)
+    for r in (q, quat(0.5, -0.0, 3.0, 1e-300)):
+        assert eval(repr(r), {"quat": quat, "Fraction": Fraction}) == r
