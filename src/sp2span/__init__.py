@@ -32,7 +32,6 @@ from .frames import (
     frame_to_json,
     nondegeneracy_factor,
     run_identity_suite,
-    standard_sphere_frame,
     u_basis,
     verify_frame,
 )
@@ -109,7 +108,6 @@ __all__ = [
     "random_sp2",
     "real_rank",
     "run_identity_suite",
-    "standard_sphere_frame",
     "to_vec10",
     "u_basis",
     "verify_frame",

@@ -37,7 +37,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import cos, isqrt, lcm, sin, sqrt
+from math import cos, isqrt, sin, sqrt
 
 import numpy as np
 
@@ -49,6 +49,7 @@ from .qmat import (
     Sp2Point,
     conjugate4,
     diag,
+    ell4,
     real_rank,
 )
 from .quat import (
@@ -75,6 +76,7 @@ from .quat import (
     qj,
     qk,
     quat,
+    ratios_over_lcm,
     sub4,
     zero,
 )
@@ -114,22 +116,14 @@ def _require_backend_of(p: Sp2Point, rho: Quaternion):
 
 def ell_direct(p: Sp2Point, rho: Quaternion) -> QMat2:
     """Entrywise formula [[rho - x rho conj(x), -x rho conj(w)],
-    [-w rho conj(x), rho - w rho conj(w)]], on the numerators of x and w
-    over their lcm P: every entry is over P^2 times rho's denominator."""
+    [-w rho conj(x), rho - w rho conj(w)]] (qmat.ell4), on the numerators
+    of x and w over their lcm P: every entry is over P^2 times rho's
+    denominator."""
     _require_backend_of(p, rho)
     (xn, wn), pd = over_lcm((p.x, p.w))
     p_sq = pd * pd
-    r = rho.n
-    rho_p = tuple([c * p_sq for c in r])
-    x_rho, w_rho = hamilton(xn, r), hamilton(wn, r)
-    xc, wc = conj4(xn), conj4(wn)
     den = p_sq * rho.d
-    return QMat2(
-        Quaternion(*sub4(rho_p, hamilton(x_rho, xc)), den),
-        Quaternion(*neg4(hamilton(x_rho, wc)), den),
-        Quaternion(*neg4(hamilton(w_rho, xc)), den),
-        Quaternion(*sub4(rho_p, hamilton(w_rho, wc)), den),
-    )
+    return QMat2(*(Quaternion(*e, den) for e in ell4(xn, wn, rho.n, p_sq)))
 
 
 def ell_from_projector(p: Sp2Point, rho: Quaternion) -> QMat2:
@@ -430,17 +424,10 @@ def _rng_ratios(g, count: int):
     return list(zip(draws[::2], draws[1::2]))
 
 
-def _over_lcm(ratios):
-    """(numerator, denominator) pairs over their common denominator: the
-    numerators and that lcm."""
-    d = lcm(*(den for _, den in ratios))
-    return [num * (d // den) for num, den in ratios], d
-
-
 def _imaginary(ratios) -> Quaternion:
     """The exact s1 i + s2 j + s3 k from the (numerator, denominator) pairs
     of (s1, s2, s3)."""
-    (a1, a2, a3), d = _over_lcm(ratios)
+    (a1, a2, a3), d = ratios_over_lcm(ratios)
     return Quaternion(0, a1, a2, a3, d)
 
 
@@ -462,7 +449,7 @@ def _cayley_core(ratios):
     [[r + e i, -2 D B], [2 D conj(B), r - e i]] with r = D^2 + A C - |B|^2
     and e = D (C - A).  The point is that matrix times conj(det) over |det|^2.
     """
-    (a, b0, b1, c), d = _over_lcm(ratios)
+    (a, b0, b1, c), d = ratios_over_lcm(ratios)
     b_sq = b0 * b0 + b1 * b1
     r, e = d * d + a * c - b_sq, d * (c - a)
     t, f = d * d - a * c + b_sq, d * (a + c)  # det = t + f i

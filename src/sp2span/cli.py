@@ -32,9 +32,10 @@ import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
 from functools import partial
+from itertools import combinations
 
 from . import bundle, frames
-from .qmat import InvariantViolation, Sp2Point, real_rank, to_vec10
+from .qmat import InvariantViolation, Sp2Point, bracket, real_rank, to_vec10
 from .quat import DEFAULT_TOL, EXACT, FLOAT, ParseError, Sp2Error
 
 SCHEMA = 1
@@ -226,8 +227,10 @@ def cmd_identities(ns):
 
 
 def cmd_standard_sphere(ns):
-    frame = frames.standard_sphere_frame()
-    vecs = [to_vec10(e.m) for e in frame.entries]
+    us = frames.case_ii_basis(EXACT)
+    pairs = list(combinations(range(4), 2))
+    labels = [f"u{a}" for a in range(4)] + [f"[u{a},u{b}]" for a, b in pairs]
+    vecs = [to_vec10(u) for u in us] + [to_vec10(bracket(us[a], us[b])) for a, b in pairs]
     rank = real_rank(vecs)
     u_rank = real_rank(vecs[:4])
     br_rank = real_rank(vecs[4:])
@@ -239,11 +242,11 @@ def cmd_standard_sphere(ns):
         "bracket_rank": br_rank.rank,
         "pivots": rank.to_json()["pivots"],
         "rows": [[str(x) for x in v] for v in vecs],
-        "labels": [e.label for e in frame.entries],
+        "labels": labels,
     }
     lines = [f"standard-sphere frame on backend {EXACT}"]
-    for e, v in zip(frame.entries, vecs):
-        lines.append(f"  {e.label:8s} {[str(x) for x in v]}")
+    for label, v in zip(labels, vecs):
+        lines.append(f"  {label:8s} {[str(x) for x in v]}")
     lines.append(f"rank: {rank.rank} (u-basis alone {u_rank.rank}, brackets alone {br_rank.rank})")
     lines.append(f"pivots: {report['pivots']}")
     lines.append("PASS" if ok else "FAIL")

@@ -32,6 +32,8 @@ from fractions import Fraction
 from itertools import combinations
 from math import gcd, hypot
 
+import numpy as np
+
 from . import bundle, kernel
 from .qmat import (
     QMat2,
@@ -335,9 +337,7 @@ class FrameEntry:
     """One frame matrix with its defining formula (emitted as paper_eq in
     JSON).  Its role is read from its label: a row of D when the label is
     in D_LABELS, and a member that must lie in Ad_p(h_p) when it is in
-    U_LABELS; every other entry is a bracket.  standard_sphere_frame's
-    labels u0..u3 are not span labels, so its frame is never checked by
-    verify_frame."""
+    U_LABELS; every other entry is a bracket."""
 
     label: str
     formula: str
@@ -466,20 +466,6 @@ def build_frame(p: Sp2Point, tag: CaseTag | None = None) -> Frame:
 def _ratio(backend: str, num: int, den: int) -> Scalar:
     """num/den on the backend: a Fraction, or the float it equals."""
     return Fraction(num, den) if backend == EXACT else num / den
-
-
-def standard_sphere_frame() -> Frame:
-    """The constant frame on the round 7-sphere, on the exact backend: the
-    antidiagonal u-basis at the identity plus all six pairwise brackets;
-    spans sp(2) with rank 10."""
-    us = case_ii_basis(EXACT)
-    names = ("u0", "u1", "u2", "u3")
-    entries = [FrameEntry(n, f"[[0, {b}], [-conj({b}), 0]]", u) for n, b, u in zip(names, "1ijk", us)]
-    entries += [
-        FrameEntry(f"[u{a},u{b}]", f"bracket u{a} u{b}", bracket(us[a], us[b]))
-        for a, b in combinations(range(4), 2)
-    ]
-    return Frame(tag=CaseTag(kind="standard"), entries=tuple(entries))
 
 
 # -- frame verification ----------------------------------------------------------------
@@ -723,8 +709,6 @@ def identity_nondegeneracy_factor() -> IdentityResult:
 
 def identity_ad_invariance() -> IdentityResult:
     """<Ad_g u, Ad_g v> = <u, v> on exact random triples."""
-    import numpy as np
-
     devs = []
     g_rng = np.random.Generator(np.random.Philox(key=20260301))
     for idx in range(200):
@@ -785,8 +769,6 @@ def identity_h_dim() -> IdentityResult:
 def identity_s2_solution() -> IdentityResult:
     """conj(b_a) v - conj(v) b_a = conj(v) a v - a for random fully general
     quaternion v (not only complex) and imaginary a."""
-    import numpy as np
-
     g = np.random.Generator(np.random.Philox(key=20260302))
 
     def fr():

@@ -18,8 +18,9 @@ One set of formulas serves both backends.  (x, w) and v are read from the
 numerators and denominators the Quaternions store, x = X/P, w = W/P and
 v = V/E, with P the lcm of the stored denominators of x and w: integers on
 the exact backend, the float components over 1 on floats.  The formulas run
-on these 4-tuples with the tuple arithmetic of quat (quat.hamilton, and
-quat.matmul4, which QMat2's @ runs on as well).  With |V|^2 = n, every u is
+on these 4-tuples: the u-basis here, and ell_rho, the bracket and the Vec10
+layout in qmat (ell4, bracket4, vec10), which bundle.ell_direct,
+qmat.bracket and qmat.to_vec10 run on too.  With |V|^2 = n, every u is
 a matrix over Q = 2 E n (b_rho = (E^2 V rho - n rho V)/Q), so the ell rows
 are over P^2, the u rows over Q and the brackets over Q^2.  An exact row is
 returned as integers in lowest terms, the object row times the lcm of its
@@ -29,15 +30,19 @@ entry is a Python float, the integer constants of the case-II basis
 included.
 
 The object path (frames.span_frame and frames.verify_frame on
-Quaternion/QMat2 objects) computes the same rows and membership verdicts;
-it is the reference the tests compare this kernel with, exactly on exact
-points.
+Quaternion/QMat2 objects) computes the same rows and membership verdicts
+and shares those formulas, so the tests compare both with references that
+do not: bundle.ell_from_projector (the generic product p diag(rho, 0) p*),
+the object expressions ell_direct_reference and bracket_reference in
+tests/conftest.py, the sympy ell rows of test_acceptance._sym_ell_vec10,
+and frames.u_basis for the u rows.
 """
 
 from __future__ import annotations
 
 from itertools import combinations
 
+from .qmat import bracket4, ell4, vec10
 from .quat import (
     FLOAT,
     I4,
@@ -49,11 +54,9 @@ from .quat import (
     conj4,
     hamilton,
     lowest_terms,
-    matmul4,
     neg4,
     norm_sq4,
     over_lcm,
-    sub4,
 )
 
 # (a, b) of the six brackets [u_a, u_b], in frames.SPAN_LABELS order.
@@ -64,11 +67,6 @@ def _finish(nums, den, exact: bool):
     """The row nums / den: integers in lowest terms when exact, else
     Python floats."""
     return lowest_terms(nums, den)[0] if exact else [c / den for c in nums]
-
-
-def _vec10(a, b, d):
-    """The Vec10 coordinates (a1, a2, a3, b0, b1, b2, b3, d1, d2, d3)."""
-    return [a[1], a[2], a[3], b[0], b[1], b[2], b[3], d[1], d[2], d[3]]
 
 
 def span_rows(x: Quaternion, w: Quaternion, v: Quaternion | None):
@@ -86,17 +84,11 @@ def span_rows(x: Quaternion, w: Quaternion, v: Quaternion | None):
     """
     exact = x.backend != FLOAT
     (xn, wn), p_den = over_lcm((x, w))
-    xc, wc = conj4(xn), conj4(wn)
     p_sq = p_den * p_den
     rows = []
     for rho in (I4, J4, K4):
-        # rho Id - p diag(rho, 0) p*, times P^2
-        x_rho, w_rho = hamilton(xn, rho), hamilton(wn, rho)
-        rho_p = tuple(r * p_sq for r in rho)
-        a = sub4(rho_p, hamilton(x_rho, xc))
-        b = neg4(hamilton(x_rho, wc))
-        d = sub4(rho_p, hamilton(w_rho, wc))
-        rows.append(_finish(_vec10(a, b, d), p_sq, exact))
+        a, b, _, d = ell4(xn, wn, rho, p_sq)
+        rows.append(_finish(vec10(a, b, d), p_sq, exact))
 
     # each u as its entries (a, b, c, d) over the common q_den
     if v is None:
@@ -114,14 +106,10 @@ def span_rows(x: Quaternion, w: Quaternion, v: Quaternion | None):
             b = tuple(e_sq * s - n * t for s, t in zip(v_rho, rho_v))
             a = tuple(q_den * r for r in rho)
             us.append((a, b, neg4(conj4(b)), neg4(a)))
-    rows += [_finish(_vec10(a, b, d), q_den, exact) for a, b, _, d in us]
+    rows += [_finish(vec10(a, b, d), q_den, exact) for a, b, _, d in us]
 
     q_sq = q_den * q_den
     for i, j in _PAIRS:
-        m11, m12, m21, m22 = matmul4(us[i], us[j])
-        # u_a u_b - (u_a u_b)*
-        a = sub4(m11, conj4(m11))
-        b = sub4(m12, conj4(m21))
-        d = sub4(m22, conj4(m22))
-        rows.append(_finish(_vec10(a, b, d), q_sq, exact))
+        a, b, _, d = bracket4(us[i], us[j])
+        rows.append(_finish(vec10(a, b, d), q_sq, exact))
     return rows

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import isfinite, lcm
+from math import isfinite
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -37,10 +37,13 @@ from .quat import (
     hamilton,
     largest,
     matmul4,
+    neg4,
     over_lcm,
     quat_from_json,
     quat_to_json,
+    ratios_over_lcm,
     scalar_backend,
+    sub4,
     zero,
 )
 
@@ -281,6 +284,33 @@ def conjugate4(p, x):
     return matmul4(matmul4(p, x), (conj4(a), conj4(c), conj4(b), conj4(d)))
 
 
+def ell4(xn, wn, rho, p_sq):
+    """ell_rho = rho Id - p diag(rho, 0) p* times p_sq = P^2 for a point
+    with first column (xn, wn) / P, as the entries (a, b, c, d) of
+    [[rho - x rho conj(x), -x rho conj(w)], [-w rho conj(x), rho - w rho conj(w)]]."""
+    rho_p = tuple([c * p_sq for c in rho])
+    x_rho, w_rho = hamilton(xn, rho), hamilton(wn, rho)
+    xc, wc = conj4(xn), conj4(wn)
+    return (
+        sub4(rho_p, hamilton(x_rho, xc)),
+        neg4(hamilton(x_rho, wc)),
+        neg4(hamilton(w_rho, xc)),
+        sub4(rho_p, hamilton(w_rho, wc)),
+    )
+
+
+def bracket4(m, n):
+    """m n - (m n)*, the bracket of skew-Hermitian m and n, for matrices
+    given as their entries in 4-tuples as quat.matmul4 takes them."""
+    m11, m12, m21, m22 = matmul4(m, n)
+    return (
+        sub4(m11, conj4(m11)),
+        sub4(m12, conj4(m21)),
+        sub4(m21, conj4(m12)),
+        sub4(m22, conj4(m22)),
+    )
+
+
 def ad(p: Sp2Point, u: Sp2Alg) -> Sp2Alg:
     """Adjoint action Ad_p(u) = p u p*.  Preserves sp(2), so no revalidation.
     Runs on the numerators of p and u, one gcd per result entry."""
@@ -297,13 +327,17 @@ def bracket(u: Sp2Alg, v: Sp2Alg) -> Sp2Alg:
 
     Both arguments must be `Sp2Alg`: for skew-Hermitian u and v,
     (u v)* = v* u* = v u, so the bracket is u v - (u v)*, one matrix product
-    instead of two.  For matrices that are not skew-Hermitian that is not the
+    instead of two (bracket4, on the numerators of u and v, one gcd per
+    result entry).  For matrices that are not skew-Hermitian that is not the
     commutator, so a plain `QMat2` raises ShapeMismatch.
     """
     if not (isinstance(u, Sp2Alg) and isinstance(v, Sp2Alg)):
         raise ShapeMismatch("bracket takes two sp(2) elements (Sp2Alg)")
-    uv = u.m @ v.m
-    return Sp2Alg(uv - uv.adjoint(), validate=False)
+    if u.backend != v.backend:
+        raise BackendMismatch("operands live on different scalar backends")
+    m, d1 = over_lcm(u.m.entries())
+    n, d2 = over_lcm(v.m.entries())
+    return Sp2Alg(QMat2(*(Quaternion(*e, d1 * d2) for e in bracket4(m, n))), validate=False)
 
 
 def inner(u: Sp2Alg, v: Sp2Alg) -> Scalar:
@@ -317,9 +351,13 @@ def inner(u: Sp2Alg, v: Sp2Alg) -> Scalar:
 Vec10 = tuple  # 10 scalars: (a1, a2, a3, b0, b1, b2, b3, d1, d2, d3)
 
 
+def vec10(a, b, d) -> Vec10:
+    """The coordinates of [[a, b], [c, d]] in sp(2) from a, b and d as 4-tuples."""
+    return (a[1], a[2], a[3], b[0], b[1], b[2], b[3], d[1], d[2], d[3])
+
+
 def to_vec10(u: Sp2Alg) -> Vec10:
-    a, b, d = u.m.a, u.m.b, u.m.d
-    return (a.h1, a.h2, a.h3, b.h0, b.h1, b.h2, b.h3, d.h1, d.h2, d.h3)
+    return vec10(u.m.a.components(), u.m.b.components(), u.m.d.components())
 
 
 def vec10_weighted_dot(s: Vec10, t: Vec10) -> Scalar:
@@ -528,9 +566,5 @@ def real_rank(vectors: Iterable[Vec10], tol: float = DEFAULT_TOL) -> RankResult:
         return _pivoted_rank(rows, tol)
     if types == {int}:
         return _bareiss_rank(rows)
-    int_rows = []
-    for row in rows:
-        # an int is its own numerator over 1
-        denom = lcm(*(x.denominator for x in row))
-        int_rows.append([x.numerator * (denom // x.denominator) for x in row])
-    return _bareiss_rank(int_rows)
+    # an int is its own numerator over 1
+    return _bareiss_rank([ratios_over_lcm([(x.numerator, x.denominator) for x in row])[0] for row in rows])

@@ -255,6 +255,13 @@ def over_lcm(qs):
     return [q.n if q.d == den else tuple([c * (den // q.d) for c in q.n]) for q in qs], den
 
 
+def ratios_over_lcm(pairs):
+    """(nums, den): the rationals given as (numerator, denominator) pairs,
+    as integer numerators over one denominator, the lcm of theirs."""
+    den = math.lcm(*[d for _, d in pairs])
+    return [n * (den // d) for n, d in pairs], den
+
+
 def lowest_terms(nums, den: int):
     """(nums / g, den / g) for g = gcd(den, *nums): the integers over the
     smallest common denominator of the values nums[i] / den, for den > 0."""
@@ -319,14 +326,8 @@ def quat(h0, h1=0, h2=0, h3=0) -> Quaternion:
     as integer numerators over the lcm of their denominators."""
     if scalar_backend({type(h0), type(h1), type(h2), type(h3)}) == FLOAT:
         return Quaternion(float(h0), float(h1), float(h2), float(h3), 1)
-    d = math.lcm(h0.denominator, h1.denominator, h2.denominator, h3.denominator)
-    return Quaternion(
-        h0.numerator * (d // h0.denominator),
-        h1.numerator * (d // h1.denominator),
-        h2.numerator * (d // h2.denominator),
-        h3.numerator * (d // h3.denominator),
-        d,
-    )
+    nums, d = ratios_over_lcm([(h.numerator, h.denominator) for h in (h0, h1, h2, h3)])
+    return Quaternion(*nums, d)
 
 
 # 0, 1, i, j and k as integer 4-tuples, and as Quaternions on each backend,

@@ -1,9 +1,9 @@
 """Shared strategies and independent oracles for the test suite, and the
 reference constructions that no command runs: the object-level Cayley
 transform and 2x2 inverse behind the exact sampler's reference, the object
-expressions of the Sp(1) Cayley unit, the fiber point, ir_w0's w0, ell_rho
-and Ad_p that the numerator code in bundle and qmat must equal, and the
-canonical report form the golden and CLI tests compare."""
+expressions of the Sp(1) Cayley unit, the fiber point, ir_w0's w0, ell_rho,
+Ad_p and the bracket that the numerator code in bundle and qmat must equal,
+and the canonical report form the golden and CLI tests compare."""
 
 import json
 from fractions import Fraction
@@ -274,6 +274,12 @@ def ell_direct_reference(p: Sp2Point, rho: Quaternion) -> QMat2:
 def ad_reference(p: Sp2Point, u: Sp2Alg) -> Sp2Alg:
     """Ad_p(u) = p u p* on QMat2 objects."""
     return Sp2Alg(p.m @ u.m @ p.m.adjoint(), validate=False)
+
+
+def bracket_reference(u: Sp2Alg, v: Sp2Alg) -> Sp2Alg:
+    """[u, v] = u v - (u v)* on QMat2 objects."""
+    uv = u.m @ v.m
+    return Sp2Alg(uv - uv.adjoint(), validate=False)
 
 
 def canonical_json(report: dict) -> str:

@@ -12,6 +12,7 @@ import json
 import math
 import time
 from fractions import Fraction
+from itertools import combinations
 
 import sympy
 from sympy.algebras import Quaternion as SymQuat
@@ -20,7 +21,7 @@ from sympy.polys.matrices import DomainMatrix
 from sp2span import bundle, frames
 from conftest import canonical_json
 from sp2span.cli import main
-from sp2span.qmat import ad, real_rank, to_vec10
+from sp2span.qmat import ad, bracket, real_rank, to_vec10
 from sp2span.quat import EXACT, FLOAT, qi, qj, qk, quat
 
 
@@ -36,8 +37,8 @@ def test_criterion_1_standard_sphere_exact_rank():
     """Exact backend: u0..u3 plus the six brackets span all of sp(2);
     runtime under a second, zero tolerance."""
     start = time.monotonic()
-    frame = frames.standard_sphere_frame()
-    vecs = [to_vec10(e.m) for e in frame.entries]
+    us = frames.case_ii_basis(EXACT)
+    vecs = [to_vec10(u) for u in us] + [to_vec10(bracket(a, b)) for a, b in combinations(us, 2)]
     res = real_rank(vecs)
     u_rank = real_rank(vecs[:4]).rank
     br_rank = real_rank(vecs[4:]).rank

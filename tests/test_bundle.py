@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 
 from conftest import (
     ad_reference,
+    bracket_reference,
     cayley_sp2,
     ell_direct_reference,
     ell_from_projector_reference,
@@ -48,7 +49,7 @@ from sp2span.bundle import (
     two_squares,
     _sanity_zero_real,
 )
-from sp2span.qmat import InvariantViolation, QMat2, ShapeMismatch, Sp2Alg, Sp2Point, ad, diag
+from sp2span.qmat import InvariantViolation, QMat2, ShapeMismatch, Sp2Alg, Sp2Point, ad, bracket, diag
 from sp2span.quat import (
     DEFAULT_TOL,
     EXACT,
@@ -205,8 +206,31 @@ def test_numerator_code_equals_the_object_expressions_exactly():
             assert ad(q, ell(p, qi(EXACT))) == ad_reference(q, ell(p, qi(EXACT)))
 
 
+def _u_basis_at(p: Sp2Point):
+    tag = frames.classify(p)
+    return frames.case_ii_basis(p.backend) if tag.v is None else frames.u_basis(tag.v)
+
+
+def test_bracket_equals_the_object_expression_on_u_bases():
+    # qmat.bracket runs bracket4 on numerators; on the u-bases the span
+    # check brackets, it equals u v - (u v)* on objects.
+    for p in _numerator_rewrite_points():
+        for u, v in itertools.combinations(_u_basis_at(p), 2):
+            assert bracket(u, v) == bracket_reference(u, v)
+
+
 def _bits(m: QMat2) -> bytes:
     return struct.pack("<16d", *(c for e in m.entries() for c in e.n))
+
+
+def test_bracket_keeps_the_float_bits_on_u_bases():
+    # A float bracket equals the object expression in every bit, the sign
+    # of a zero included, which a JSON report prints.
+    bases = [_u_basis_at(random_sp2(900 + s)) for s in range(200)]
+    bases.append(frames.case_ii_basis(FLOAT))
+    for us in bases:
+        for u, v in itertools.combinations(us, 2):
+            assert _bits(bracket(u, v).m) == _bits(bracket_reference(u, v).m)
 
 
 def test_numerator_code_keeps_the_float_bits():

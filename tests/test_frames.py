@@ -10,6 +10,7 @@ import math
 import random
 from collections import Counter
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
@@ -29,6 +30,7 @@ from sp2span.frames import (
     alpha,
     build_frame,
     c0i_matrix,
+    case_ii_basis,
     check_point,
     classify,
     frame_to_json,
@@ -36,7 +38,6 @@ from sp2span.frames import (
     rational_v_grid,
     s_matrix,
     solution_b,
-    standard_sphere_frame,
     t11_closed,
     t12_closed,
     t_matrix,
@@ -567,8 +568,9 @@ def test_verify_frame_membership_flags():
 
 
 def test_standard_sphere_exact_rank():
-    frame = standard_sphere_frame()
-    vecs = [to_vec10(e.m) for e in frame.entries]
+    # the rows of `standard-sphere`: u0..u3, then [ua,ub] in combinations order
+    us = case_ii_basis(EXACT)
+    vecs = [to_vec10(u) for u in us] + [to_vec10(bracket(a, b)) for a, b in combinations(us, 2)]
     res = real_rank(vecs)
     assert res.rank == 10 and res.method == "bareiss"
     assert real_rank(vecs[:4]).rank == 4

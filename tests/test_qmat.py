@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 from conftest import (
     MERSENNE_PRIMES,
     big_exact_quats,
+    bracket_reference,
     cayley_sp2,
     eager_bareiss_rank,
     exact_quats,
@@ -35,7 +36,9 @@ from sp2span.qmat import (
     Sp2Point,
     ad,
     bracket,
+    bracket4,
     diag,
+    ell4,
     inner,
     real_rank,
     to_vec10,
@@ -48,7 +51,10 @@ from sp2span.quat import (
     Quaternion,
     Scalar,
     ZeroDivisor,
+    conj4,
+    neg4,
     one,
+    over_lcm,
     qi,
     qj,
     qk,
@@ -342,6 +348,55 @@ def test_bracket_is_the_commutator():
         assert (m - (u.m @ v.m - v.m @ u.m)).max_abs() <= 1e-14 * scale
         # Exactly skew on floats: m* + m is 0 in every component.
         assert (m + m.adjoint()).max_abs() == 0.0
+
+
+def _imaginary(q: Quaternion) -> Quaternion:
+    return q - quat(q.h0)
+
+
+# sp(2) elements whose entries lie over unrelated denominators up to 10^40
+big_exact_algs = st.builds(
+    lambda a, b, d: Sp2Alg(QMat2(_imaginary(a), b, -b.conj(), _imaginary(d))),
+    big_exact_quats(),
+    big_exact_quats(),
+    big_exact_quats(),
+)
+
+
+@given(big_exact_algs, big_exact_algs)
+@settings(max_examples=60)
+def test_bracket_is_the_object_expression(u, v):
+    assert bracket(u, v) == bracket_reference(u, v)
+
+
+def test_bracket_rejects_mixed_backends():
+    u, f = rng_alg(random.Random(5)), rng_float_alg(random.Random(5))
+    for args in ((u, f), (f, u)):
+        with pytest.raises(BackendMismatch):
+            bracket(*args)
+
+
+def _assert_skew_tuples(a, b, c, d):
+    """[[a, b], [c, d]] is skew-Hermitian: a and d imaginary, c = -conj(b)."""
+    assert a[0] == 0 and d[0] == 0
+    assert c == neg4(conj4(b))
+
+
+@given(big_exact_algs, big_exact_algs)
+@settings(max_examples=60)
+def test_bracket4_is_skew_hermitian(u, v):
+    _assert_skew_tuples(*bracket4(over_lcm(u.m.entries())[0], over_lcm(v.m.entries())[0]))
+
+
+def test_ell4_is_skew_hermitian():
+    # ell4 times P^2 at exact points of every case, x and w often stored
+    # over different denominators
+    g = random.Random(29)
+    for seed in range(40):
+        p = bundle.exact_random_point(seed, bundle.EXACT_CASE_KINDS[seed % 5])
+        (xn, wn), pd = over_lcm((p.x, p.w))
+        for rho in ((0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1), (0, *(g.randint(-9, 9) for _ in range(3)))):
+            _assert_skew_tuples(*ell4(xn, wn, rho, pd * pd))
 
 
 def test_bracket_rejects_plain_matrices():

@@ -43,6 +43,7 @@ from sp2span.quat import (
     quat,
     quat_from_json,
     quat_to_json,
+    ratios_over_lcm,
     sub4,
     zero,
 )
@@ -327,6 +328,13 @@ def test_unsupported_scalar_type_raises(h0):
             one(backend).scale(h0)
     with pytest.raises(TypeError):
         negligible(h0)
+
+
+@given(st.lists(st.tuples(st.integers(-(10**30), 10**30), st.integers(1, 10**30)), min_size=1, max_size=12))
+def test_ratios_over_lcm(pairs):
+    nums, d = ratios_over_lcm(pairs)
+    assert d == math.lcm(*(den for _, den in pairs))
+    assert [Fraction(n, d) for n in nums] == [Fraction(n, den) for n, den in pairs]
 
 
 def test_quaternion_takes_numerators_and_quat_components():
