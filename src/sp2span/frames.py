@@ -58,7 +58,6 @@ from .quat import (
     as_float,
     dot,
     negligible,
-    one,
     qi,
     qj,
     qk,
@@ -89,8 +88,8 @@ class DegenerateV(Sp2Error):
 class CaseTag:
     """The case label of a point.  No verdict depends on its kind.
 
-    v = x w^-1 is None for case II, and picks the u-basis (d_entries,
-    kernel.span_rows); split is the I-b quantity |a|^2 - |b|^2, present
+    v = x w^-1 is None for case II, and picks the u-basis
+    (kernel.u_basis4); split is the I-b quantity |a|^2 - |b|^2, present
     only for I-b.
     """
 
@@ -137,40 +136,35 @@ def classify(p: Sp2Point, tol: float = DEFAULT_TOL) -> CaseTag:
 # -- the u-basis ---------------------------------------------------------------------
 
 
-def solution_b(v: Quaternion, a: Quaternion) -> Quaternion:
-    """b_a = (v a - |v|^2 a v)/(2 |v|^2): the pairing that makes (a, b_a)
-    solve conj(v) a v - a = conj(b) v - conj(v) b for imaginary a.  Valid for
-    any nonzero quaternion v, not just complex ones."""
-    n = v.norm_sq()
-    if v.is_zero():
-        raise ZeroV("b_a needs v != 0")
-    return (v * a - (a * v).scale(n)).scale(1 / (2 * n))
+def _alg(entries, den, backend: str) -> Sp2Alg:
+    """The Sp2Alg of a kernel matrix, its 4-tuple entries over den, on the
+    backend: each entry over den in lowest terms when exact, else its
+    numerators divided by den, the division kernel._finish does."""
+    if backend == EXACT:
+        qs = [Quaternion(*e, den) for e in entries]
+    else:
+        qs = [Quaternion(*[c / den for c in e], 1) for e in entries]
+    return Sp2Alg(QMat2(*qs), validate=False)
 
 
 def u_basis(v: Quaternion):
     """(u0, u_i, u_j, u_k): a basis of Ad_p(h_p) for any p with x w^-1 = v.
 
     u0 = [[0, v], [-conj(v), 0]] and u_rho = [[rho, b_rho], [-conj(b_rho),
-    -rho]] with b_rho from solution_b."""
+    -rho]] with b_rho = (v rho - |v|^2 rho v)/(2 |v|^2), the pairing that
+    makes (rho, b_rho) solve conj(v) a v - a = conj(b) v - conj(v) b
+    (kernel.u_basis4)."""
     if v.is_zero():
         raise ZeroV("u_basis needs v != 0")
-    backend = v.backend
-    u0 = Sp2Alg(QMat2(zero(backend), v, -v.conj(), zero(backend)), validate=False)
-    out = [u0]
-    for a in (qi(backend), qj(backend), qk(backend)):
-        b = solution_b(v, a)
-        out.append(Sp2Alg(QMat2(a, b, -b.conj(), -a), validate=False))
-    return tuple(out)
+    us, den = kernel.u_basis4(v)
+    return tuple(_alg(u, den, v.backend) for u in us)
 
 
 def case_ii_basis(backend: str):
     """The constant basis of Ad_p(h_p) at points with x = 0 or w = 0:
     [[0, b], [-conj(b), 0]] for b in (1, i, j, k)."""
-    zq = zero(backend)
-    out = []
-    for b in (one(backend), qi(backend), qj(backend), qk(backend)):
-        out.append(Sp2Alg(QMat2(zq, b, -b.conj(), zq), validate=False))
-    return tuple(out)
+    us, den = kernel.u_basis4(None)
+    return tuple(_alg(u, den, backend) for u in us)
 
 
 # -- closed-form displays (exact complex v) -------------------------------------------
@@ -357,47 +351,43 @@ SPAN_LABELS = D_LABELS + tuple(f"[{a},{b}]" for a, b in combinations(U_LABELS, 2
 _B_RHO = "b_rho = (v rho - |v|^2 rho v)/(2|v|^2), v = x w^-1"
 
 
-def d_entries(p: Sp2Point, tag: CaseTag):
-    """The seven rows of D at p, labeled D_LABELS: ell_i, ell_j, ell_k and
-    the u-basis of Ad_p(h_p) for p's case label tag (classify): the
-    constant antidiagonal basis where x or w vanishes (tag.v is None), else
-    the basis built from the nonzero v = x w^-1.  It takes no tolerance:
-    the case is decided in tag, and the ell directions are the constants
-    i, j, k."""
+def _span_entries(p: Sp2Point, tag: CaseTag):
+    """The 13 entries of the span frame at p, labeled SPAN_LABELS: ell_i,
+    ell_j, ell_k (bundle.ell), then the u-basis of Ad_p(h_p) for p's case
+    label tag (classify) and its six brackets, wrapped from the kernel's
+    numerators (kernel.u_matrices), so they are the matrices
+    kernel.span_rows ranks.  The u-basis is the constant antidiagonal one
+    where x or w vanishes (tag.v is None), else the one built from the
+    nonzero v = x w^-1.  It takes no tolerance: the case is decided in tag,
+    and the ell directions are the constants i, j, k."""
     backend = p.backend
     out = [
         FrameEntry(label, f"{r}*Id - p diag({r}, 0) p*", ell(p, rho))
         for label, r, rho in zip(ELL_LABELS, "ijk", (qi(backend), qj(backend), qk(backend)))
     ]
     if tag.v is None:
-        us = case_ii_basis(backend)
         formulas = [f"[[0, {b}], [-conj({b}), 0]]" for b in "1ijk"]
     else:
-        us = u_basis(tag.v)
         formulas = ["[[0, v], [-conj(v), 0]], v = x w^-1"]
         formulas += [f"[[{r}, b_{r}], [-conj(b_{r}), -{r}]], {_B_RHO}" for r in "ijk"]
-    out += [FrameEntry(n, f, u) for n, f, u in zip(U_LABELS, formulas, us)]
+    formulas += [f"bracket {a} {b}" for a, b in combinations(U_LABELS, 2)]
+    mats = kernel.u_matrices(tag.v)
+    out += [FrameEntry(n, f, _alg(*m, backend)) for n, f, m in zip(SPAN_LABELS[3:], formulas, mats)]
     return out
 
 
 def span_frame(p: Sp2Point, tol: float = DEFAULT_TOL) -> Frame:
     """The case-free frame of the span check: the seven D rows and the six
-    brackets [u_a, u_b], in SPAN_LABELS order, as objects.  check_point
-    computes the same rows in kernel.span_rows; this form is their
-    reference and gives `frame` its matrices."""
+    brackets [u_a, u_b], in SPAN_LABELS order, as objects wrapping the
+    matrices check_point ranks (kernel.span_rows); `frame` prints them."""
     tag = classify(p, tol)
-    d = d_entries(p, tag)
-    brackets = [
-        FrameEntry(f"[{a.label},{b.label}]", f"bracket {a.label} {b.label}", bracket(a.m, b.m))
-        for a, b in combinations(d[3:], 2)
-    ]
-    return Frame(tag=tag, entries=tuple(d + brackets))
+    return Frame(tag=tag, entries=tuple(_span_entries(p, tag)))
 
 
 def build_frame(p: Sp2Point, tag: CaseTag | None = None) -> Frame:
     """The paper's 10-element frame for p's case; the reference the
-    acceptance tests certify.  The ell and u entries are those of the span
-    frame (d_entries).
+    acceptance tests certify.  The ell and u entries, and the I-r and II
+    brackets, are those of the span frame (_span_entries).
 
     I-a:  u0, u_i, u_j, u_k, [u0, u_i], U_j, U_k, ell_i, ell_j, ell_k.
     I-b:  ell_i, ell_j, ell_k, u0, u_i, u_j, u_k, F_i, F_j, F_k, with
@@ -413,8 +403,8 @@ def build_frame(p: Sp2Point, tag: CaseTag | None = None) -> Frame:
     """
     if tag is None:
         tag = classify(p)
-    d = d_entries(p, tag)
-    ells, u_entries = d[:3], d[3:]
+    d = _span_entries(p, tag)
+    ells, u_entries = d[:3], d[3:7]
     us = [e.m for e in u_entries]
     u0, ui_, uj_, uk_ = us
 
@@ -456,11 +446,7 @@ def build_frame(p: Sp2Point, tag: CaseTag | None = None) -> Frame:
         ]
         return Frame(tag=tag, entries=tuple(ells + u_entries + rest))
 
-    rest = [
-        FrameEntry(name, f"bracket u0 {name[4:-1]}", bracket(u0, other))
-        for name, other in (("[u0,u_i]", ui_), ("[u0,u_j]", uj_), ("[u0,u_k]", uk_))
-    ]
-    return Frame(tag=tag, entries=tuple(ells + u_entries + rest))
+    return Frame(tag=tag, entries=tuple(d[:10]))  # ells, u, then [u0,u_i], [u0,u_j], [u0,u_k]
 
 
 def _ratio(backend: str, num: int, den: int) -> Scalar:
@@ -518,8 +504,8 @@ def check_point(p: Sp2Point, tol: float = DEFAULT_TOL, drop_label: str | None = 
     get Bareiss certificates on its integer rows (span_frame's rows cleared
     of denominators), float points the pivoted elimination, and membership
     is read off the u and ell rows (_horizontal_row), with no residual
-    formed.  span_frame and verify_frame build the same check from
-    Quaternion/QMat2 objects; they are its reference."""
+    formed.  verify_frame on span_frame, which wraps the same matrices,
+    builds the same check from Quaternion/QMat2 objects."""
     if drop_label is not None and drop_label not in SPAN_LABELS:
         raise ValueError(f"no frame row is labeled {drop_label!r}")
     tag = classify(p, tol)
@@ -768,7 +754,8 @@ def identity_h_dim() -> IdentityResult:
 
 def identity_s2_solution() -> IdentityResult:
     """conj(b_a) v - conj(v) b_a = conj(v) a v - a for random fully general
-    quaternion v (not only complex) and imaginary a."""
+    quaternion v (not only complex) and imaginary a = a1 i + a2 j + a3 k,
+    with b_a = a1 b_i + a2 b_j + a3 b_k from the b entries of u_basis(v)."""
     g = np.random.Generator(np.random.Philox(key=20260302))
 
     def fr():
@@ -780,7 +767,8 @@ def identity_s2_solution() -> IdentityResult:
         if v.is_zero():
             continue
         a = quat(0, fr(), fr(), fr())
-        b = solution_b(v, a)
+        _, ui_, uj_, uk_ = u_basis(v)
+        b = ui_.m.b.scale(a.h1) + uj_.m.b.scale(a.h2) + uk_.m.b.scale(a.h3)
         lhs = b.conj() * v - v.conj() * b
         rhs = v.conj() * a * v - a
         devs.append(_dev(lhs, rhs))

@@ -18,24 +18,25 @@ One set of formulas serves both backends.  (x, w) and v are read from the
 numerators and denominators the Quaternions store, x = X/P, w = W/P and
 v = V/E, with P the lcm of the stored denominators of x and w: integers on
 the exact backend, the float components over 1 on floats.  The formulas run
-on these 4-tuples: the u-basis here, and ell_rho, the bracket and the Vec10
-layout in qmat (ell4, bracket4, vec10), which bundle.ell_direct,
-qmat.bracket and qmat.to_vec10 run on too.  With |V|^2 = n, every u is
-a matrix over Q = 2 E n (b_rho = (E^2 V rho - n rho V)/Q), so the ell rows
-are over P^2, the u rows over Q and the brackets over Q^2.  An exact row is
-returned as integers in lowest terms, the object row times the lcm of its
-entries' denominators, the input Bareiss takes (qmat.real_rank), so no row
-becomes Fractions; a float row is divided by its denominator, so every
-entry is a Python float, the integer constants of the case-II basis
-included.
+on these 4-tuples: the u-basis here (u_basis4, its one home), and ell_rho,
+the bracket and the Vec10 layout in qmat (ell4, bracket4, vec10), which
+bundle.ell_direct, qmat.bracket and qmat.to_vec10 run on too.  With
+|V|^2 = n, every u is a matrix over Q = 2 E n (b_rho = (E^2 V rho - n rho
+V)/Q), so the ell rows are over P^2, the u rows over Q and the brackets over
+Q^2.  An exact row is returned as integers in lowest terms, the row times
+the lcm of its entries' denominators, the input Bareiss takes
+(qmat.real_rank), so no row becomes Fractions; a float row is divided by
+its denominator, so every entry is a Python float, the integer constants of
+the case-II basis included.
 
-The object path (frames.span_frame and frames.verify_frame on
-Quaternion/QMat2 objects) computes the same rows and membership verdicts
-and shares those formulas, so the tests compare both with references that
-do not: bundle.ell_from_projector (the generic product p diag(rho, 0) p*),
-the object expressions ell_direct_reference and bracket_reference in
-tests/conftest.py, the sympy ell rows of test_acceptance._sym_ell_vec10,
-and frames.u_basis for the u rows.
+frames.u_basis, frames.case_ii_basis and frames.span_frame wrap the
+numerators of u_basis4 and u_matrices, so `frame` prints the matrices this
+kernel ranks.  The tests compare the kernel with references that share none
+of its formulas: bundle.ell_from_projector (the generic product
+p diag(rho, 0) p*), the sympy ell rows of test_acceptance._sym_ell_vec10,
+and the object expressions in tests/conftest.py (ell_direct_reference,
+bracket_reference, u_basis_reference, case_ii_basis_reference and
+span_frame_reference, which conftest.object_check ranks).
 """
 
 from __future__ import annotations
@@ -69,6 +70,36 @@ def _finish(nums, den, exact: bool):
     return lowest_terms(nums, den)[0] if exact else [c / den for c in nums]
 
 
+def u_basis4(v: Quaternion | None):
+    """(us, q_den): the u-basis (u0, u_i, u_j, u_k) for v = x w^-1, any
+    nonzero quaternion, each u as its entries (a, b, c, d) in 4-tuples over
+    the common q_den = 2 E |V|^2; v None gives the constant antidiagonal
+    basis [[0, b], [-conj(b), 0]], b in (1, i, j, k), over 1."""
+    if v is None:
+        return [(ZERO4, b, neg4(conj4(b)), ZERO4) for b in (ONE4, I4, J4, K4)], 1
+    vn, v_den = v.n, v.d
+    n = norm_sq4(vn)
+    q_den = 2 * v_den * n
+    b0 = tuple(2 * n * c for c in vn)
+    us = [(ZERO4, b0, neg4(conj4(b0)), ZERO4)]
+    e_sq = v_den * v_den
+    for rho in (I4, J4, K4):
+        v_rho, rho_v = hamilton(vn, rho), hamilton(rho, vn)
+        b = tuple(e_sq * s - n * t for s, t in zip(v_rho, rho_v))
+        a = tuple(q_den * r for r in rho)
+        us.append((a, b, neg4(conj4(b)), neg4(a)))
+    return us, q_den
+
+
+def u_matrices(v: Quaternion | None):
+    """The ten span matrices that depend on v alone, in SPAN_LABELS order
+    from u0 on (the four u, then the six [u_a, u_b]), as (entries, den)
+    pairs: the u over q_den (u_basis4), the brackets over q_den^2."""
+    us, q_den = u_basis4(v)
+    q_sq = q_den * q_den
+    return [(u, q_den) for u in us] + [(bracket4(us[i], us[j]), q_sq) for i, j in _PAIRS]
+
+
 def span_rows(x: Quaternion, w: Quaternion, v: Quaternion | None):
     """The span check's inputs at a point with first column (x, w), on the
     backend of x.
@@ -85,31 +116,5 @@ def span_rows(x: Quaternion, w: Quaternion, v: Quaternion | None):
     exact = x.backend != FLOAT
     (xn, wn), p_den = over_lcm((x, w))
     p_sq = p_den * p_den
-    rows = []
-    for rho in (I4, J4, K4):
-        a, b, _, d = ell4(xn, wn, rho, p_sq)
-        rows.append(_finish(vec10(a, b, d), p_sq, exact))
-
-    # each u as its entries (a, b, c, d) over the common q_den
-    if v is None:
-        q_den = 1
-        us = [(ZERO4, b, neg4(conj4(b)), ZERO4) for b in (ONE4, I4, J4, K4)]
-    else:
-        vn, v_den = v.n, v.d
-        n = norm_sq4(vn)
-        q_den = 2 * v_den * n
-        b0 = tuple(2 * n * c for c in vn)
-        us = [(ZERO4, b0, neg4(conj4(b0)), ZERO4)]
-        e_sq = v_den * v_den
-        for rho in (I4, J4, K4):
-            v_rho, rho_v = hamilton(vn, rho), hamilton(rho, vn)
-            b = tuple(e_sq * s - n * t for s, t in zip(v_rho, rho_v))
-            a = tuple(q_den * r for r in rho)
-            us.append((a, b, neg4(conj4(b)), neg4(a)))
-    rows += [_finish(vec10(a, b, d), q_den, exact) for a, b, _, d in us]
-
-    q_sq = q_den * q_den
-    for i, j in _PAIRS:
-        a, b, _, d = bracket4(us[i], us[j])
-        rows.append(_finish(vec10(a, b, d), q_sq, exact))
-    return rows
+    mats = [(ell4(xn, wn, rho, p_sq), p_sq) for rho in (I4, J4, K4)] + u_matrices(v)
+    return [_finish(vec10(a, b, d), den, exact) for (a, b, _, d), den in mats]

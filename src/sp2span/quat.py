@@ -117,10 +117,10 @@ class Quaternion:
     components, Python floats, over d = 1.
 
     Quaternion(n0, n1, n2, n3, d) takes numerators: ints over an int d > 0,
-    which it puts in lowest terms with one gcd, or Python floats over
-    d = 1; the arithmetic below builds every result this way.  quat() takes
-    components.  h0..h3 and components() read the components: Fractions on
-    the exact backend."""
+    which it puts in lowest terms with one gcd, or Python floats over d = 1
+    (a numpy float is not one: it would be read as exact); the arithmetic
+    below builds every result this way.  quat() takes components.  h0..h3
+    and components() read the components: Fractions on the exact backend."""
 
     __slots__ = ("n", "d")
 

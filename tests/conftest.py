@@ -3,10 +3,12 @@ reference constructions that no command runs: the object-level Cayley
 transform and 2x2 inverse behind the exact sampler's reference, the object
 expressions of the Sp(1) Cayley unit, the fiber point, ir_w0's w0, ell_rho,
 Ad_p and the bracket that the numerator code in bundle and qmat must equal,
-and the canonical report form the golden and CLI tests compare."""
+the object u-bases and span frame that the span kernel must equal, and the
+canonical report form the golden and CLI tests compare."""
 
 import json
 from fractions import Fraction
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -14,7 +16,7 @@ from hypothesis import strategies as st
 
 from sp2span import frames
 from sp2span.qmat import QMat2, RankResult, Sp2Alg, Sp2Point, diag
-from sp2span.quat import Quaternion, ZeroDivisor, one, quat, zero
+from sp2span.quat import Quaternion, ZeroDivisor, one, qi, qj, qk, quat, zero
 
 # Small rationals keep Fraction blowup in long products under control while
 # still exercising carries and sign handling.
@@ -79,9 +81,9 @@ def mat_vec(m, v):
 
 def object_check(p, tol, drop_label=None):
     """The span check on the object path: frames.verify_frame on
-    frames.span_frame without the row labeled drop_label.  The reference
+    span_frame_reference without the row labeled drop_label.  The reference
     for frames.check_point; returns (the FrameCheck, the checked frame)."""
-    full = frames.span_frame(p, tol)
+    full = span_frame_reference(p, tol)
     frame = frames.Frame(
         tag=full.tag, entries=tuple(e for e in full.entries if e.label != drop_label)
     )
@@ -286,3 +288,48 @@ def canonical_json(report: dict) -> str:
     """The canonical serialized form: everything except wall time."""
     trimmed = {k: v for k, v in report.items() if k != "elapsed_s"}
     return json.dumps(trimmed, sort_keys=True, indent=2)
+
+
+def u_basis_reference(v: Quaternion):
+    """(u0, u_i, u_j, u_k) on Quaternion objects: u0 = [[0, v], [-conj(v), 0]]
+    and u_rho = [[rho, b_rho], [-conj(b_rho), -rho]] with
+    b_rho = (v rho - |v|^2 rho v)/(2 |v|^2).  The reference for
+    frames.u_basis, which wraps kernel.u_basis4's numerators."""
+    if v.is_zero():
+        raise frames.ZeroV("u_basis needs v != 0")
+    backend = v.backend
+    n = v.norm_sq()
+    u0 = Sp2Alg(QMat2(zero(backend), v, -v.conj(), zero(backend)), validate=False)
+    out = [u0]
+    for a in (qi(backend), qj(backend), qk(backend)):
+        b = (v * a - (a * v).scale(n)).scale(1 / (2 * n))
+        out.append(Sp2Alg(QMat2(a, b, -b.conj(), -a), validate=False))
+    return tuple(out)
+
+
+def case_ii_basis_reference(backend: str):
+    """[[0, b], [-conj(b), 0]] for b in (1, i, j, k) on Quaternion objects."""
+    zq = zero(backend)
+    out = []
+    for b in (one(backend), qi(backend), qj(backend), qk(backend)):
+        out.append(Sp2Alg(QMat2(zq, b, -b.conj(), zq), validate=False))
+    return tuple(out)
+
+
+def span_frame_reference(p: Sp2Point, tol: float) -> frames.Frame:
+    """The 13 span-check entries at p, labeled SPAN_LABELS, on objects:
+    ell_direct_reference for the three ell_rho, the u-basis of p's case
+    label (u_basis_reference, or case_ii_basis_reference where v is None),
+    and bracket_reference of each pair of u.  The reference for the rows of
+    kernel.span_rows and the entries of frames.span_frame."""
+    tag = frames.classify(p, tol)
+    backend = p.backend
+    rhos = (qi(backend), qj(backend), qk(backend))
+    ells = [Sp2Alg(ell_direct_reference(p, rho), validate=False) for rho in rhos]
+    us = case_ii_basis_reference(backend) if tag.v is None else u_basis_reference(tag.v)
+    brackets = [bracket_reference(a, b) for a, b in combinations(us, 2)]
+    entries = tuple(
+        frames.FrameEntry(label, "reference", m)
+        for label, m in zip(frames.SPAN_LABELS, ells + list(us) + brackets, strict=True)
+    )
+    return frames.Frame(tag=tag, entries=entries)

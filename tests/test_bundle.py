@@ -121,7 +121,7 @@ def h_p_residual(p: Sp2Point, u: Sp2Alg) -> Quaternion:
 
 def u_rows(p, tol: float = 1e-9):
     """The four u of the span frame at p, for its case label."""
-    return [e.m for e in frames.d_entries(p, frames.classify(p, tol))[3:]]
+    return [e.m for e in frames.span_frame(p, tol).entries[3:7]]
 
 
 def rng_unit(g: random.Random):

@@ -37,7 +37,6 @@ from sp2span.frames import (
     nondegeneracy_factor,
     rational_v_grid,
     s_matrix,
-    solution_b,
     t11_closed,
     t12_closed,
     t_matrix,
@@ -121,9 +120,12 @@ def test_flip_ib_subcase():
 @given(nonzero_exact_quats)
 @settings(max_examples=60)
 def test_solution_b_solves_basic_condition(v):
-    # conj(b) v - conj(v) b = conj(v) a v - a for each imaginary unit a.
-    for a in (qi(EXACT), qj(EXACT), qk(EXACT)):
-        b = solution_b(v, a)
+    # conj(b) v - conj(v) b = conj(v) a v - a for each imaginary unit a and
+    # the b entry of u_a = [[a, b], [-conj(b), -a]] in u_basis(v).
+    _, *us = u_basis(v)
+    for a, u in zip((qi(EXACT), qj(EXACT), qk(EXACT)), us, strict=True):
+        assert u.m.a == a
+        b = u.m.b
         lhs = b.conj() * v - v.conj() * b
         rhs = v.conj() * a * v - a
         assert lhs == rhs

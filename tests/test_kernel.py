@@ -1,7 +1,11 @@
 """The span kernel against the object path.
 
-`frames.span_frame` (Quaternion/QMat2 objects) and `frames.verify_frame`
-stay the reference (`conftest.object_check`).  On float points the kernel
+The object expressions in tests/conftest.py (`span_frame_reference`,
+`u_basis_reference`, `case_ii_basis_reference`, on Quaternion/QMat2
+objects) and `frames.verify_frame` are the reference
+(`conftest.object_check`); `frames.span_frame` and `frames.u_basis` wrap
+the kernel's own numerators, so they are held to the kernel's rows bit for
+bit instead.  On float points the kernel
 must give the same rows, ranks, pivots and membership verdicts at
 Haar points, at the 900 points of test_boundary_continuation, and at float
 points on the quarter stratum.  The kernel forms each row over a common
@@ -24,19 +28,30 @@ residual ad_h_p_residual, Fraction for Fraction on exact points.
 import dataclasses
 import json
 import math
+import struct
 from fractions import Fraction
 from math import lcm
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sp2span import bundle, cli, frames, kernel
 from sp2span.bundle import EXACT_CASE_KINDS, ad_h_p_residual, ib_float_point, in_ad_h_p
 from sp2span.frames import SPAN_LABELS, FrameCheck, check_point, classify
-from sp2span.qmat import to_vec10, vec10_weighted_dot
+from sp2span.qmat import QMat2, Sp2Point, to_vec10, vec10_weighted_dot
 from sp2span.quat import EXACT, FLOAT, quat
 
-from conftest import object_check
+from conftest import (
+    big_exact_quats,
+    case_ii_basis_reference,
+    float_quats,
+    nonzero_exact_quats,
+    object_check,
+    span_frame_reference,
+    u_basis_reference,
+)
 from test_frames import (
     BOUNDARY_DRESSINGS,
     BOUNDARY_V,
@@ -151,7 +166,7 @@ def _assert_matches_object_path(p, drop_label=None):
 def test_kernel_rows_match_object_rows(family):
     for p in FAMILIES[family]():
         rows = kernel.span_rows(p.x, p.w, classify(p, TOL).v)
-        frame = frames.span_frame(p, TOL)
+        frame = span_frame_reference(p, TOL)
         assert [e.label for e in frame.entries] == list(SPAN_LABELS)
         assert len(rows) == len(SPAN_LABELS)
         for got, e in zip(rows, frame.entries):
@@ -180,7 +195,7 @@ def test_kernel_residuals_of_non_members():
         v = classify(p, TOL).v
         off = quat(v.h0 + 0.3, v.h1, v.h2 - 0.2, v.h3)
         rows = kernel.span_rows(p.x, p.w, off)
-        for u, obj in enumerate(frames.u_basis(off), start=3):
+        for u, obj in enumerate(u_basis_reference(off), start=3):
             _assert_trace_free(rows[u])
             want = ad_h_p_residual(p, obj, TOL).components()[1:]
             got = [-d for d in _ell_dots(rows, u)]
@@ -214,6 +229,63 @@ def test_float_check_builds_no_frame_objects(monkeypatch):
     assert res.failures() == ["bracket-free rank 6 != 7"]
 
 
+# -- the object views wrap the kernel's numerators ----------------------------------
+
+
+def _bits(row) -> bytes:
+    return struct.pack(f"<{len(row)}d", *row)
+
+
+def _float_numerators(alg):
+    return [c for e in alg.m.entries() for c in e.n]
+
+
+def _signed_zero_ii_point():
+    """A float case-II point, w = 0, whose zeros carry both signs."""
+    x, y = quat(0.0, 1.0, -0.0, 0.0), quat(-0.0, 0.0, -0.0, 0.0)
+    return Sp2Point(QMat2(x, y, quat(0.0, -0.0, 0.0, -0.0), quat(0.6, 0.0, 0.8, -0.0)))
+
+
+def test_frame_prints_the_rows_it_ranks():
+    # `frame` prints span_frame's matrices and check_point ranks
+    # kernel.span_rows: on float points they are the same numbers in every
+    # bit, the sign of a zero included.  Every float numerator of the
+    # object views is a Python float (a numpy float would read as exact).
+    points = [bundle.random_sp2(n) for n in range(300)] + [ib_float_point(0.25), _signed_zero_ii_point()]
+    assert classify(points[-1], TOL).kind == frames.CASE_II
+    for p in points:
+        v = classify(p, TOL).v
+        frame = frames.span_frame(p, TOL)
+        rows = kernel.span_rows(p.x, p.w, v)
+        assert [_bits(to_vec10(e.m)) for e in frame.entries] == [_bits(row) for row in rows]
+        us = frames.case_ii_basis(FLOAT) if v is None else frames.u_basis(v)
+        for alg in [e.m for e in frame.entries] + list(us):
+            assert all(type(c) is float for c in _float_numerators(alg))
+
+
+@given(st.one_of(nonzero_exact_quats, big_exact_quats().filter(lambda v: not v.is_zero())))
+@settings(max_examples=80)
+def test_exact_u_basis_equals_reference(v):
+    # every quaternion v, with j and k parts and denominators up to 10^40:
+    # the kernel's numerators over their denominator are the object
+    # expressions, Fraction for Fraction
+    assert frames.u_basis(v) == u_basis_reference(v)
+
+
+@given(float_quats.filter(lambda v: v.norm_sq() > 1e-6))
+@settings(max_examples=80)
+def test_float_u_basis_agrees_with_reference(v):
+    for got, want in zip(frames.u_basis(v), u_basis_reference(v), strict=True):
+        got_n, want_n = _float_numerators(got), _float_numerators(want)
+        assert all(type(c) is float for c in got_n)
+        assert max(abs(g - w) for g, w in zip(got_n, want_n)) <= ROW_TOL * max(map(abs, want_n))
+
+
+@pytest.mark.parametrize("backend", [EXACT, FLOAT])
+def test_case_ii_basis_equals_reference(backend):
+    assert frames.case_ii_basis(backend) == case_ii_basis_reference(backend)
+
+
 # -- exact points: equal, not close -------------------------------------------------
 
 
@@ -240,7 +312,7 @@ def test_exact_kernel_rows_equal_object_rows(family):
     for p in EXACT_FAMILIES[family]():
         assert p.backend == EXACT
         rows = kernel.span_rows(p.x, p.w, classify(p, TOL).v)
-        frame = frames.span_frame(p, TOL)
+        frame = span_frame_reference(p, TOL)
         dens = [_den(e.m) for e in frame.entries]
         for got, den, e in zip(rows, dens, frame.entries, strict=True):
             want = list(to_vec10(e.m))
@@ -320,8 +392,8 @@ def test_exact_kernel_residuals_of_non_members():
     for p in points:
         off = classify(p, TOL).v + shift
         rows = kernel.span_rows(p.x, p.w, off)
-        us = frames.u_basis(off)
-        dens = [_den(e.m) for e in frames.span_frame(p, TOL).entries[:3]] + [_den(m) for m in us]
+        us = u_basis_reference(off)
+        dens = [_den(e.m) for e in span_frame_reference(p, TOL).entries[:3]] + [_den(m) for m in us]
         for u, obj in enumerate(us, start=3):
             _assert_trace_free(rows[u])
             dots = _ell_dots(rows, u, dens)
