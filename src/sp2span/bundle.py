@@ -37,6 +37,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from math import cos, isqrt, sin, sqrt
 
 import numpy as np
@@ -227,15 +228,48 @@ def case_ii_corner(p: Sp2Point, tol: float = DEFAULT_TOL) -> str | None:
 
 RANDOM_SP2_ATTEMPTS = 64  # draws random_sp2 tries before DegenerateDraw
 
+_KEY_WORD = (1 << 64) - 1  # a Philox key is two 64-bit words, low word first
+
+
+@cache
+def _philox() -> np.random.Generator:
+    """The one Philox generator of the process, made on the first draw and
+    re-keyed by every sampler call (_keyed_stream), so importing the package
+    builds none."""
+    return np.random.Generator(np.random.Philox(key=0))
+
+
+def _keyed_stream(key: int) -> np.random.Generator:
+    """The process's Philox generator set to counter 0 of key % 2^128 with
+    an empty buffer, the state of a fresh
+    np.random.Generator(np.random.Philox(key=key % 2^128)): it draws what
+    that would, whatever was drawn before.  Re-keying skips the
+    SeedSequence a new generator gathers and then discards.  Each sampler
+    takes all its draws before it returns and the package starts no
+    threads, so no draw sees another key's state; a forked worker re-keys
+    its own copy."""
+    key %= 1 << 128
+    g = _philox()
+    g.bit_generator.state = {
+        "bit_generator": "Philox",
+        "state": {"counter": (0, 0, 0, 0), "key": (key & _KEY_WORD, key >> 64)},
+        "buffer": (0, 0, 0, 0),
+        "buffer_pos": 4,
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
+    return g
+
 
 def random_sp2(seed: int) -> Sp2Point:
     """Haar-ish random float point: two Gaussian 8-vectors, the second
     orthogonalized against the first in the quaternionic Hermitian sense
     <(x,w),(y,z)> = conj(x) y + conj(w) z, both normalized, assembled as
-    columns.  Deterministic per seed (counter-based Philox stream).  The
-    entries are built as 4-tuples (quat.hamilton), as exact_random_point
-    builds its own, and become Quaternions only for the point."""
-    g = np.random.Generator(np.random.Philox(key=seed % (1 << 128)))
+    columns.  Deterministic per seed: the draws of a fresh Philox stream
+    keyed by seed (_keyed_stream).  The entries are built as 4-tuples
+    (quat.hamilton), as exact_random_point builds its own, and become
+    Quaternions only for the point."""
+    g = _keyed_stream(seed)
     for _ in range(RANDOM_SP2_ATTEMPTS):
         vals = g.standard_normal(16).tolist()
         x, w, y, z = vals[0:4], vals[4:8], vals[8:12], vals[12:16]
@@ -416,25 +450,29 @@ _RATIO_LOW = np.array([-8, 1] * 10)
 _RATIO_HIGH = np.array([9, 9] * 10)
 
 
-def _rng_ratios(g, count: int):
+def rng_ratios(g, count: int, low=_RATIO_LOW, high=_RATIO_HIGH):
     """count random rationals as (numerator, denominator) pairs, drawn in
-    that order in one call: numpy's bounded draws take the same bits as
+    that order in one call with the bounds of each draw from low and high
+    (by default the sampler's): numpy's bounded draws take the same bits as
     2 * count scalar g.integers calls would."""
-    draws = g.integers(_RATIO_LOW[: 2 * count], _RATIO_HIGH[: 2 * count]).tolist()
+    draws = g.integers(low[: 2 * count], high[: 2 * count]).tolist()
     return list(zip(draws[::2], draws[1::2]))
 
 
-def _imaginary(ratios) -> Quaternion:
-    """The exact s1 i + s2 j + s3 k from the (numerator, denominator) pairs
-    of (s1, s2, s3)."""
-    (a1, a2, a3), d = ratios_over_lcm(ratios)
-    return Quaternion(0, a1, a2, a3, d)
+def ratio_quaternion(ratios) -> Quaternion:
+    """The exact quaternion whose components are the rationals given as
+    (numerator, denominator) pairs, over their lcm: all four, or the i, j,
+    k parts of an imaginary one when three are given."""
+    nums, den = ratios_over_lcm(ratios)
+    if len(nums) == 3:
+        nums = [0, *nums]
+    return Quaternion(*nums, den)
 
 
 def _two_units(g):
     """sp1_cayley of two random imaginary s."""
-    ratios = _rng_ratios(g, 6)
-    return sp1_cayley(_imaginary(ratios[:3])), sp1_cayley(_imaginary(ratios[3:]))
+    ratios = rng_ratios(g, 6)
+    return sp1_cayley(ratio_quaternion(ratios[:3])), sp1_cayley(ratio_quaternion(ratios[3:]))
 
 
 def _cayley_core(ratios):
@@ -477,13 +515,15 @@ def exact_random_point(seed: int, case: str | None = None) -> Sp2Point:
     their stratum, by fiber_point (I-b with v = i and IB_W0, I-r with a
     random real v and ir_w0) or as the diagonal or antidiagonal matrix of
     two units (II), each unit an sp1_cayley of random imaginary s.  All
-    outputs are exactly symplectic and exactly classifiable.
+    outputs are exactly symplectic and exactly classifiable.  The draws
+    are those of a fresh Philox stream keyed by seed (_keyed_stream).
     """
-    g = np.random.Generator(np.random.Philox(key=seed % (1 << 128)))
+    g = _keyed_stream(seed)
     if case is None:
-        ratios = _rng_ratios(g, 10)
+        ratios = rng_ratios(g, 10)
         (x0, y0, w0, z0), core_den = _cayley_core(ratios[:4])
-        lam, mu = sp1_cayley(_imaginary(ratios[4:7])), sp1_cayley(_imaginary(ratios[7:]))
+        lam = sp1_cayley(ratio_quaternion(ratios[4:7]))
+        mu = sp1_cayley(ratio_quaternion(ratios[7:]))
         lam_c, mu_c = conj4(lam.n), conj4(mu.n)
         x_den, y_den = core_den * lam.d, core_den * mu.d
         return Sp2Point(QMat2(
@@ -496,7 +536,7 @@ def exact_random_point(seed: int, case: str | None = None) -> Sp2Point:
         return fiber_point(qi(EXACT), IB_W0, *_two_units(g))
     if case == "I-r":
         for _ in range(64):
-            ((num, den),) = _rng_ratios(g, 1)
+            ((num, den),) = rng_ratios(g, 1)
             if num != 0:
                 break
         else:

@@ -269,14 +269,18 @@ def _alpha_form2(v: Quaternion) -> Quaternion:
 
 def u_jk(v: Quaternion):
     """(U_j, U_k) = (alpha [u0,u_j] - [u_i,u_k], alpha [u0,u_k] + [u_i,u_j]);
-    both trace-free by the choice of alpha, both of the form T(v) diag(rho, rho)."""
-    return _u_jk_from(alpha(v), u_basis(v))
+    both trace-free by the choice of alpha, both of the form T(v) diag(rho, rho),
+    from the brackets of the kernel's u-basis (kernel.u_matrices)."""
+    a = alpha(v)
+    mats = kernel.u_matrices(v)
+    return _u_jk_from(a, {label: _alg(*m, v.backend) for label, m in zip(SPAN_LABELS[3:], mats)})
 
 
-def _u_jk_from(a: Quaternion, us):
-    u0, ui_, uj_, uk_ = us
-    uj_m = bracket(u0, uj_).m.left_mul(a) - bracket(ui_, uk_).m
-    uk_m = bracket(u0, uk_).m.left_mul(a) + bracket(ui_, uj_).m
+def _u_jk_from(a: Quaternion, by_label):
+    """(U_j, U_k) from alpha and the brackets [u_a, u_b], read from
+    by_label under their SPAN_LABELS labels."""
+    uj_m = by_label["[u0,u_j]"].m.left_mul(a) - by_label["[u_i,u_k]"].m
+    uk_m = by_label["[u0,u_k]"].m.left_mul(a) + by_label["[u_i,u_j]"].m
     return Sp2Alg(uj_m), Sp2Alg(uk_m)
 
 
@@ -396,7 +400,8 @@ def build_frame(p: Sp2Point, tag: CaseTag | None = None) -> Frame:
     I-r / II: ell_i, ell_j, ell_k, u0, u_i, u_j, u_k, [u0, u_i], [u0, u_j],
           [u0, u_k] (with the constant u-basis for case II).
 
-    The recipes are stated at fiber-normalized points.  I-a's alpha(v) is a
+    Every bracket is read from the span entries by its label.  The recipes
+    are stated at fiber-normalized points.  I-a's alpha(v) is a
     closed form, so its point must be exact with v in span{1, i}: a float
     point raises BackendMismatch, and an exact v off that line DegenerateV.
     The other recipes take either backend.
@@ -405,16 +410,15 @@ def build_frame(p: Sp2Point, tag: CaseTag | None = None) -> Frame:
         tag = classify(p)
     d = _span_entries(p, tag)
     ells, u_entries = d[:3], d[3:7]
-    us = [e.m for e in u_entries]
-    u0, ui_, uj_, uk_ = us
+    by_label = {e.label: e.m for e in d}
 
     if tag.kind == CASE_IA:
-        uj_big, uk_big = _u_jk_from(alpha(tag.v), us)
+        uj_big, uk_big = _u_jk_from(alpha(tag.v), by_label)
         rest = [
             FrameEntry(
                 "[u0,u_i]",
                 "bracket u0 u_i = [[1-|v|^2, -2v], [-2 conj(v), |v|^2-1]] diag(i,i)",
-                bracket(u0, ui_),
+                by_label["[u0,u_i]"],
             ),
             FrameEntry("U_j", "alpha(v) [u0,u_j] - [u_i,u_k]", uj_big),
             FrameEntry("U_k", "alpha(v) [u0,u_k] + [u_i,u_j]", uk_big),
@@ -427,21 +431,25 @@ def build_frame(p: Sp2Point, tag: CaseTag | None = None) -> Frame:
             f_first = FrameEntry(
                 "F_i",
                 "1/2 [u0,u_i] = [[0, 1], [-1, 0]]",
-                Sp2Alg(bracket(u0, ui_).m.scale(_ratio(p.backend, 1, 2))),
+                Sp2Alg(by_label["[u0,u_i]"].m.scale(_ratio(p.backend, 1, 2))),
             )
         else:
             f_first = FrameEntry(
                 "F'_i",
                 "1/4 [u_j,u_k] = [[i, 1], [-1, i]]",
-                Sp2Alg(bracket(uj_, uk_).m.scale(_ratio(p.backend, 1, 4))),
+                Sp2Alg(by_label["[u_j,u_k]"].m.scale(_ratio(p.backend, 1, 4))),
             )
         rest = [
             f_first,
             FrameEntry(
-                "F_j", "-1/2 [u0,u_j] = diag(j, j)", Sp2Alg(bracket(u0, uj_).m.scale(minus_half))
+                "F_j",
+                "-1/2 [u0,u_j] = diag(j, j)",
+                Sp2Alg(by_label["[u0,u_j]"].m.scale(minus_half)),
             ),
             FrameEntry(
-                "F_k", "-1/2 [u0,u_k] = diag(k, k)", Sp2Alg(bracket(u0, uk_).m.scale(minus_half))
+                "F_k",
+                "-1/2 [u0,u_k] = diag(k, k)",
+                Sp2Alg(by_label["[u0,u_k]"].m.scale(minus_half)),
             ),
         ]
         return Frame(tag=tag, entries=tuple(ells + u_entries + rest))
@@ -705,13 +713,19 @@ def identity_ad_invariance() -> IdentityResult:
     return _result("Ad-invariance of the inner product", devs)
 
 
-def _random_alg(g) -> Sp2Alg:
-    def fr():
-        return Fraction(int(g.integers(-6, 7)), int(g.integers(1, 7)))
+# The bounds of the identity suite's random rationals, as bundle.rng_ratios
+# takes them: those of _random_alg's ten, and of identity_s2_solution's four
+# for v and three for a.
+_ALG_LOW, _ALG_HIGH = np.array([-6, 1] * 10), np.array([7, 7] * 10)
+_S2_LOW, _S2_HIGH = np.array([-9, 1] * 4), np.array([10, 9] * 4)
 
-    a = quat(0, fr(), fr(), fr())
-    d = quat(0, fr(), fr(), fr())
-    b = quat(fr(), fr(), fr(), fr())
+
+def _random_alg(g) -> Sp2Alg:
+    """A random exact [[a, b], [-conj(b), d]] in sp(2), a and d imaginary:
+    the ten rationals of a, d and b drawn in one call."""
+    ratios = bundle.rng_ratios(g, 10, _ALG_LOW, _ALG_HIGH)
+    a, d = bundle.ratio_quaternion(ratios[:3]), bundle.ratio_quaternion(ratios[3:6])
+    b = bundle.ratio_quaternion(ratios[6:])
     return Sp2Alg(QMat2(a, b, -b.conj(), d))
 
 
@@ -757,22 +771,26 @@ def identity_s2_solution() -> IdentityResult:
     quaternion v (not only complex) and imaginary a = a1 i + a2 j + a3 k,
     with b_a = a1 b_i + a2 b_j + a3 b_k from the b entries of u_basis(v)."""
     g = np.random.Generator(np.random.Philox(key=20260302))
-
-    def fr():
-        return Fraction(int(g.integers(-9, 10)), int(g.integers(1, 9)))
-
     devs = []
     for _ in range(200):
-        v = quat(fr(), fr(), fr(), fr())
-        if v.is_zero():
+        v, a = _s2_draw(g)
+        if a is None:
             continue
-        a = quat(0, fr(), fr(), fr())
         _, ui_, uj_, uk_ = u_basis(v)
         b = ui_.m.b.scale(a.h1) + uj_.m.b.scale(a.h2) + uk_.m.b.scale(a.h3)
         lhs = b.conj() * v - v.conj() * b
         rhs = v.conj() * a * v - a
         devs.append(_dev(lhs, rhs))
     return _result("solution identity for b_a (general v)", devs)
+
+
+def _s2_draw(g):
+    """identity_s2_solution's random quaternion v and imaginary a, each
+    drawn in one call; a is None for a zero v, which draws no a."""
+    v = bundle.ratio_quaternion(bundle.rng_ratios(g, 4, _S2_LOW, _S2_HIGH))
+    if v.is_zero():
+        return v, None
+    return v, bundle.ratio_quaternion(bundle.rng_ratios(g, 3, _S2_LOW, _S2_HIGH))
 
 
 def identity_ib_adjoints() -> IdentityResult:

@@ -499,27 +499,29 @@ def _pivoted_rank(rows: Sequence[Sequence[float]], rel_tol: float) -> RankResult
     n_rows, n_cols = a.shape
     # Row equilibration: rank is invariant under scaling rows by nonzero
     # constants, and it keeps the pivot ratios meaningful when one frame
-    # entry dwarfs the others.
-    scale = np.abs(a).max(axis=1)
+    # entry dwarfs the others.  A zero row's scale is set to 1.0, so the one
+    # division leaves it as it is (-0.0 included).
+    absa = np.abs(a)
+    scale = absa.max(axis=1)
     # max passes a NaN on and an infinity is its own max, so one test on the
     # largest row scale catches both.
     if not isfinite(scale.max()):
         raise NonFiniteRows("float rank input holds NaN or an infinity")
-    nonzero = scale > 0.0
-    a[nonzero] /= scale[nonzero, None]
-    max_initial = float(np.abs(a).max())
+    scale[scale == 0.0] = 1.0
+    a /= scale[:, None]
+    # absa is reused for |a| at every pivot search; the first one's largest
+    # entry is the largest equilibrated entry.
+    np.abs(a, out=absa)
+    flat = int(absa.argmax())
+    max_initial = float(absa.flat[flat])
     if max_initial == 0.0:
         return RankResult(rank=0, method="pivoted-ge", min_rel_pivot=None)
     threshold = rel_tol * max_initial
     steps = min(n_rows, n_cols)
     pivots = []
     positions = []
-    while True:
-        absa = np.abs(a)
-        flat = int(absa.argmax())
-        val = float(absa.flat[flat])
-        if val <= threshold:
-            break
+    val = max_initial
+    while val > threshold:
         r, c = divmod(flat, n_cols)
         pivots.append(val)
         positions.append((r, c))
@@ -527,6 +529,9 @@ def _pivoted_rank(rows: Sequence[Sequence[float]], rel_tol: float) -> RankResult
             break
         a -= np.multiply.outer(a[:, c] / a[r, c], a[r])
         a[:, c] = 0.0
+        np.abs(a, out=absa)
+        flat = int(absa.argmax())
+        val = float(absa.flat[flat])
     min_rel = min(pivots) / max_initial if pivots else None
     return RankResult(
         rank=len(pivots),

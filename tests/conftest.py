@@ -1,6 +1,7 @@
 """Shared strategies and independent oracles for the test suite, and the
 reference constructions that no command runs: the object-level Cayley
-transform and 2x2 inverse behind the exact sampler's reference, the object
+transform and 2x2 inverse behind the exact sampler's reference, the
+scalar-call draws of the identity suite's random objects, the object
 expressions of the Sp(1) Cayley unit, the fiber point, ir_w0's w0, ell_rho,
 Ad_p and the bracket that the numerator code in bundle and qmat must equal,
 the object u-bases and span frame that the span kernel must equal, and the
@@ -255,6 +256,33 @@ def ir_w0_reference(v: Quaternion) -> Quaternion:
     pnum, qden = fr.numerator, fr.denominator
     norm = pnum * pnum + qden * qden
     return quat(Fraction(qden * qden, norm), Fraction(qden * pnum, norm), 0, 0)
+
+
+def random_alg_reference(g) -> Sp2Alg:
+    """frames._random_alg with one scalar g.integers call per numerator and
+    per denominator, each rational a Fraction."""
+
+    def fr():
+        return Fraction(int(g.integers(-6, 7)), int(g.integers(1, 7)))
+
+    a = quat(0, fr(), fr(), fr())
+    d = quat(0, fr(), fr(), fr())
+    b = quat(fr(), fr(), fr(), fr())
+    return Sp2Alg(QMat2(a, b, -b.conj(), d))
+
+
+def s2_draw_reference(g, numerators=(-9, 10)):
+    """frames._s2_draw with one scalar g.integers call per numerator and per
+    denominator: v, then a unless v is zero (a None).  numerators are the
+    bounds of every numerator draw."""
+
+    def fr():
+        return Fraction(int(g.integers(*numerators)), int(g.integers(1, 9)))
+
+    v = quat(fr(), fr(), fr(), fr())
+    if v.is_zero():
+        return v, None
+    return v, quat(0, fr(), fr(), fr())
 
 
 def ell_from_projector_reference(p: Sp2Point, rho: Quaternion) -> QMat2:

@@ -571,6 +571,53 @@ def test_exact_random_point_deterministic():
     assert a.m == b.m
 
 
+def fresh_stream(key):
+    """A new generator for the key: what every re-keyed draw must equal."""
+    return np.random.Generator(np.random.Philox(key=key % (1 << 128)))
+
+
+@pytest.mark.parametrize("key", [0, 5, (1 << 64) - 1, (7 << 64) + 3, (1 << 128) - 1, -11])
+def test_keyed_stream_is_a_fresh_stream(key):
+    # Left mid-buffer by mixed draws, then re-keyed: the 32-bit buffer and
+    # the counter start over, and both key words are set.
+    g = bundle._keyed_stream(key + 1)
+    g.integers(0, 5)
+    g.standard_normal(3)
+    g = bundle._keyed_stream(key)
+    ref = fresh_stream(key)
+    assert g.integers(-8, 9, 7).tolist() == ref.integers(-8, 9, 7).tolist()
+    assert g.standard_normal(9).tolist() == ref.standard_normal(9).tolist()
+    assert g.integers(1, 9, 5).tolist() == ref.integers(1, 9, 5).tolist()
+
+
+def test_draws_do_not_depend_on_earlier_draws(monkeypatch):
+    # Float and exact keys interleaved, a key repeated, and the whole run
+    # again after the identity suite: every point is the one a fresh stream
+    # for its key draws.
+    calls = [
+        (random_sp2, 11),
+        (exact_random_point, 11),
+        (exact_random_point, 12, "I-r"),
+        (random_sp2, 11),
+        (exact_random_point, (3 << 64) + 5, "I-b"),
+        (random_sp2, (3 << 64) + 5),
+        (exact_random_point, 12, "I-r"),
+        (exact_random_point, 13, "II-x0"),
+        (exact_random_point, 14, "II-w0"),
+        (exact_random_point, 11),
+    ]
+
+    def draw_all():
+        return [json.dumps(fn(*args).to_json(), sort_keys=True) for fn, *args in calls]
+
+    with monkeypatch.context() as m:
+        m.setattr(bundle, "_keyed_stream", fresh_stream)
+        expected = draw_all()
+    assert draw_all() == expected
+    frames.run_identity_suite()
+    assert draw_all() == expected
+
+
 def object_draw(seed, case):
     """exact_random_point built from Quaternion/QMat2 objects: the same Philox
     calls in the same order, then the object expressions of sp1_cayley,

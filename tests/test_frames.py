@@ -12,6 +12,7 @@ from collections import Counter
 from fractions import Fraction
 from itertools import combinations
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -47,7 +48,7 @@ from sp2span.frames import (
 from sp2span.qmat import QMat2, Sp2Alg, ad, bracket, diag, real_rank, to_vec10
 from sp2span.quat import EXACT, FLOAT, BackendMismatch, Quaternion, qi, qj, qk, quat
 
-from conftest import cayley_sp2, nonzero_exact_quats
+from conftest import cayley_sp2, nonzero_exact_quats, random_alg_reference, s2_draw_reference
 
 
 def cx(h0, h1) -> "quat":
@@ -609,6 +610,49 @@ def test_identity_status_is_decided_on_exact_deviations():
     assert (res.status, res.worst) == (frames.FAIL, math.inf)
     same = frames._result("x", [frames._dev(quat(1, 2, 3, 4), quat(1, 2, 3, 4))])
     assert (res.n, same.status, same.worst) == (2, frames.OK, 0.0)
+
+
+def _philox(key):
+    return np.random.Generator(np.random.Philox(key=key))
+
+
+def _position(g):
+    """Where a Philox generator stands: its counter and buffered bits."""
+    state = g.bit_generator.state
+    return (
+        state["state"]["counter"].tolist(),
+        state["buffer"].tolist(),
+        state["buffer_pos"],
+        state["has_uint32"],
+        state["uinteger"],
+    )
+
+
+def test_identity_draws_equal_their_scalar_calls():
+    # 400 draws of each random object of the identity suite, one g.integers
+    # call per object, against the scalar-call references: the same values,
+    # and the same bits consumed.
+    g, ref = _philox(20260301), _philox(20260301)
+    for _ in range(400):
+        assert frames._random_alg(g) == random_alg_reference(ref)
+    assert _position(g) == _position(ref)
+    g, ref = _philox(20260302), _philox(20260302)
+    for _ in range(400):
+        assert frames._s2_draw(g) == s2_draw_reference(ref)
+    assert _position(g) == _position(ref)
+
+
+def test_zero_v_draws_no_a(monkeypatch):
+    # identity_s2_solution skips a zero v before drawing a, so the draws
+    # after it are those of the scalar calls too.
+    monkeypatch.setattr(frames, "_S2_HIGH", np.array([1, 9] * 4))
+    monkeypatch.setattr(frames, "_S2_LOW", np.array([0, 1] * 4))
+    g, ref = _philox(3), _philox(3)
+    for _ in range(20):
+        v, a = frames._s2_draw(g)
+        assert v.is_zero() and a is None
+        assert (v, a) == s2_draw_reference(ref, numerators=(0, 1))
+    assert _position(g) == _position(ref)
 
 
 # -- grids and property sweep ------------------------------------------------------------

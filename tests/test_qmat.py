@@ -693,6 +693,41 @@ def test_float_rank_is_the_numpy_elimination_with_zero_rows():
     assert real_rank(mixed).rank == 10
 
 
+@pytest.mark.parametrize("shape", [(1, 1), (1, 10), (13, 10), (7, 3)])
+@pytest.mark.parametrize("zero", [0.0, -0.0])
+def test_float_rank_of_an_all_zero_block(shape, zero):
+    # No row is scaled and no pivot is searched for: rank 0, no pivots, and
+    # no min_rel_pivot.
+    rows = [[zero] * shape[1] for _ in range(shape[0])]
+    _assert_bitwise_reference(rows)
+    got = real_rank(rows)
+    assert (got.rank, got.pivots, got.positions, got.min_rel_pivot) == (0, [], [], None)
+
+
+def test_float_rank_is_the_numpy_elimination_with_negative_zeros():
+    # -0.0 in nonzero rows, and rows of -0.0 alone, which equilibration
+    # leaves as they are.
+    rows = _span_rows(14)
+    neg = (-0.0,) * 10
+    signed = [tuple(-0.0 if x == 0.0 else x for x in r) for r in rows]
+    _assert_bitwise_reference([neg] + rows[:4] + [neg] + rows[4:])
+    _assert_bitwise_reference(signed)
+    neg4 = (-0.0,) * 4
+    _assert_bitwise_reference([neg4, (0.0, -0.0, 2.5, -0.0), neg4, (-0.0, 1.0, -0.0, -3.0)])
+    assert real_rank([neg] + rows).rank == 10
+
+
+@pytest.mark.parametrize("at", [0, 3, 6])
+def test_float_rank_of_a_single_nonzero_row(at):
+    # One row among zero rows: rank 1, its largest entry the pivot, and
+    # min_rel_pivot 1.0 (that entry over itself).
+    rows = [[0.0, -0.0, 0.0, 0.0] for _ in range(7)]
+    rows[at] = [0.0, -3e-200, 7.5, -7.5]
+    _assert_bitwise_reference(rows)
+    got = real_rank(rows)
+    assert (got.rank, got.pivots, got.positions, got.min_rel_pivot) == (1, [1.0], [(at, 2)], 1.0)
+
+
 @pytest.mark.parametrize("shape", [(1, 10), (3, 7), (10, 1), (13, 10)])
 def test_float_rank_is_the_numpy_elimination_on_shapes(shape):
     g = np.random.default_rng(shape[0] * 100 + shape[1])
