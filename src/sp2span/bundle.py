@@ -234,20 +234,20 @@ _KEY_WORD = (1 << 64) - 1  # a Philox key is two 64-bit words, low word first
 @cache
 def _philox() -> np.random.Generator:
     """The one Philox generator of the process, made on the first draw and
-    re-keyed by every sampler call (_keyed_stream), so importing the package
-    builds none."""
+    re-keyed by every keyed_stream call, so importing the package builds
+    none."""
     return np.random.Generator(np.random.Philox(key=0))
 
 
-def _keyed_stream(key: int) -> np.random.Generator:
+def keyed_stream(key: int) -> np.random.Generator:
     """The process's Philox generator set to counter 0 of key % 2^128 with
     an empty buffer, the state of a fresh
     np.random.Generator(np.random.Philox(key=key % 2^128)): it draws what
     that would, whatever was drawn before.  Re-keying skips the
-    SeedSequence a new generator gathers and then discards.  Each sampler
-    takes all its draws before it returns and the package starts no
-    threads, so no draw sees another key's state; a forked worker re-keys
-    its own copy."""
+    SeedSequence a new generator gathers and then discards.  The caller
+    must take every draw before the next keyed_stream call (every point
+    draw makes one), which re-keys the same generator; the package starts
+    no threads, and a forked worker re-keys its own copy."""
     key %= 1 << 128
     g = _philox()
     g.bit_generator.state = {
@@ -266,10 +266,10 @@ def random_sp2(seed: int) -> Sp2Point:
     orthogonalized against the first in the quaternionic Hermitian sense
     <(x,w),(y,z)> = conj(x) y + conj(w) z, both normalized, assembled as
     columns.  Deterministic per seed: the draws of a fresh Philox stream
-    keyed by seed (_keyed_stream).  The entries are built as 4-tuples
+    keyed by seed (keyed_stream).  The entries are built as 4-tuples
     (quat.hamilton), as exact_random_point builds its own, and become
     Quaternions only for the point."""
-    g = _keyed_stream(seed)
+    g = keyed_stream(seed)
     for _ in range(RANDOM_SP2_ATTEMPTS):
         vals = g.standard_normal(16).tolist()
         x, w, y, z = vals[0:4], vals[4:8], vals[8:12], vals[12:16]
@@ -446,8 +446,8 @@ IB_W0 = quat(Fraction(1, 2), Fraction(1, 2), 0, 0)  # |w0|^2 = 1/2, for v = i
 
 # The bounds of a ratio's two draws, repeated for the most ratios one point
 # takes (ten, case None): numerator in [-8, 8], denominator in [1, 8].
-_RATIO_LOW = np.array([-8, 1] * 10)
-_RATIO_HIGH = np.array([9, 9] * 10)
+_RATIO_LOW = (-8, 1) * 10
+_RATIO_HIGH = (9, 9) * 10
 
 
 def rng_ratios(g, count: int, low=_RATIO_LOW, high=_RATIO_HIGH):
@@ -516,9 +516,9 @@ def exact_random_point(seed: int, case: str | None = None) -> Sp2Point:
     random real v and ir_w0) or as the diagonal or antidiagonal matrix of
     two units (II), each unit an sp1_cayley of random imaginary s.  All
     outputs are exactly symplectic and exactly classifiable.  The draws
-    are those of a fresh Philox stream keyed by seed (_keyed_stream).
+    are those of a fresh Philox stream keyed by seed (keyed_stream).
     """
-    g = _keyed_stream(seed)
+    g = keyed_stream(seed)
     if case is None:
         ratios = rng_ratios(g, 10)
         (x0, y0, w0, z0), core_den = _cayley_core(ratios[:4])

@@ -32,8 +32,6 @@ from fractions import Fraction
 from itertools import combinations
 from math import gcd, hypot
 
-import numpy as np
-
 from . import bundle, kernel
 from .qmat import (
     QMat2,
@@ -702,13 +700,13 @@ def identity_nondegeneracy_factor() -> IdentityResult:
 
 
 def identity_ad_invariance() -> IdentityResult:
-    """<Ad_g u, Ad_g v> = <u, v> on exact random triples."""
+    """<Ad_g u, Ad_g v> = <u, v> on exact random triples.  All 400 algebra
+    draws come before the first point draw, which re-keys the stream."""
+    g_rng = bundle.keyed_stream(20260301)
+    algs = [_random_alg(g_rng) for _ in range(400)]
     devs = []
-    g_rng = np.random.Generator(np.random.Philox(key=20260301))
-    for idx in range(200):
+    for idx, (u, w) in enumerate(zip(algs[::2], algs[1::2])):
         g = bundle.exact_random_point(1000 + idx)
-        u = _random_alg(g_rng)
-        w = _random_alg(g_rng)
         devs.append(abs(inner(ad(g, u), ad(g, w)) - inner(u, w)))
     return _result("Ad-invariance of the inner product", devs)
 
@@ -716,8 +714,8 @@ def identity_ad_invariance() -> IdentityResult:
 # The bounds of the identity suite's random rationals, as bundle.rng_ratios
 # takes them: those of _random_alg's ten, and of identity_s2_solution's four
 # for v and three for a.
-_ALG_LOW, _ALG_HIGH = np.array([-6, 1] * 10), np.array([7, 7] * 10)
-_S2_LOW, _S2_HIGH = np.array([-9, 1] * 4), np.array([10, 9] * 4)
+_ALG_LOW, _ALG_HIGH = (-6, 1) * 10, (7, 7) * 10
+_S2_LOW, _S2_HIGH = (-9, 1) * 4, (10, 9) * 4
 
 
 def _random_alg(g) -> Sp2Alg:
@@ -770,7 +768,7 @@ def identity_s2_solution() -> IdentityResult:
     """conj(b_a) v - conj(v) b_a = conj(v) a v - a for random fully general
     quaternion v (not only complex) and imaginary a = a1 i + a2 j + a3 k,
     with b_a = a1 b_i + a2 b_j + a3 b_k from the b entries of u_basis(v)."""
-    g = np.random.Generator(np.random.Philox(key=20260302))
+    g = bundle.keyed_stream(20260302)
     devs = []
     for _ in range(200):
         v, a = _s2_draw(g)

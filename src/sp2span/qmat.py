@@ -24,7 +24,6 @@ import numpy as np
 
 from .quat import (
     DEFAULT_TOL,
-    EXACT,
     FLOAT,
     BackendMismatch,
     ParseError,
@@ -38,6 +37,7 @@ from .quat import (
     largest,
     matmul4,
     neg4,
+    negligible,
     over_lcm,
     quat_from_json,
     quat_to_json,
@@ -172,29 +172,21 @@ def _unitarity_defect(x, y, w, z, one):
     return largest(devs)
 
 
-def _require_unitary(den, entries):
-    """Raise InvariantViolation unless P = [[x, y], [w, z]], given as integer
-    4-tuples, is den times a point of Sp(2): P P* = P* P = den^2 Id."""
-    err = _unitarity_defect(*entries, den * den)
-    if err != 0:
-        dev = as_float(Fraction(err, den * den))
-        raise InvariantViolation(f"p p* deviates from Id by {dev:.3e}")
-
-
 class Sp2Point:
-    """A point of Sp(2): m @ m* = m* @ m = Id (exact, or within tol)."""
+    """A point of Sp(2): m @ m* = m* @ m = Id, tested on the numerators
+    over their lcm (floats come back over 1): literally on the exact
+    backend, within tol on floats."""
 
     __slots__ = ("m",)
 
     def __init__(self, m: QMat2, tol: float = DEFAULT_TOL, validate: bool = True):
         if validate:
-            if m.backend == EXACT:
-                entries, den = over_lcm(m.entries())
-                _require_unitary(den, entries)
-            else:
-                err = _unitarity_defect(*(e.n for e in m.entries()), 1.0)
-                if not err <= tol:
-                    raise InvariantViolation(f"p p* deviates from Id by {err:.3e}")
+            entries, den = over_lcm(m.entries())
+            den_sq = den * den
+            err = _unitarity_defect(*entries, den_sq)
+            if not negligible(err, tol):
+                dev = as_float(err if den == 1 else Fraction(err, den_sq))
+                raise InvariantViolation(f"p p* deviates from Id by {dev:.3e}")
         self.m = m
 
     # named-entry accessors: p = [[x, y], [w, z]]

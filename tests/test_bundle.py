@@ -580,10 +580,10 @@ def fresh_stream(key):
 def test_keyed_stream_is_a_fresh_stream(key):
     # Left mid-buffer by mixed draws, then re-keyed: the 32-bit buffer and
     # the counter start over, and both key words are set.
-    g = bundle._keyed_stream(key + 1)
+    g = bundle.keyed_stream(key + 1)
     g.integers(0, 5)
     g.standard_normal(3)
-    g = bundle._keyed_stream(key)
+    g = bundle.keyed_stream(key)
     ref = fresh_stream(key)
     assert g.integers(-8, 9, 7).tolist() == ref.integers(-8, 9, 7).tolist()
     assert g.standard_normal(9).tolist() == ref.standard_normal(9).tolist()
@@ -611,7 +611,7 @@ def test_draws_do_not_depend_on_earlier_draws(monkeypatch):
         return [json.dumps(fn(*args).to_json(), sort_keys=True) for fn, *args in calls]
 
     with monkeypatch.context() as m:
-        m.setattr(bundle, "_keyed_stream", fresh_stream)
+        m.setattr(bundle, "keyed_stream", fresh_stream)
         expected = draw_all()
     assert draw_all() == expected
     frames.run_identity_suite()

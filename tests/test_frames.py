@@ -645,14 +645,48 @@ def test_identity_draws_equal_their_scalar_calls():
 def test_zero_v_draws_no_a(monkeypatch):
     # identity_s2_solution skips a zero v before drawing a, so the draws
     # after it are those of the scalar calls too.
-    monkeypatch.setattr(frames, "_S2_HIGH", np.array([1, 9] * 4))
-    monkeypatch.setattr(frames, "_S2_LOW", np.array([0, 1] * 4))
+    monkeypatch.setattr(frames, "_S2_HIGH", (1, 9) * 4)
+    monkeypatch.setattr(frames, "_S2_LOW", (0, 1) * 4)
     g, ref = _philox(3), _philox(3)
     for _ in range(20):
         v, a = frames._s2_draw(g)
         assert v.is_zero() and a is None
         assert (v, a) == s2_draw_reference(ref, numerators=(0, 1))
     assert _position(g) == _position(ref)
+
+
+def test_identity_inputs_are_those_of_fresh_streams(monkeypatch):
+    # The identity suite draws through bundle.keyed_stream, which every
+    # point draw re-keys: identity_ad_invariance takes its 400 algebra
+    # draws before its first point, so they are those of a fresh stream
+    # keyed 20260301, and identity_s2_solution's 200 are those of one keyed
+    # 20260302.  The identities golden shows only n and a worst deviation
+    # of 0, so it cannot catch a changed draw.
+    events = []
+
+    def recording(name, fn):
+        def wrapped(*args, **kwargs):
+            out = fn(*args, **kwargs)
+            events.append((name, out))
+            return out
+
+        return wrapped
+
+    monkeypatch.setattr(frames, "_random_alg", recording("alg", frames._random_alg))
+    monkeypatch.setattr(frames, "_s2_draw", recording("s2", frames._s2_draw))
+    monkeypatch.setattr(bundle, "exact_random_point", recording("point", bundle.exact_random_point))
+    frames.identity_ad_invariance()
+    kinds = [name for name, _ in events]
+    assert kinds.count("alg") == 400 and kinds.count("point") == 200
+    last_alg = max(i for i, name in enumerate(kinds) if name == "alg")
+    assert "point" not in kinds[:last_alg]
+    ref = _philox(20260301)
+    assert [out for name, out in events if name == "alg"] == [random_alg_reference(ref) for _ in range(400)]
+    events.clear()
+    frames.identity_s2_solution()
+    assert [name for name, _ in events] == ["s2"] * 200
+    ref = _philox(20260302)
+    assert [out for _, out in events] == [s2_draw_reference(ref) for _ in range(200)]
 
 
 # -- grids and property sweep ------------------------------------------------------------

@@ -190,11 +190,14 @@ def test_a_name_a_function_binds_is_not_a_use_of_the_import():
     assert _unused_imports(tree) == [("one", 2), ("zero", 2), ("qi", 2)]
 
 
-def test_kernel_imports_no_numpy():
+@pytest.mark.parametrize("module", ["kernel", "frames"])
+def test_kernel_imports_no_numpy(module):
     # The span rows have one set of formulas, on 4-tuples of Python ints or
-    # floats; numpy in kernel would be a second, float-only set.
+    # floats; numpy in kernel would be a second, float-only set.  frames
+    # draws through bundle.keyed_stream, so numpy stays in quat (the float
+    # type rule), qmat (float rank) and bundle (the generator).
     imported = set()
-    for node in ast.walk(_modules()["kernel"]):
+    for node in ast.walk(_modules()[module]):
         if isinstance(node, ast.Import):
             imported |= {alias.name.split(".")[0] for alias in node.names}
         elif isinstance(node, ast.ImportFrom) and node.level == 0:

@@ -45,6 +45,7 @@ from sp2span.qmat import (
     vec10_weighted_dot,
 )
 from sp2span.quat import (
+    DEFAULT_TOL,
     EXACT,
     FLOAT,
     BackendMismatch,
@@ -294,6 +295,34 @@ def test_sp2point_float_deviation_matches_full_products():
                 Sp2Point(moved)
             reported = float(str(info.value).rsplit(" ", 1)[1])
             assert reported == pytest.approx(_old_defect(moved), rel=2e-3)
+
+
+def _scaled(m: QMat2, s: float) -> QMat2:
+    return QMat2(*(quat(*(c * s for c in e.n)) for e in m.entries()))
+
+
+@pytest.mark.parametrize("tol", [DEFAULT_TOL, 1e-6])
+def test_sp2point_decides_a_float_defect_at_tol(tol):
+    # (1 + e) p is off Sp(2) by about 2e: below tol it validates, above it
+    # raises with the float deviation.  tol=1e-6 is what `frame --tol` passes.
+    for seed in range(5):
+        m = bundle.random_sp2(seed).m
+        Sp2Point(_scaled(m, 1 + tol / 4), tol=tol)
+        with pytest.raises(InvariantViolation) as info:
+            Sp2Point(_scaled(m, 1 + tol), tol=tol)
+        reported = float(str(info.value).rsplit(" ", 1)[1])
+        assert reported == pytest.approx(2 * tol, rel=2e-3)
+    # on diag(1 + tol, 1) the defect is the float (1 + tol)^2 - 1
+    Sp2Point(diag(quat(1 + tol / 4), one(FLOAT)), tol=tol)
+    with pytest.raises(InvariantViolation) as info:
+        Sp2Point(diag(quat(1 + tol), one(FLOAT)), tol=tol)
+    assert str(info.value) == f"p p* deviates from Id by {(1 + tol) * (1 + tol) - 1:.3e}"
+
+
+def test_sp2point_reports_an_exact_defect_over_one():
+    # diag(2, 1) is over denominator 1: |x|^2 + |y|^2 - 1 = 3
+    with pytest.raises(InvariantViolation, match=r"deviates from Id by 3\.000e\+00$"):
+        Sp2Point(diag(quat(2), one(EXACT)))
 
 
 def test_sp2alg_validates():
