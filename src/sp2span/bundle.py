@@ -23,7 +23,7 @@ The horizontal space at p is described three times:
   residual is r = (p* u p)_11, and Re Tr is cyclic, so
   <u, p diag(rho, 0) p*> = Re(r conj(rho)) and
   <u, ell_rho> = dot(a + d, rho) - r_rho, which is -r_rho when a + d = 0.
-  The span check (frames.check_point) decides membership this way, on
+  The span check (frames.check_rows) decides membership this way, on
   the rows it ranks.
 
 Both residuals have identically vanishing real part, which is asserted as a

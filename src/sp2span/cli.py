@@ -31,10 +31,9 @@ import os
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
-from functools import partial
 from itertools import combinations
 
-from . import bundle, frames
+from . import bundle, frames, kernel
 from .qmat import InvariantViolation, Sp2Point, bracket, real_rank, to_vec10
 from .quat import DEFAULT_TOL, EXACT, FLOAT, ParseError, Sp2Error
 
@@ -44,33 +43,65 @@ SCHEMA = 1
 # -- verify -------------------------------------------------------------------------
 
 
-def _check(draw, tol, drop=None):
-    """(p, case, FrameCheck or None, problems) for the point p = draw():
-    case "error", no check and the error as the one problem when drawing or
-    checking raises, and p None when the draw did."""
+def _problem(exc: Sp2Error) -> str:
+    return f"{type(exc).__name__}: {exc}"
+
+
+def _draw(index, seed, backend, tol):
+    """(p, tag, problem) of sample index: its point and case label
+    (frames.classify), or the error that drawing or labeling raised as the
+    problem, with p None when the draw did.  The point is keyed by the pair
+    (seed, index); exact samples cycle through bundle.EXACT_CYCLE."""
+    key = ((seed % (1 << 64)) << 64) + index
     p = None
     try:
-        p = draw()
-        res = frames.check_point(p, tol, drop_label=drop)
+        if backend == FLOAT:
+            p = bundle.random_sp2(key)
+        else:
+            p = bundle.exact_random_point(key, case=bundle.EXACT_CYCLE[index % len(bundle.EXACT_CYCLE)])
+        return p, frames.classify(p, tol), None
     except Sp2Error as exc:
-        return p, "error", None, [f"{type(exc).__name__}: {exc}"]
-    return p, res.case, res, res.failures()
+        return p, None, _problem(exc)
+
+
+def _verify_block(args):
+    """The records of samples start to stop - 1 of the randomized sweep;
+    top-level so worker processes can import it.  Each sample is drawn and
+    labeled on its own (_draw); the rows of the block's float points come
+    from one kernel.span_row_block, exact rows point by point; and each
+    record is made by _verify_one, in index order."""
+    start, stop, seed, backend, tol, drop = args
+    drawn = [_draw(index, seed, backend, tol) for index in range(start, stop)]
+    points = [p for p, _, problem in drawn if problem is None]
+    tags = [tag for _, tag, problem in drawn if problem is None]
+    if backend == FLOAT:
+        rows = kernel.span_row_block(points, tags)
+    else:
+        rows = (kernel.span_rows(p.x, p.w, tag.v) for p, tag in zip(points, tags))
+    return [
+        _verify_one((index, p, tag, None if problem else next(rows), problem, tol, drop))
+        for index, (p, tag, problem) in enumerate(drawn, start)
+    ]
 
 
 def _verify_one(args):
-    """One sample of the randomized sweep; top-level so worker processes can
-    import it."""
-    index, seed, backend, tol, drop = args
-    key = ((seed % (1 << 64)) << 64) + index
-    if backend == FLOAT:
-        draw = partial(bundle.random_sp2, key)
-    else:
-        case = bundle.EXACT_CYCLE[index % len(bundle.EXACT_CYCLE)]
-        draw = partial(bundle.exact_random_point, key, case=case)
-    p, case, res, problems = _check(draw, tol, drop)
+    """The record of one sample of the randomized sweep, from
+    (index, p, tag, rows, problem, tol, drop): frames.check_rows on the
+    sample's rows, or case "error" with problem as its one problem when
+    drawing or labeling raised (rows None), and likewise when the check
+    does.  A failing record carries its point, for `sp2span frame` to
+    replay."""
+    index, p, tag, rows, problem, tol, drop = args
+    res = None
+    if problem is None:
+        try:
+            res = frames.check_rows(tag, rows, tol, drop)
+        except Sp2Error as exc:
+            problem = _problem(exc)
+    problems = res.failures() if res else [problem]
     rec = {
         "index": index,
-        "case": case,
+        "case": res.case if res else "error",
         "ok": not problems,
         "rank": res.rank.rank if res else None,
         "neg_rank": res.negative_rank.rank if res else None,
@@ -83,20 +114,33 @@ def _verify_one(args):
     return rec
 
 
-def _run_indexed(worker, arg_list, jobs: int):
-    """worker over arg_list in order, on at most one process per item and per
-    CPU; in this process when that is one."""
-    workers = min(jobs, len(arg_list), os.cpu_count() or 1)
-    if workers <= 1:
-        return [worker(a) for a in arg_list]
-    chunk = max(1, len(arg_list) // (workers * 8))
+# Samples one _verify_block draws and rows at once, so its arrays stay small
+# whatever --samples is.
+BLOCK = 256
+
+
+def _blocks(samples: int, workers: int):
+    """(start, stop) of the blocks samples 0 to samples - 1 are cut into:
+    at least one per worker, at most BLOCK samples each, of sizes that
+    differ by one at most."""
+    count = max(workers, -(-samples // BLOCK))
+    return [(k * samples // count, (k + 1) * samples // count) for k in range(count)]
+
+
+def _run_blocks(arg_list, workers: int):
+    """_verify_block over arg_list, the records in order: in this process
+    for one worker, else on a pool of that many processes."""
+    if workers == 1:
+        return [rec for args in arg_list for rec in _verify_block(args)]
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(worker, arg_list, chunksize=chunk))
+        return [rec for records in pool.map(_verify_block, arg_list) for rec in records]
 
 
 def cmd_verify(ns):
-    args = [(i, ns.seed, ns.backend, ns.tol, ns.corrupt_frame) for i in range(ns.samples)]
-    records = _run_indexed(_verify_one, args, ns.jobs)
+    # at most one worker process per sample and per CPU
+    workers = min(ns.jobs, ns.samples, os.cpu_count() or 1)
+    spans = _blocks(ns.samples, workers)
+    records = _run_blocks([(*span, ns.seed, ns.backend, ns.tol, ns.corrupt_frame) for span in spans], workers)
     tally: dict = {}
     failures = []
     pivots = []
@@ -147,11 +191,15 @@ def _sweep_family(name, points, expected_cases, tol):
     failures = []
     tally: dict = {}
     for idx, p in enumerate(points):
-        _, case, res, problems = _check(lambda: p, tol)
-        if res:
-            tally[case] = tally.get(case, 0) + 1
-            if case not in expected_cases:
-                problems.append(f"classified {case}, expected one of {sorted(expected_cases)}")
+        try:
+            res = frames.check_point(p, tol)
+        except Sp2Error as exc:
+            problems = [_problem(exc)]
+        else:
+            problems = res.failures()
+            tally[res.case] = tally.get(res.case, 0) + 1
+            if res.case not in expected_cases:
+                problems.append(f"classified {res.case}, expected one of {sorted(expected_cases)}")
         if problems:
             failures.append({"index": idx, "problems": problems, "point": p.to_json()})
     return {

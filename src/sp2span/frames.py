@@ -137,7 +137,7 @@ def classify(p: Sp2Point, tol: float = DEFAULT_TOL) -> CaseTag:
 def _alg(entries, den, backend: str) -> Sp2Alg:
     """The Sp2Alg of a kernel matrix, its 4-tuple entries over den, on the
     backend: each entry over den in lowest terms when exact, else its
-    numerators divided by den, the division kernel._finish does."""
+    numerators divided by den, the division of the kernel's float rows."""
     if backend == EXACT:
         qs = [Quaternion(*e, den) for e in entries]
     else:
@@ -154,14 +154,14 @@ def u_basis(v: Quaternion):
     (kernel.u_basis4)."""
     if v.is_zero():
         raise ZeroV("u_basis needs v != 0")
-    us, den = kernel.u_basis4(v)
+    us, den = kernel.u_basis4(v.n, v.d)
     return tuple(_alg(u, den, v.backend) for u in us)
 
 
 def case_ii_basis(backend: str):
     """The constant basis of Ad_p(h_p) at points with x = 0 or w = 0:
     [[0, b], [-conj(b), 0]] for b in (1, i, j, k)."""
-    us, den = kernel.u_basis4(None)
+    us, den = kernel.u_basis4(None, 1)
     return tuple(_alg(u, den, backend) for u in us)
 
 
@@ -270,7 +270,7 @@ def u_jk(v: Quaternion):
     both trace-free by the choice of alpha, both of the form T(v) diag(rho, rho),
     from the brackets of the kernel's u-basis (kernel.u_matrices)."""
     a = alpha(v)
-    mats = kernel.u_matrices(v)
+    mats = kernel.u_matrices(v.n, v.d)
     return _u_jk_from(a, {label: _alg(*m, v.backend) for label, m in zip(SPAN_LABELS[3:], mats)})
 
 
@@ -373,7 +373,7 @@ def _span_entries(p: Sp2Point, tag: CaseTag):
         formulas = ["[[0, v], [-conj(v), 0]], v = x w^-1"]
         formulas += [f"[[{r}, b_{r}], [-conj(b_{r}), -{r}]], {_B_RHO}" for r in "ijk"]
     formulas += [f"bracket {a} {b}" for a, b in combinations(U_LABELS, 2)]
-    mats = kernel.u_matrices(tag.v)
+    mats = kernel.u_matrices(*kernel.v_numerators(tag.v))
     out += [FrameEntry(n, f, _alg(*m, backend)) for n, f, m in zip(SPAN_LABELS[3:], formulas, mats)]
     return out
 
@@ -500,22 +500,32 @@ def verify_frame(p: Sp2Point, frame: Frame, tol: float = DEFAULT_TOL) -> FrameCh
 
 
 def check_point(p: Sp2Point, tol: float = DEFAULT_TOL, drop_label: str | None = None) -> FrameCheck:
-    """The span check at p as given, with no fiber normalization: the 13
-    rows of span_frame have rank 10, the rows labeled D_LABELS rank exactly
-    7, and each row labeled U_LABELS lies in Ad_p(h_p).  drop_label removes
-    that row first; it is the corruption hook that proves the failure path
-    fires, and must name a row of SPAN_LABELS.
+    """The span check at p as given, with no fiber normalization: its case
+    label (classify), its 13 rows (kernel.span_rows), and check_rows's
+    verdict on them.  drop_label removes that row first; it is the
+    corruption hook that proves the failure path fires, and must name a
+    row of SPAN_LABELS.
 
-    Both backends run on the rows of kernel.span_rows alone: exact points
-    get Bareiss certificates on its integer rows (span_frame's rows cleared
-    of denominators), float points the pivoted elimination, and membership
-    is read off the u and ell rows (_horizontal_row), with no residual
-    formed.  verify_frame on span_frame, which wraps the same matrices,
-    builds the same check from Quaternion/QMat2 objects."""
+    Exact points get Bareiss certificates on the kernel's integer rows
+    (span_frame's rows cleared of denominators), float points the pivoted
+    elimination on its float rows, with no residual formed.  `verify` makes
+    the same check from check_rows, on float rows built a block of points
+    at a time (kernel.span_row_block), which are these rows bit for bit.
+    verify_frame on span_frame, which wraps the same matrices, builds the
+    same check from Quaternion/QMat2 objects."""
+    tag = classify(p, tol)
+    return check_rows(tag, kernel.span_rows(p.x, p.w, tag.v), tol, drop_label)
+
+
+def check_rows(tag: CaseTag, rows, tol: float = DEFAULT_TOL, drop_label: str | None = None) -> FrameCheck:
+    """The span check on the 13 rows of a point in SPAN_LABELS order
+    (kernel.span_rows) with case label tag: after dropping drop_label, each
+    row labeled U_LABELS lies in Ad_p(h_p), read off the u and ell rows
+    (_horizontal_row), all rows have rank 10 and the rows labeled D_LABELS
+    rank exactly 7.  A drop_label that names no row raises ValueError."""
     if drop_label is not None and drop_label not in SPAN_LABELS:
         raise ValueError(f"no frame row is labeled {drop_label!r}")
-    tag = classify(p, tol)
-    rows = dict(zip(SPAN_LABELS, kernel.span_rows(p.x, p.w, tag.v)))
+    rows = dict(zip(SPAN_LABELS, rows))
     ell_rows = [rows[label] for label in ELL_LABELS]  # read before a drop
     rows.pop(drop_label, None)
     member_bad = [u for u in U_LABELS if u in rows and not _horizontal_row(rows[u], ell_rows, tol)]

@@ -1,5 +1,5 @@
-"""The span kernel: the 13 rows of the span check at one point, on either
-backend, with no Quaternion or QMat2 objects in between.
+"""The span kernel: the 13 rows of the span check, at one exact point or a
+block of float points, with no Quaternion or QMat2 objects in between.
 
 The formulas, for a point with first column (x, w):
 
@@ -10,7 +10,7 @@ The formulas, for a point with first column (x, w):
 * [u_a, u_b] = u_a u_b - (u_a u_b)*, valid for skew-Hermitian u_a, u_b.
 
 Membership of the four u in Ad_p(h_p) is read off the same rows
-(frames.check_point): a u is horizontal iff its row is trace-free and
+(frames.check_rows): a u is horizontal iff its row is trace-free and
 orthogonal to the three ell rows in the Ad-invariant metric
 (qmat.vec10_weighted_dot; the bundle module docstring derives it).
 
@@ -18,16 +18,26 @@ One set of formulas serves both backends.  (x, w) and v are read from the
 numerators and denominators the Quaternions store, x = X/P, w = W/P and
 v = V/E, with P the lcm of the stored denominators of x and w: integers on
 the exact backend, the float components over 1 on floats.  The formulas run
-on these 4-tuples: the u-basis here (u_basis4, its one home), and ell_rho,
-the bracket and the Vec10 layout in qmat (ell4, bracket4, vec10), which
-bundle.ell_direct, qmat.bracket and qmat.to_vec10 run on too.  With
-|V|^2 = n, every u is a matrix over Q = 2 E n (b_rho = (E^2 V rho - n rho
-V)/Q), so the ell rows are over P^2, the u rows over Q and the brackets over
-Q^2.  An exact row is returned as integers in lowest terms, the row times
-the lcm of its entries' denominators, the input Bareiss takes
-(qmat.real_rank), so no row becomes Fractions; a float row is divided by
-its denominator, so every entry is a Python float, the integer constants of
-the case-II basis included.
+on these 4-tuples (_span_mats): the u-basis here (u_basis4, its one home),
+and ell_rho, the bracket and the Vec10 layout in qmat (ell4, bracket4,
+vec10), which bundle.ell_direct, qmat.bracket and qmat.to_vec10 run on too.
+With |V|^2 = n, every u is a matrix over Q = 2 E n (b_rho = (E^2 V rho - n
+rho V)/Q), so the ell rows are over P^2, the u rows over Q and the brackets
+over Q^2.  An exact row is returned as integers in lowest terms, the row
+times the lcm of its entries' denominators, the input Bareiss takes
+(qmat.real_rank), so no row becomes Fractions; exact rows are made point by
+point, on Python ints.
+
+Float rows are made a block of points at a time (span_row_block; a float
+span_rows is a block of one): the same formulas run once per block with
+every component a float64 array over the points, or a Python float in a
+block of one (qmat.component_arrays).  Each array operation is the IEEE
+operation the scalar formula makes, in the same order, so every row equals
+the one Python float arithmetic gives, bit for bit, the sign of a zero
+included.  Each row is divided by its denominator and read back as Python
+floats (qmat.rows_from_arrays), the integer constants of the case-II basis
+included.  numpy stays in qmat; the arrays are never wrapped in a
+Quaternion, which would read a numpy numerator as exact.
 
 frames.u_basis, frames.case_ii_basis and frames.span_frame wrap the
 numerators of u_basis4 and u_matrices, so `frame` prints the matrices this
@@ -43,14 +53,13 @@ from __future__ import annotations
 
 from itertools import combinations
 
-from .qmat import bracket4, ell4, vec10
+from .qmat import bracket4, component_arrays, ell4, rows_from_arrays, vec10
 from .quat import (
     FLOAT,
     I4,
     J4,
     K4,
     ONE4,
-    Quaternion,
     ZERO4,
     conj4,
     hamilton,
@@ -64,20 +73,21 @@ from .quat import (
 _PAIRS = tuple(combinations(range(4), 2))
 
 
-def _finish(nums, den, exact: bool):
-    """The row nums / den: integers in lowest terms when exact, else
-    Python floats."""
-    return lowest_terms(nums, den)[0] if exact else [c / den for c in nums]
+def v_numerators(v):
+    """(vn, v_den): the numerators and denominator v stores, or (None, 1)
+    for v None (case II), as u_basis4 and u_matrices take them."""
+    return (None, 1) if v is None else (v.n, v.d)
 
 
-def u_basis4(v: Quaternion | None):
-    """(us, q_den): the u-basis (u0, u_i, u_j, u_k) for v = x w^-1, any
-    nonzero quaternion, each u as its entries (a, b, c, d) in 4-tuples over
-    the common q_den = 2 E |V|^2; v None gives the constant antidiagonal
-    basis [[0, b], [-conj(b), 0]], b in (1, i, j, k), over 1."""
-    if v is None:
+def u_basis4(vn, v_den):
+    """(us, q_den): the u-basis (u0, u_i, u_j, u_k) for v = vn / v_den =
+    x w^-1, any nonzero quaternion, each u as its entries (a, b, c, d) in
+    4-tuples over the common q_den = 2 E |V|^2; vn None gives the constant
+    antidiagonal basis [[0, b], [-conj(b), 0]], b in (1, i, j, k), over 1.
+    The components of vn may be Python ints or floats, or float64 arrays
+    over a block of points (then q_den is an array too)."""
+    if vn is None:
         return [(ZERO4, b, neg4(conj4(b)), ZERO4) for b in (ONE4, I4, J4, K4)], 1
-    vn, v_den = v.n, v.d
     n = norm_sq4(vn)
     q_den = 2 * v_den * n
     b0 = tuple(2 * n * c for c in vn)
@@ -91,16 +101,54 @@ def u_basis4(v: Quaternion | None):
     return us, q_den
 
 
-def u_matrices(v: Quaternion | None):
-    """The ten span matrices that depend on v alone, in SPAN_LABELS order
-    from u0 on (the four u, then the six [u_a, u_b]), as (entries, den)
-    pairs: the u over q_den (u_basis4), the brackets over q_den^2."""
-    us, q_den = u_basis4(v)
+def u_matrices(vn, v_den):
+    """The ten span matrices that depend on v = vn / v_den alone, in
+    SPAN_LABELS order from u0 on (the four u, then the six [u_a, u_b]), as
+    (entries, den) pairs: the u over q_den (u_basis4), the brackets over
+    q_den^2."""
+    us, q_den = u_basis4(vn, v_den)
     q_sq = q_den * q_den
     return [(u, q_den) for u in us] + [(bracket4(us[i], us[j]), q_sq) for i, j in _PAIRS]
 
 
-def span_rows(x: Quaternion, w: Quaternion, v: Quaternion | None):
+def _span_mats(xn, wn, p_sq, vn, v_den):
+    """The 13 span matrices in SPAN_LABELS order as (entries, den) pairs,
+    for a point with first column (xn, wn) / P, p_sq = P^2, and v = vn /
+    v_den (vn None at case II): the ell_rho over p_sq, then u_matrices.
+    The operands may be Python ints, Python floats or float64 arrays over a
+    block of points."""
+    return [(ell4(xn, wn, rho, p_sq), p_sq) for rho in (I4, J4, K4)] + u_matrices(vn, v_den)
+
+
+def span_row_block(points, tags):
+    """An iterator over the span rows of float points, in order, one list
+    of 13 rows per point, each row a list of Python floats: the rows
+    span_rows(p.x, p.w, tag.v) returns, bit for bit.  tags are the points'
+    case labels (frames.classify); the points whose tag.v is None (case II)
+    take the constant basis.
+
+    The points with a v and those without each run _span_mats once, on
+    float64 arrays of their components (qmat.component_arrays), and the
+    rows are read back point by point (qmat.rows_from_arrays).  Float
+    components are numerators over 1, so p_sq = v_den = 1."""
+    return _row_block([(p.x, p.w, tag.v) for p, tag in zip(points, tags)])
+
+
+def _row_block(xwv):
+    """span_row_block on (x, w, v) triples of float quaternions."""
+    groups = {}
+    for has_v in (True, False):
+        picked = [(x, w, v) for x, w, v in xwv if (v is not None) == has_v]
+        if picked:
+            xs, ws, vs = zip(*picked)
+            xn, wn = component_arrays([x.n for x in xs]), component_arrays([w.n for w in ws])
+            vn = component_arrays([v.n for v in vs]) if has_v else None
+            mats = [(vec10(a, b, d), den) for (a, b, _, d), den in _span_mats(xn, wn, 1, vn, 1)]
+            groups[has_v] = rows_from_arrays(mats, len(picked))
+    return (next(groups[v is not None]) for _, _, v in xwv)
+
+
+def span_rows(x, w, v):
     """The span check's inputs at a point with first column (x, w), on the
     backend of x.
 
@@ -109,12 +157,12 @@ def span_rows(x: Quaternion, w: Quaternion, v: Quaternion | None):
 
     Returns the 13 Vec10 rows in frames.SPAN_LABELS order (ell_i, ell_j,
     ell_k, u0, u_i, u_j, u_k, then the six [u_a, u_b]): Python floats, the
-    row itself, on the float backend; on the exact one Python ints in
-    lowest terms, the row times its denominator, the lcm of its entries'
-    denominators.
+    row itself, on the float backend, from a block of one point
+    (span_row_block); on the exact one Python ints in lowest terms, the
+    row times its denominator, the lcm of its entries' denominators.
     """
-    exact = x.backend != FLOAT
+    if x.backend == FLOAT:
+        return next(_row_block([(x, w, v)]))
     (xn, wn), p_den = over_lcm((x, w))
-    p_sq = p_den * p_den
-    mats = [(ell4(xn, wn, rho, p_sq), p_sq) for rho in (I4, J4, K4)] + u_matrices(v)
-    return [_finish(vec10(a, b, d), den, exact) for (a, b, _, d), den in mats]
+    mats = _span_mats(xn, wn, p_den * p_den, *v_numerators(v))
+    return [lowest_terms(vec10(a, b, d), den)[0] for (a, b, _, d), den in mats]

@@ -367,6 +367,118 @@ def test_jobs_start_at_most_one_worker_per_sample_and_cpu(tmp_path, monkeypatch)
     assert reports[6, 500] == reports[6, 3] == reports[6, 1]
 
 
+def _loop_records(backend: str, seed: int, samples: int):
+    """The records of `verify` made by a plain loop, sample by sample, over
+    frames.check_point."""
+    records = []
+    for index in range(samples):
+        key = ((seed % (1 << 64)) << 64) + index
+        if backend == FLOAT:
+            p = bundle.random_sp2(key)
+        else:
+            p = bundle.exact_random_point(key, case=bundle.EXACT_CYCLE[index % len(bundle.EXACT_CYCLE)])
+        res = frames.check_point(p, 1e-9)
+        records.append(
+            {
+                "index": index,
+                "case": res.case,
+                "ok": res.ok,
+                "rank": res.rank.rank,
+                "neg_rank": res.negative_rank.rank,
+                "min_rel_pivot": res.rank.min_rel_pivot,
+                "problems": res.failures(),
+            }
+        )
+    return records
+
+
+@pytest.mark.parametrize("backend", [FLOAT, EXACT])
+def test_block_records_equal_a_per_sample_loop(monkeypatch, backend):
+    # verify draws, labels and rows samples a block at a time; its records
+    # are the records of a loop over check_point, sample by sample, on
+    # either side of the block size and for every worker count.  The blocks
+    # hold at most BLOCK samples, cover every sample once, in order, and
+    # number at least one per worker.
+    seed = 17
+    want = _loop_records(backend, seed, 600)
+    seen = []
+    handed = []
+    verify_one = cli._verify_one
+
+    def kept(args):
+        seen.append(verify_one(args))
+        return seen[-1]
+
+    class InProcessPool:
+        def __init__(self, max_workers):
+            self.workers = max_workers
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items, chunksize=1):
+            items = list(items)
+            handed.append((self.workers, [args[:2] for args in items]))
+            return map(fn, items)
+
+    monkeypatch.setattr(cli, "_verify_one", kept)
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", InProcessPool)
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    pooled = []
+    for samples in (1, 255, 256, 257, 600):
+        for jobs in (1, 2, 3):
+            seen.clear()
+            argv = ["verify", "--backend", backend, "--samples", str(samples), "--seed", str(seed)]
+            assert main(argv + ["--jobs", str(jobs), "--out", os.devnull]) == 0
+            assert seen == want[:samples], (samples, jobs)
+            workers = min(jobs, samples)
+            spans = cli._blocks(samples, workers)
+            assert [start for start, _ in spans] == [0] + [stop for _, stop in spans[:-1]]
+            assert spans[-1][1] == samples and len(spans) >= workers
+            assert all(0 < stop - start <= cli.BLOCK for start, stop in spans)
+            if workers > 1:
+                pooled.append((workers, spans))
+    assert handed == pooled
+
+
+def test_a_failed_draw_or_label_fails_its_sample_alone(monkeypatch, tmp_path):
+    # A draw that raises in the middle of a block makes an error record
+    # with no point, a label that raises one with the point it labeled, and
+    # the samples around both, in the same block, pass.
+    random_sp2, classify = bundle.random_sp2, frames.classify
+    labeled = {}
+
+    def draw(key):
+        if key % (1 << 64) == 75:
+            raise bundle.DegenerateDraw("no usable draw (test)")
+        p = random_sp2(key)
+        labeled[id(p)] = key % (1 << 64)
+        return p
+
+    def label(p, tol=1e-9):
+        if labeled.get(id(p)) == 140:
+            raise frames.ZeroV("no label (test)")
+        return classify(p, tol)
+
+    monkeypatch.setattr(bundle, "random_sp2", draw)
+    monkeypatch.setattr(frames, "classify", label)
+    out = tmp_path / "v.json"
+    assert main(["verify", "--samples", "300", "--seed", "0", "--emit", "json", "--out", str(out)]) == 1
+    rep = json.loads(out.read_text())
+    assert cli._blocks(300, 1) == [(0, 150), (150, 300)]
+    assert rep["case_tally"] == {"I-a": 298, "error": 2}
+    base = {"case": "error", "ok": False, "rank": None, "neg_rank": None, "min_rel_pivot": None}
+    failed_label = {**base, "index": 140, "problems": ["ZeroV: no label (test)"]}
+    failed_label["point"] = random_sp2(140).to_json()
+    assert rep["failures"] == [
+        {**base, "index": 75, "problems": ["DegenerateDraw: no usable draw (test)"], "point": None},
+        failed_label,
+    ]
+
+
 ENVELOPE_ARGV = {
     "verify": ["verify", "--samples", "2", "--seed", "1"],
     "special-sweep": ["special-sweep", "--samples", "1"],

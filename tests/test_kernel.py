@@ -26,8 +26,10 @@ residual ad_h_p_residual, Fraction for Fraction on exact points.
 """
 
 import dataclasses
+import hashlib
 import json
 import math
+import random
 import struct
 from fractions import Fraction
 from math import lcm
@@ -261,6 +263,51 @@ def test_frame_prints_the_rows_it_ranks():
         us = frames.case_ii_basis(FLOAT) if v is None else frames.u_basis(v)
         for alg in [e.m for e in frame.entries] + list(us):
             assert all(type(c) is float for c in _float_numerators(alg))
+
+
+def _float_point(p):
+    """The exact point p on the float backend, entry by entry."""
+    return Sp2Point(QMat2(*(_float_copy(q) for q in p.m.entries())))
+
+
+def _block_points():
+    """1200 Haar points, float points on and off the quarter stratum, and
+    float case-II points with x = 0 and with w = 0 (one with zeros of both
+    signs), shuffled so the case-II points fall among the Haar ones."""
+    points = _haar(1200) + [ib_float_point(0.25), ib_float_point(0.1, 0.4, 0.9), _signed_zero_ii_point()]
+    points += [_float_point(p) for p in bundle.grid_ii(2)]
+    random.Random(31).shuffle(points)
+    return points
+
+
+# sha256 of the rows of _block_points, float by float, as 8-byte
+# little-endian IEEE doubles, point after point: the bits that Python float
+# arithmetic gave on one point at a time before rows were built in blocks.
+BLOCK_ROWS_SHA256 = "e0b02daafea24b1cd41400f7b5253785b7fe1b8016f75d4c657bedc383021c0d"
+
+
+def test_block_rows_are_the_point_rows():
+    # verify builds float rows a block at a time: one evaluation of the
+    # kernel's formulas on arrays, with case-I and case-II points mixed.
+    # Each point's rows must be the rows of that point alone (span_rows, a
+    # block of one, on Python floats) and the matrices span_frame wraps, in
+    # every bit, the sign of a zero included, and every entry a Python
+    # float.  The digest pins the same bits to the formulas' grouping.
+    points = _block_points()
+    tags = [classify(p, TOL) for p in points]
+    assert sum(tag.kind == frames.CASE_II for tag in tags) == 3
+    assert {frames.CASE_IA, frames.CASE_IB_QUARTER, frames.CASE_IB_NONQUARTER} <= {tag.kind for tag in tags}
+    block = list(kernel.span_row_block(points, tags))
+    assert len(block) == len(points)
+    digest = hashlib.sha256()
+    for p, tag, rows in zip(points, tags, block):
+        assert len(rows) == len(SPAN_LABELS)
+        assert all(type(c) is float for row in rows for c in row)
+        bits = [_bits(row) for row in rows]
+        assert bits == [_bits(row) for row in kernel.span_rows(p.x, p.w, tag.v)]
+        assert bits == [_bits(to_vec10(e.m)) for e in frames.span_frame(p, TOL).entries]
+        digest.update(b"".join(bits))
+    assert digest.hexdigest() == BLOCK_ROWS_SHA256
 
 
 @given(st.one_of(nonzero_exact_quats, big_exact_quats().filter(lambda v: not v.is_zero())))

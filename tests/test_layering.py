@@ -192,10 +192,11 @@ def test_a_name_a_function_binds_is_not_a_use_of_the_import():
 
 @pytest.mark.parametrize("module", ["kernel", "frames"])
 def test_kernel_imports_no_numpy(module):
-    # The span rows have one set of formulas, on 4-tuples of Python ints or
-    # floats; numpy in kernel would be a second, float-only set.  frames
-    # draws through bundle.keyed_stream, so numpy stays in quat (the float
-    # type rule), qmat (float rank) and bundle (the generator).
+    # The span rows have one set of formulas, on 4-tuples of Python ints,
+    # Python floats or float64 arrays; numpy calls in kernel would be a
+    # second, float-only set.  frames draws through bundle.keyed_stream, so
+    # numpy stays in quat (the float type rule), qmat (float rank, and
+    # packing and unpacking the kernel's arrays) and bundle (the generator).
     imported = set()
     for node in ast.walk(_modules()[module]):
         if isinstance(node, ast.Import):
