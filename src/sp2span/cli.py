@@ -67,17 +67,14 @@ def _draw(index, seed, backend, tol):
 def _verify_block(args):
     """The records of samples start to stop - 1 of the randomized sweep;
     top-level so worker processes can import it.  Each sample is drawn and
-    labeled on its own (_draw); the rows of the block's float points come
-    from one kernel.span_row_block, exact rows point by point; and each
-    record is made by _verify_one, in index order."""
+    labeled on its own (_draw); the rows of the drawn points come from one
+    kernel.span_row_block; and each record is made by _verify_one, in
+    index order."""
     start, stop, seed, backend, tol, drop = args
     drawn = [_draw(index, seed, backend, tol) for index in range(start, stop)]
     points = [p for p, _, problem in drawn if problem is None]
     tags = [tag for _, tag, problem in drawn if problem is None]
-    if backend == FLOAT:
-        rows = kernel.span_row_block(points, tags)
-    else:
-        rows = (kernel.span_rows(p.x, p.w, tag.v) for p, tag in zip(points, tags))
+    rows = kernel.span_row_block(points, tags)
     return [
         _verify_one((index, p, tag, None if problem else next(rows), problem, tol, drop))
         for index, (p, tag, problem) in enumerate(drawn, start)

@@ -36,6 +36,7 @@ from . import bundle, kernel
 from .qmat import (
     QMat2,
     RankResult,
+    ShapeMismatch,
     Sp2Alg,
     Sp2Point,
     ad,
@@ -499,32 +500,33 @@ def verify_frame(p: Sp2Point, frame: Frame, tol: float = DEFAULT_TOL) -> FrameCh
     return _frame_check(frame.tag.kind, vecs, d_rows, member_bad, tol)
 
 
-def check_point(p: Sp2Point, tol: float = DEFAULT_TOL, drop_label: str | None = None) -> FrameCheck:
+def check_point(p: Sp2Point, tol: float = DEFAULT_TOL) -> FrameCheck:
     """The span check at p as given, with no fiber normalization: its case
-    label (classify), its 13 rows (kernel.span_rows), and check_rows's
-    verdict on them.  drop_label removes that row first; it is the
-    corruption hook that proves the failure path fires, and must name a
-    row of SPAN_LABELS.
+    label (classify), its 13 rows (kernel.span_rows, built as the kernel
+    module docstring states), and check_rows's verdict on them.
 
     Exact points get Bareiss certificates on the kernel's integer rows
     (span_frame's rows cleared of denominators), float points the pivoted
     elimination on its float rows, with no residual formed.  `verify` makes
-    the same check from check_rows, on float rows built a block of points
-    at a time (kernel.span_row_block), which are these rows bit for bit.
+    the same check from check_rows, on the rows of kernel.span_row_block.
     verify_frame on span_frame, which wraps the same matrices, builds the
     same check from Quaternion/QMat2 objects."""
     tag = classify(p, tol)
-    return check_rows(tag, kernel.span_rows(p.x, p.w, tag.v), tol, drop_label)
+    return check_rows(tag, kernel.span_rows(p.x, p.w, tag.v), tol)
 
 
 def check_rows(tag: CaseTag, rows, tol: float = DEFAULT_TOL, drop_label: str | None = None) -> FrameCheck:
     """The span check on the 13 rows of a point in SPAN_LABELS order
-    (kernel.span_rows) with case label tag: after dropping drop_label, each
-    row labeled U_LABELS lies in Ad_p(h_p), read off the u and ell rows
-    (_horizontal_row), all rows have rank 10 and the rows labeled D_LABELS
-    rank exactly 7.  A drop_label that names no row raises ValueError."""
+    (kernel.span_rows) with case label tag: each row labeled U_LABELS lies
+    in Ad_p(h_p), read off the u and ell rows (_horizontal_row), all rows
+    have rank 10 and the rows labeled D_LABELS rank exactly 7.  drop_label
+    removes that row first, the corruption hook of `verify --corrupt-frame`;
+    one that names no row raises ValueError, and any count of rows but
+    len(SPAN_LABELS) raises ShapeMismatch."""
     if drop_label is not None and drop_label not in SPAN_LABELS:
         raise ValueError(f"no frame row is labeled {drop_label!r}")
+    if len(rows) != len(SPAN_LABELS):
+        raise ShapeMismatch(f"{len(rows)} span rows, expected {len(SPAN_LABELS)}")
     rows = dict(zip(SPAN_LABELS, rows))
     ell_rows = [rows[label] for label in ELL_LABELS]  # read before a drop
     rows.pop(drop_label, None)

@@ -1,5 +1,5 @@
-"""The span kernel: the 13 rows of the span check, at one exact point or a
-block of float points, with no Quaternion or QMat2 objects in between.
+"""The span kernel: the 13 rows of the span check, at one point or a block
+of points, with no Quaternion or QMat2 objects in between.
 
 The formulas, for a point with first column (x, w):
 
@@ -23,21 +23,25 @@ and ell_rho, the bracket and the Vec10 layout in qmat (ell4, bracket4,
 vec10), which bundle.ell_direct, qmat.bracket and qmat.to_vec10 run on too.
 With |V|^2 = n, every u is a matrix over Q = 2 E n (b_rho = (E^2 V rho - n
 rho V)/Q), so the ell rows are over P^2, the u rows over Q and the brackets
-over Q^2.  An exact row is returned as integers in lowest terms, the row
-times the lcm of its entries' denominators, the input Bareiss takes
-(qmat.real_rank), so no row becomes Fractions; exact rows are made point by
-point, on Python ints.
+over Q^2.
 
-Float rows are made a block of points at a time (span_row_block; a float
-span_rows is a block of one): the same formulas run once per block with
-every component a float64 array over the points, or a Python float in a
-block of one (qmat.component_arrays).  Each array operation is the IEEE
-operation the scalar formula makes, in the same order, so every row equals
-the one Python float arithmetic gives, bit for bit, the sign of a zero
-included.  Each row is divided by its denominator and read back as Python
-floats (qmat.rows_from_arrays), the integer constants of the case-II basis
-included.  numpy stays in qmat; the arrays are never wrapped in a
-Quaternion, which would read a numpy numerator as exact.
+How rows are built is decided here, on both backends, and nowhere else.
+span_row_block is the one way a caller gets the rows of a set of points;
+span_rows is the rows of one point.  A float group of two or more points
+(the points with a v, or the case-II ones) runs _span_mats once, with every
+component a float64 array over the points (qmat.component_arrays); each
+row is divided by its denominator and read back as Python floats
+(qmat.rows_from_arrays).  Exact points, and a float group of one, run the
+same formulas point by point on Python scalars (span_rows), and each row is
+finished by one scalar rule per backend: an exact row is returned as
+integers in lowest terms, the row times the lcm of its entries'
+denominators, the input Bareiss takes (qmat.real_rank), so no row becomes
+Fractions; a float row is each entry divided by the row's denominator, so
+a lone float point (check_point, `frame`, special-sweep) makes no numpy
+call.  Each array operation is the IEEE operation the scalar formula makes,
+in the same order, so the array rows equal the scalar ones bit for bit,
+the sign of a zero included.  numpy stays in qmat; the arrays are never
+wrapped in a Quaternion, which would read a numpy numerator as exact.
 
 frames.u_basis, frames.case_ii_basis and frames.span_frame wrap the
 numerators of u_basis4 and u_matrices, so `frame` prints the matrices this
@@ -121,31 +125,29 @@ def _span_mats(xn, wn, p_sq, vn, v_den):
 
 
 def span_row_block(points, tags):
-    """An iterator over the span rows of float points, in order, one list
-    of 13 rows per point, each row a list of Python floats: the rows
-    span_rows(p.x, p.w, tag.v) returns, bit for bit.  tags are the points'
-    case labels (frames.classify); the points whose tag.v is None (case II)
-    take the constant basis.
+    """An iterator over the span rows of points of one backend, in order,
+    one list of 13 rows per point: the rows span_rows(p.x, p.w, tag.v)
+    returns, bit for bit.  tags are the points' case labels
+    (frames.classify); the points whose tag.v is None (case II) take the
+    constant basis.
 
-    The points with a v and those without each run _span_mats once, on
-    float64 arrays of their components (qmat.component_arrays), and the
-    rows are read back point by point (qmat.rows_from_arrays).  Float
-    components are numerators over 1, so p_sq = v_den = 1."""
-    return _row_block([(p.x, p.w, tag.v) for p, tag in zip(points, tags)])
-
-
-def _row_block(xwv):
-    """span_row_block on (x, w, v) triples of float quaternions."""
+    The points with a v and those without form two groups.  A float group
+    of two or more points runs _span_mats once on float64 arrays of its
+    components and is read back point by point; every other group runs
+    span_rows point by point.  Float components are numerators over 1, so
+    p_sq = v_den = 1."""
     groups = {}
     for has_v in (True, False):
-        picked = [(x, w, v) for x, w, v in xwv if (v is not None) == has_v]
-        if picked:
-            xs, ws, vs = zip(*picked)
-            xn, wn = component_arrays([x.n for x in xs]), component_arrays([w.n for w in ws])
-            vn = component_arrays([v.n for v in vs]) if has_v else None
+        picked = [(p, tag) for p, tag in zip(points, tags) if (tag.v is not None) == has_v]
+        if len(picked) > 1 and picked[0][0].backend == FLOAT:
+            xn = component_arrays([p.x.n for p, _ in picked])
+            wn = component_arrays([p.w.n for p, _ in picked])
+            vn = component_arrays([tag.v.n for _, tag in picked]) if has_v else None
             mats = [(vec10(a, b, d), den) for (a, b, _, d), den in _span_mats(xn, wn, 1, vn, 1)]
             groups[has_v] = rows_from_arrays(mats, len(picked))
-    return (next(groups[v is not None]) for _, _, v in xwv)
+        else:
+            groups[has_v] = (span_rows(p.x, p.w, tag.v) for p, tag in picked)
+    return (next(groups[tag.v is not None]) for tag in tags)
 
 
 def span_rows(x, w, v):
@@ -156,13 +158,14 @@ def span_rows(x, w, v):
     (x or w vanishes), which take the constant antidiagonal u-basis.
 
     Returns the 13 Vec10 rows in frames.SPAN_LABELS order (ell_i, ell_j,
-    ell_k, u0, u_i, u_j, u_k, then the six [u_a, u_b]): Python floats, the
-    row itself, on the float backend, from a block of one point
-    (span_row_block); on the exact one Python ints in lowest terms, the
-    row times its denominator, the lcm of its entries' denominators.
+    ell_k, u0, u_i, u_j, u_k, then the six [u_a, u_b]), each finished by
+    its backend's scalar rule (the module docstring): on the float backend
+    the row itself, Python floats; on the exact one Python ints in lowest
+    terms, the row times its denominator, the lcm of its entries'
+    denominators.
     """
-    if x.backend == FLOAT:
-        return next(_row_block([(x, w, v)]))
     (xn, wn), p_den = over_lcm((x, w))
     mats = _span_mats(xn, wn, p_den * p_den, *v_numerators(v))
+    if x.backend == FLOAT:
+        return [[c / den for c in vec10(a, b, d)] for (a, b, _, d), den in mats]
     return [lowest_terms(vec10(a, b, d), den)[0] for (a, b, _, d), den in mats]

@@ -355,25 +355,21 @@ def to_vec10(u: Sp2Alg) -> Vec10:
 def component_arrays(quads):
     """The 4-tuples quads of float components, one quaternion per point,
     as one 4-tuple of float64 arrays over the points: the operands on which
-    the span kernel runs its formulas for a block of float points.  A block
-    of one point keeps its 4-tuple of Python floats: the formulas make the
-    same IEEE operations on them, without numpy's fixed cost per call,
-    which on one-element arrays is many times the arithmetic."""
-    if len(quads) == 1:
-        return quads[0]
+    the span kernel runs its formulas for a group of float points (the
+    kernel module docstring states when it does)."""
     return tuple(np.array(quads, dtype=np.float64).T.copy())
 
 
 def rows_from_arrays(mats, count: int):
-    """An iterator over the rows row / den of a block of count float
-    points, point by point, each point's rows as lists of Python floats.
-    mats lists (row, den) pairs, a Vec10 row and its denominator, each
-    entry a float64 array over the points or a scalar (a block of one
-    point, or a constant the formulas left as a Python int: the case-II
-    basis, a zero entry).  Each division is the IEEE one the scalar row
-    c / den makes, so the floats are the ones the same formulas give on
-    one point.  The rows become Python floats one point at a time, so a
-    block holds one point's lists at once."""
+    """An iterator over the rows row / den of a group of count float
+    points (the kernel module docstring), point by point, each point's rows
+    as lists of Python floats.  mats lists (row, den) pairs, a Vec10 row
+    and its denominator, each entry a float64 array over the points or a
+    constant the formulas left as a Python int (the case-II basis, a zero
+    entry).  Each division is the IEEE one the scalar row c / den makes,
+    so the floats are the ones the same formulas give on one point.  The
+    rows become Python floats one point at a time, so a block holds one
+    point's lists at once."""
     out = np.empty((len(mats), 10, count))
     for m, (row, den) in enumerate(mats):
         for c, entry in enumerate(row):

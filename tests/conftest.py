@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 from hypothesis import strategies as st
 
-from sp2span import frames
+from sp2span import frames, kernel
 from sp2span.qmat import QMat2, RankResult, Sp2Alg, Sp2Point, diag
 from sp2span.quat import Quaternion, ZeroDivisor, one, qi, qj, qk, quat, zero
 
@@ -89,6 +89,14 @@ def object_check(p, tol, drop_label=None):
         tag=full.tag, entries=tuple(e for e in full.entries if e.label != drop_label)
     )
     return frames.verify_frame(p, frame, tol), frame
+
+
+def dropped_check(p, tol, drop_label):
+    """frames.check_point's check at p with the row labeled drop_label
+    dropped, as `verify --corrupt-frame` makes it: frames.check_rows on
+    the kernel's rows."""
+    tag = frames.classify(p, tol)
+    return frames.check_rows(tag, kernel.span_rows(p.x, p.w, tag.v), tol, drop_label)
 
 
 @pytest.fixture(scope="session")

@@ -175,10 +175,10 @@ def test_error_records(tmp_path, monkeypatch):
 
     broken = bundle.grid_ir(3)[1]
 
-    def check(p, tol=1e-9, drop_label=None):
+    def check(p, tol=1e-9):
         if p == broken:
             raise bundle.DegenerateDraw("check failed (test)")
-        return check_point(p, tol, drop_label)
+        return check_point(p, tol)
 
     monkeypatch.setattr(frames, "check_point", check)
     out = tmp_path / "s.json"

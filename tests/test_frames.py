@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sp2span import bundle, frames
+from sp2span import bundle, frames, kernel
 from sp2span.bundle import exact_random_point, fiber_point, ib_float_point, normalize_fiber
 from sp2span.frames import (
     CASE_IA,
@@ -33,6 +33,7 @@ from sp2span.frames import (
     c0i_matrix,
     case_ii_basis,
     check_point,
+    check_rows,
     classify,
     frame_to_json,
     nondegeneracy_factor,
@@ -45,10 +46,10 @@ from sp2span.frames import (
     u_jk,
     verify_frame,
 )
-from sp2span.qmat import QMat2, Sp2Alg, ad, bracket, diag, real_rank, to_vec10
-from sp2span.quat import EXACT, FLOAT, BackendMismatch, Quaternion, qi, qj, qk, quat
+from sp2span.qmat import QMat2, ShapeMismatch, Sp2Alg, ad, bracket, diag, real_rank, to_vec10
+from sp2span.quat import DEFAULT_TOL, EXACT, FLOAT, BackendMismatch, Quaternion, qi, qj, qk, quat
 
-from conftest import cayley_sp2, nonzero_exact_quats, random_alg_reference, s2_draw_reference
+from conftest import cayley_sp2, dropped_check, nonzero_exact_quats, random_alg_reference, s2_draw_reference
 
 
 def cx(h0, h1) -> "quat":
@@ -484,7 +485,7 @@ def test_classify_raw_edge_points():
 def test_corrupted_frame_detected():
     p = normalize_fiber(exact_random_point(107)).point
     assert classify(p).kind == CASE_IA
-    res = check_point(p, drop_label="ell_i")
+    res = dropped_check(p, DEFAULT_TOL, "ell_i")
     assert not res.ok
     assert any("rank" in f for f in res.failures())
 
@@ -499,8 +500,10 @@ def test_exact_certificates_are_frozen():
     cycle = bundle.EXACT_CYCLE
     for index in range(200 * len(cycle)):
         p = exact_random_point(index, cycle[index % len(cycle)])
+        tag = classify(p)
+        rows = kernel.span_rows(p.x, p.w, tag.v)
         for drop in (None, "ell_i", "u0", "[u_j,u_k]"):
-            res = check_point(p, drop_label=drop)
+            res = check_rows(tag, rows, DEFAULT_TOL, drop)
             for r in (res.rank, res.negative_rank):
                 record = [r.rank, [str(x) for x in r.pivots], [list(x) for x in r.positions]]
                 digest.update(json.dumps(record).encode())
@@ -508,10 +511,24 @@ def test_exact_certificates_are_frozen():
     assert digest.hexdigest() == "0b0ef5ec2da80b22c9d74dd5c44a5639f1f50a98753317cb1c9afc85d3bf6955"
 
 
+@pytest.mark.parametrize("backend", [EXACT, FLOAT])
+def test_check_rows_rejects_a_wrong_row_count(backend):
+    # Rows are matched to SPAN_LABELS by position: a missing [u_j,u_k] or an
+    # extra 14th row must not be dropped or ignored while the rest pass.
+    p = exact_random_point(3) if backend == EXACT else bundle.random_sp2(3)
+    tag = classify(p)
+    rows = kernel.span_rows(p.x, p.w, tag.v)
+    assert check_rows(tag, rows).ok
+    for wrong in (rows[:12], rows + [rows[0]], []):
+        with pytest.raises(ShapeMismatch):
+            check_rows(tag, wrong)
+
+
 def test_unknown_drop_label_raises():
     p = exact_random_point(107)
+    tag = classify(p)
     with pytest.raises(ValueError):
-        check_point(p, drop_label="U_j")
+        check_rows(tag, kernel.span_rows(p.x, p.w, tag.v), DEFAULT_TOL, "U_j")
 
 
 @pytest.mark.parametrize("kind", bundle.EXACT_CASE_KINDS + ("float",))

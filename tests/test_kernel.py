@@ -48,6 +48,7 @@ from sp2span.quat import EXACT, FLOAT, quat
 from conftest import (
     big_exact_quats,
     case_ii_basis_reference,
+    dropped_check,
     float_quats,
     nonzero_exact_quats,
     object_check,
@@ -152,7 +153,7 @@ def _assert_same_rank(mine, ref, rows):
 
 
 def _assert_matches_object_path(p, drop_label=None):
-    res = check_point(p, TOL, drop_label)
+    res = check_point(p, TOL) if drop_label is None else dropped_check(p, TOL, drop_label)
     ref, frame = object_check(p, TOL, drop_label)
     assert res.case == ref.case
     assert res.membership_violations == ref.membership_violations
@@ -225,7 +226,7 @@ def test_float_check_builds_no_frame_objects(monkeypatch):
 
     monkeypatch.setattr(frames, "span_frame", refuse)
     monkeypatch.setattr(frames, "verify_frame", refuse)
-    res = check_point(p, TOL, "ell_j")
+    res = dropped_check(p, TOL, "ell_j")
     assert isinstance(res, FrameCheck)
     assert res.ok is False
     assert res.failures() == ["bracket-free rank 6 != 7"]
@@ -289,10 +290,10 @@ BLOCK_ROWS_SHA256 = "e0b02daafea24b1cd41400f7b5253785b7fe1b8016f75d4c657bedc3830
 def test_block_rows_are_the_point_rows():
     # verify builds float rows a block at a time: one evaluation of the
     # kernel's formulas on arrays, with case-I and case-II points mixed.
-    # Each point's rows must be the rows of that point alone (span_rows, a
-    # block of one, on Python floats) and the matrices span_frame wraps, in
-    # every bit, the sign of a zero included, and every entry a Python
-    # float.  The digest pins the same bits to the formulas' grouping.
+    # Each point's rows must be the rows of that point alone (span_rows, on
+    # Python floats) and the matrices span_frame wraps, in every bit, the
+    # sign of a zero included, and every entry a Python float.  The digest
+    # pins the same bits to the formulas' grouping.
     points = _block_points()
     tags = [classify(p, TOL) for p in points]
     assert sum(tag.kind == frames.CASE_II for tag in tags) == 3
@@ -308,6 +309,37 @@ def test_block_rows_are_the_point_rows():
         assert bits == [_bits(to_vec10(e.m)) for e in frames.span_frame(p, TOL).entries]
         digest.update(b"".join(bits))
     assert digest.hexdigest() == BLOCK_ROWS_SHA256
+    # exact points take the block entry too: their rows are span_rows's ints
+    exact = [bundle.exact_random_point(n, case) for n, case in enumerate(bundle.EXACT_CYCLE)]
+    exact_tags = [classify(p, TOL) for p in exact]
+    assert sum(tag.kind == frames.CASE_II for tag in exact_tags) >= 2
+    assert list(kernel.span_row_block(exact, exact_tags)) == [
+        kernel.span_rows(p.x, p.w, tag.v) for p, tag in zip(exact, exact_tags)
+    ]
+
+
+def test_lone_float_point_makes_no_array_call(monkeypatch):
+    # A float group of one point runs the scalar formulas: span_rows and
+    # check_point on a Haar, a quarter-stratum and a signed-zero case-II
+    # point reach no numpy helper, and their rows are the ones a
+    # multi-point block gives them, in every bit.
+    points = [bundle.random_sp2(n) for n in range(3)] + [ib_float_point(0.25), _signed_zero_ii_point()]
+    points += [_float_point(bundle.grid_ii(2)[1])]
+    tags = [classify(p, TOL) for p in points]
+    assert sum(tag.v is None for tag in tags) == 2
+    block = [[_bits(row) for row in rows] for rows in kernel.span_row_block(points, tags)]
+
+    def refuse(*args):
+        raise AssertionError("a lone float point reached the array path")
+
+    monkeypatch.setattr(kernel, "component_arrays", refuse)
+    monkeypatch.setattr(kernel, "rows_from_arrays", refuse)
+    for p, tag, want in zip(points, tags, block):
+        rows = kernel.span_rows(p.x, p.w, tag.v)
+        assert all(type(c) is float for row in rows for c in row)
+        assert [_bits(row) for row in rows] == want
+        assert [_bits(row) for row in next(kernel.span_row_block([p], [tag]))] == want
+        assert check_point(p, TOL).ok
 
 
 @given(st.one_of(nonzero_exact_quats, big_exact_quats().filter(lambda v: not v.is_zero())))
@@ -424,7 +456,7 @@ def test_exact_dropped_row_equals_object_check(label):
     points = _exact_random(range(3)) + raw_cayley_points(5)
     points += [grid(2)[1] for grid in (bundle.grid_ia, bundle.grid_ib, bundle.grid_ir, bundle.grid_ii)]
     for p in points:
-        res = check_point(p, TOL, label)
+        res = dropped_check(p, TOL, label)
         ref, _ = object_check(p, TOL, label)
         assert res == ref
         assert res.failures() == ref.failures()
@@ -460,7 +492,7 @@ def test_exact_check_builds_no_frame_objects(monkeypatch):
 
     for name in ("span_frame", "verify_frame", "ell", "in_ad_h_p"):
         monkeypatch.setattr(frames, name, refuse)
-    res = check_point(p, TOL, "ell_j")
+    res = dropped_check(p, TOL, "ell_j")
     assert isinstance(res, FrameCheck)
     assert res.rank.method == "bareiss"
     assert res.ok is False
