@@ -44,6 +44,7 @@ from .qmat import (
     diag,
     inner,
     real_rank,
+    scalar_rows,
     to_vec10,
     vec10_weighted_dot,
 )
@@ -522,17 +523,30 @@ def check_rows(tag: CaseTag, rows, tol: float = DEFAULT_TOL, drop_label: str | N
     have rank 10 and the rows labeled D_LABELS rank exactly 7.  drop_label
     removes that row first, the corruption hook of `verify --corrupt-frame`;
     one that names no row raises ValueError, and any count of rows but
-    len(SPAN_LABELS) raises ShapeMismatch."""
+    len(SPAN_LABELS) raises ShapeMismatch.
+
+    rows may be lists or a 13 x 10 float64 view of the kernel's block
+    (kernel.span_row_block).  The rank takes the rows and their first seven,
+    the D rows, as slices, with no row copied; a drop picks the kept rows
+    one by one and never joins rows with +, which adds arrays elementwise.
+    Membership reads the D rows once as Python scalars (qmat.scalar_rows),
+    so an array and a list of the same rows give the same decisions."""
     if drop_label is not None and drop_label not in SPAN_LABELS:
         raise ValueError(f"no frame row is labeled {drop_label!r}")
     if len(rows) != len(SPAN_LABELS):
         raise ShapeMismatch(f"{len(rows)} span rows, expected {len(SPAN_LABELS)}")
-    rows = dict(zip(SPAN_LABELS, rows))
-    ell_rows = [rows[label] for label in ELL_LABELS]  # read before a drop
-    rows.pop(drop_label, None)
-    member_bad = [u for u in U_LABELS if u in rows and not _horizontal_row(rows[u], ell_rows, tol)]
-    d_rows = [row for label, row in rows.items() if label in D_LABELS]
-    return _frame_check(tag.kind, list(rows.values()), d_rows, member_bad, tol)
+    n_d = len(D_LABELS)
+    d_values = scalar_rows(rows[:n_d])
+    ell_rows = d_values[: len(ELL_LABELS)]  # read before a drop
+    member_bad = [
+        u
+        for u, u_row in zip(U_LABELS, d_values[len(ELL_LABELS) :])
+        if u != drop_label and not _horizontal_row(u_row, ell_rows, tol)
+    ]
+    if drop_label is not None:
+        rows = [row for label, row in zip(SPAN_LABELS, rows) if label != drop_label]
+        n_d -= drop_label in D_LABELS
+    return _frame_check(tag.kind, rows, rows[:n_d], member_bad, tol)
 
 
 def _horizontal_row(u_row, ell_rows, tol: float) -> bool:

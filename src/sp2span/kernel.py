@@ -30,18 +30,21 @@ span_row_block is the one way a caller gets the rows of a set of points;
 span_rows is the rows of one point.  A float group of two or more points
 (the points with a v, or the case-II ones) runs _span_mats once, with every
 component a float64 array over the points (qmat.component_arrays); each
-row is divided by its denominator and read back as Python floats
-(qmat.rows_from_arrays).  Exact points, and a float group of one, run the
-same formulas point by point on Python scalars (span_rows), and each row is
-finished by one scalar rule per backend: an exact row is returned as
-integers in lowest terms, the row times the lcm of its entries'
-denominators, the input Bareiss takes (qmat.real_rank), so no row becomes
-Fractions; a float row is each entry divided by the row's denominator, so
-a lone float point (check_point, `frame`, special-sweep) makes no numpy
-call.  Each array operation is the IEEE operation the scalar formula makes,
-in the same order, so the array rows equal the scalar ones bit for bit,
-the sign of a zero included.  numpy stays in qmat; the arrays are never
-wrapped in a Quaternion, which would read a numpy numerator as exact.
+row is divided by its denominator into one (points, 13, 10) float64
+block, and each point's rows are its C-contiguous 13 x 10 view
+(qmat.rows_from_arrays), which real_rank takes as it is and
+frames.check_rows slices, never joins.  Exact points, and a float group of
+one, run the same formulas point by point on Python scalars (span_rows),
+and each row is finished by one scalar rule per backend: an exact row is
+returned as integers in lowest terms, the row times the lcm of its
+entries' denominators, the input Bareiss takes (qmat.real_rank), so no row
+becomes Fractions; a float row is a list of each entry divided by the
+row's denominator, Python floats, so a lone float point (check_point,
+`frame`, special-sweep) makes no numpy call.  Each array operation is the
+IEEE operation the scalar formula makes, in the same order, so the array
+rows equal the scalar ones bit for bit, the sign of a zero included.
+numpy stays in qmat; the arrays are never wrapped in a Quaternion, which
+would read a numpy numerator as exact.
 
 frames.u_basis, frames.case_ii_basis and frames.span_frame wrap the
 numerators of u_basis4 and u_matrices, so `frame` prints the matrices this
@@ -126,16 +129,17 @@ def _span_mats(xn, wn, p_sq, vn, v_den):
 
 def span_row_block(points, tags):
     """An iterator over the span rows of points of one backend, in order,
-    one list of 13 rows per point: the rows span_rows(p.x, p.w, tag.v)
-    returns, bit for bit.  tags are the points' case labels
-    (frames.classify); the points whose tag.v is None (case II) take the
-    constant basis.
+    the 13 rows of each point: the rows span_rows(p.x, p.w, tag.v)
+    returns, bit for bit, as a 13 x 10 float64 view for a point of a float
+    group of two or more, and as span_rows's lists otherwise.  tags are the
+    points' case labels (frames.classify); the points whose tag.v is None
+    (case II) take the constant basis.
 
     The points with a v and those without form two groups.  A float group
     of two or more points runs _span_mats once on float64 arrays of its
-    components and is read back point by point; every other group runs
-    span_rows point by point.  Float components are numerators over 1, so
-    p_sq = v_den = 1."""
+    components into one block, handed out point by point; every other
+    group runs span_rows point by point.  Float components are numerators
+    over 1, so p_sq = v_den = 1."""
     groups = {}
     for has_v in (True, False):
         picked = [(p, tag) for p, tag in zip(points, tags) if (tag.v is not None) == has_v]

@@ -362,20 +362,29 @@ def component_arrays(quads):
 
 def rows_from_arrays(mats, count: int):
     """An iterator over the rows row / den of a group of count float
-    points (the kernel module docstring), point by point, each point's rows
-    as lists of Python floats.  mats lists (row, den) pairs, a Vec10 row
-    and its denominator, each entry a float64 array over the points or a
-    constant the formulas left as a Python int (the case-II basis, a zero
-    entry).  Each division is the IEEE one the scalar row c / den makes,
-    so the floats are the ones the same formulas give on one point.  The
-    rows become Python floats one point at a time, so a block holds one
-    point's lists at once."""
-    out = np.empty((len(mats), 10, count))
+    points (the kernel module docstring), point by point, each point's
+    rows one C-contiguous 13 x 10 float64 view of one (count, 13, 10)
+    block.  mats lists (row, den) pairs, a Vec10 row and its denominator,
+    each entry a float64 array over the points or a constant the formulas
+    left as a Python int (the case-II basis, a zero entry).  Each division
+    is the IEEE one the scalar row c / den makes, so the entries are the
+    floats the same formulas give on one point.  The block is written in
+    its final layout, point-major, with no transposed copy and no Python
+    floats."""
+    out = np.empty((count, len(mats), 10))
     for m, (row, den) in enumerate(mats):
         for c, entry in enumerate(row):
-            out[m, c] = entry
-        out[m] /= den
-    return (point.tolist() for point in out.transpose(2, 0, 1))
+            out[:, m, c] = entry
+        out[:, m] /= np.reshape(den, (-1, 1))
+    return iter(out)
+
+
+def scalar_rows(rows):
+    """rows as lists of Python scalars: a float64 array's rows read once
+    with tolist, any other rows as they are.  Membership (frames.check_rows)
+    runs its Python arithmetic on these, so array rows and list rows give
+    the same floats and the same decisions."""
+    return rows.tolist() if isinstance(rows, np.ndarray) else rows
 
 
 def vec10_weighted_dot(s: Vec10, t: Vec10) -> Scalar:
@@ -512,6 +521,10 @@ def _pivoted_rank(rows: Sequence[Sequence[float]], rel_tol: float) -> RankResult
     difference as two IEEE operations, the arithmetic of the scalar
     elimination: every pivot and position is the one a row-by-row loop over
     the free block finds (`numpy_pivoted_rank` in tests/conftest.py).
+    rows may be a float64 array; np.array copies it, so the caller's rows
+    are never changed.  Each maximum and pivot is read with .item(), a
+    Python float, and the column is divided by that float: the same IEEE
+    division as by the array entry.
     """
     a = np.array(rows, dtype=np.float64)
     n_rows, n_cols = a.shape
@@ -531,7 +544,7 @@ def _pivoted_rank(rows: Sequence[Sequence[float]], rel_tol: float) -> RankResult
     # entry is the largest equilibrated entry.
     np.abs(a, out=absa)
     flat = int(absa.argmax())
-    max_initial = float(absa.flat[flat])
+    max_initial = absa.item(flat)
     if max_initial == 0.0:
         return RankResult(rank=0, method="pivoted-ge", min_rel_pivot=None)
     threshold = rel_tol * max_initial
@@ -545,11 +558,11 @@ def _pivoted_rank(rows: Sequence[Sequence[float]], rel_tol: float) -> RankResult
         positions.append((r, c))
         if len(pivots) == steps:
             break
-        a -= np.multiply.outer(a[:, c] / a[r, c], a[r])
+        a -= np.multiply.outer(a[:, c] / a.item(flat), a[r])
         a[:, c] = 0.0
         np.abs(a, out=absa)
         flat = int(absa.argmax())
-        val = float(absa.flat[flat])
+        val = absa.item(flat)
     min_rel = min(pivots) / max_initial if pivots else None
     return RankResult(
         rank=len(pivots),
@@ -571,10 +584,18 @@ def real_rank(vectors: Iterable[Vec10], tol: float = DEFAULT_TOL) -> RankResult:
     kernel returns for the same values.  Float backend (Python or numpy
     floats, taken into one float64 array as they are): complete-pivot
     Gaussian elimination on equilibrated rows with relative pivot threshold
-    `tol`, one numpy step per pivot.  Rows mixing Fractions and floats
+    `tol`, one numpy step per pivot.  A 2-D float64 array (the span
+    kernel's block rows) is a float input by its dtype and goes to the
+    elimination as it is, with no repack or type scan; an array of any
+    other dimension raises ShapeMismatch.  Rows mixing Fractions and floats
     raise BackendMismatch, rows of width 0 ShapeMismatch, and float rows
     holding NaN or an infinity NonFiniteRows.
     """
+    if isinstance(vectors, np.ndarray):
+        if vectors.ndim != 2:
+            raise ShapeMismatch(f"rank input is a {vectors.ndim}-D array, not a 2-D block of rows")
+        if vectors.dtype == np.float64 and vectors.size:
+            return _pivoted_rank(vectors, tol)
     rows = [tuple(v) for v in vectors]
     if not rows:
         return RankResult(rank=0, method="empty")

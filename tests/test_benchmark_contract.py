@@ -14,6 +14,7 @@ import importlib.util
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from sp2span import bundle, cli, frames, qmat, quat
@@ -85,8 +86,9 @@ def test_gate_observes_every_point(monkeypatch, gate_module, backend, samples):
     # bundle.sample and the segment hooks wrap the two samplers by name.  A
     # refactor that stopped calling them through the module attribute would
     # leave the oracle nothing to check and the trace blind.  The rank
-    # inputs are one scalar type per backend (floats, or the exact kernel's
-    # integer rows), and the gate's own oracle re-ranks every one of them.
+    # inputs are one scalar type per backend (the float64 entries of the
+    # kernel's block rows, or the exact kernel's integer rows), and the
+    # gate's own oracle re-ranks every one of them.
     indices, draws, exact_draws, ranks = [], [], [], []
     verify_one, random_sp2, real_rank = cli._verify_one, bundle.random_sp2, frames.real_rank
     exact_random_point = bundle.exact_random_point
@@ -122,7 +124,7 @@ def test_gate_observes_every_point(monkeypatch, gate_module, backend, samples):
     assert len(exact_draws) == (samples if backend == "exact" else 0)
     assert all(isinstance(p, qmat.Sp2Point) for p in draws + exact_draws)
     assert [(len(rows), rank) for rows, rank in ranks] == [(13, 10), (7, 7)] * samples
-    scalar = float if backend == "float" else int
+    scalar = np.float64 if backend == "float" else int
     assert all(type(x) is scalar for rows, _ in ranks for row in rows for x in row)
     assert gate_module.oracle_rerank(ranks, backend) == (2 * samples, 0, [])
     # the oracle ranks the rows itself: a wrong program rank is caught

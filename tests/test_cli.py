@@ -17,7 +17,7 @@ from sp2span.cli import build_parser, main
 from sp2span.qmat import QMat2, Sp2Alg, Sp2Point
 from sp2span.quat import EXACT, FLOAT, one, quat
 
-from conftest import cayley_sp2, canonical_json
+from conftest import cayley_sp2, canonical_json, dropped_check
 from test_golden import GOLDEN
 from test_kernel import FAMILIES
 
@@ -367,9 +367,10 @@ def test_jobs_start_at_most_one_worker_per_sample_and_cpu(tmp_path, monkeypatch)
     assert reports[6, 500] == reports[6, 3] == reports[6, 1]
 
 
-def _loop_records(backend: str, seed: int, samples: int):
+def _loop_records(backend: str, seed: int, samples: int, drop: str | None = None):
     """The records of `verify` made by a plain loop, sample by sample, over
-    frames.check_point."""
+    frames.check_point, or over conftest.dropped_check with the row labeled
+    drop dropped (`verify --corrupt-frame drop`)."""
     records = []
     for index in range(samples):
         key = ((seed % (1 << 64)) << 64) + index
@@ -377,18 +378,19 @@ def _loop_records(backend: str, seed: int, samples: int):
             p = bundle.random_sp2(key)
         else:
             p = bundle.exact_random_point(key, case=bundle.EXACT_CYCLE[index % len(bundle.EXACT_CYCLE)])
-        res = frames.check_point(p, 1e-9)
-        records.append(
-            {
-                "index": index,
-                "case": res.case,
-                "ok": res.ok,
-                "rank": res.rank.rank,
-                "neg_rank": res.negative_rank.rank,
-                "min_rel_pivot": res.rank.min_rel_pivot,
-                "problems": res.failures(),
-            }
-        )
+        res = frames.check_point(p, 1e-9) if drop is None else dropped_check(p, 1e-9, drop)
+        record = {
+            "index": index,
+            "case": res.case,
+            "ok": res.ok,
+            "rank": res.rank.rank,
+            "neg_rank": res.negative_rank.rank,
+            "min_rel_pivot": res.rank.min_rel_pivot,
+            "problems": res.failures(),
+        }
+        if not res.ok:
+            record["point"] = p.to_json()
+        records.append(record)
     return records
 
 
@@ -398,7 +400,10 @@ def test_block_records_equal_a_per_sample_loop(monkeypatch, backend):
     # are the records of a loop over check_point, sample by sample, on
     # either side of the block size and for every worker count.  The blocks
     # hold at most BLOCK samples, cover every sample once, in order, and
-    # number at least one per worker.
+    # number at least one per worker.  On floats, a --corrupt-frame drop of
+    # an ell row, a u row and a bracket row from the block's array rows
+    # gives the records of a loop over dropped_check (the first two fail
+    # every sample; twelve rows without [u_j,u_k] still span sp(2)).
     seed = 17
     want = _loop_records(backend, seed, 600)
     seen = []
@@ -441,6 +446,17 @@ def test_block_records_equal_a_per_sample_loop(monkeypatch, backend):
             assert all(0 < stop - start <= cli.BLOCK for start, stop in spans)
             if workers > 1:
                 pooled.append((workers, spans))
+    for drop in ("ell_i", "u_k", "[u_j,u_k]") if backend == FLOAT else ():
+        want = _loop_records(backend, seed, 257, drop)
+        code = 0 if all(rec["ok"] for rec in want) else 1
+        assert code == (drop != "[u_j,u_k]")
+        for jobs in (1, 2):
+            seen.clear()
+            argv = ["verify", "--backend", backend, "--samples", "257", "--seed", str(seed), "--jobs", str(jobs)]
+            assert main(argv + ["--corrupt-frame", drop, "--out", os.devnull]) == code
+            assert seen == want, (drop, jobs)
+            if jobs > 1:
+                pooled.append((jobs, cli._blocks(257, jobs)))
     assert handed == pooled
 
 

@@ -524,6 +524,24 @@ def test_check_rows_rejects_a_wrong_row_count(backend):
             check_rows(tag, wrong)
 
 
+def test_check_rows_takes_block_rows_as_they_are():
+    # A float block hands check_rows one 13 x 10 float64 view per point.
+    # Whole, with any one row dropped and with a u row moved off Ad_p(h_p),
+    # the check on the view is the check on the same rows as lists of
+    # Python floats, and it leaves the view's bits as they are.
+    points = [bundle.random_sp2(n) for n in range(4)] + [ib_float_point(0.25)]
+    tags = [classify(p) for p in points]
+    for p, tag, rows in zip(points, tags, kernel.span_row_block(points, tags)):
+        off = rows.copy()
+        off[4, 0] += 1e-3  # u_i is no longer trace-free
+        for arr in (rows, off):
+            bits = arr.tobytes()
+            for drop in (None,) + SPAN_LABELS:
+                assert check_rows(tag, arr, DEFAULT_TOL, drop) == check_rows(tag, arr.tolist(), DEFAULT_TOL, drop)
+            assert arr.tobytes() == bits
+        assert check_rows(tag, off).membership_violations == ["u_i"]
+
+
 def test_unknown_drop_label_raises():
     p = exact_random_point(107)
     tag = classify(p)

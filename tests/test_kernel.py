@@ -292,8 +292,9 @@ def test_block_rows_are_the_point_rows():
     # kernel's formulas on arrays, with case-I and case-II points mixed.
     # Each point's rows must be the rows of that point alone (span_rows, on
     # Python floats) and the matrices span_frame wraps, in every bit, the
-    # sign of a zero included, and every entry a Python float.  The digest
-    # pins the same bits to the formulas' grouping.
+    # sign of a zero included, and each point's rows one C-contiguous
+    # 13 x 10 float64 array.  The digest pins the same bits to the
+    # formulas' grouping.
     points = _block_points()
     tags = [classify(p, TOL) for p in points]
     assert sum(tag.kind == frames.CASE_II for tag in tags) == 3
@@ -303,7 +304,8 @@ def test_block_rows_are_the_point_rows():
     digest = hashlib.sha256()
     for p, tag, rows in zip(points, tags, block):
         assert len(rows) == len(SPAN_LABELS)
-        assert all(type(c) is float for row in rows for c in row)
+        assert type(rows) is np.ndarray and rows.dtype == np.float64
+        assert rows.shape == (len(SPAN_LABELS), 10) and rows.flags.c_contiguous
         bits = [_bits(row) for row in rows]
         assert bits == [_bits(row) for row in kernel.span_rows(p.x, p.w, tag.v)]
         assert bits == [_bits(to_vec10(e.m)) for e in frames.span_frame(p, TOL).entries]

@@ -610,24 +610,28 @@ def test_rank_of_zero_and_empty():
     assert real_rank([]).rank == 0
 
 
-@pytest.mark.parametrize("rows", [[[]], [[], []]])
+@pytest.mark.parametrize("rows", [[[]], [[], []], np.empty((2, 0)), np.zeros(10), np.zeros((2, 3, 4))])
 def test_rank_rejects_rows_of_width_zero(rows):
-    with pytest.raises(ShapeMismatch, match="no coordinates"):
+    # and arrays that are not a 2-D block of rows
+    match = "no coordinates" if np.ndim(rows) == 2 else f"is a {np.ndim(rows)}-D array"
+    with pytest.raises(ShapeMismatch, match=match):
         real_rank(rows)
 
 
 def test_float_rank_rejects_nan():
     rows = _span_rows(1)
     rows[4] = rows[4][:3] + (float("nan"),) + rows[4][4:]
-    with pytest.raises(NonFiniteRows, match="NaN or an infinity"):
-        real_rank(rows)
+    for variant in (rows, np.array(rows)):
+        with pytest.raises(NonFiniteRows, match="NaN or an infinity"):
+            real_rank(variant)
 
 
 def test_float_rank_rejects_inf():
     rows = _span_rows(1)
     rows[9] = rows[9][:6] + (-float("inf"),) + rows[9][7:]
-    with pytest.raises(NonFiniteRows, match="NaN or an infinity"):
-        real_rank(rows)
+    for variant in (rows, np.array(rows)):
+        with pytest.raises(NonFiniteRows, match="NaN or an infinity"):
+            real_rank(variant)
 
 
 def test_float_rank_scale_invariance():
@@ -672,11 +676,18 @@ def test_rank_backend_follows_the_scalar_rule():
 
 
 def _assert_bitwise_reference(rows):
-    got, ref = real_rank(rows, tol=1e-9), numpy_pivoted_rank(rows, 1e-9)
-    assert got.method == ref.method == "pivoted-ge"
-    assert got.rank == ref.rank
-    assert got.pivots == ref.pivots and got.positions == ref.positions
-    assert got.min_rel_pivot == ref.min_rel_pivot
+    # on the rows as given and as one float64 array, the span kernel's block
+    # rows, which the elimination must leave as they are, bit for bit
+    ref = numpy_pivoted_rank(rows, 1e-9)
+    arr = np.array(rows, dtype=np.float64)
+    bits = arr.tobytes()
+    for variant in (rows, arr):
+        got = real_rank(variant, tol=1e-9)
+        assert got.method == ref.method == "pivoted-ge"
+        assert got.rank == ref.rank
+        assert got.pivots == ref.pivots and got.positions == ref.positions
+        assert got.min_rel_pivot == ref.min_rel_pivot
+    assert arr.tobytes() == bits
 
 
 def test_float_rank_is_the_numpy_elimination_on_frames():
